@@ -8,6 +8,7 @@ from .ghostdag import (
     GhostdagParams,
     ghostdag_color,
     ghostdag_order,
+    ghostdag_run,
     is_k_cluster,
     k_for_network,
     max_k_cluster,
@@ -59,6 +60,7 @@ __all__ = [
     "genesis_block",
     "ghostdag_color",
     "ghostdag_order",
+    "ghostdag_run",
     "is_k_cluster",
     "k_for_network",
     "max_k_cluster",

@@ -149,19 +149,6 @@ class EhrStore:
         return record_id in self._index
 
 
-def anchored_record_ids(ledger: Ledger) -> set[str]:
-    """Record ids with an anchor anywhere on the ledger, pooled or sealed."""
-    ids = set()
-    for tx in ledger.pool:
-        if tx.kind is TxKind.EHR_ANCHOR:
-            ids.add(tx.body["record_id"])
-    for block in ledger.dag.blocks.values():
-        for tx in block.payload:
-            if tx.kind is TxKind.EHR_ANCHOR:
-                ids.add(tx.body["record_id"])
-    return ids
-
-
 def confirmed_anchors(ledger: Ledger) -> dict[str, str]:
     """record_id to anchored content hash, first confirmed anchor wins."""
     out: dict[str, str] = {}
@@ -179,7 +166,7 @@ def anchor(
     The anchor body carries only the record id and the digest; no health
     bytes leave the store.
     """
-    if record.record_id in anchored_record_ids(ledger):
+    if record.record_id in ledger.anchored_record_ids():
         raise AlreadyAnchored(f"record {record.record_id[:12]} is already anchored")
     tx = Transaction(
         kind=TxKind.EHR_ANCHOR,

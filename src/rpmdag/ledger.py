@@ -163,6 +163,19 @@ class ConfirmedStream:
         return None
 
 
+_PUBLIC_KINDS = frozenset({TxKind.ALERT_EVENT})
+_PRIVATE_KINDS = frozenset(TxKind)
+
+
+def _header_int(header: dict[str, str], name: str) -> int:
+    try:
+        return int(header[name])
+    except ValueError:
+        raise FormatError(
+            f"ledger header field {name}={header[name]!r} is not an integer"
+        ) from None
+
+
 class Ledger:
     """One ledger instance: a DAG of sealed blocks plus a pending pool."""
 
@@ -187,15 +200,34 @@ class Ledger:
         self.genesis_id = gen.id
         self.pool: list[Transaction] = []
         self._tx_ids: set[bytes] = set()
+        self._anchored: set[str] | None = None  # see anchored_record_ids
 
     def admissible_kinds(self) -> frozenset[TxKind]:
-        if self.visibility == PUBLIC:
-            return frozenset({TxKind.ALERT_EVENT})
-        return frozenset(TxKind)
+        return _PUBLIC_KINDS if self.visibility == PUBLIC else _PRIVATE_KINDS
 
     def has_tx(self, tx_id: bytes) -> bool:
         """True if the tx id was ever pooled or sealed here."""
         return tx_id in self._tx_ids
+
+    def anchored_record_ids(self) -> set[str]:
+        """Record ids with an EHR anchor anywhere on this ledger, pooled
+        or sealed; the same "ever pooled or sealed" sense as has_tx.
+
+        The set is built by one scan of pool and blocks on the first call
+        and kept current by submit from then on. It is built lazily, not
+        in load_text, because the read path (load, audit, verify) never
+        anchors: holding every record id beside the loaded blocks would
+        only raise its peak memory. The set is the ledger's own; callers
+        must not mutate it.
+        """
+        if self._anchored is None:
+            self._anchored = {
+                tx.body["record_id"]
+                for txs in (self.pool, *(b.payload for b in self.dag.blocks.values()))
+                for tx in txs
+                if tx.kind is TxKind.EHR_ANCHOR
+            }
+        return self._anchored
 
     def submit(self, tx: Transaction, author: EntityId) -> SubmitReceipt:
         if author not in self.authorized_writers:
@@ -208,6 +240,8 @@ class Ledger:
             )
         if tx.kind is TxKind.ALERT_EVENT:
             validate_alert_body(tx.body)
+        elif tx.kind is TxKind.EHR_ANCHOR and self._anchored is not None:
+            self._anchored.add(tx.body["record_id"])
         self.pool.append(tx)
         self._tx_ids.add(tx.id)
         return SubmitReceipt(tx_id=tx.id, position=len(self.pool) - 1)
@@ -269,13 +303,16 @@ class Ledger:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("# rpmdag-ledger v1 "):
             raise FormatError("not a ledger file")
-        header = dict(
-            part.split("=", 1) for part in lines[0].removeprefix("# rpmdag-ledger v1 ").split()
-        )
+        header = {}
+        for part in lines[0].removeprefix("# rpmdag-ledger v1 ").split():
+            name, sep, value = part.partition("=")
+            if not sep:
+                raise FormatError(f"ledger header field {part!r} is not name=value")
+            header[name] = value
         try:
             visibility = header["visibility"]
-            k = int(header["k"])
-            max_txs = int(header["max"])
+            k = _header_int(header, "k")
+            max_txs = _header_int(header, "max")
             writers = [w for w in header.get("writers", "").split(",") if w]
             if header["alg"] != DIGEST_ALG:
                 raise FormatError(f"unsupported digest algorithm {header['alg']!r}")

@@ -216,6 +216,23 @@ def test_rpm_demo_ehr_and_ledger_cli(tmp_path):
     assert out.strip().splitlines()[-1] == "audited=30 intact=29 tampered=1"
 
 
+@pytest.mark.parametrize("old, new", [("k=3", "k=x"), ("max=1000", "max=x"), ("k=3", "k=3 junk")])
+def test_malformed_ledger_header_is_a_runtime_error(tmp_path, old, new):
+    state = tmp_path / "state"
+    code, _, _ = run_cli(
+        "rpm", "demo", "--seed", "11", "--patients", "1",
+        "--readings-per-device", "2", "--duration", "10",
+        "--state-dir", str(state),
+    )
+    assert code == 0
+    path = state / "private.ledger"
+    path.write_text(path.read_text().replace(old, new, 1))
+    code, out, err = run_cli("ledger", "inspect", "--file", str(path))
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_acl_cli_flow(tmp_path):
     roster = tmp_path / "roster.json"
     roster.write_text(json.dumps([

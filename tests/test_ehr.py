@@ -114,6 +114,21 @@ def test_anchor_is_once_per_record():
         anchor(rec, ledger, "svc")
 
 
+def test_reloaded_ledger_still_refuses_a_second_anchor():
+    store, ledger = EhrStore(), make_ledger()
+    rec = store.store(b"sealed then saved", "p-01")
+    anchor(rec, ledger, "svc")
+    ledger.seal_block("sealer", 1.0)
+    again = Ledger.load_text(ledger.save_text())
+    with pytest.raises(AlreadyAnchored):
+        anchor(rec, again, "svc")
+    # a new record still anchors on the reloaded ledger, exactly once
+    fresh = store.store(b"after reload", "p-01")
+    anchor(fresh, again, "svc")
+    with pytest.raises(AlreadyAnchored):
+        anchor(fresh, again, "svc")
+
+
 def test_verify_unanchored_and_pending():
     store, ledger = EhrStore(), make_ledger()
     rec = store.store(b"never anchored", "p-01")

@@ -17,6 +17,7 @@ from rpmdag.ledger import (
     inspect_jsonl,
     validate_alert_body,
 )
+from rpmdag.pipeline import run_demo
 
 WRITERS = {"svc", "sealer"}
 
@@ -290,6 +291,52 @@ def test_persistence_rejects_foreign_headers():
     text = ledger.save_text().replace("alg=sha256", "alg=md5")
     with pytest.raises(FormatError):
         Ledger.load_text(text)
+
+
+@pytest.mark.parametrize(
+    "old, new, named",
+    [("k=2", "k=x", "k="), ("max=4", "max=x", "max="), ("k=2", "k=2 junk", "junk")],
+)
+def test_malformed_header_is_a_format_error(old, new, named):
+    text = build_ledger().save_text()
+    assert old in text.splitlines()[0]
+    with pytest.raises(FormatError, match=named):
+        Ledger.load_text(text.replace(old, new, 1))
+
+
+def scanned_anchor_ids(ledger: Ledger) -> set[str]:
+    """Brute-force scan of pool plus blocks, sharing no code with the index."""
+    ids = set()
+    for tx in ledger.pool:
+        if tx.kind is TxKind.EHR_ANCHOR:
+            ids.add(tx.body["record_id"])
+    for block in ledger.dag.blocks.values():
+        for tx in block.payload:
+            if tx.kind is TxKind.EHR_ANCHOR:
+                ids.add(tx.body["record_id"])
+    return ids
+
+
+def test_anchor_index_counts_raw_submits():
+    ledger = Ledger(PRIVATE, 3, WRITERS)
+    ledger.submit(anchor_tx(1), "svc")
+    assert ledger.anchored_record_ids() == {"rec-1"}
+    ledger.seal_block("sealer", 1.0)
+    ledger.submit(anchor_tx(2), "svc")
+    assert ledger.anchored_record_ids() == {"rec-1", "rec-2"} == scanned_anchor_ids(ledger)
+
+
+def test_anchor_index_matches_a_scan_live_and_reloaded():
+    # 12 x 100 readings overflow the block cap, so the live ledger keeps a pool
+    ledger = run_demo(seed=3, patients=12, readings_per_device=100).dual.private
+    assert any(tx.kind is TxKind.EHR_ANCHOR for tx in ledger.pool)
+    live = ledger.anchored_record_ids()
+    assert live == scanned_anchor_ids(ledger) and live
+    reloaded = Ledger.load_text(ledger.save_text())
+    assert reloaded.anchored_record_ids() == scanned_anchor_ids(reloaded)
+    # save_text persists sealed blocks only, so pooled anchors are not reloaded
+    pooled = {tx.body["record_id"] for tx in ledger.pool if tx.kind is TxKind.EHR_ANCHOR}
+    assert reloaded.anchored_record_ids() == live - pooled
 
 
 def test_dual_ledger_routes_and_guards():

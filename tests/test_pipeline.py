@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -339,3 +340,25 @@ def test_run_demo_is_deterministic():
     assert a.dual.public.save_text() == b.dual.public.save_text()
     assert a.dual.private.save_text() == b.dual.private.save_text()
     assert a.readings != c.readings
+
+
+# sha256 of the files `rpm demo --seed 11 --state-dir DIR` writes with
+# default options. Any change that alters a saved byte changes these.
+DEMO_SEED_11_SHA256 = {
+    "ehr.log": "4ea047927a6f3e1f3c124a79ca5fd701ee6935de56dccf6ea9ad0be50bf8dff6",
+    "private.ledger": "1d63cf85eb5bd3a28c9623e4d26754735b9fb7a16fc930f6efd5227f878b2d12",
+    "public.ledger": "5bf1da86edfdfe766693e938d5c14f3f151c82978643cae17d7a9b369414c63d",
+}
+
+
+def test_demo_state_is_byte_identical_to_golden(tmp_path):
+    # the same steps as cmd_rpm_demo with a state dir
+    result = run_demo(seed=11, state_dir=str(tmp_path))
+    result.dual.private.save(tmp_path / "private.ledger")
+    result.dual.public.save(tmp_path / "public.ledger")
+    result.store.close()
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in DEMO_SEED_11_SHA256
+    }
+    assert digests == DEMO_SEED_11_SHA256
