@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -270,3 +271,45 @@ def test_acl_cli_flow(tmp_path):
     code, _, err = run_cli("acl", "check", *common, "--entity", "ghost",
                            "--patient", "p-01", "--scope", "ehr_read")
     assert code == 1 and err.strip()
+
+
+# `rpmdag color` stdout on the reference DAG, one "token color score" row per
+# block in token order, frozen before GHOSTDAG was reduced to one entry point.
+COLOR_GOLDEN = {
+    0: "A blue 1|B red 2|C red 2|D blue 2|E red 2|F red 3|G blue 3|H red 3|I blue 4|J red 4|K red 3",
+    1: "A blue 1|B red 2|C blue 2|D blue 2|E red 2|F red 4|G blue 4|H red 4|I blue 5|J blue 5|K red 3",
+    2: "A blue 1|B red 2|C blue 2|D blue 2|E red 2|F blue 4|G blue 4|H red 4|I blue 6|J blue 6|K red 3",
+    3: "A blue 1|B blue 2|C blue 2|D blue 2|E red 2|F blue 4|G blue 4|H red 4|I blue 7|J blue 7|K red 3",
+    4: "A blue 1|B blue 2|C blue 2|D blue 2|E red 2|F blue 4|G blue 4|H red 4|I blue 7|J blue 7|K red 3",
+}
+
+# `sim run --seed 5 --lambda 20 --duration 100 --k 3`: metrics stdout and
+# the sha256 of its --trace file.
+SIM_SEED_5_METRICS = """{
+  "blocks_created": 1945,
+  "blocks_in_order": 1945,
+  "converged": true,
+  "effective_tps": 194.5,
+  "included_ratio": 1.0,
+  "max_observed_anticone": 49
+}
+"""
+SIM_SEED_5_TRACE_SHA256 = "8f0ee8e57852ee2e52984a3838e4ddddd1dac6900291ad8a6cc4d645524c0b8f"
+
+
+@pytest.mark.parametrize("k", sorted(COLOR_GOLDEN))
+def test_color_output_is_byte_identical_to_golden(dag_file, k):
+    code, out, _ = run_cli("color", "--dag", dag_file, "--k", str(k))
+    assert code == 0
+    assert out == COLOR_GOLDEN[k].replace("|", "\n") + "\n"
+
+
+def test_sim_run_output_is_byte_identical_to_golden(tmp_path):
+    trace_path = tmp_path / "events.jsonl"
+    code, out, _ = run_cli(
+        "sim", "run", "--seed", "5", "--lambda", "20", "--duration", "100",
+        "--k", "3", "--trace", str(trace_path),
+    )
+    assert code == 0
+    assert out == SIM_SEED_5_METRICS
+    assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == SIM_SEED_5_TRACE_SHA256
