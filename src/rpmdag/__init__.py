@@ -6,8 +6,6 @@ from .dag import Block, BlockDag, export_dag_dot, export_dag_text, genesis_block
 from .ehr import EhrStore, anchor, audit, verify
 from .ghostdag import (
     GhostdagParams,
-    ghostdag_color,
-    ghostdag_order,
     ghostdag_run,
     is_k_cluster,
     k_for_network,
@@ -58,8 +56,6 @@ __all__ = [
     "export_dag_dot",
     "export_dag_text",
     "genesis_block",
-    "ghostdag_color",
-    "ghostdag_order",
     "ghostdag_run",
     "is_k_cluster",
     "k_for_network",

@@ -21,7 +21,7 @@ from .acl import AccessController, ManualClock, Role, Scope, rebuild_grants
 from .dag import export_dag_dot, export_dag_text, parse_dag_text
 from .ehr import INTACT, TAMPERED, EhrStore, audit, verify
 from .errors import FormatError, RpmdagError, UnknownEntity, UnknownGrant
-from .ghostdag import GhostdagParams, ghostdag_color, k_for_network, max_k_cluster
+from .ghostdag import GhostdagParams, ghostdag_run, k_for_network, max_k_cluster
 from .ledger import PRIVATE, Ledger, inspect_jsonl
 from .netsim import MODE_BLOCKDAG, MODES, SimConfig, compare_modes, run, trace_to_jsonl
 from .pipeline import load_rules_json, run_demo
@@ -104,7 +104,7 @@ def cmd_dag_dot(args) -> int:
 
 def cmd_color(args) -> int:
     dag, names = _read_dag(args.dag)
-    coloring = ghostdag_color(dag, GhostdagParams(args.k))
+    coloring = ghostdag_run(dag, GhostdagParams(args.k)).coloring
     for token in sorted(names):
         bid = names[token]
         color = "blue" if bid in coloring.blue else "red"

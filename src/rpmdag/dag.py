@@ -179,6 +179,23 @@ class BlockDag:
                 ready.sort()
         return out
 
+    def past_masks(self) -> tuple[list[BlockId], dict[BlockId, int], list[int]]:
+        """Topological ids, their index, and one past bitmask per block.
+
+        Bit j of the i-th mask is set when ids[j] is a strict ancestor of
+        ids[i], so a reachability test is one shift and one and.
+        """
+        ids = self.topological_order()
+        index = {bid: i for i, bid in enumerate(ids)}
+        past = [0] * len(ids)
+        for i, bid in enumerate(ids):
+            mask = 0
+            for p in self.blocks[bid].parents:
+                j = index[p]
+                mask |= past[j] | (1 << j)
+            past[i] = mask
+        return ids, index, past
+
     def is_linear_extension(self, order) -> bool:
         """True iff order lists every block exactly once, parents first."""
         order = list(order)

@@ -47,10 +47,6 @@ class TooLarge(RpmdagError):
     """Input exceeds the brute-force oracle cap."""
 
 
-class InconsistentColoring(RpmdagError):
-    """A coloring does not cover exactly the blocks of the DAG."""
-
-
 class InvalidParameter(RpmdagError):
     """A numeric parameter is out of its valid range."""
 

@@ -18,12 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .dag import BlockDag, BlockId
-from .errors import (
-    InconsistentColoring,
-    InvalidParameter,
-    TooLarge,
-    UnknownBlock,
-)
+from .errors import InvalidParameter, TooLarge, UnknownBlock
 
 ORACLE_CAP = 20
 
@@ -147,15 +142,7 @@ class _Engine:
 
     def __init__(self, dag: BlockDag):
         self.dag = dag
-        self.ids: list[BlockId] = dag.topological_order()
-        self.index = {bid: i for i, bid in enumerate(self.ids)}
-        self.past: list[int] = [0] * len(self.ids)
-        for i, bid in enumerate(self.ids):
-            mask = 0
-            for p in dag.blocks[bid].parents:
-                j = self.index[p]
-                mask |= self.past[j] | (1 << j)
-            self.past[i] = mask
+        self.ids, self.index, self.past = dag.past_masks()
         self.score: list[int] = [0] * len(self.ids)
         self.blues: list[int] = [0] * len(self.ids)
         self.selected_parent: dict[BlockId, BlockId] = {}
@@ -237,13 +224,7 @@ class _Engine:
 
     # Ordering
 
-    def order_blocks(
-        self,
-        blue_mask: int,
-        score: list[int],
-        selected_parent: dict[BlockId, BlockId],
-        selected_tip: BlockId | None,
-    ) -> list[BlockId]:
+    def order_blocks(self, blue_mask: int, selected_tip: BlockId | None) -> list[BlockId]:
         """Total order anchored on the selected-parent chain.
 
         Walking the chain from genesis upward, each chain block contributes
@@ -260,14 +241,14 @@ class _Engine:
         cur = selected_tip
         while cur is not None:
             chain.append(cur)
-            cur = selected_parent.get(cur)
+            cur = self.selected_parent.get(cur)
         chain.reverse()
 
         emitted = 0
         out: list[int] = []
 
         def sort_key(i: int):
-            return (score[i], self.ids[i])
+            return (self.score[i], self.ids[i])
 
         def emit(i: int):
             nonlocal emitted
@@ -310,66 +291,20 @@ def _bits(mask: int):
         yield low.bit_length() - 1
 
 
-def ghostdag_color(dag: BlockDag, params: GhostdagParams) -> Coloring:
-    """Greedy coloring of the whole DAG from the virtual block's view."""
-    engine = _Engine(dag)
-    blue_mask, _ = engine.greedy(params.k)
-    return _coloring_from_engine(engine, blue_mask, params.k)
-
-
-def ghostdag_order(dag: BlockDag, coloring: Coloring) -> OrderedDag:
-    """Deterministic total order induced by an existing coloring."""
-    _check_coloring(dag, coloring)
-    engine = _Engine(dag)
-    score = [coloring.blue_score[bid] for bid in engine.ids]
-    blue_mask = 0
-    for bid in coloring.blue:
-        blue_mask |= 1 << engine.index[bid]
-    selected_tip = _selected_tip(dag, coloring.blue_score)
-    order = engine.order_blocks(blue_mask, score, coloring.selected_parent, selected_tip)
-    return OrderedDag(order=tuple(order), coloring=coloring)
-
-
 def ghostdag_run(dag: BlockDag, params: GhostdagParams) -> OrderedDag:
-    """Color and order in one pass, sharing the reachability index."""
+    """Color the DAG from the virtual block's view, then order it."""
     engine = _Engine(dag)
     blue_mask, selected_tip = engine.greedy(params.k)
-    coloring = _coloring_from_engine(engine, blue_mask, params.k)
-    order = engine.order_blocks(blue_mask, engine.score, engine.selected_parent, selected_tip)
-    return OrderedDag(order=tuple(order), coloring=coloring)
-
-
-def _coloring_from_engine(engine: _Engine, blue_mask: int, k: int) -> Coloring:
     blue = frozenset(engine.ids[i] for i in _bits(blue_mask))
-    red = frozenset(engine.ids) - blue
-    blue_score = {bid: engine.score[i] for i, bid in enumerate(engine.ids)}
-    return Coloring(
+    coloring = Coloring(
         blue=blue,
-        red=red,
-        blue_score=blue_score,
-        selected_parent=dict(engine.selected_parent),
-        k=k,
+        red=frozenset(engine.ids) - blue,
+        blue_score=dict(zip(engine.ids, engine.score)),
+        selected_parent=engine.selected_parent,
+        k=params.k,
     )
-
-
-def _selected_tip(dag: BlockDag, blue_score) -> BlockId | None:
-    tips = sorted(dag.tips)
-    if not tips:
-        return None
-    return min(tips, key=lambda t: (-blue_score[t], t))
-
-
-def _check_coloring(dag: BlockDag, coloring: Coloring):
-    blocks = set(dag.blocks)
-    if coloring.blue & coloring.red:
-        raise InconsistentColoring("blue and red overlap")
-    if (coloring.blue | coloring.red) != blocks:
-        raise InconsistentColoring("coloring does not cover exactly the dag's blocks")
-    if set(coloring.blue_score) != blocks:
-        raise InconsistentColoring("blue_score does not cover exactly the dag's blocks")
-    for bid, sp in coloring.selected_parent.items():
-        if bid not in blocks or sp not in dag.blocks[bid].parents:
-            raise InconsistentColoring("selected parent is not a parent of its block")
+    order = engine.order_blocks(blue_mask, selected_tip)
+    return OrderedDag(order=tuple(order), coloring=coloring)
 
 
 def k_for_network(delay: float, rate: float, delta: float) -> int:

@@ -167,6 +167,14 @@ _PUBLIC_KINDS = frozenset({TxKind.ALERT_EVENT})
 _PRIVATE_KINDS = frozenset(TxKind)
 
 
+def _check_anchor_body(body) -> None:
+    """An anchor must name its record and the content hash it binds."""
+    if not isinstance(body, dict) or not all(
+        isinstance(body.get(name), str) for name in ("record_id", "content_hash")
+    ):
+        raise FormatError("ehr_anchor body needs string record_id and content_hash")
+
+
 def _header_int(header: dict[str, str], name: str) -> int:
     try:
         return int(header[name])
@@ -188,6 +196,8 @@ class Ledger:
     ):
         if visibility not in (PRIVATE, PUBLIC):
             raise FormatError(f"visibility must be private or public, got {visibility!r}")
+        if max_block_txs < 1:
+            raise FormatError(f"ledger max={max_block_txs!r} must be at least 1")
         self.visibility = visibility
         self.params = GhostdagParams(k)
         self.authorized_writers = set(authorized_writers)
@@ -240,8 +250,10 @@ class Ledger:
             )
         if tx.kind is TxKind.ALERT_EVENT:
             validate_alert_body(tx.body)
-        elif tx.kind is TxKind.EHR_ANCHOR and self._anchored is not None:
-            self._anchored.add(tx.body["record_id"])
+        elif tx.kind is TxKind.EHR_ANCHOR:
+            _check_anchor_body(tx.body)
+            if self._anchored is not None:
+                self._anchored.add(tx.body["record_id"])
         self.pool.append(tx)
         self._tx_ids.add(tx.id)
         return SubmitReceipt(tx_id=tx.id, position=len(self.pool) - 1)

@@ -236,18 +236,10 @@ def _measure(config: SimConfig, nodes: list[_NodeState], created: int) -> SimMet
 
 def _max_anticone(dag: BlockDag) -> int:
     """Largest anticone over the final view, via past/future bitmasks."""
-    ids = dag.topological_order()
+    ids, index, past = dag.past_masks()
     n = len(ids)
     if n == 0:
         return 0
-    index = {bid: i for i, bid in enumerate(ids)}
-    past = [0] * n
-    for i, bid in enumerate(ids):
-        m = 0
-        for p in dag.blocks[bid].parents:
-            j = index[p]
-            m |= past[j] | (1 << j)
-        past[i] = m
     future = [0] * n
     for i in range(n - 1, -1, -1):
         m = 0

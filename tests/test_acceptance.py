@@ -21,7 +21,6 @@ from rpmdag.ehr import INTACT, TAMPERED, EhrStore, anchor, audit, verify
 from rpmdag.fixtures import REFERENCE_K3_BLUE, reference_k3
 from rpmdag.ghostdag import (
     GhostdagParams,
-    ghostdag_color,
     ghostdag_run,
     is_k_cluster,
     k_for_network,
@@ -201,7 +200,7 @@ def test_criterion_03_oracle_dominates_greedy(oracle_corpus):
     for n in range(1, 13):
         dag, _ = make_chain(n)
         for k in range(5):
-            coloring = ghostdag_color(dag, GhostdagParams(k))
+            coloring = ghostdag_run(dag, GhostdagParams(k)).coloring
             assert len(coloring.blue) == len(max_k_cluster(dag, k)) == n
     elapsed = oracle_corpus.elapsed + (time.perf_counter() - start)
     assert elapsed < 30.0

@@ -217,7 +217,16 @@ def test_rpm_demo_ehr_and_ledger_cli(tmp_path):
     assert out.strip().splitlines()[-1] == "audited=30 intact=29 tampered=1"
 
 
-@pytest.mark.parametrize("old, new", [("k=3", "k=x"), ("max=1000", "max=x"), ("k=3", "k=3 junk")])
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("k=3", "k=x"),
+        ("max=1000", "max=x"),
+        ("k=3", "k=3 junk"),
+        ("max=1000", "max=-1"),
+        ("max=1000", "max=0"),
+    ],
+)
 def test_malformed_ledger_header_is_a_runtime_error(tmp_path, old, new):
     state = tmp_path / "state"
     code, _, _ = run_cli(

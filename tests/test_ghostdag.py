@@ -7,17 +7,10 @@ import pytest
 
 from helpers import make_chain, random_dag, reference_color, reinsert_shuffled
 from rpmdag.dag import Block, BlockDag, genesis_block
-from rpmdag.errors import (
-    InconsistentColoring,
-    InvalidParameter,
-    TooLarge,
-    UnknownBlock,
-)
+from rpmdag.errors import InvalidParameter, TooLarge, UnknownBlock
 from rpmdag.fixtures import REFERENCE_K3_BLUE, REFERENCE_K3_K, REFERENCE_K3_RED
 from rpmdag.ghostdag import (
     GhostdagParams,
-    ghostdag_color,
-    ghostdag_order,
     ghostdag_run,
     is_k_cluster,
     k_for_network,
@@ -55,7 +48,7 @@ def test_is_k_cluster_definitional(reference_dag):
 
 def test_reference_coloring(reference_dag):
     dag, names = reference_dag
-    coloring = ghostdag_color(dag, GhostdagParams(REFERENCE_K3_K))
+    coloring = ghostdag_run(dag, GhostdagParams(REFERENCE_K3_K)).coloring
     assert coloring.blue == {names[t] for t in REFERENCE_K3_BLUE}
     assert coloring.red == {names[t] for t in REFERENCE_K3_RED}
     assert coloring.blue_score == {names[t]: s for t, s in REFERENCE_SCORES.items()}
@@ -82,7 +75,7 @@ def test_engine_matches_reference_implementation():
         rng = random.Random(seed)
         dag, _ = random_dag(rng, rng.randint(1, 22))
         k = rng.randint(0, 4)
-        coloring = ghostdag_color(dag, GhostdagParams(k))
+        coloring = ghostdag_run(dag, GhostdagParams(k)).coloring
         blue, scores, chosen = reference_color(dag, k)
         assert coloring.blue == blue, f"seed {seed} k {k}"
         assert coloring.blue_score == scores, f"seed {seed} k {k}"
@@ -94,7 +87,7 @@ def test_greedy_blue_is_k_cluster():
         rng = random.Random(seed)
         dag, _ = random_dag(rng, rng.randint(1, 20))
         k = rng.randint(0, 4)
-        coloring = ghostdag_color(dag, GhostdagParams(k))
+        coloring = ghostdag_run(dag, GhostdagParams(k)).coloring
         assert is_k_cluster(dag, coloring.blue, k)
 
 
@@ -103,14 +96,14 @@ def test_greedy_never_beats_oracle():
         rng = random.Random(seed)
         dag, _ = random_dag(rng, rng.randint(1, 12))
         k = rng.randint(0, 3)
-        greedy = ghostdag_color(dag, GhostdagParams(k)).blue
+        greedy = ghostdag_run(dag, GhostdagParams(k)).coloring.blue
         exact = max_k_cluster(dag, k)
         assert len(greedy) <= len(exact)
 
 
 def test_chain_is_all_blue_at_k0():
     dag, ids = make_chain(8)
-    coloring = ghostdag_color(dag, GhostdagParams(0))
+    coloring = ghostdag_run(dag, GhostdagParams(0)).coloring
     assert coloring.blue == set(ids)
     assert coloring.red == set()
     assert max_k_cluster(dag, 0) == set(ids)
@@ -127,19 +120,19 @@ def test_diamond_tie_breaks_lexicographically():
     tip = Block.create((a.id, b.id), (), 2.0, "tip")
     dag.add(a).add(b).add(tip)
     winner, loser = (a, b) if a.id < b.id else (b, a)
-    coloring = ghostdag_color(dag, GhostdagParams(0))
+    coloring = ghostdag_run(dag, GhostdagParams(0)).coloring
     assert coloring.blue == {g.id, winner.id, tip.id}
     assert coloring.red == {loser.id}
     assert coloring.selected_parent[tip.id] == winner.id
     # at k=1 both branches fit
-    assert ghostdag_color(dag, GhostdagParams(1)).blue == set(dag.blocks)
+    assert ghostdag_run(dag, GhostdagParams(1)).coloring.blue == set(dag.blocks)
 
 
 def test_blue_score_strictly_increases_along_selected_chain():
     for seed in range(40):
         rng = random.Random(seed)
         dag, _ = random_dag(rng, rng.randint(2, 25))
-        coloring = ghostdag_color(dag, GhostdagParams(rng.randint(0, 4)))
+        coloring = ghostdag_run(dag, GhostdagParams(rng.randint(0, 4))).coloring
         for bid, sp in coloring.selected_parent.items():
             assert coloring.blue_score[bid] > coloring.blue_score[sp]
 
@@ -202,18 +195,6 @@ def test_order_contains_reds_after_covering_blues(reference_dag):
             assert position[ancestor] < position[rid]
 
 
-def test_run_equals_color_then_order():
-    for seed in range(30):
-        rng = random.Random(seed)
-        dag, _ = random_dag(rng, rng.randint(1, 18))
-        k = rng.randint(0, 3)
-        combined = ghostdag_run(dag, GhostdagParams(k))
-        coloring = ghostdag_color(dag, GhostdagParams(k))
-        ordered = ghostdag_order(dag, coloring)
-        assert combined.order == ordered.order
-        assert combined.coloring == ordered.coloring
-
-
 def test_order_independent_of_insertion_order():
     for seed in range(20):
         rng = random.Random(seed)
@@ -230,30 +211,6 @@ def test_order_position_lookup(reference_dag):
     ordered = ghostdag_run(dag, GhostdagParams(3))
     assert ordered.position(names["A"]) == 0
     assert {ordered.position(bid) for bid in dag.blocks} == set(range(len(dag.blocks)))
-
-
-def test_order_rejects_inconsistent_coloring(reference_dag):
-    dag, names = reference_dag
-    good = ghostdag_color(dag, GhostdagParams(3))
-    overlap = InconsistentColoring
-    bad = type(good)(
-        blue=good.blue | {names["E"]},
-        red=good.red,
-        blue_score=good.blue_score,
-        selected_parent=good.selected_parent,
-        k=good.k,
-    )
-    with pytest.raises(overlap):
-        ghostdag_order(dag, bad)
-    missing = type(good)(
-        blue=good.blue - {names["A"]},
-        red=good.red,
-        blue_score=good.blue_score,
-        selected_parent=good.selected_parent,
-        k=good.k,
-    )
-    with pytest.raises(overlap):
-        ghostdag_order(dag, missing)
 
 
 def test_empty_dag_orders_empty():

@@ -295,7 +295,13 @@ def test_persistence_rejects_foreign_headers():
 
 @pytest.mark.parametrize(
     "old, new, named",
-    [("k=2", "k=x", "k="), ("max=4", "max=x", "max="), ("k=2", "k=2 junk", "junk")],
+    [
+        ("k=2", "k=x", "k="),
+        ("max=4", "max=x", "max="),
+        ("k=2", "k=2 junk", "junk"),
+        ("max=4", "max=-1", "max="),
+        ("max=4", "max=0", "max="),
+    ],
 )
 def test_malformed_header_is_a_format_error(old, new, named):
     text = build_ledger().save_text()
@@ -324,6 +330,29 @@ def test_anchor_index_counts_raw_submits():
     ledger.seal_block("sealer", 1.0)
     ledger.submit(anchor_tx(2), "svc")
     assert ledger.anchored_record_ids() == {"rec-1", "rec-2"} == scanned_anchor_ids(ledger)
+
+
+def test_malformed_anchor_body_is_a_format_error():
+    bodies = (
+        {"content_hash": "c"},
+        {"record_id": "r"},
+        {"record_id": 7, "content_hash": "c"},
+        {"record_id": "r", "content_hash": None},
+        ["r", "c"],
+    )
+    # rejected alike before the anchor index exists and once it is live
+    for indexed in (False, True):
+        ledger = Ledger(PRIVATE, 3, WRITERS)
+        ledger.submit(anchor_tx(1), "svc")
+        if indexed:
+            assert ledger.anchored_record_ids() == {"rec-1"}
+        for body in bodies:
+            tx = Transaction(TxKind.EHR_ANCHOR, body, 2.0, "svc")
+            with pytest.raises(FormatError, match="record_id and content_hash"):
+                ledger.submit(tx, "svc")
+            assert not ledger.has_tx(tx.id)
+        assert ledger.pool == [anchor_tx(1)]
+        assert ledger.anchored_record_ids() == {"rec-1"}
 
 
 def test_anchor_index_matches_a_scan_live_and_reloaded():

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 
 import pytest
 
+from helpers import random_dag
 from rpmdag.dag import Block, BlockDag, genesis_block
 from rpmdag.errors import IncompleteTrace, InvalidConfig
 from rpmdag.netsim import (
@@ -12,6 +14,7 @@ from rpmdag.netsim import (
     MODE_LONGEST_CHAIN,
     SimConfig,
     SimTrace,
+    _max_anticone,
     _NodeState,
     check_convergence,
     compare_modes,
@@ -166,6 +169,22 @@ def test_trace_jsonl_format():
     assert len(lines) == len(trace.events)
     first = json.loads(lines[0])
     assert set(first) == {"time", "node", "event", "block"}
+
+
+def test_past_masks_and_max_anticone_match_definitions():
+    # the shared bitmask builder against BlockDag.past, and the bitmask
+    # anticone maximum against BlockDag.anticone
+    for seed in range(40):
+        rng = random.Random(seed)
+        dag, _ = random_dag(rng, rng.randint(1, 30))
+        ids, index, past = dag.past_masks()
+        assert ids == dag.topological_order()
+        assert index == {bid: i for i, bid in enumerate(ids)}
+        for i, bid in enumerate(ids):
+            assert {ids[j] for j in range(len(ids)) if past[i] >> j & 1} == dag.past(bid)
+        expected = max(len(dag.anticone(b)) for b in dag.blocks)
+        assert _max_anticone(dag) == expected, f"seed {seed}"
+    assert _max_anticone(BlockDag()) == 0
 
 
 def test_orphan_buffering_cascade():
