@@ -105,6 +105,9 @@ class AccessController:
         self._entities: dict[str, Entity] = {}
         self._sessions: dict[str, Session] = {}
         self._grants: dict[str, AccessGrant] = {}
+        # the same grant objects keyed by (grantor, grantee, scope), so a
+        # revoke, which sets revoked_at in place, shows in both
+        self._by_key: dict[tuple[str, str, Scope], list[AccessGrant]] = {}
         self._session_seq = 0
         self._grant_seq = 0
 
@@ -159,6 +162,7 @@ class AccessController:
             granted_at=now,
         )
         self._grants[grant.grant_id] = grant
+        self._index(grant)
         self._mirror("grant", grant, now)
         return grant
 
@@ -183,13 +187,7 @@ class AccessController:
             return False
         if session.entity == patient:
             return True
-        return any(
-            g.active
-            and g.grantor == patient
-            and g.grantee == session.entity
-            and g.scope is scope
-            for g in self._grants.values()
-        )
+        return any(g.active for g in self._by_key.get((patient, session.entity, scope), ()))
 
     def grant_table(self) -> dict[str, AccessGrant]:
         return {gid: _copy_grant(g) for gid, g in self._grants.items()}
@@ -197,10 +195,16 @@ class AccessController:
     def load_grants(self, grants: dict[str, AccessGrant]):
         """Preload state rebuilt from a ledger (see rebuild_grants)."""
         self._grants = {gid: _copy_grant(g) for gid, g in grants.items()}
+        self._by_key = {}
+        for g in self._grants.values():
+            self._index(g)
         numeric = [
             int(gid.split("-")[1]) for gid in grants if gid.startswith("grant-")
         ]
         self._grant_seq = max(numeric, default=0)
+
+    def _index(self, grant: AccessGrant):
+        self._by_key.setdefault((grant.grantor, grant.grantee, grant.scope), []).append(grant)
 
     def _mirror(self, action: str, grant: AccessGrant, now: float):
         if self.ledger is None:

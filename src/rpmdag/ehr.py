@@ -12,7 +12,9 @@ from __future__ import annotations
 import io
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import (
     AccessDenied,
@@ -149,13 +151,12 @@ class EhrStore:
         return record_id in self._index
 
 
-def confirmed_anchors(ledger: Ledger) -> dict[str, str]:
-    """record_id to anchored content hash, first confirmed anchor wins."""
-    out: dict[str, str] = {}
-    for entry in ledger.confirmed():
-        if entry.tx.kind is TxKind.EHR_ANCHOR:
-            out.setdefault(entry.tx.body["record_id"], entry.tx.body["content_hash"])
-    return out
+def confirmed_anchors(ledger: Ledger) -> Mapping[str, str]:
+    """record_id to anchored content hash, first confirmed anchor wins.
+
+    A read-only view of the map the ledger's confirmed stream keeps, so
+    repeated calls on an unchanged ledger share one build."""
+    return MappingProxyType(ledger.confirmed().anchors)
 
 
 def anchor(

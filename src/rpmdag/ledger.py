@@ -14,11 +14,14 @@ tag, and anything else is rejected before pooling.
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .dag import Block, BlockDag, BlockId, GENESIS_TIMESTAMP
 from .errors import (
@@ -148,6 +151,9 @@ class ConfirmedTx:
 
 @dataclass(frozen=True)
 class ConfirmedStream:
+    """Confirmed entries in consensus order. The lookups below are built
+    on first use only, so a stream that is just iterated holds no index."""
+
     entries: tuple[ConfirmedTx, ...]
 
     def __iter__(self):
@@ -156,11 +162,22 @@ class ConfirmedStream:
     def __len__(self):
         return len(self.entries)
 
-    def find(self, tx_id: bytes) -> ConfirmedTx | None:
+    @cached_property
+    def _by_id(self) -> dict[bytes, ConfirmedTx]:
+        return {entry.tx.id: entry for entry in self.entries}
+
+    @cached_property
+    def anchors(self) -> dict[str, str]:
+        """record_id to anchored content hash, first confirmed anchor wins.
+        Shared by every caller of the stream; do not mutate."""
+        out: dict[str, str] = {}
         for entry in self.entries:
-            if entry.tx.id == tx_id:
-                return entry
-        return None
+            if entry.tx.kind is TxKind.EHR_ANCHOR:
+                out.setdefault(entry.tx.body["record_id"], entry.tx.body["content_hash"])
+        return out
+
+    def find(self, tx_id: bytes) -> ConfirmedTx | None:
+        return self._by_id.get(tx_id)
 
 
 _PUBLIC_KINDS = frozenset({TxKind.ALERT_EVENT})
@@ -211,6 +228,7 @@ class Ledger:
         self.pool: list[Transaction] = []
         self._tx_ids: set[bytes] = set()
         self._anchored: set[str] | None = None  # see anchored_record_ids
+        self._confirmed: tuple[frozenset[BlockId], ConfirmedStream] | None = None
 
     def admissible_kinds(self) -> frozenset[TxKind]:
         return _PUBLIC_KINDS if self.visibility == PUBLIC else _PRIVATE_KINDS
@@ -239,11 +257,9 @@ class Ledger:
             }
         return self._anchored
 
-    def submit(self, tx: Transaction, author: EntityId) -> SubmitReceipt:
-        if author not in self.authorized_writers:
-            raise Unauthorized(f"{author!r} may not write to the {self.visibility} ledger")
-        if tx.author != author:
-            raise Unauthorized(f"{author!r} cannot submit a transaction authored by {tx.author!r}")
+    def _check_admissible(self, tx: Transaction) -> None:
+        """The kind and body rules a transaction must meet on this ledger,
+        whether it arrives by submit or from a saved file."""
         if tx.kind not in self.admissible_kinds():
             raise KindNotAdmissible(
                 f"{tx.kind.value} transactions are not accepted on the {self.visibility} ledger"
@@ -252,8 +268,15 @@ class Ledger:
             validate_alert_body(tx.body)
         elif tx.kind is TxKind.EHR_ANCHOR:
             _check_anchor_body(tx.body)
-            if self._anchored is not None:
-                self._anchored.add(tx.body["record_id"])
+
+    def submit(self, tx: Transaction, author: EntityId) -> SubmitReceipt:
+        if author not in self.authorized_writers:
+            raise Unauthorized(f"{author!r} may not write to the {self.visibility} ledger")
+        if tx.author != author:
+            raise Unauthorized(f"{author!r} cannot submit a transaction authored by {tx.author!r}")
+        self._check_admissible(tx)
+        if tx.kind is TxKind.EHR_ANCHOR and self._anchored is not None:
+            self._anchored.add(tx.body["record_id"])
         self.pool.append(tx)
         self._tx_ids.add(tx.id)
         return SubmitReceipt(tx_id=tx.id, position=len(self.pool) - 1)
@@ -273,7 +296,16 @@ class Ledger:
         Blocks follow the GHOSTDAG total order; within a block the pool
         submission order holds; duplicate tx ids keep only their first
         occurrence.
+
+        The last stream is kept and returned again while the tip set is
+        unchanged. A block id binds its parents and the DAG only grows, so
+        the tips fix the whole DAG, also when blocks arrive by dag.add
+        directly. The stream is built on the first call, never in
+        load_text or submit, so a ledger that is only written holds none.
         """
+        tips = frozenset(self.dag.tips)
+        if self._confirmed is not None and self._confirmed[0] == tips:
+            return self._confirmed[1]
         ordered = ghostdag_run(self.dag, self.params)
         entries: list[ConfirmedTx] = []
         seen: set[bytes] = set()
@@ -283,7 +315,9 @@ class Ledger:
                     continue
                 seen.add(tx.id)
                 entries.append(ConfirmedTx(tx=tx, block=bid, position=len(entries)))
-        return ConfirmedStream(entries=tuple(entries))
+        stream = ConfirmedStream(entries=tuple(entries))
+        self._confirmed = (tips, stream)
+        return stream
 
     # Persistence: the DAG text format extended with payload, timestamp,
     # and creator columns. Block ids are re-derived from content on load,
@@ -307,8 +341,18 @@ class Ledger:
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.save_text())
+        """Write to a temp file beside path, then rename it over path, so a
+        crash mid-write leaves the previous file whole."""
+        path = os.fspath(path)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(self.save_text())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load_text(cls, text: str) -> "Ledger":
@@ -357,7 +401,12 @@ class Ledger:
                     obj = json.loads(base64.b64decode(chunk))
                 except (ValueError, json.JSONDecodeError) as exc:
                     raise FormatError(f"line {lineno}: bad payload: {exc}") from None
-                txs.append(Transaction.from_wire(obj))
+                tx = Transaction.from_wire(obj)
+                try:
+                    ledger._check_admissible(tx)
+                except (FormatError, KindNotAdmissible, PhiLeak) as exc:
+                    raise FormatError(f"line {lineno}: {exc}") from None
+                txs.append(tx)
             try:
                 timestamp = float(ts_col.strip())
             except ValueError:

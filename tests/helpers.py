@@ -3,7 +3,8 @@
 reference_color restates the greedy coloring rule with plain sets and
 definitional anticone checks, deliberately sharing no code with the
 bitmask engine, so the two can be compared on random DAGs. random_dag
-builds seeded DAG topologies for property tests.
+builds seeded DAG topologies for property tests. CRAFTED_LEDGERS are
+saved ledgers carrying a transaction that submit would refuse.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import io
 import os
 
 from rpmdag.dag import Block, BlockDag, genesis_block
+from rpmdag.ledger import PRIVATE, PUBLIC, Ledger, Transaction, TxKind
 
 
 def _pick_parent(parents, scores):
@@ -118,3 +120,24 @@ def run_cli(*argv: str, env: dict | None = None):
             else:
                 os.environ[key] = value
     return code, out.getvalue(), err.getvalue()
+
+
+def crafted_ledger_text(visibility: str, tx: Transaction) -> str:
+    """A saved ledger whose one sealed block carries tx. The block goes in
+    by dag.add, so none of submit's checks see the transaction."""
+    ledger = Ledger(visibility, 3, {"svc"})
+    ledger.dag.add(Block.create([ledger.genesis_id], (tx,), 1.0, "svc"))
+    return ledger.save_text()
+
+
+# (case id, ledger visibility, transaction submit refuses, what the error names)
+CRAFTED_LEDGERS = [
+    ("anchor-without-record-id", PRIVATE,
+     Transaction(TxKind.EHR_ANCHOR, {"content_hash": "c"}, 1.0, "svc"), "record_id"),
+    ("anchor-on-public", PUBLIC,
+     Transaction(TxKind.EHR_ANCHOR, {"record_id": "r", "content_hash": "c"}, 1.0, "svc"),
+     "not accepted on the public ledger"),
+    ("alert-outside-schema", PUBLIC,
+     Transaction(TxKind.ALERT_EVENT, {"patient": "p-01", "heart_rate": 140}, 1.0, "svc"),
+     "outside the schema"),
+]

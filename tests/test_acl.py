@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from rpmdag.acl import (
@@ -190,3 +192,48 @@ def test_session_tokens_are_unique():
     controller, _ = make_controller()
     tokens = {controller.authenticate("p-01", "pw-p1").token for _ in range(10)}
     assert len(tokens) == 10
+
+
+def scanned_access(controller, session, patient, scope) -> bool:
+    """check_access restated as a scan of every grant."""
+    if not controller.session_valid(session):
+        return False
+    if session.entity == patient:
+        return True
+    return any(
+        g.active and g.grantor == patient and g.grantee == session.entity and g.scope is scope
+        for g in controller.grant_table().values()
+    )
+
+
+def test_check_access_matches_a_scan_of_every_grant():
+    rng = random.Random(23)
+    ledger = Ledger(PRIVATE, 3, {"acl-service", "sealer"})
+    controller, clock = make_controller(ledger=ledger)
+    controller.register("p-03", Role.PATIENT, "pw-p3")
+    credentials = {"p-01": "pw-p1", "p-02": "pw-p2", "p-03": "pw-p3",
+                   "dr-01": "pw-dr", "ins-01": "pw-ins"}
+    sessions = [controller.authenticate(e, pw) for e, pw in credentials.items()]
+    patients = [s for s in sessions if s.role is Role.PATIENT]
+    for step in range(120):
+        clock.now = float(step)
+        op = rng.choice(("grant", "grant", "revoke", "reload"))
+        if op == "grant":
+            grantee = rng.choice(sorted(credentials))
+            controller.grant(rng.choice(patients), grantee, rng.choice(list(Scope)))
+        elif op == "revoke":
+            active = [g for g in controller.grant_table().values() if g.active]
+            if active:
+                grant = rng.choice(active)
+                owner = next(s for s in patients if s.entity == grant.grantor)
+                controller.revoke(owner, grant.grant_id)
+        else:
+            ledger.seal_block("sealer", float(step))
+            controller.load_grants(rebuild_grants(ledger))
+        for session in sessions:
+            for patient in ("p-01", "p-02", "p-03"):
+                for scope in Scope:
+                    assert controller.check_access(session, patient, scope) == scanned_access(
+                        controller, session, patient, scope
+                    )
+    assert any(not g.active for g in controller.grant_table().values())

@@ -8,7 +8,7 @@ import pytest
 
 from rpmdag.fixtures import REFERENCE_K3_BLUE, REFERENCE_K3_RED, reference_k3_text
 
-from helpers import run_cli
+from helpers import CRAFTED_LEDGERS, crafted_ledger_text, run_cli
 
 
 @pytest.fixture
@@ -241,6 +241,23 @@ def test_malformed_ledger_header_is_a_runtime_error(tmp_path, old, new):
     assert code == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "visibility, tx", [case[1:3] for case in CRAFTED_LEDGERS], ids=[case[0] for case in CRAFTED_LEDGERS]
+)
+def test_crafted_ledger_body_is_a_runtime_error(tmp_path, visibility, tx):
+    path = tmp_path / "crafted.ledger"
+    path.write_text(crafted_ledger_text(visibility, tx))
+    for argv in (
+        ("ledger", "inspect", "--file", str(path)),
+        ("ehr", "verify", "--store", str(tmp_path / "store"), "--ledger", str(path),
+         "--record", "r"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_acl_cli_flow(tmp_path):

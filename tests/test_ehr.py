@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+import rpmdag.ledger
 from rpmdag.acl import AccessController, ManualClock, Role, Scope
 from rpmdag.ehr import (
     INTACT,
@@ -14,6 +15,7 @@ from rpmdag.ehr import (
     anchor,
     audit,
     confirmation_position,
+    confirmed_anchors,
     read_gated,
     verify,
 )
@@ -140,6 +142,37 @@ def test_verify_unanchored_and_pending():
     result = verify(rec.record_id, store, ledger)
     assert result.status == INTACT
     assert result.recomputed_hash == result.anchored_hash == rec.content_hash
+
+
+def test_verify_reuses_one_consensus_run_until_a_seal(monkeypatch):
+    runs = []
+    inner = rpmdag.ledger.ghostdag_run
+
+    def counted(dag, params):
+        runs.append(len(dag.blocks))
+        return inner(dag, params)
+
+    monkeypatch.setattr(rpmdag.ledger, "ghostdag_run", counted)
+    store, ledger = EhrStore(), make_ledger()
+    rec = store.store(b"read often", "p-01")
+    anchor(rec, ledger, "svc")
+    for _ in range(50):
+        assert verify(rec.record_id, store, ledger).status == UNANCHORED
+    assert runs == [1]
+    ledger.seal_block("sealer", 1.0)
+    assert verify(rec.record_id, store, ledger).status == INTACT
+    assert runs == [1, 2]
+
+
+def test_confirmed_anchors_is_read_only():
+    store, ledger = EhrStore(), make_ledger()
+    rec = store.store(b"shared", "p-01")
+    anchor(rec, ledger, "svc")
+    ledger.seal_block("sealer", 1.0)
+    anchors = confirmed_anchors(ledger)
+    with pytest.raises(TypeError):
+        anchors[rec.record_id] = "0" * 64
+    assert confirmed_anchors(ledger) == {rec.record_id: rec.content_hash}
 
 
 def test_verify_is_read_only():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import os
+import random
 
 import pytest
 
@@ -18,6 +20,8 @@ from rpmdag.ledger import (
     validate_alert_body,
 )
 from rpmdag.pipeline import run_demo
+
+from helpers import CRAFTED_LEDGERS, crafted_ledger_text
 
 WRITERS = {"svc", "sealer"}
 
@@ -308,6 +312,81 @@ def test_malformed_header_is_a_format_error(old, new, named):
     assert old in text.splitlines()[0]
     with pytest.raises(FormatError, match=named):
         Ledger.load_text(text.replace(old, new, 1))
+
+
+@pytest.mark.parametrize(
+    "visibility, tx, named",
+    [case[1:] for case in CRAFTED_LEDGERS],
+    ids=[case[0] for case in CRAFTED_LEDGERS],
+)
+def test_load_text_applies_submit_body_rules(visibility, tx, named):
+    text = crafted_ledger_text(visibility, tx)
+    # line 1 is the header, line 2 genesis, line 3 the crafted block
+    with pytest.raises(FormatError, match=f"line 3: .*{named}"):
+        Ledger.load_text(text)
+
+
+def test_save_leaves_the_old_file_when_the_rename_fails(tmp_path, monkeypatch):
+    path = tmp_path / "test.ledger"
+    Ledger(PRIVATE, 2, WRITERS).save(path)
+    before = path.read_text()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        build_ledger().save(path)
+    assert path.read_text() == before
+    assert os.listdir(tmp_path) == ["test.ledger"]
+
+
+def linear_find(stream, tx_id):
+    return next((e for e in stream.entries if e.tx.id == tx_id), None)
+
+
+def first_wins_anchors(stream) -> dict[str, str]:
+    out = {}
+    for e in stream.entries:
+        if e.tx.kind is TxKind.EHR_ANCHOR and e.tx.body["record_id"] not in out:
+            out[e.tx.body["record_id"]] = e.tx.body["content_hash"]
+    return out
+
+
+def test_confirmed_memo_matches_a_rebuilt_ledger():
+    rng = random.Random(41)
+    ledger = Ledger(PRIVATE, 2, WRITERS, max_block_txs=3)
+    made: list[Transaction] = []
+    for step in range(60):
+        op = rng.choice(("submit", "submit", "seal", "concurrent"))
+        if op == "submit":
+            # record ids repeat so that later anchors lose to earlier ones
+            tx = Transaction(
+                TxKind.EHR_ANCHOR,
+                {"record_id": f"rec-{rng.randrange(8)}", "content_hash": f"h{step}"},
+                float(step),
+                "svc",
+            )
+            ledger.submit(tx, "svc")
+            made.append(tx)
+        elif op == "seal":
+            ledger.seal_block("sealer", float(step))
+        else:
+            # a block beside the sealer's, on an older parent, that may
+            # repeat transactions other blocks already carry
+            parent = rng.choice(sorted(ledger.dag.blocks))
+            fresh = anchor_tx(100 + step)
+            made.append(fresh)
+            payload = tuple(rng.sample(made, min(len(made), 2))) + (fresh,)
+            ledger.dag.add(Block.create([parent], payload, float(step), "other"))
+        stream = ledger.confirmed()
+        assert ledger.confirmed() is stream  # unchanged tips: the memo
+        rebuilt = Ledger.load_text(ledger.save_text()).confirmed()
+        assert stream.entries == rebuilt.entries
+        for tx in made + [anchor_tx(255)]:  # 255: never made
+            assert stream.find(tx.id) == linear_find(rebuilt, tx.id)
+        assert stream.anchors == first_wins_anchors(rebuilt)
+    assert ledger.confirmed().entries and ledger.confirmed().anchors
 
 
 def scanned_anchor_ids(ledger: Ledger) -> set[str]:
