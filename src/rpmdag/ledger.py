@@ -19,6 +19,7 @@ import json
 import math
 import os
 import re
+import stat
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -151,8 +152,8 @@ class ConfirmedTx:
 
 @dataclass(frozen=True)
 class ConfirmedStream:
-    """Confirmed entries in consensus order. The lookups below are built
-    on first use only, so a stream that is just iterated holds no index."""
+    """Confirmed entries in consensus order. The anchor map is built on
+    first use only, so a stream that is just iterated holds no index."""
 
     entries: tuple[ConfirmedTx, ...]
 
@@ -161,10 +162,6 @@ class ConfirmedStream:
 
     def __len__(self):
         return len(self.entries)
-
-    @cached_property
-    def _by_id(self) -> dict[bytes, ConfirmedTx]:
-        return {entry.tx.id: entry for entry in self.entries}
 
     @cached_property
     def anchors(self) -> dict[str, str]:
@@ -177,7 +174,10 @@ class ConfirmedStream:
         return out
 
     def find(self, tx_id: bytes) -> ConfirmedTx | None:
-        return self._by_id.get(tx_id)
+        for entry in self.entries:
+            if entry.tx.id == tx_id:
+                return entry
+        return None
 
 
 _PUBLIC_KINDS = frozenset({TxKind.ALERT_EVENT})
@@ -298,10 +298,10 @@ class Ledger:
         occurrence.
 
         The last stream is kept and returned again while the tip set is
-        unchanged. A block id binds its parents and the DAG only grows, so
-        the tips fix the whole DAG, also when blocks arrive by dag.add
-        directly. The stream is built on the first call, never in
-        load_text or submit, so a ledger that is only written holds none.
+        unchanged: blocks are only ever added, also by dag.add directly,
+        and each binds its parents, so the tips fix the whole DAG. The
+        stream is built on the first call, never in load_text or submit,
+        so a ledger that is only written holds none.
         """
         tips = frozenset(self.dag.tips)
         if self._confirmed is not None and self._confirmed[0] == tips:
@@ -342,12 +342,15 @@ class Ledger:
 
     def save(self, path) -> None:
         """Write to a temp file beside path, then rename it over path, so a
-        crash mid-write leaves the previous file whole."""
-        path = os.fspath(path)
+        crash mid-write leaves the previous file whole. A symlinked path is
+        written through to its target, and an existing file keeps its mode."""
+        path = os.path.realpath(path)
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w") as fh:
                 fh.write(self.save_text())
+            with contextlib.suppress(FileNotFoundError):
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(FileNotFoundError):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import stat
 
 import pytest
 
@@ -339,6 +340,20 @@ def test_save_leaves_the_old_file_when_the_rename_fails(tmp_path, monkeypatch):
         build_ledger().save(path)
     assert path.read_text() == before
     assert os.listdir(tmp_path) == ["test.ledger"]
+
+
+def test_save_keeps_the_mode_and_writes_through_a_symlink(tmp_path):
+    target = tmp_path / "real.ledger"
+    Ledger(PRIVATE, 2, WRITERS).save(target)
+    os.chmod(target, 0o600)
+    link = tmp_path / "link.ledger"
+    link.symlink_to(target)
+    ledger = build_ledger()
+    ledger.save(link)
+    assert link.is_symlink()
+    assert target.read_text() == ledger.save_text()
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o600
+    assert sorted(os.listdir(tmp_path)) == ["link.ledger", "real.ledger"]
 
 
 def linear_find(stream, tx_id):
