@@ -24,7 +24,7 @@ from .errors import (
     UnknownGrant,
 )
 from .hashing import digest
-from .ledger import Ledger, Transaction, TxKind
+from .ledger import Ledger, Scope, Transaction, TxKind
 
 DEFAULT_SESSION_LIFETIME = 3600.0  # one simulated hour
 
@@ -45,12 +45,6 @@ class Role(Enum):
     INSURER = "insurer"
     DEVICE = "device"
     SEALER_NODE = "sealer_node"
-
-
-class Scope(Enum):
-    EHR_READ = "ehr_read"
-    ALERTS_SUBSCRIBE = "alerts_subscribe"
-    TREATMENT_HISTORY = "treatment_history"
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,14 @@ selected parent's blue set and then admits blocks from its mergeset while
 the k-cluster property holds. A brute-force oracle is provided for small
 DAGs so the greedy result can be checked against the true maximum.
 
+The engine follows Algorithm 1 of Sompolinsky, Wyborski and Zohar, "PHANTOM
+GHOSTDAG: A Scalable Generalization of Nakamoto Consensus" (IACR ePrint
+2018/104). No block holds its inherited blue set: each keeps its selected
+parent, the blues its own merge admitted, its blue score and the blue
+anticone sizes that merge changed. The k-cluster test walks the
+selected-parent chain down to the candidate's past, so the work per block
+depends on its mergeset and the blocks around it, not on the DAG's size.
+
 The global coloring is the view of a virtual block whose parents are the
 current tips. All tie-breaking is lexicographic on block ids, so results
 are deterministic for a given DAG and k.
@@ -133,153 +141,201 @@ def max_k_cluster(dag: BlockDag, k: int) -> frozenset[BlockId]:
 
 
 class _Engine:
-    """Index-and-bitmask workspace for coloring and ordering.
+    """Per-block GHOSTDAG data, computed in topological order.
 
-    Reachability is kept as one Python int per block (bit i set when block
-    i is a strict ancestor), which keeps the per-candidate k-cluster checks
-    cheap even on simulation-sized DAGs.
+    Each block keeps only what its own merge decided (Algorithm 1 of the
+    GHOSTDAG paper cited above):
+
+    - its selected parent, the parent of highest blue score (ties to the
+      smaller id);
+    - its mergeset blues: the block itself, then the mergeset members it
+      admitted, in ascending (blue score, id) order;
+    - its blue score, the selected parent's plus one plus the admitted count;
+    - the blue anticone sizes it changed: each admitted block's count of
+      blue blocks in its anticone, and the raised count of every older blue
+      block in an admitted block's anticone.
+
+    The block itself is implied, not stored: it is the first of its
+    mergeset blues, and its own anticone size is 0 until a later block
+    raises it. Most blocks admit nothing, so they share one empty tuple and
+    one empty dict.
+
+    A block's blue set is the union of the mergeset blues along its
+    selected-parent chain, so it is never stored. The k-cluster test for a
+    candidate walks that chain down from the selected parent and stops at
+    the first chain block in the candidate's past; a blue block's current
+    anticone size is the one recorded nearest on the chain. Reachability is
+    the past bitmask of BlockDag.past_masks(), read one bit at a time.
     """
 
     def __init__(self, dag: BlockDag):
         self.dag = dag
         self.ids, self.index, self.past = dag.past_masks()
-        self.score: list[int] = [0] * len(self.ids)
-        self.blues: list[int] = [0] * len(self.ids)
+        n = len(self.ids)
+        self.score: list[int] = [0] * n
+        self.parent: list[int] = [-1] * n  # selected parent index; -1 at genesis
+        self.mergeset_blues: list[tuple[int, ...]] = [()] * n  # admitted only
+        self.anticone_sizes: list[dict[int, int]] = [{}] * n
         self.selected_parent: dict[BlockId, BlockId] = {}
 
     # Coloring
 
-    def greedy(self, k: int) -> tuple[int, BlockId | None]:
+    def greedy(self, k: int) -> tuple[list[int], int]:
         """Color every block, then the virtual block over the current tips.
 
-        Returns the global blue mask and the selected tip.
+        Returns the virtual block's admitted blues and the selected tip
+        (-1 on an empty DAG).
         """
-        for i, bid in enumerate(self.ids):
+        ids, past = self.ids, self.past
+        for i, bid in enumerate(ids):
             parents = self.dag.blocks[bid].parents
-            blues, sp = self._merge(parents, self.past[i], 1 << i, k)
-            self.blues[i] = blues
-            self.score[i] = blues.bit_count()
-            if sp is not None:
-                self.selected_parent[bid] = sp
+            if not parents:
+                self.score[i] = 1
+                continue
+            sp = self._select(parents)
+            admitted, sizes = self._merge(sp, past[i], k)
+            self.parent[i] = sp
+            self.selected_parent[bid] = ids[sp]
+            self.score[i] = self.score[sp] + 1 + len(admitted)
+            if admitted:
+                self.mergeset_blues[i] = tuple(admitted)
+                self.anticone_sizes[i] = sizes
         tips = sorted(self.dag.tips)
         if not tips:
-            return 0, None
+            return [], -1
         virtual_past = 0
         for t in tips:
             j = self.index[t]
-            virtual_past |= self.past[j] | (1 << j)
-        blues, sp = self._merge(tips, virtual_past, 0, k)
-        return blues, sp
+            virtual_past |= past[j] | (1 << j)
+        sp = self._select(tips)
+        admitted, _ = self._merge(sp, virtual_past, k)
+        return admitted, sp
 
-    def _merge(self, parent_ids, past_mask: int, self_bit: int, k: int):
-        if not parent_ids:
-            return self_bit, None
+    def _select(self, parent_ids) -> int:
         sp = min(parent_ids, key=lambda p: (-self.score[self.index[p]], p))
-        spi = self.index[sp]
-        blues = self.blues[spi]
-        mergeset = past_mask & ~(self.past[spi] | (1 << spi))
-        candidates = sorted(
-            _bits(mergeset), key=lambda i: (self.score[i], self.ids[i])
-        )
-        for c in candidates:
-            added = self._try_admit(c, blues, k)
-            if added is not None:
-                blues = added
-        return blues | self_bit, sp
+        return self.index[sp]
 
-    def _try_admit(self, c: int, blues: int, k: int) -> int | None:
-        """Admit candidate c iff the blue set stays a k-cluster."""
-        cbit = 1 << c
-        in_anticone = []
-        m = blues & ~self.past[c]
-        while m:
-            low = m & -m
-            m ^= low
-            x = low.bit_length() - 1
-            if self.past[x] & cbit:
-                continue  # x is in c's future, not its anticone
-            in_anticone.append(x)
-            if len(in_anticone) > k:
-                return None
-        grown = blues | cbit
-        for x in in_anticone:
-            if self._anticone_blue_count(x, grown, k) > k:
-                return None
-        return grown
-
-    def _anticone_blue_count(self, x: int, blues: int, k: int) -> int:
-        xbit = 1 << x
-        count = 0
-        m = blues & ~self.past[x] & ~xbit
-        while m:
-            low = m & -m
-            m ^= low
-            y = low.bit_length() - 1
-            if self.past[y] & xbit:
-                continue
-            count += 1
-            if count > k:
+    def _merge(self, sp: int, past_mask: int, k: int) -> tuple[list[int], dict[int, int]]:
+        """Admit mergeset members in (blue score, id) order while the blue
+        set stays a k-cluster. Returns the admitted blocks and the anticone
+        sizes this merge changed."""
+        p = self.past[sp]
+        # every index below the low-water mark is an ancestor of sp
+        low = (p ^ (p + 1)).bit_length() - 1
+        fresh = (past_mask >> low) & ~((p >> low) | (1 << (sp - low)))
+        candidates = [low + j for j in _bits(fresh)]
+        # A candidate whose past misses the chain block k steps below sp
+        # misses the k+1 chain blocks from sp down to there as well, which
+        # are blue blocks in its anticone, so it cannot be admitted.
+        deep = sp
+        for _ in range(k):
+            if deep == -1:
                 break
-        return count
+            deep = self.parent[deep]
+        if deep != -1:
+            candidates = [c for c in candidates if (self.past[c] >> deep) & 1]
+        candidates.sort(key=lambda c: (self.score[c], self.ids[c]))
+        admitted: list[int] = []
+        sizes: dict[int, int] = {}
+        for c in candidates:
+            anticone = self._blue_anticone(c, sp, admitted, k)
+            if anticone is None:
+                continue
+            raised = []
+            for x in anticone:
+                size = self._anticone_size(x, sp, sizes)
+                if size >= k:
+                    break
+                raised.append(size + 1)
+            else:
+                sizes.update(zip(anticone, raised))
+                sizes[c] = len(anticone)
+                admitted.append(c)
+        return admitted, sizes
+
+    def _blue_anticone(self, c: int, sp: int, admitted: list[int], k: int) -> list[int] | None:
+        """The blue blocks in c's anticone, or None when there are more than k.
+
+        A blue block is never in c's future, so it is in the anticone
+        exactly when it is not in c's past.
+        """
+        pc = self.past[c]
+        found = [x for x in admitted if not (pc >> x) & 1]
+        j = sp
+        while len(found) <= k:
+            if (pc >> j) & 1:
+                return found
+            found.append(j)
+            for x in self.mergeset_blues[j]:
+                if not (pc >> x) & 1:
+                    found.append(x)
+            j = self.parent[j]
+        return None
+
+    def _anticone_size(self, x: int, sp: int, sizes: dict[int, int]) -> int:
+        """Blue anticone size of blue block x as of the merge in progress."""
+        size = sizes.get(x)
+        j = sp
+        while size is None:
+            size = 0 if j == x else self.anticone_sizes[j].get(x)
+            j = self.parent[j]
+        return size
 
     # Ordering
 
-    def order_blocks(self, blue_mask: int, selected_tip: BlockId | None) -> list[BlockId]:
+    def chain(self, tip: int) -> list[int]:
+        """The selected-parent chain from genesis up to tip."""
+        out = []
+        while tip != -1:
+            out.append(tip)
+            tip = self.parent[tip]
+        out.reverse()
+        return out
+
+    def order_blocks(self, chain: list[int], virtual_blues: list[int]) -> list[BlockId]:
         """Total order anchored on the selected-parent chain.
 
         Walking the chain from genesis upward, each chain block contributes
-        the not-yet-ordered blue blocks of its past in ascending
-        (blue score, id) order; emitting a block first pulls in its missing
-        ancestors depth-first, which is where red blocks enter. Leftover
-        blocks outside the selected tip's past follow under the same rule,
-        blue before red.
+        its mergeset blues in ascending (blue score, id) order, itself last;
+        emitting a block first pulls in its missing ancestors depth-first,
+        which is where red blocks enter. Once a chain block is done, exactly
+        its past and itself have been emitted. The virtual block's blues
+        follow, then every block left, under the same rule.
         """
         n = len(self.ids)
-        if n == 0:
-            return []
-        chain: list[BlockId] = []
-        cur = selected_tip
-        while cur is not None:
-            chain.append(cur)
-            cur = self.selected_parent.get(cur)
-        chain.reverse()
-
-        emitted = 0
+        emitted = bytearray(n)
         out: list[int] = []
 
         def sort_key(i: int):
             return (self.score[i], self.ids[i])
 
         def emit(i: int):
-            nonlocal emitted
             stack = [(i, False)]
             while stack:
                 node, expanded = stack.pop()
-                if emitted & (1 << node):
+                if emitted[node]:
                     continue
                 if expanded:
-                    emitted |= 1 << node
+                    emitted[node] = 1
                     out.append(node)
                     continue
                 stack.append((node, True))
                 pending = [
                     self.index[p]
                     for p in self.dag.blocks[self.ids[node]].parents
-                    if not emitted & (1 << self.index[p])
+                    if not emitted[self.index[p]]
                 ]
                 # pushed in descending key order so the smallest pops first
                 pending.sort(key=sort_key, reverse=True)
                 stack.extend((j, False) for j in pending)
 
-        for cid in chain:
-            ci = self.index[cid]
-            todo = (self.past[ci] | (1 << ci)) & blue_mask & ~emitted
-            for x in sorted(_bits(todo), key=sort_key):
+        for ci in chain:
+            for x in self.mergeset_blues[ci]:
                 emit(x)
-        full = (1 << n) - 1
-        for x in sorted(_bits(blue_mask & ~emitted), key=sort_key):
+            emit(ci)
+        for x in virtual_blues:
             emit(x)
-        for x in sorted(_bits(full & ~emitted), key=sort_key):
+        for x in sorted((i for i in range(n) if not emitted[i]), key=sort_key):
             emit(x)
         return [self.ids[i] for i in out]
 
@@ -294,16 +350,21 @@ def _bits(mask: int):
 def ghostdag_run(dag: BlockDag, params: GhostdagParams) -> OrderedDag:
     """Color the DAG from the virtual block's view, then order it."""
     engine = _Engine(dag)
-    blue_mask, selected_tip = engine.greedy(params.k)
-    blue = frozenset(engine.ids[i] for i in _bits(blue_mask))
+    virtual_blues, selected_tip = engine.greedy(params.k)
+    chain = engine.chain(selected_tip)
+    ids = engine.ids
+    blue = frozenset(
+        [ids[x] for ci in chain for x in (ci, *engine.mergeset_blues[ci])]
+        + [ids[x] for x in virtual_blues]
+    )
     coloring = Coloring(
         blue=blue,
-        red=frozenset(engine.ids) - blue,
-        blue_score=dict(zip(engine.ids, engine.score)),
+        red=frozenset(ids) - blue,
+        blue_score=dict(zip(ids, engine.score)),
         selected_parent=engine.selected_parent,
         k=params.k,
     )
-    order = engine.order_blocks(blue_mask, selected_tip)
+    order = engine.order_blocks(chain, virtual_blues)
     return OrderedDag(order=tuple(order), coloring=coloring)
 
 

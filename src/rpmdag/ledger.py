@@ -49,6 +49,17 @@ class TxKind(Enum):
     ACCESS_CHANGE = "access_change"
 
 
+class Scope(Enum):
+    """What an access grant covers; an access_change body names one."""
+
+    EHR_READ = "ehr_read"
+    ALERTS_SUBSCRIBE = "alerts_subscribe"
+    TREATMENT_HISTORY = "treatment_history"
+
+
+_SCOPE_VALUES = tuple(s.value for s in Scope)
+
+
 @dataclass(frozen=True)
 class Transaction:
     """A ledger entry. Identity covers kind, body, and author; the
@@ -192,6 +203,23 @@ def _check_anchor_body(body) -> None:
         raise FormatError("ehr_anchor body needs string record_id and content_hash")
 
 
+def _check_access_change_body(body) -> None:
+    """A grant or revoke must carry every field the grant table is rebuilt
+    from."""
+    if not isinstance(body, dict):
+        raise FormatError("access_change body must be a field map")
+    if body.get("action") not in ("grant", "revoke"):
+        raise FormatError("access_change field 'action' must be grant or revoke")
+    for name in ("grant_id", "grantor", "grantee"):
+        if not isinstance(body.get(name), str):
+            raise FormatError(f"access_change field {name!r} must be a string")
+    if body.get("scope") not in _SCOPE_VALUES:
+        raise FormatError(f"access_change field 'scope' must be one of {list(_SCOPE_VALUES)}")
+    at = body.get("at")
+    if isinstance(at, bool) or not isinstance(at, (int, float)):
+        raise FormatError("access_change field 'at' must be a number")
+
+
 def _header_int(header: dict[str, str], name: str) -> int:
     try:
         return int(header[name])
@@ -268,6 +296,8 @@ class Ledger:
             validate_alert_body(tx.body)
         elif tx.kind is TxKind.EHR_ANCHOR:
             _check_anchor_body(tx.body)
+        elif tx.kind is TxKind.ACCESS_CHANGE:
+            _check_access_change_body(tx.body)
 
     def submit(self, tx: Transaction, author: EntityId) -> SubmitReceipt:
         if author not in self.authorized_writers:

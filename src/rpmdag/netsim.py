@@ -168,6 +168,7 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
     heap: list[tuple[float, int, int, object]] = []
     seq = itertools.count()
     tx_seq = itertools.count()
+    tx_prefix = b"simtx" + encode_str(str(config.seed))
 
     first = rng.expovariate(config.rate_lambda)
     if first <= config.duration:
@@ -180,7 +181,7 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
             idx = rng.randrange(config.nodes)
             node = nodes[idx]
             payload = tuple(
-                _SimTx(digest(b"simtx" + encode_str(str(config.seed)) + encode_str(str(next(tx_seq)))))
+                _SimTx(digest(tx_prefix + encode_str(str(next(tx_seq)))))
                 for _ in range(config.txs_per_block)
             )
             block = Block.create(node.mining_parents(config.mode), payload, t, f"n{idx}")

@@ -2,9 +2,12 @@
 
 reference_color restates the greedy coloring rule with plain sets and
 definitional anticone checks, deliberately sharing no code with the
-bitmask engine, so the two can be compared on random DAGs. random_dag
+engine, so the two can be compared on random DAGs. random_dag
 builds seeded DAG topologies for property tests. CRAFTED_LEDGERS are
 saved ledgers carrying a transaction that submit would refuse.
+bitmask_ghostdag_run is the earlier GHOSTDAG engine, which kept one
+full-width blue bitmask per block; it serves as a differential oracle
+for the per-block engine in rpmdag.ghostdag.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import contextlib
 import io
 import os
 
-from rpmdag.dag import Block, BlockDag, genesis_block
+from rpmdag.dag import Block, BlockDag, BlockId, genesis_block
+from rpmdag.ghostdag import Coloring, GhostdagParams, OrderedDag
 from rpmdag.ledger import PRIVATE, PUBLIC, Ledger, Transaction, TxKind
 
 
@@ -140,4 +144,182 @@ CRAFTED_LEDGERS = [
     ("alert-outside-schema", PUBLIC,
      Transaction(TxKind.ALERT_EVENT, {"patient": "p-01", "heart_rate": 140}, 1.0, "svc"),
      "outside the schema"),
+    ("access-change-without-grantor", PRIVATE,
+     Transaction(TxKind.ACCESS_CHANGE, {"action": "grant", "grant_id": "grant-0001"}, 1.0, "svc"),
+     "grantor"),
 ]
+
+
+class _BitmaskEngine:
+    """Index-and-bitmask workspace for coloring and ordering.
+
+    Reachability is kept as one Python int per block (bit i set when block
+    i is a strict ancestor), which keeps the per-candidate k-cluster checks
+    cheap even on simulation-sized DAGs.
+    """
+
+    def __init__(self, dag: BlockDag):
+        self.dag = dag
+        self.ids, self.index, self.past = dag.past_masks()
+        self.score: list[int] = [0] * len(self.ids)
+        self.blues: list[int] = [0] * len(self.ids)
+        self.selected_parent: dict[BlockId, BlockId] = {}
+
+    # Coloring
+
+    def greedy(self, k: int) -> tuple[int, BlockId | None]:
+        """Color every block, then the virtual block over the current tips.
+
+        Returns the global blue mask and the selected tip.
+        """
+        for i, bid in enumerate(self.ids):
+            parents = self.dag.blocks[bid].parents
+            blues, sp = self._merge(parents, self.past[i], 1 << i, k)
+            self.blues[i] = blues
+            self.score[i] = blues.bit_count()
+            if sp is not None:
+                self.selected_parent[bid] = sp
+        tips = sorted(self.dag.tips)
+        if not tips:
+            return 0, None
+        virtual_past = 0
+        for t in tips:
+            j = self.index[t]
+            virtual_past |= self.past[j] | (1 << j)
+        blues, sp = self._merge(tips, virtual_past, 0, k)
+        return blues, sp
+
+    def _merge(self, parent_ids, past_mask: int, self_bit: int, k: int):
+        if not parent_ids:
+            return self_bit, None
+        sp = min(parent_ids, key=lambda p: (-self.score[self.index[p]], p))
+        spi = self.index[sp]
+        blues = self.blues[spi]
+        mergeset = past_mask & ~(self.past[spi] | (1 << spi))
+        candidates = sorted(
+            _bits(mergeset), key=lambda i: (self.score[i], self.ids[i])
+        )
+        for c in candidates:
+            added = self._try_admit(c, blues, k)
+            if added is not None:
+                blues = added
+        return blues | self_bit, sp
+
+    def _try_admit(self, c: int, blues: int, k: int) -> int | None:
+        """Admit candidate c iff the blue set stays a k-cluster."""
+        cbit = 1 << c
+        in_anticone = []
+        m = blues & ~self.past[c]
+        while m:
+            low = m & -m
+            m ^= low
+            x = low.bit_length() - 1
+            if self.past[x] & cbit:
+                continue  # x is in c's future, not its anticone
+            in_anticone.append(x)
+            if len(in_anticone) > k:
+                return None
+        grown = blues | cbit
+        for x in in_anticone:
+            if self._anticone_blue_count(x, grown, k) > k:
+                return None
+        return grown
+
+    def _anticone_blue_count(self, x: int, blues: int, k: int) -> int:
+        xbit = 1 << x
+        count = 0
+        m = blues & ~self.past[x] & ~xbit
+        while m:
+            low = m & -m
+            m ^= low
+            y = low.bit_length() - 1
+            if self.past[y] & xbit:
+                continue
+            count += 1
+            if count > k:
+                break
+        return count
+
+    # Ordering
+
+    def order_blocks(self, blue_mask: int, selected_tip: BlockId | None) -> list[BlockId]:
+        """Total order anchored on the selected-parent chain.
+
+        Walking the chain from genesis upward, each chain block contributes
+        the not-yet-ordered blue blocks of its past in ascending
+        (blue score, id) order; emitting a block first pulls in its missing
+        ancestors depth-first, which is where red blocks enter. Leftover
+        blocks outside the selected tip's past follow under the same rule,
+        blue before red.
+        """
+        n = len(self.ids)
+        if n == 0:
+            return []
+        chain: list[BlockId] = []
+        cur = selected_tip
+        while cur is not None:
+            chain.append(cur)
+            cur = self.selected_parent.get(cur)
+        chain.reverse()
+
+        emitted = 0
+        out: list[int] = []
+
+        def sort_key(i: int):
+            return (self.score[i], self.ids[i])
+
+        def emit(i: int):
+            nonlocal emitted
+            stack = [(i, False)]
+            while stack:
+                node, expanded = stack.pop()
+                if emitted & (1 << node):
+                    continue
+                if expanded:
+                    emitted |= 1 << node
+                    out.append(node)
+                    continue
+                stack.append((node, True))
+                pending = [
+                    self.index[p]
+                    for p in self.dag.blocks[self.ids[node]].parents
+                    if not emitted & (1 << self.index[p])
+                ]
+                # pushed in descending key order so the smallest pops first
+                pending.sort(key=sort_key, reverse=True)
+                stack.extend((j, False) for j in pending)
+
+        for cid in chain:
+            ci = self.index[cid]
+            todo = (self.past[ci] | (1 << ci)) & blue_mask & ~emitted
+            for x in sorted(_bits(todo), key=sort_key):
+                emit(x)
+        full = (1 << n) - 1
+        for x in sorted(_bits(blue_mask & ~emitted), key=sort_key):
+            emit(x)
+        for x in sorted(_bits(full & ~emitted), key=sort_key):
+            emit(x)
+        return [self.ids[i] for i in out]
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def bitmask_ghostdag_run(dag: BlockDag, params: GhostdagParams) -> OrderedDag:
+    """Color the DAG from the virtual block's view, then order it."""
+    engine = _BitmaskEngine(dag)
+    blue_mask, selected_tip = engine.greedy(params.k)
+    blue = frozenset(engine.ids[i] for i in _bits(blue_mask))
+    coloring = Coloring(
+        blue=blue,
+        red=frozenset(engine.ids) - blue,
+        blue_score=dict(zip(engine.ids, engine.score)),
+        selected_parent=engine.selected_parent,
+        k=params.k,
+    )
+    order = engine.order_blocks(blue_mask, selected_tip)
+    return OrderedDag(order=tuple(order), coloring=coloring)

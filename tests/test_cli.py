@@ -260,6 +260,23 @@ def test_crafted_ledger_body_is_a_runtime_error(tmp_path, visibility, tx):
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_crafted_access_change_is_a_runtime_error_for_acl_check(tmp_path):
+    # a sealed grant without grantor used to reach the grant table rebuild
+    # and die there with a bare KeyError
+    path = tmp_path / "crafted.ledger"
+    _, visibility, tx, _ = next(c for c in CRAFTED_LEDGERS if c[0] == "access-change-without-grantor")
+    path.write_text(crafted_ledger_text(visibility, tx))
+    roster = tmp_path / "roster.json"
+    roster.write_text(json.dumps([
+        {"entity_id": "x", "role": "healthcare_provider", "credential": "pw-x"},
+    ]))
+    code, out, err = run_cli("acl", "check", "--ledger", str(path), "--roster", str(roster),
+                             "--entity", "x", "--patient", "y", "--scope", "ehr_read")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "grantor" in lines[0]
+
+
 def test_acl_cli_flow(tmp_path):
     roster = tmp_path / "roster.json"
     roster.write_text(json.dumps([

@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from helpers import make_chain, random_dag, reference_color, reinsert_shuffled
+from helpers import (
+    bitmask_ghostdag_run,
+    make_chain,
+    random_dag,
+    reference_color,
+    reinsert_shuffled,
+)
 from rpmdag.dag import Block, BlockDag, genesis_block
 from rpmdag.errors import InvalidParameter, TooLarge, UnknownBlock
 from rpmdag.fixtures import REFERENCE_K3_BLUE, REFERENCE_K3_K, REFERENCE_K3_RED
@@ -16,6 +22,7 @@ from rpmdag.ghostdag import (
     k_for_network,
     max_k_cluster,
 )
+from rpmdag.netsim import SimConfig, run
 
 # Blue scores of the reference DAG, frozen from a hand-checked run of the
 # plain-set reference implementation.
@@ -70,7 +77,7 @@ def test_reference_reds_are_forced(reference_dag):
 
 
 def test_engine_matches_reference_implementation():
-    # the bitmask engine and the plain-set restatement must agree exactly
+    # the engine and the plain-set restatement must agree exactly
     for seed in range(120):
         rng = random.Random(seed)
         dag, _ = random_dag(rng, rng.randint(1, 22))
@@ -80,6 +87,65 @@ def test_engine_matches_reference_implementation():
         assert coloring.blue == blue, f"seed {seed} k {k}"
         assert coloring.blue_score == scores, f"seed {seed} k {k}"
         assert coloring.selected_parent == chosen, f"seed {seed} k {k}"
+
+
+def assert_matches_bitmask_oracle(dag: BlockDag, k: int, case) -> None:
+    got = ghostdag_run(dag, GhostdagParams(k))
+    want = bitmask_ghostdag_run(dag, GhostdagParams(k))
+    assert got.coloring.blue == want.coloring.blue, case
+    assert got.coloring.red == want.coloring.red, case
+    assert list(got.coloring.blue_score.items()) == list(want.coloring.blue_score.items()), case
+    assert list(got.coloring.selected_parent.items()) == list(
+        want.coloring.selected_parent.items()
+    ), case
+    assert got.order == want.order, case
+
+
+def test_engine_matches_bitmask_oracle_on_greedy_corpus():
+    # the acceptance suite's 500-DAG greedy corpus (test_acceptance.SEED)
+    for i in range(500):
+        rng = random.Random(20240811 + i)
+        dag, _ = random_dag(rng, rng.randint(1, 20))
+        assert_matches_bitmask_oracle(dag, i % 5, i)
+
+
+def test_engine_matches_bitmask_oracle_on_wide_dags():
+    # up to 5 parents, redundant ones (an ancestor of another) included
+    for seed in range(500):
+        rng = random.Random(seed)
+        dag, _ = random_dag(rng, rng.randint(1, 40), max_parents=1 + seed % 5)
+        for k in range(6):
+            assert_matches_bitmask_oracle(dag, k, (seed, k))
+
+
+def test_engine_matches_bitmask_oracle_on_reference_dag(reference_dag):
+    dag, _ = reference_dag
+    for k in range(6):
+        assert_matches_bitmask_oracle(dag, k, k)
+
+
+@pytest.mark.parametrize(
+    "rate, delay, duration, ks",
+    [(20.0, 1.0, 100.0, (0, 3, 10)), (5.0, 1.0, 400.0, (3,)), (20.0, 2.0, 100.0, (3,)),
+     (5.0, 2.0, 400.0, (3,))],
+)
+def test_engine_matches_bitmask_oracle_on_sim_views(rate, delay, duration, ks):
+    # a converged final view, and a node's view halfway, with tips in flight
+    config = SimConfig(nodes=4, rate_lambda=rate, delay_d=delay, duration=duration, k=ks[0],
+                       seed=int(rate * 10 + delay))
+    _, trace = run(config)
+    final = BlockDag().add(trace.blocks[trace.genesis])
+    for bid in trace.blocks:
+        if bid != trace.genesis:
+            final.add(trace.blocks[bid])
+    own = [ev for ev in trace.events if ev.node == 1]
+    partial = BlockDag().add(trace.blocks[trace.genesis])
+    for ev in own[: len(own) // 2]:
+        partial.add(trace.blocks[ev.block])
+    assert len(final) > 1500
+    for k in ks:
+        assert_matches_bitmask_oracle(final, k, ("final", k))
+        assert_matches_bitmask_oracle(partial, k, ("partial", k))
 
 
 def test_greedy_blue_is_k_cluster():

@@ -449,6 +449,35 @@ def test_malformed_anchor_body_is_a_format_error():
         assert ledger.anchored_record_ids() == {"rec-1"}
 
 
+def test_malformed_access_change_body_is_a_format_error():
+    good = {"action": "grant", "grant_id": "grant-0001", "grantor": "p-01",
+            "grantee": "dr-01", "scope": "ehr_read", "at": 5.0}
+    ledger = Ledger(PRIVATE, 3, WRITERS)
+    for action in ("grant", "revoke"):
+        ledger.submit(Transaction(TxKind.ACCESS_CHANGE, {**good, "action": action}, 1.0, "svc"), "svc")
+    broken = [
+        ("action", "grant or revoke", {"action": "transfer"}),
+        ("action", "grant or revoke", {"action": None}),
+        ("grant_id", "string", {"grant_id": 1}),
+        ("grantor", "string", {"grantor": None}),
+        ("grantee", "string", {"grantee": ["dr-01"]}),
+        ("scope", "one of", {"scope": "everything"}),
+        ("scope", "one of", {"scope": ["ehr_read"]}),
+        ("at", "number", {"at": "5"}),
+        ("at", "number", {"at": True}),
+    ]
+    for field_name, rule, change in broken:
+        tx = Transaction(TxKind.ACCESS_CHANGE, {**good, **change}, 2.0, "svc")
+        with pytest.raises(FormatError, match=f"'{field_name}' must be .*{rule}"):
+            ledger.submit(tx, "svc")
+    missing = {name: value for name, value in good.items() if name != "grantee"}
+    with pytest.raises(FormatError, match="'grantee'"):
+        ledger.submit(Transaction(TxKind.ACCESS_CHANGE, missing, 2.0, "svc"), "svc")
+    with pytest.raises(FormatError, match="field map"):
+        ledger.submit(Transaction(TxKind.ACCESS_CHANGE, ["grant"], 2.0, "svc"), "svc")
+    assert len(ledger.pool) == 2
+
+
 def test_anchor_index_matches_a_scan_live_and_reloaded():
     # 12 x 100 readings overflow the block cap, so the live ledger keeps a pool
     ledger = run_demo(seed=3, patients=12, readings_per_device=100).dual.private
