@@ -5,6 +5,13 @@ graph rather than a chain. Relative to any block b the DAG partitions into
 past(b) (reachable by following parents), future(b) (blocks that reach b),
 the anticone (everything else), and b itself.
 
+Reachability questions are answered from one windowed structure built in
+topological order: each block keeps a low-water index below which every
+block is its ancestor, and a bitmask window over the blocks from there
+up. A window spans the blocks still concurrent with the block, so it
+stays as narrow as the DAG is wide rather than growing with its length;
+only a block that is never merged holds every later window open.
+
 BlockDag is a plain value container: reads are safe to share, mutation
 requires exclusive access.
 """
@@ -179,22 +186,29 @@ class BlockDag:
                 ready.sort()
         return out
 
-    def past_masks(self) -> tuple[list[BlockId], dict[BlockId, int], list[int]]:
-        """Topological ids, their index, and one past bitmask per block.
+    def past_windows(self) -> tuple[list[BlockId], dict[BlockId, int], list[int], list[int]]:
+        """Topological ids, their index, and each block's past as a window.
 
-        Bit j of the i-th mask is set when ids[j] is a strict ancestor of
-        ids[i], so a reachability test is one shift and one and.
+        Every index below low[i] is a strict ancestor of ids[i], and bit j
+        of win[i] says whether index low[i] + j is one. Bit 0 is always
+        clear, so low[i] is the first index that is not an ancestor, and a
+        reachability test is `x < low[i] or (win[i] >> (x - low[i])) & 1`.
         """
         ids = self.topological_order()
         index = {bid: i for i, bid in enumerate(ids)}
-        past = [0] * len(ids)
-        for i, bid in enumerate(ids):
-            mask = 0
-            for p in self.blocks[bid].parents:
-                j = index[p]
-                mask |= past[j] | (1 << j)
-            past[i] = mask
-        return ids, index, past
+        low: list[int] = []
+        win: list[int] = []
+        for bid in ids:
+            lo, w = join_windows([index[p] for p in self.blocks[bid].parents], low, win)
+            low.append(lo)
+            win.append(w)
+        return ids, index, low, win
+
+    def past_masks(self) -> tuple[list[BlockId], dict[BlockId, int], list[int]]:
+        """past_windows() expanded to full-width masks: bit j of the i-th
+        mask is set when ids[j] is a strict ancestor of ids[i]."""
+        ids, index, low, win = self.past_windows()
+        return ids, index, [((1 << lo) - 1) | (w << lo) for lo, w in zip(low, win)]
 
     def is_linear_extension(self, order) -> bool:
         """True iff order lists every block exactly once, parents first."""
@@ -207,6 +221,25 @@ class BlockDag:
                 if position[p] >= position[bid]:
                     return False
         return True
+
+
+def join_windows(parents, low: list[int], win: list[int]) -> tuple[int, int]:
+    """The (low, win) window of a block with the given parent indices.
+
+    Each parent contributes its past and itself, rebased to the largest
+    parent low: every index below that is an ancestor of that parent
+    already. The trailing ones of the union, ancestors too, are folded
+    into the new low.
+    """
+    if not parents:
+        return 0, 0
+    base = max([low[p] for p in parents])
+    mask = 0
+    for p in parents:
+        lo = low[p]
+        mask |= (win[p] | (1 << (p - lo))) >> (base - lo)
+    ones = (mask ^ (mask + 1)).bit_length() - 1
+    return base + ones, mask >> ones
 
 
 # Text format: one block per line, parents first.

@@ -14,6 +14,9 @@ parent, the blues its own merge admitted, its blue score and the blue
 anticone sizes that merge changed. The k-cluster test walks the
 selected-parent chain down to the candidate's past, so the work per block
 depends on its mergeset and the blocks around it, not on the DAG's size.
+Those questions only concern blocks near the chain, so reachability is
+read from BlockDag.past_windows(), whose windows are as wide as the DAG
+and not as long, and memory grows linearly with the number of blocks.
 
 The global coloring is the view of a virtual block whose parents are the
 current tips. All tie-breaking is lexicographic on block ids, so results
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dag import BlockDag, BlockId
+from .dag import BlockDag, BlockId, join_windows
 from .errors import InvalidParameter, TooLarge, UnknownBlock
 
 ORACLE_CAP = 20
@@ -165,12 +168,15 @@ class _Engine:
     candidate walks that chain down from the selected parent and stops at
     the first chain block in the candidate's past; a blue block's current
     anticone size is the one recorded nearest on the chain. Reachability is
-    the past bitmask of BlockDag.past_masks(), read one bit at a time.
+    read from the past windows of BlockDag.past_windows(): x is an ancestor
+    of c when x < low[c] or bit x - low[c] of win[c] is set. The mergeset
+    is the block's window minus the selected parent's, both rebased to the
+    selected parent's low.
     """
 
     def __init__(self, dag: BlockDag):
         self.dag = dag
-        self.ids, self.index, self.past = dag.past_masks()
+        self.ids, self.index, self.low, self.win = dag.past_windows()
         n = len(self.ids)
         self.score: list[int] = [0] * n
         self.parent: list[int] = [-1] * n  # selected parent index; -1 at genesis
@@ -186,14 +192,14 @@ class _Engine:
         Returns the virtual block's admitted blues and the selected tip
         (-1 on an empty DAG).
         """
-        ids, past = self.ids, self.past
+        ids, low, win = self.ids, self.low, self.win
         for i, bid in enumerate(ids):
             parents = self.dag.blocks[bid].parents
             if not parents:
                 self.score[i] = 1
                 continue
             sp = self._select(parents)
-            admitted, sizes = self._merge(sp, past[i], k)
+            admitted, sizes = self._merge(sp, low[i], win[i], k)
             self.parent[i] = sp
             self.selected_parent[bid] = ids[sp]
             self.score[i] = self.score[sp] + 1 + len(admitted)
@@ -203,27 +209,25 @@ class _Engine:
         tips = sorted(self.dag.tips)
         if not tips:
             return [], -1
-        virtual_past = 0
-        for t in tips:
-            j = self.index[t]
-            virtual_past |= past[j] | (1 << j)
+        virtual_low, virtual_win = join_windows([self.index[t] for t in tips], low, win)
         sp = self._select(tips)
-        admitted, _ = self._merge(sp, virtual_past, k)
+        admitted, _ = self._merge(sp, virtual_low, virtual_win, k)
         return admitted, sp
 
     def _select(self, parent_ids) -> int:
         sp = min(parent_ids, key=lambda p: (-self.score[self.index[p]], p))
         return self.index[sp]
 
-    def _merge(self, sp: int, past_mask: int, k: int) -> tuple[list[int], dict[int, int]]:
+    def _merge(self, sp: int, low: int, win: int, k: int) -> tuple[list[int], dict[int, int]]:
         """Admit mergeset members in (blue score, id) order while the blue
-        set stays a k-cluster. Returns the admitted blocks and the anticone
-        sizes this merge changed."""
-        p = self.past[sp]
-        # every index below the low-water mark is an ancestor of sp
-        low = (p ^ (p + 1)).bit_length() - 1
-        fresh = (past_mask >> low) & ~((p >> low) | (1 << (sp - low)))
-        candidates = [low + j for j in _bits(fresh)]
+        set stays a k-cluster. The merging block's past is the window
+        (low, win). Returns the admitted blocks and the anticone sizes this
+        merge changed."""
+        # sp's past lies inside the merging block's, so low >= base
+        base = self.low[sp]
+        shift = low - base
+        past = (win << shift) | ((1 << shift) - 1)
+        fresh = past & ~(self.win[sp] | (1 << (sp - base)))
         # A candidate whose past misses the chain block k steps below sp
         # misses the k+1 chain blocks from sp down to there as well, which
         # are blue blocks in its anticone, so it cannot be admitted.
@@ -232,8 +236,13 @@ class _Engine:
             if deep == -1:
                 break
             deep = self.parent[deep]
-        if deep != -1:
-            candidates = [c for c in candidates if (self.past[c] >> deep) & 1]
+        candidates = []
+        while fresh:
+            bit = fresh & -fresh
+            fresh ^= bit
+            c = base + bit.bit_length() - 1
+            if deep == -1 or deep < self.low[c] or (self.win[c] >> (deep - self.low[c])) & 1:
+                candidates.append(c)
         candidates.sort(key=lambda c: (self.score[c], self.ids[c]))
         admitted: list[int] = []
         sizes: dict[int, int] = {}
@@ -259,15 +268,15 @@ class _Engine:
         A blue block is never in c's future, so it is in the anticone
         exactly when it is not in c's past.
         """
-        pc = self.past[c]
-        found = [x for x in admitted if not (pc >> x) & 1]
+        low, win = self.low[c], self.win[c]
+        found = [x for x in admitted if x >= low and not (win >> (x - low)) & 1]
         j = sp
         while len(found) <= k:
-            if (pc >> j) & 1:
+            if j < low or (win >> (j - low)) & 1:
                 return found
             found.append(j)
             for x in self.mergeset_blues[j]:
-                if not (pc >> x) & 1:
+                if x >= low and not (win >> (x - low)) & 1:
                     found.append(x)
             j = self.parent[j]
         return None
@@ -338,13 +347,6 @@ class _Engine:
         for x in sorted((i for i in range(n) if not emitted[i]), key=sort_key):
             emit(x)
         return [self.ids[i] for i in out]
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
 
 
 def ghostdag_run(dag: BlockDag, params: GhostdagParams) -> OrderedDag:

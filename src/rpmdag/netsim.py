@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass, field, replace
 
-from .dag import Block, BlockDag, BlockId, genesis_block
+from .dag import Block, BlockDag, BlockId, genesis_block, join_windows
 from .errors import DuplicateBlock, IncompleteTrace, InvalidConfig, MissingParent
 from .ghostdag import GhostdagParams, ghostdag_run
 from .hashing import digest, encode_str
@@ -42,12 +43,12 @@ class SimConfig:
     def __post_init__(self):
         if not isinstance(self.nodes, int) or self.nodes < 1:
             raise InvalidConfig(f"nodes must be a positive integer, got {self.nodes!r}")
-        if not self.rate_lambda > 0:
-            raise InvalidConfig(f"rate_lambda must be positive, got {self.rate_lambda!r}")
-        if self.delay_d < 0:
-            raise InvalidConfig(f"delay_d must be nonnegative, got {self.delay_d!r}")
-        if not self.duration > 0:
-            raise InvalidConfig(f"duration must be positive, got {self.duration!r}")
+        if not (self.rate_lambda > 0 and math.isfinite(self.rate_lambda)):
+            raise InvalidConfig(f"rate_lambda must be positive and finite, got {self.rate_lambda!r}")
+        if not (self.delay_d >= 0 and math.isfinite(self.delay_d)):
+            raise InvalidConfig(f"delay_d must be nonnegative and finite, got {self.delay_d!r}")
+        if not (self.duration > 0 and math.isfinite(self.duration)):
+            raise InvalidConfig(f"duration must be positive and finite, got {self.duration!r}")
         if not isinstance(self.k, int) or self.k < 0:
             raise InvalidConfig(f"k must be a nonnegative integer, got {self.k!r}")
         if not isinstance(self.txs_per_block, int) or self.txs_per_block < 0:
@@ -56,7 +57,7 @@ class SimConfig:
             raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimEvent:
     time: float
     node: int
@@ -102,7 +103,7 @@ class SweepRow:
     effective_tps: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _SimTx:
     """Synthetic filler transaction; only its id matters to the simulation."""
 
@@ -236,35 +237,43 @@ def _measure(config: SimConfig, nodes: list[_NodeState], created: int) -> SimMet
 
 
 def _max_anticone(dag: BlockDag) -> int:
-    """Largest anticone over the final view, via past/future bitmasks."""
-    ids, index, past = dag.past_masks()
+    """Largest anticone over the final view, counted from reachability windows.
+
+    A block's anticone is every block outside its past, its future and
+    itself. The future windows come from the same join as the past ones,
+    run over children with the indices reversed.
+    """
+    ids, index, low, win = dag.past_windows()
     n = len(ids)
-    if n == 0:
-        return 0
-    future = [0] * n
-    for i in range(n - 1, -1, -1):
-        m = 0
-        for c in dag.children[ids[i]]:
-            j = index[c]
-            m |= future[j] | (1 << j)
-        future[i] = m
-    return max(n - 1 - past[i].bit_count() - future[i].bit_count() for i in range(n))
+    # future windows over the reversed order, where block i sits at n - 1 - i
+    future_low: list[int] = []
+    future_win: list[int] = []
+    for bid in reversed(ids):
+        lo, w = join_windows([n - 1 - index[c] for c in dag.children[bid]], future_low, future_win)
+        future_low.append(lo)
+        future_win.append(w)
+    sizes = (
+        n - 1 - lo - w.bit_count() - future_lo - future_w.bit_count()
+        for lo, w, future_lo, future_w in zip(low, win, reversed(future_low), reversed(future_win))
+    )
+    return max(sizes, default=0)
 
 
 def compare_modes(config: SimConfig, lambda_sweep) -> list[SweepRow]:
     """Run both modes at each rate with identical seeds; one row per run."""
+    # every config is validated before the first run starts
+    configs = [replace(config, rate_lambda=lam, mode=mode) for lam in lambda_sweep for mode in MODES]
     rows = []
-    for lam in lambda_sweep:
-        for mode in MODES:
-            metrics, _ = run(replace(config, rate_lambda=lam, mode=mode))
-            rows.append(
-                SweepRow(
-                    rate_lambda=lam,
-                    mode=mode,
-                    included_ratio=metrics.included_ratio,
-                    effective_tps=metrics.effective_tps,
-                )
+    for cfg in configs:
+        metrics, _ = run(cfg)
+        rows.append(
+            SweepRow(
+                rate_lambda=cfg.rate_lambda,
+                mode=cfg.mode,
+                included_ratio=metrics.included_ratio,
+                effective_tps=metrics.effective_tps,
             )
+        )
     return rows
 
 

@@ -87,6 +87,16 @@ def make_chain(n: int) -> tuple[BlockDag, list[bytes]]:
     return dag, ids
 
 
+def stale_side_block_dag(n: int) -> tuple[BlockDag, bytes]:
+    """A chain of n blocks past genesis plus one side block off genesis that
+    no later block merges, so it stays a tip and outside every later past.
+    Returns the DAG and the side block's id."""
+    dag, ids = make_chain(n + 1)
+    side = Block.create((ids[0],), (), 0.5, "side")
+    dag.add(side)
+    return dag, side.id
+
+
 def reinsert_shuffled(dag: BlockDag, rng) -> BlockDag:
     """Rebuild the same blocks in a different valid insertion order."""
     pending = list(dag.blocks.values())

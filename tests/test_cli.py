@@ -3,6 +3,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +109,28 @@ def test_sim_sweep_csv_shape():
     assert len(lines) == 1 + 2 * 2  # two rates, two modes
     rates = [line.split(",")[0] for line in lines[1:]]
     assert rates == ["0.5", "0.5", "2.0", "2.0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sim", "run", "--seed", "1", "--k", "3", "--duration", "inf"),
+        ("sim", "run", "--seed", "1", "--k", "3", "--lambda", "inf", "--duration", "5"),
+        ("sim", "run", "--seed", "1", "--k", "3", "--delay", "nan", "--duration", "5"),
+        ("sim", "sweep", "--seed", "1", "--lambdas", "1,inf", "--duration", "5"),
+    ],
+)
+def test_non_finite_sim_parameter_is_a_runtime_error(argv):
+    # in a subprocess with a timeout: an infinite run would otherwise hang the suite
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rpmdag", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_missing_seed_is_a_usage_error():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import make_chain, random_dag, reinsert_shuffled
+from helpers import make_chain, random_dag, reinsert_shuffled, stale_side_block_dag
 from rpmdag.dag import (
     Block,
     BlockDag,
@@ -136,6 +136,38 @@ def test_topological_order_is_linear_extension():
         dag, _ = random_dag(random.Random(seed), 25)
         order = dag.topological_order()
         assert dag.is_linear_extension(order)
+
+
+def test_past_windows_match_past():
+    for seed in range(40):
+        rng = random.Random(seed)
+        dag, _ = random_dag(rng, rng.randint(1, 30), max_parents=1 + seed % 5)
+        ids, index, low, win = dag.past_windows()
+        assert ids == dag.topological_order()
+        assert index == {bid: i for i, bid in enumerate(ids)}
+        for i, bid in enumerate(ids):
+            assert win[i] & 1 == 0 and win[i].bit_length() <= i - low[i]
+            window = {ids[low[i] + j] for j in range(i - low[i]) if win[i] >> j & 1}
+            assert set(ids[: low[i]]) | window == dag.past(bid), (seed, i)
+
+
+def test_past_windows_span_the_dag_when_a_side_block_is_never_merged():
+    dag, side = stale_side_block_dag(40)
+    ids, index, low, win = dag.past_windows()
+    s = index[side]
+    for i, bid in enumerate(ids):
+        if bid == side:
+            assert (low[i], win[i]) == (1, 0)
+        elif i < s:
+            # a chain block before the side block: everything earlier is past
+            assert (low[i], win[i]) == (i, 0)
+        else:
+            # every block from the side block up is in the window, and all
+            # but the side block are ancestors
+            assert low[i] == s
+            assert win[i] == (1 << (i - s)) - 2
+    assert s < 3 and dag.tips == {side, ids[-1]}
+    assert win[-1].bit_length() == len(ids) - 1 - s
 
 
 def test_is_linear_extension_detects_violations():

@@ -11,6 +11,7 @@ from helpers import (
     random_dag,
     reference_color,
     reinsert_shuffled,
+    stale_side_block_dag,
 )
 from rpmdag.dag import Block, BlockDag, genesis_block
 from rpmdag.errors import InvalidParameter, TooLarge, UnknownBlock
@@ -121,6 +122,13 @@ def test_engine_matches_bitmask_oracle_on_wide_dags():
 def test_engine_matches_bitmask_oracle_on_reference_dag(reference_dag):
     dag, _ = reference_dag
     for k in range(6):
+        assert_matches_bitmask_oracle(dag, k, k)
+
+
+def test_engine_matches_bitmask_oracle_when_a_side_block_is_never_merged():
+    # every later window spans back to the side block
+    dag, _ = stale_side_block_dag(60)
+    for k in range(4):
         assert_matches_bitmask_oracle(dag, k, k)
 
 

@@ -3,12 +3,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import tracemalloc
 
 import pytest
 
 from helpers import random_dag
 from rpmdag.dag import Block, BlockDag, genesis_block
 from rpmdag.errors import IncompleteTrace, InvalidConfig
+from rpmdag.ghostdag import GhostdagParams, ghostdag_run
 from rpmdag.netsim import (
     MODE_BLOCKDAG,
     MODE_LONGEST_CHAIN,
@@ -38,8 +40,14 @@ def test_config_validation():
         dict(nodes=1.5),
         dict(rate_lambda=0.0),
         dict(rate_lambda=-1.0),
+        dict(rate_lambda=float("inf")),
+        dict(rate_lambda=float("nan")),
         dict(delay_d=-0.1),
+        dict(delay_d=float("inf")),
+        dict(delay_d=float("nan")),
         dict(duration=0.0),
+        dict(duration=float("inf")),
+        dict(duration=float("nan")),
         dict(k=-1),
         dict(txs_per_block=-2),
         dict(mode="chain"),
@@ -185,6 +193,47 @@ def test_past_masks_and_max_anticone_match_definitions():
         expected = max(len(dag.anticone(b)) for b in dag.blocks)
         assert _max_anticone(dag) == expected, f"seed {seed}"
     assert _max_anticone(BlockDag()) == 0
+
+
+def node_view(trace: SimTrace, node: int) -> BlockDag:
+    """A node's final view, rebuilt in the order it received blocks."""
+    dag = BlockDag().add(trace.blocks[trace.genesis])
+    for ev in trace.events:
+        if ev.node == node:
+            dag.add(trace.blocks[ev.block])
+    return dag
+
+
+@pytest.mark.parametrize(
+    "rate, k, mode",
+    [(5.0, 0, MODE_BLOCKDAG), (5.0, 3, MODE_BLOCKDAG), (20.0, 0, MODE_BLOCKDAG),
+     (20.0, 3, MODE_BLOCKDAG), (20.0, 3, MODE_LONGEST_CHAIN)],
+)
+def test_max_anticone_matches_definition_on_sim_views(rate, k, mode):
+    # longest-chain views keep stale forks unmerged, so their windows are wide
+    _, trace = run(config(nodes=4, rate_lambda=rate, duration=200.0 / rate, k=k,
+                          seed=int(rate) + k, mode=mode))
+    dag = node_view(trace, 0)
+    assert len(dag) > 150
+    assert _max_anticone(dag) == max(len(dag.anticone(b)) for b in dag.blocks)
+
+
+def test_reachability_memory_is_linear_in_blocks():
+    # Doubling the blocks should roughly double the peak memory of coloring
+    # and the anticone count. Full-width past masks made it grow about 3.7x.
+    peaks = []
+    for duration in (200.0, 400.0):
+        _, trace = run(SimConfig(nodes=2, rate_lambda=20.0, delay_d=1.0, duration=duration,
+                                 k=3, seed=3))
+        dag = node_view(trace, 0)
+        tracemalloc.start()
+        try:
+            ghostdag_run(dag, GhostdagParams(3))
+            _max_anticone(dag)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] / peaks[0] < 2.5, peaks
 
 
 def test_orphan_buffering_cascade():
