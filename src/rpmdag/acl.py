@@ -26,7 +26,7 @@ from .errors import (
 from .hashing import digest
 from .ledger import Ledger, Scope, Transaction, TxKind
 
-DEFAULT_SESSION_LIFETIME = 3600.0  # one simulated hour
+SESSION_LIFETIME = 3600.0  # one simulated hour
 
 
 class ManualClock:
@@ -85,17 +85,11 @@ class AccessController:
     entity.
     """
 
-    def __init__(
-        self,
-        clock=time.time,
-        session_lifetime: float = DEFAULT_SESSION_LIFETIME,
-        ledger: Ledger | None = None,
-        author: str = "acl-service",
-    ):
+    author = "acl-service"  # the service entity that authors AccessChange txs
+
+    def __init__(self, clock=time.time, ledger: Ledger | None = None):
         self.clock = clock
-        self.session_lifetime = session_lifetime
         self.ledger = ledger
-        self.author = author
         self._entities: dict[str, Entity] = {}
         self._sessions: dict[str, Session] = {}
         self._grants: dict[str, AccessGrant] = {}
@@ -125,7 +119,7 @@ class AccessController:
             entity=entity_id,
             role=entity.role,
             issued_at=now,
-            expires_at=now + self.session_lifetime,
+            expires_at=now + SESSION_LIFETIME,
         )
         self._sessions[session.token] = session
         return session

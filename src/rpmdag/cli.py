@@ -64,7 +64,10 @@ class CommandSpec:
 
 
 def _read_text(path: str) -> str:
-    return pathlib.Path(path).read_text()
+    try:
+        return pathlib.Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _read_dag(path: str):
@@ -250,9 +253,7 @@ def _acl_open(args):
     else:
         ledger = Ledger(PRIVATE, k=args.k, authorized_writers={"acl-service", "acl-sealer"})
     roster = _load_roster(args.roster)
-    controller = AccessController(
-        clock=ManualClock(args.at), ledger=ledger, author="acl-service"
-    )
+    controller = AccessController(clock=ManualClock(args.at), ledger=ledger)
     for entry in roster.values():
         controller.register(entry["entity_id"], entry["role"], entry["credential"])
     controller.load_grants(rebuild_grants(ledger))
@@ -495,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(path: str) -> dict[str, str]:
     try:
         text = _read_text(path)
-    except OSError as exc:
+    except (OSError, FormatError) as exc:
         raise UsageError(f"cannot read config file: {exc}")
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

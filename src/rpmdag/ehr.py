@@ -92,8 +92,17 @@ class EhrStore:
                 header = json.loads(header_line)
                 length = header["content_len"]
                 record_id = header["record_id"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise FormatError(f"corrupt record header at offset {offset}: {exc}") from None
+            # checked once here so read() can trust every indexed header; a
+            # negative length would seek back onto the header and never end
+            if not (
+                type(length) is int
+                and length >= 0
+                and isinstance(record_id, str)
+                and {"patient", "stored_at", "content_hash"} <= header.keys()
+            ):
+                raise FormatError(f"corrupt record header at offset {offset}")
             self._log.seek(length + 1, io.SEEK_CUR)  # content plus separator
             self._index[record_id] = offset
             self._count += 1
@@ -177,11 +186,6 @@ def anchor(
     )
     ledger.submit(tx, author)
     return AnchorReceipt(record.record_id, record.content_hash, tx.id)
-
-
-def confirmation_position(ledger: Ledger, tx_id: bytes) -> int | None:
-    entry = ledger.confirmed().find(tx_id)
-    return entry.position if entry else None
 
 
 def verify(record_id: str, store: EhrStore, ledger: Ledger) -> VerifyResult:

@@ -13,27 +13,23 @@ class RpmdagError(Exception):
 
 # DAG structure
 
-class DagError(RpmdagError):
-    pass
-
-
-class MissingParent(DagError):
+class MissingParent(RpmdagError):
     """A block referenced a parent that is not in the DAG."""
 
 
-class DuplicateBlock(DagError):
+class DuplicateBlock(RpmdagError):
     """A block with this id is already present."""
 
 
-class GenesisConflict(DagError):
+class GenesisConflict(RpmdagError):
     """A second parentless block was offered to a non-empty DAG."""
 
 
-class UnknownBlock(DagError):
+class UnknownBlock(RpmdagError):
     """A query referenced a block id that is not in the DAG."""
 
 
-class NotAPermutation(DagError):
+class NotAPermutation(RpmdagError):
     """An order did not contain every block exactly once."""
 
 

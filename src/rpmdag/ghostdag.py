@@ -70,8 +70,7 @@ class OrderedDag:
 def is_k_cluster(dag: BlockDag, blocks, k: int) -> bool:
     """Check the defining property directly: every member has at most k
     members of the set in its anticone."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise InvalidParameter(f"k must be a nonnegative integer, got {k!r}")
+    GhostdagParams(k)  # validates k
     members = set(blocks)
     unknown = members - set(dag.blocks)
     if unknown:
@@ -90,8 +89,7 @@ def max_k_cluster(dag: BlockDag, k: int) -> frozenset[BlockId]:
     maxima the lexicographically smallest (by sorted id sequence) wins,
     which the include-first search order guarantees.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise InvalidParameter(f"k must be a nonnegative integer, got {k!r}")
+    GhostdagParams(k)  # validates k
     n = len(dag.blocks)
     if n > ORACLE_CAP:
         raise TooLarge(f"{n} blocks exceeds the oracle cap of {ORACLE_CAP}")

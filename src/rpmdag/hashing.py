@@ -12,7 +12,6 @@ import json
 import struct
 
 DIGEST_ALG = "sha256"
-DIGEST_SIZE = 32
 
 
 def digest(data: bytes) -> bytes:

@@ -184,12 +184,6 @@ class ConfirmedStream:
                 out.setdefault(entry.tx.body["record_id"], entry.tx.body["content_hash"])
         return out
 
-    def find(self, tx_id: bytes) -> ConfirmedTx | None:
-        for entry in self.entries:
-            if entry.tx.id == tx_id:
-                return entry
-        return None
-
 
 _PUBLIC_KINDS = frozenset({TxKind.ALERT_EVENT})
 _PRIVATE_KINDS = frozenset(TxKind)
@@ -377,7 +371,7 @@ class Ledger:
         path = os.path.realpath(path)
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
-            with open(tmp, "w") as fh:
+            with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(self.save_text())
             with contextlib.suppress(FileNotFoundError):
                 os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
@@ -460,8 +454,13 @@ class Ledger:
 
     @classmethod
     def load(cls, path) -> "Ledger":
-        with open(path) as fh:
-            return cls.load_text(fh.read())
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"ledger is not UTF-8 text: {exc}") from None
+        return cls.load_text(text)
 
 
 @dataclass

@@ -17,7 +17,7 @@ import heapq
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .dag import Block, BlockDag, BlockId, genesis_block, join_windows
 from .errors import DuplicateBlock, IncompleteTrace, InvalidConfig, MissingParent
@@ -116,34 +116,19 @@ class _NodeState:
     view: BlockDag
     heights: dict[BlockId, int]  # shared across nodes; height never differs
     best_tip: BlockId
-    orphans: dict[BlockId, Block] = field(default_factory=dict)
 
     def mining_parents(self, mode: str) -> tuple[BlockId, ...]:
         if mode == MODE_LONGEST_CHAIN:
             return (self.best_tip,)
         return tuple(sorted(self.view.tips))
 
-    def receive(self, block: Block) -> bool:
-        """Add a block, buffering it while parents are still in flight."""
-        if block.id in self.view:
-            return False
-        if any(p not in self.view for p in block.parents):
-            self.orphans[block.id] = block
-            return False
-        self._add(block)
-        # a newly added block may unblock buffered orphans, cascading
-        progress = True
-        while progress and self.orphans:
-            progress = False
-            for bid in sorted(self.orphans):
-                pend = self.orphans[bid]
-                if all(p in self.view for p in pend.parents):
-                    del self.orphans[bid]
-                    self._add(pend)
-                    progress = True
-        return True
+    def receive(self, block: Block):
+        """Add a block whose parents are all in the view already.
 
-    def _add(self, block: Block):
+        With one fixed delay a parent made at t' <= t arrives by t' + d <=
+        t + d, and on a time tie its delivery was queued first, so every
+        block reaches a node after its parents.
+        """
         self.view.add(block)
         if block.id not in self.heights:
             parent_h = max((self.heights[p] for p in block.parents), default=-1)
@@ -209,20 +194,20 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
         views={n.idx: frozenset(n.view.blocks) for n in nodes},
         completed=True,
     )
-    metrics = _measure(config, nodes, created)
+    metrics = _measure(trace, nodes, created)
     return metrics, trace
 
 
-def _measure(config: SimConfig, nodes: list[_NodeState], created: int) -> SimMetrics:
+def _measure(trace: SimTrace, nodes: list[_NodeState], created: int) -> SimMetrics:
+    config = trace.config
     view = nodes[0].view
     if config.mode == MODE_BLOCKDAG:
-        ordered = ghostdag_run(view, GhostdagParams(config.k))
-        in_order = len(ordered.order) - 1  # genesis was not created during the run
+        # GHOSTDAG orders every block of the view; genesis was not created during the run
+        in_order = len(view.blocks) - 1
     else:
         in_order = nodes[0].heights[nodes[0].best_tip]
 
-    view_sets = {frozenset(n.view.blocks) for n in nodes}
-    converged = len(view_sets) == 1 and all(not n.orphans for n in nodes)
+    converged = len(set(trace.views.values())) == 1
     if config.mode == MODE_LONGEST_CHAIN:
         converged = converged and len({n.best_tip for n in nodes}) == 1
 

@@ -203,16 +203,13 @@ def simulate_device(
     profile: DeviceProfile,
     seed: int,
     count: int,
-    device: str | None = None,
-    start: float = 0.0,
     interval: float = 1.0,
 ) -> list[VitalReading]:
     """Seeded synthetic stream: baseline draws clamped to mean ± 4σ, with
     anomalies injected strictly outside [low, high] at the configured rate."""
     if count < 0:
         raise InvalidParameter(f"count must be nonnegative, got {count}")
-    if device is None:
-        device = f"dev-{patient}-{vital.value}"
+    device = f"dev-{patient}-{vital.value}"
     rng = random.Random(seed)
     readings = []
     for i in range(count):
@@ -232,7 +229,7 @@ def simulate_device(
                 vital=vital,
                 value=value,
                 unit=CANONICAL_UNIT[vital],
-                measured_at=start + i * interval,
+                measured_at=i * interval,
                 device=device,
             )
         )
@@ -315,19 +312,13 @@ class Subscriber:
 class RpmPipeline:
     """Wires devices, EHR store, rule engine, and the two ledgers."""
 
-    def __init__(
-        self,
-        dual: DualLedger,
-        store: EhrStore,
-        controller: AccessController,
-        rules,
-        author: str = "rpm-pipeline",
-    ):
+    author = "rpm-pipeline"  # the entity every pipeline transaction is submitted as
+
+    def __init__(self, dual: DualLedger, store: EhrStore, controller: AccessController, rules):
         self.dual = dual
         self.store = store
         self.controller = controller
         self.rules = list(rules)
-        self.author = author
         self.subscribers: list[Subscriber] = []
         self._records: dict[VitalReading, EhrRecord] = {}
         self._delivered: set[tuple[str, str]] = set()
@@ -447,34 +438,6 @@ def load_rules_json(text: str) -> list[ThresholdRule]:
     return rules
 
 
-def load_readings_jsonl(text: str) -> list[VitalReading]:
-    """Parse JSON-lines of {patient, vital, value, unit, measured_at, device}."""
-    import json
-
-    from .errors import FormatError
-
-    readings = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-            readings.append(
-                VitalReading(
-                    patient=entry["patient"],
-                    vital=VitalKind(entry["vital"]),
-                    value=float(entry["value"]),
-                    unit=entry["unit"],
-                    measured_at=float(entry["measured_at"]),
-                    device=entry["device"],
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"readings line {lineno}: {exc}") from exc
-    return readings
-
-
 # Demo profiles: bounds sit exactly at mean ± 5σ, so baseline draws
 # (clamped to ± 4σ) always judge normal and injected anomalies always
 # judge abnormal.
@@ -502,7 +465,6 @@ class DemoResult:
     verdicts: list[tuple[VitalReading, Verdict]]
     alerts: list[AlertEvent]
     alert_windows: dict[str, int]
-    seals_per_window: list[int]
     notifications: int
     dual: DualLedger
     store: EhrStore
@@ -548,19 +510,16 @@ def run_demo(
         raise InvalidParameter(f"patients must be positive, got {patients}")
     if duration <= 0:
         raise InvalidParameter(f"duration must be positive, got {duration}")
-    author = "rpm-pipeline"
+    author = RpmPipeline.author
     sealer = "sealer-1"
-    acl_author = "acl-service"
     dual = DualLedger.create(
         k,
-        private_writers={author, sealer, acl_author},
+        private_writers={author, sealer, AccessController.author},
         public_writers={author, sealer},
     )
     store = EhrStore(state_dir)
     clock = ManualClock()
-    controller = AccessController(
-        clock=clock, ledger=dual.private, author=acl_author
-    )
+    controller = AccessController(clock=clock, ledger=dual.private)
 
     patient_ids = [f"p-{i + 1:02d}" for i in range(patients)]
     provider = "dr-01"
@@ -586,7 +545,7 @@ def run_demo(
             for v_index, (vital, profile) in enumerate(DEMO_PROFILES.items())
         ]
 
-    pipeline = RpmPipeline(dual, store, controller, rules, author=author)
+    pipeline = RpmPipeline(dual, store, controller, rules)
     subscriber = Subscriber(entity=provider, session=provider_session)
     pipeline.subscribers.append(subscriber)
 
@@ -600,8 +559,7 @@ def run_demo(
             stream_seed = (seed * 1000003 + p_index * 101 + v_index) & 0xFFFFFFFF
             all_readings.extend(
                 simulate_device(
-                    pid, vital, profile, stream_seed, readings_per_device,
-                    start=0.0, interval=interval,
+                    pid, vital, profile, stream_seed, readings_per_device, interval=interval
                 )
             )
 
@@ -610,9 +568,7 @@ def run_demo(
 
     verdicts: list[tuple[VitalReading, Verdict]] = []
     alert_windows: dict[str, int] = {}
-    seals_per_window: list[int] = []
     window_count = int(math.ceil(duration / window))
-    seal_index = 0
     for w in range(window_count):
         window_end = (w + 1) * window
         clock.now = window_end
@@ -622,10 +578,8 @@ def run_demo(
             before = len(pipeline.alerts)
             verdicts.extend(pipeline.process_batch(batch, window_end))
             for event in pipeline.alerts[before:]:
-                alert_windows.setdefault(event.event_id, seal_index)
+                alert_windows.setdefault(event.event_id, w)
         dual.seal_all(sealer, window_end)
-        seal_index += 1
-        seals_per_window.append(seal_index)
     # Final flush so anything still pooled is confirmed.
     dual.seal_all(sealer, duration + window)
 
@@ -635,7 +589,6 @@ def run_demo(
         verdicts=verdicts,
         alerts=list(pipeline.alerts),
         alert_windows=alert_windows,
-        seals_per_window=seals_per_window,
         notifications=len(subscriber.inbox),
         dual=dual,
         store=store,

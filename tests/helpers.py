@@ -15,6 +15,9 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 from rpmdag.dag import Block, BlockDag, BlockId, genesis_block
 from rpmdag.ghostdag import Coloring, GhostdagParams, OrderedDag
@@ -134,6 +137,18 @@ def run_cli(*argv: str, env: dict | None = None):
             else:
                 os.environ[key] = value
     return code, out.getvalue(), err.getvalue()
+
+
+def run_cli_process(*argv: str, timeout: float = 20):
+    """Invoke the CLI in a child process, so a hang ends at the timeout
+    instead of stalling the suite; returns (exit code, stdout, stderr)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rpmdag", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=timeout,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def crafted_ledger_text(visibility: str, tx: Transaction) -> str:

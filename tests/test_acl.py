@@ -5,7 +5,7 @@ import random
 import pytest
 
 from rpmdag.acl import (
-    DEFAULT_SESSION_LIFETIME,
+    SESSION_LIFETIME,
     AccessController,
     ManualClock,
     Role,
@@ -38,7 +38,7 @@ def test_register_and_authenticate():
     session = controller.authenticate("p-01", "pw-p1")
     assert session.entity == "p-01" and session.role is Role.PATIENT
     assert controller.session_valid(session)
-    assert session.expires_at == session.issued_at + DEFAULT_SESSION_LIFETIME
+    assert session.expires_at == session.issued_at + SESSION_LIFETIME
 
 
 def test_authenticate_rejections():
@@ -52,9 +52,9 @@ def test_authenticate_rejections():
 def test_session_expiry_timeline():
     controller, clock = make_controller()
     session = controller.authenticate("p-01", "pw-p1")
-    clock.now = DEFAULT_SESSION_LIFETIME - 1.0
+    clock.now = SESSION_LIFETIME - 1.0
     assert controller.session_valid(session)
-    clock.now = DEFAULT_SESSION_LIFETIME
+    clock.now = SESSION_LIFETIME
     assert not controller.session_valid(session)
     # expiry downgrades checks to a plain refusal, not an exception
     assert controller.check_access(session, "p-01", Scope.EHR_READ) is False

@@ -3,15 +3,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import subprocess
-import sys
+import shutil
 from pathlib import Path
 
 import pytest
 
 from rpmdag.fixtures import REFERENCE_K3_BLUE, REFERENCE_K3_RED, reference_k3_text
 
-from helpers import CRAFTED_LEDGERS, crafted_ledger_text, run_cli
+from helpers import CRAFTED_LEDGERS, crafted_ledger_text, run_cli, run_cli_process
 
 
 @pytest.fixture
@@ -122,15 +121,10 @@ def test_sim_sweep_csv_shape():
 )
 def test_non_finite_sim_parameter_is_a_runtime_error(argv):
     # in a subprocess with a timeout: an infinite run would otherwise hang the suite
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "rpmdag", *argv],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=20,
-    )
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    code, out, err = run_cli_process(*argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_missing_seed_is_a_usage_error():
@@ -300,6 +294,97 @@ def test_crafted_access_change_is_a_runtime_error_for_acl_check(tmp_path):
     assert code == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "grantor" in lines[0]
+
+
+def assert_one_error_line(result, code):
+    got, out, err = result
+    assert got == code and out == "", result
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.fixture(scope="module")
+def small_demo(tmp_path_factory):
+    state = tmp_path_factory.mktemp("demo") / "state"
+    code, _, _ = run_cli(
+        "rpm", "demo", "--seed", "11", "--patients", "1",
+        "--readings-per-device", "2", "--duration", "10",
+        "--state-dir", str(state),
+    )
+    assert code == 0
+    return state
+
+
+def _header_line(header: dict) -> bytes:
+    return json.dumps(header, sort_keys=True).encode() + b"\n"
+
+
+def _length_seeking_back_to_its_header(header: dict) -> bytes:
+    # content_len = -(line length + 1) makes the skip past content and
+    # separator land on the header's own first byte
+    length = 0
+    while True:
+        line = _header_line({**header, "content_len": length})
+        if length == -(len(line) + 1):
+            return line
+        length = -(len(line) + 1)
+
+
+EHR_HEADER_EDITS = {
+    "length-seeks-back-to-its-header": _length_seeking_back_to_its_header,
+    "negative-length": lambda h: _header_line({**h, "content_len": -1}),
+    "bool-length": lambda h: _header_line({**h, "content_len": True}),
+    "record-id-not-a-string": lambda h: _header_line({**h, "record_id": 7}),
+    "no-patient": lambda h: _header_line({k: v for k, v in h.items() if k != "patient"}),
+    "no-stored-at": lambda h: _header_line({k: v for k, v in h.items() if k != "stored_at"}),
+    "no-content-hash": lambda h: _header_line({k: v for k, v in h.items() if k != "content_hash"}),
+    "0xff-in-header": lambda h: _header_line(h).replace(b'"patient"', b'"pat\xffent"'),
+    "header-not-an-object": lambda h: b"[1, 2]\n",
+}
+
+
+@pytest.mark.parametrize("edit", EHR_HEADER_EDITS.values(), ids=EHR_HEADER_EDITS)
+def test_crafted_ehr_header_is_a_runtime_error(small_demo, tmp_path, edit):
+    # in a subprocess with a timeout: a header that seeks back onto itself
+    # used to loop forever when the log was opened
+    state = tmp_path / "state"
+    shutil.copytree(small_demo, state)
+    log = state / "ehr.log"
+    first, rest = log.read_bytes().split(b"\n", 1)
+    log.write_bytes(edit(json.loads(first)) + rest)
+    ledger = str(state / "private.ledger")
+    for argv in (
+        ("ehr", "audit", "--store", str(state), "--ledger", ledger),
+        ("ehr", "verify", "--store", str(state), "--ledger", ledger, "--record", "r"),
+    ):
+        result = run_cli_process(*argv)
+        assert_one_error_line(result, 1)
+        assert "offset 0" in result[2]
+
+
+def test_non_utf8_ledger_is_a_runtime_error(small_demo, tmp_path):
+    path = tmp_path / "private.ledger"
+    path.write_bytes((small_demo / "private.ledger").read_bytes() + b"\xff")
+    assert_one_error_line(run_cli("ledger", "inspect", "--file", str(path)), 1)
+    assert_one_error_line(
+        run_cli("ehr", "audit", "--store", str(small_demo), "--ledger", str(path)), 1
+    )
+
+
+def test_non_utf8_input_file_is_a_runtime_error(dag_file, tmp_path):
+    bad_dag = tmp_path / "bad.dag"
+    bad_dag.write_bytes(Path(dag_file).read_bytes() + b"\xff\n")
+    assert_one_error_line(run_cli("color", "--dag", str(bad_dag), "--k", "3"), 1)
+    assert_one_error_line(run_cli("dag", "import", "--file", str(bad_dag)), 1)
+    rules = tmp_path / "rules.json"
+    rules.write_bytes(b"[\xff]")
+    assert_one_error_line(run_cli("rpm", "demo", "--seed", "1", "--rules", str(rules)), 1)
+
+
+def test_non_utf8_config_file_is_a_usage_error(dag_file, tmp_path):
+    config = tmp_path / "bad.conf"
+    config.write_bytes(b"k=3\n# \xff\n")
+    assert_one_error_line(run_cli("color", "--dag", dag_file, "--config", str(config)), 2)
 
 
 def test_acl_cli_flow(tmp_path):

@@ -14,7 +14,6 @@ from rpmdag.ehr import (
     EhrStore,
     anchor,
     audit,
-    confirmation_position,
     confirmed_anchors,
     read_gated,
     verify,
@@ -206,15 +205,6 @@ def test_verify_detects_tampered_content(tmp_path):
     assert result.status == TAMPERED
     assert result.recomputed_hash != result.anchored_hash
     again.close()
-
-
-def test_confirmation_position():
-    store, ledger = EhrStore(), make_ledger()
-    rec = store.store(b"positioned", "p-01")
-    receipt = anchor(rec, ledger, "svc")
-    assert confirmation_position(ledger, receipt.tx_id) is None
-    ledger.seal_block("sealer", 1.0)
-    assert confirmation_position(ledger, receipt.tx_id) == 0
 
 
 def test_audit_covers_all_confirmed_anchors():

@@ -14,6 +14,7 @@ from rpmdag.ghostdag import GhostdagParams, ghostdag_run
 from rpmdag.netsim import (
     MODE_BLOCKDAG,
     MODE_LONGEST_CHAIN,
+    MODES,
     SimConfig,
     SimTrace,
     _max_anticone,
@@ -236,22 +237,31 @@ def test_reachability_memory_is_linear_in_blocks():
     assert peaks[1] / peaks[0] < 2.5, peaks
 
 
-def test_orphan_buffering_cascade():
-    # deliveries can arrive out of order relative to ancestry; the node
-    # buffers the child until the parent shows up, then adds both
-    g = genesis_block()
-    view = BlockDag().add(g)
-    node = _NodeState(idx=0, view=view, heights={g.id: 0}, best_tip=g.id)
-    a = Block.create((g.id,), (), 1.0, "n1")
-    b = Block.create((a.id,), (), 2.0, "n1")
-    assert not node.receive(b)
-    assert b.id in node.orphans
-    assert b.id not in node.view
-    assert node.receive(a)
-    assert not node.orphans
-    assert a.id in node.view and b.id in node.view
-    assert node.best_tip == b.id
-    assert node.heights[b.id] == 2
+@pytest.mark.parametrize("seed", range(16))
+def test_every_node_receives_a_block_after_its_parents(seed):
+    # the invariant that lets a node add each block as it arrives: with one
+    # fixed delay no block ever reaches a node before one of its parents
+    rng = random.Random(seed)
+    rate = rng.choice([0.5, 5.0, 50.0])
+    cfg = config(nodes=rng.randint(1, 7), rate_lambda=rate,
+                 delay_d=rng.choice([0.0, 0.1, 1.0, 2.5]), duration=300.0 / rate,
+                 seed=seed, mode=MODES[seed % 2])
+    _, trace = run(cfg)
+    views = [{trace.genesis} for _ in range(cfg.nodes)]
+    for ev in trace.events:
+        view = views[ev.node]
+        assert ev.block not in view
+        if ev.kind == "received":
+            assert set(trace.blocks[ev.block].parents) <= view, (ev, cfg)
+        view.add(ev.block)
+
+
+@pytest.mark.parametrize("rate, delay, k", [(1.0, 1.0, 3), (20.0, 0.0, 0), (20.0, 2.5, 3)])
+def test_blocks_in_order_is_the_ghostdag_order_of_a_blockdag_view(rate, delay, k):
+    metrics, trace = run(config(nodes=4, rate_lambda=rate, delay_d=delay,
+                                duration=200.0 / rate, k=k))
+    order = ghostdag_run(node_view(trace, 0), GhostdagParams(k)).order
+    assert metrics.blocks_in_order == len(order) - 1
 
 
 def test_longest_chain_tie_keeps_first_received():

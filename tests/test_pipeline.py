@@ -30,7 +30,6 @@ from rpmdag.pipeline import (
     VitalReading,
     aggregate,
     evaluate,
-    load_readings_jsonl,
     load_rules_json,
     run_demo,
     simulate_device,
@@ -299,18 +298,6 @@ def test_load_rules_json():
         load_rules_json("{}")
     with pytest.raises(FormatError):
         load_rules_json('[{"rule_id": "r-1"}]')
-
-
-def test_load_readings_jsonl():
-    text = (
-        '{"patient": "p-01", "vital": "glucose", "value": 5.5,'
-        ' "unit": "mmol/L", "measured_at": 3.0, "device": "dev-9"}\n'
-        "\n"
-    )
-    (r,) = load_readings_jsonl(text)
-    assert r.vital is VitalKind.GLUCOSE and r.unit == "mmol/L"
-    with pytest.raises(FormatError):
-        load_readings_jsonl('{"patient": "p-01"}\n')
 
 
 def test_run_demo_small_scale():
