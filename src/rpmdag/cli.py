@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .acl import AccessController, ManualClock, Role, Scope, rebuild_grants
 from .dag import export_dag_dot, export_dag_text, parse_dag_text
-from .ehr import INTACT, TAMPERED, EhrStore, audit, verify
+from .ehr import INTACT, LOG_NAME, TAMPERED, EhrStore, audit, verify
 from .errors import FormatError, RpmdagError, UnknownEntity, UnknownGrant
 from .ghostdag import GhostdagParams, ghostdag_run, k_for_network, max_k_cluster
 from .ledger import PRIVATE, Ledger, inspect_jsonl
@@ -207,10 +207,22 @@ def cmd_rpm_demo(args) -> int:
     return 0
 
 
+def _open_store(directory: str) -> EhrStore:
+    """The EHR store in directory. Unlike EhrStore(directory), a missing
+    log is an error, so a read-only command writes nothing."""
+    log = os.path.join(directory, LOG_NAME)
+    if not os.path.isfile(log):
+        raise FileNotFoundError(f"no EHR log at {log}")
+    return EhrStore(directory)
+
+
 def cmd_ehr_verify(args) -> int:
     ledger = Ledger.load(args.ledger)
-    store = EhrStore(args.store)
-    result = verify(args.record, store, ledger)
+    store = _open_store(args.store)
+    try:
+        result = verify(args.record, store, ledger)
+    finally:
+        store.close()
     recomputed = result.recomputed_hash or "-"
     anchored = result.anchored_hash or "-"
     print(f"{result.status} recomputed={recomputed} anchored={anchored}")
@@ -219,8 +231,11 @@ def cmd_ehr_verify(args) -> int:
 
 def cmd_ehr_audit(args) -> int:
     ledger = Ledger.load(args.ledger)
-    store = EhrStore(args.store)
-    results = audit(store, ledger)
+    store = _open_store(args.store)
+    try:
+        results = audit(store, ledger)
+    finally:
+        store.close()
     for result in results:
         print(f"{result.record_id} {result.status}")
     tampered = sum(1 for r in results if r.status == TAMPERED)

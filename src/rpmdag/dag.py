@@ -5,12 +5,15 @@ graph rather than a chain. Relative to any block b the DAG partitions into
 past(b) (reachable by following parents), future(b) (blocks that reach b),
 the anticone (everything else), and b itself.
 
-Reachability questions are answered from one windowed structure built in
-topological order: each block keeps a low-water index below which every
-block is its ancestor, and a bitmask window over the blocks from there
-up. A window spans the blocks still concurrent with the block, so it
-stays as narrow as the DAG is wide rather than growing with its length;
-only a block that is never merged holds every later window open.
+BlockDag keeps its blocks in insertion order, and add() refuses a block
+whose parents are not there yet, so that order is always topological:
+every block comes after its whole past. Reachability questions are
+answered from one windowed structure built in that order: each block
+keeps a low-water index below which every block is its ancestor, and a
+bitmask window over the blocks from there up. A window spans the blocks
+still concurrent with the block, so it stays as narrow as the DAG is wide
+rather than growing with its length; only a block that is never merged
+holds every later window open.
 
 BlockDag is a plain value container: reads are safe to share, mutation
 requires exclusive access.
@@ -85,7 +88,11 @@ def genesis_block(creator: NodeId = "genesis", timestamp: float = GENESIS_TIMEST
 
 @dataclass
 class BlockDag:
-    """Append-only block DAG with parent and child indexes."""
+    """Append-only block DAG with parent and child indexes.
+
+    `blocks` is in insertion order, and add() takes a block only once its
+    parents are present, so that order is topological.
+    """
 
     blocks: dict[BlockId, Block] = field(default_factory=dict)
     children: dict[BlockId, set[BlockId]] = field(default_factory=dict)
@@ -169,7 +176,12 @@ class BlockDag:
         return set(self.blocks) - related
 
     def topological_order(self) -> list[BlockId]:
-        """Parents-first order, deterministic via sorted tie-breaking."""
+        """Parents-first order, deterministic via sorted tie-breaking.
+
+        Unlike insertion order it does not depend on the order blocks
+        arrived in, which is why the text and DOT exports and saved ledgers
+        are written in it.
+        """
         indegree = {bid: len(b.parents) for bid, b in self.blocks.items()}
         ready = sorted(bid for bid, deg in indegree.items() if deg == 0)
         out: list[BlockId] = []
@@ -187,19 +199,21 @@ class BlockDag:
         return out
 
     def past_windows(self) -> tuple[list[BlockId], dict[BlockId, int], list[int], list[int]]:
-        """Topological ids, their index, and each block's past as a window.
+        """Ids in insertion order, their index, and each block's past as a window.
 
+        Insertion order is topological (add() refuses a block before its
+        parents), so every parent's window is built before its children's.
         Every index below low[i] is a strict ancestor of ids[i], and bit j
         of win[i] says whether index low[i] + j is one. Bit 0 is always
         clear, so low[i] is the first index that is not an ancestor, and a
         reachability test is `x < low[i] or (win[i] >> (x - low[i])) & 1`.
         """
-        ids = self.topological_order()
+        ids = list(self.blocks)
         index = {bid: i for i, bid in enumerate(ids)}
         low: list[int] = []
         win: list[int] = []
-        for bid in ids:
-            lo, w = join_windows([index[p] for p in self.blocks[bid].parents], low, win)
+        for block in self.blocks.values():
+            lo, w = join_windows([index[p] for p in block.parents], low, win)
             low.append(lo)
             win.append(w)
         return ids, index, low, win
@@ -228,16 +242,19 @@ def join_windows(parents, low: list[int], win: list[int]) -> tuple[int, int]:
 
     Each parent contributes its past and itself, rebased to the largest
     parent low: every index below that is an ancestor of that parent
-    already. The trailing ones of the union, ancestors too, are folded
-    into the new low.
+    already. The union is kept rebased to the largest low seen so far and
+    shifted down when a parent raises it. The trailing ones of the union,
+    ancestors too, are folded into the new low.
     """
-    if not parents:
-        return 0, 0
-    base = max([low[p] for p in parents])
-    mask = 0
+    base = mask = 0
     for p in parents:
         lo = low[p]
-        mask |= (win[p] | (1 << (p - lo))) >> (base - lo)
+        bits = win[p] | (1 << (p - lo))
+        if lo > base:
+            mask = (mask >> (lo - base)) | bits
+            base = lo
+        else:
+            mask |= bits >> (base - lo)
     ones = (mask ^ (mask + 1)).bit_length() - 1
     return base + ones, mask >> ones
 

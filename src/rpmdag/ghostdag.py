@@ -15,8 +15,13 @@ anticone sizes that merge changed. The k-cluster test walks the
 selected-parent chain down to the candidate's past, so the work per block
 depends on its mergeset and the blocks around it, not on the DAG's size.
 Those questions only concern blocks near the chain, so reachability is
-read from BlockDag.past_windows(), whose windows are as wide as the DAG
-and not as long, and memory grows linearly with the number of blocks.
+read from past windows joined by dag.join_windows, which are as wide as
+the DAG and not as long, and memory grows linearly with the number of
+blocks.
+
+Everything is computed in insertion order, in one pass over the DAG:
+BlockDag.add refuses a block before its parents, so that order is
+topological and a block's parents and its whole past come before it.
 
 The global coloring is the view of a virtual block whose parents are the
 current tips. All tie-breaking is lexicographic on block ids, so results
@@ -142,7 +147,7 @@ def max_k_cluster(dag: BlockDag, k: int) -> frozenset[BlockId]:
 
 
 class _Engine:
-    """Per-block GHOSTDAG data, computed in topological order.
+    """Per-block GHOSTDAG data, computed in insertion order.
 
     Each block keeps only what its own merge decided (Algorithm 1 of the
     GHOSTDAG paper cited above):
@@ -165,22 +170,25 @@ class _Engine:
     selected-parent chain, so it is never stored. The k-cluster test for a
     candidate walks that chain down from the selected parent and stops at
     the first chain block in the candidate's past; a blue block's current
-    anticone size is the one recorded nearest on the chain. Reachability is
-    read from the past windows of BlockDag.past_windows(): x is an ancestor
-    of c when x < low[c] or bit x - low[c] of win[c] is set. The mergeset
-    is the block's window minus the selected parent's, both rebased to the
-    selected parent's low.
+    anticone size is the one recorded nearest on the chain. Blocks are
+    indexed by insertion order, and each block's past window is joined from
+    its parents' in the same pass that colors it (see BlockDag.past_windows):
+    x is an ancestor of c when x < low[c] or bit x - low[c] of win[c] is
+    set. The mergeset is the block's window minus the selected parent's,
+    both rebased to the selected parent's low.
     """
 
     def __init__(self, dag: BlockDag):
         self.dag = dag
-        self.ids, self.index, self.low, self.win = dag.past_windows()
+        self.ids = list(dag.blocks)
+        self.index = {bid: i for i, bid in enumerate(self.ids)}
         n = len(self.ids)
+        self.low: list[int] = []
+        self.win: list[int] = []
         self.score: list[int] = [0] * n
         self.parent: list[int] = [-1] * n  # selected parent index; -1 at genesis
         self.mergeset_blues: list[tuple[int, ...]] = [()] * n  # admitted only
         self.anticone_sizes: list[dict[int, int]] = [{}] * n
-        self.selected_parent: dict[BlockId, BlockId] = {}
 
     # Coloring
 
@@ -190,31 +198,38 @@ class _Engine:
         Returns the virtual block's admitted blues and the selected tip
         (-1 on an empty DAG).
         """
-        ids, low, win = self.ids, self.low, self.win
-        for i, bid in enumerate(ids):
-            parents = self.dag.blocks[bid].parents
+        index, low, win, score = self.index, self.low, self.win, self.score
+        for i, block in enumerate(self.dag.blocks.values()):
+            parents = [index[p] for p in block.parents]
+            lo, w = join_windows(parents, low, win)
+            low.append(lo)
+            win.append(w)
             if not parents:
-                self.score[i] = 1
+                score[i] = 1
+                continue
+            if len(parents) == 1:
+                # a lone parent is the selected one and leaves nothing to merge
+                self.parent[i] = parents[0]
+                score[i] = score[parents[0]] + 1
                 continue
             sp = self._select(parents)
-            admitted, sizes = self._merge(sp, low[i], win[i], k)
+            admitted, sizes = self._merge(sp, lo, w, k)
             self.parent[i] = sp
-            self.selected_parent[bid] = ids[sp]
-            self.score[i] = self.score[sp] + 1 + len(admitted)
+            score[i] = score[sp] + 1 + len(admitted)
             if admitted:
                 self.mergeset_blues[i] = tuple(admitted)
                 self.anticone_sizes[i] = sizes
-        tips = sorted(self.dag.tips)
-        if not tips:
+        if not self.dag.tips:
             return [], -1
-        virtual_low, virtual_win = join_windows([self.index[t] for t in tips], low, win)
+        tips = [index[t] for t in self.dag.tips]
+        virtual_low, virtual_win = join_windows(tips, low, win)
         sp = self._select(tips)
         admitted, _ = self._merge(sp, virtual_low, virtual_win, k)
         return admitted, sp
 
-    def _select(self, parent_ids) -> int:
-        sp = min(parent_ids, key=lambda p: (-self.score[self.index[p]], p))
-        return self.index[sp]
+    def _select(self, parents: list[int]) -> int:
+        score, ids = self.score, self.ids
+        return min(parents, key=lambda p: (-score[p], ids[p]))
 
     def _merge(self, sp: int, low: int, win: int, k: int) -> tuple[list[int], dict[int, int]]:
         """Admit mergeset members in (blue score, id) order while the blue
@@ -234,6 +249,10 @@ class _Engine:
             if deep == -1:
                 break
             deep = self.parent[deep]
+        if deep > base:
+            # insertion order is topological, so no block inserted before
+            # deep has it in its past
+            fresh &= -1 << (deep - base)
         candidates = []
         while fresh:
             bit = fresh & -fresh
@@ -309,12 +328,13 @@ class _Engine:
         its past and itself have been emitted. The virtual block's blues
         follow, then every block left, under the same rule.
         """
-        n = len(self.ids)
+        ids, index, blocks, score = self.ids, self.index, self.dag.blocks, self.score
+        n = len(ids)
         emitted = bytearray(n)
         out: list[int] = []
 
         def sort_key(i: int):
-            return (self.score[i], self.ids[i])
+            return (score[i], ids[i])
 
         def emit(i: int):
             stack = [(i, False)]
@@ -322,19 +342,17 @@ class _Engine:
                 node, expanded = stack.pop()
                 if emitted[node]:
                     continue
-                if expanded:
-                    emitted[node] = 1
-                    out.append(node)
-                    continue
-                stack.append((node, True))
-                pending = [
-                    self.index[p]
-                    for p in self.dag.blocks[self.ids[node]].parents
-                    if not emitted[self.index[p]]
-                ]
-                # pushed in descending key order so the smallest pops first
-                pending.sort(key=sort_key, reverse=True)
-                stack.extend((j, False) for j in pending)
+                if not expanded:
+                    parents = map(index.__getitem__, blocks[ids[node]].parents)
+                    pending = [j for j in parents if not emitted[j]]
+                    if pending:
+                        # pushed in descending key order so the smallest pops first
+                        pending.sort(key=sort_key, reverse=True)
+                        stack.append((node, True))
+                        stack.extend([(j, False) for j in pending])
+                        continue
+                emitted[node] = 1
+                out.append(node)
 
         for ci in chain:
             for x in self.mergeset_blues[ci]:
@@ -344,7 +362,7 @@ class _Engine:
             emit(x)
         for x in sorted((i for i in range(n) if not emitted[i]), key=sort_key):
             emit(x)
-        return [self.ids[i] for i in out]
+        return [ids[i] for i in out]
 
 
 def ghostdag_run(dag: BlockDag, params: GhostdagParams) -> OrderedDag:
@@ -361,7 +379,7 @@ def ghostdag_run(dag: BlockDag, params: GhostdagParams) -> OrderedDag:
         blue=blue,
         red=frozenset(ids) - blue,
         blue_score=dict(zip(ids, engine.score)),
-        selected_parent=engine.selected_parent,
+        selected_parent={ids[i]: ids[sp] for i, sp in enumerate(engine.parent) if sp != -1},
         k=params.k,
     )
     order = engine.order_blocks(chain, virtual_blues)

@@ -175,16 +175,18 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
             node.receive(block)
             events.append(SimEvent(t, idx, "created", block.id))
             created += 1
-            for other in nodes:
-                if other.idx != idx:
-                    heapq.heappush(heap, (t + config.delay_d, next(seq), DELIVER, (other.idx, block)))
+            if config.nodes > 1:
+                # one entry reaches every other node at once, in node order
+                heapq.heappush(heap, (t + config.delay_d, next(seq), DELIVER, (idx, block)))
             nxt = t + rng.expovariate(config.rate_lambda)
             if nxt <= config.duration:
                 heapq.heappush(heap, (nxt, next(seq), CREATE, None))
         else:
-            idx, block = data
-            nodes[idx].receive(block)
-            events.append(SimEvent(t, idx, "received", block.id))
+            creator, block = data
+            for other in nodes:
+                if other.idx != creator:
+                    other.receive(block)
+                    events.append(SimEvent(t, other.idx, "received", block.id))
 
     trace = SimTrace(
         config=config,
@@ -271,24 +273,32 @@ def check_convergence(trace: SimTrace, k: int) -> bool:
     if not trace.completed:
         raise IncompleteTrace("trace does not cover a finished run")
     params = GhostdagParams(k)
-    replayed: list[BlockDag] = []
-    for idx in range(trace.config.nodes):
+    received: dict[int, list[BlockId]] = {idx: [] for idx in range(trace.config.nodes)}
+    for ev in trace.events:
+        if ev.node in received:
+            received[ev.node].append(ev.block)
+    # one replay at a time, each checked against the first node's
+    first_blocks = first_order = None
+    for bids in received.values():
         dag = BlockDag().add(trace.blocks[trace.genesis])
-        for ev in trace.events:
-            if ev.node != idx:
-                continue
-            block = trace.blocks.get(ev.block)
+        for bid in bids:
+            block = trace.blocks.get(bid)
             if block is None:
                 return False
             try:
                 dag.add(block)
             except (MissingParent, DuplicateBlock):
                 return False
-        replayed.append(dag)
-    if len({frozenset(d.blocks) for d in replayed}) != 1:
-        return False
-    orders = {tuple(ghostdag_run(d, params).order) for d in replayed}
-    return len(orders) == 1
+        if first_blocks is None:
+            first_blocks = dag.blocks.keys()
+        elif dag.blocks.keys() != first_blocks:
+            return False
+        order = ghostdag_run(dag, params).order
+        if first_order is None:
+            first_order = order
+        elif order != first_order:
+            return False
+    return True
 
 
 def trace_to_jsonl(trace: SimTrace) -> str:

@@ -93,10 +93,13 @@ def make_chain(n: int) -> tuple[BlockDag, list[bytes]]:
 def stale_side_block_dag(n: int) -> tuple[BlockDag, bytes]:
     """A chain of n blocks past genesis plus one side block off genesis that
     no later block merges, so it stays a tip and outside every later past.
-    Returns the DAG and the side block's id."""
-    dag, ids = make_chain(n + 1)
+    The side block is inserted right after genesis. Returns the DAG and the
+    side block's id."""
+    chain, ids = make_chain(n + 1)
     side = Block.create((ids[0],), (), 0.5, "side")
-    dag.add(side)
+    dag = BlockDag().add(chain.blocks[ids[0]]).add(side)
+    for bid in ids[1:]:
+        dag.add(chain.blocks[bid])
     return dag, side.id
 
 

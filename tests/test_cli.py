@@ -362,6 +362,27 @@ def test_crafted_ehr_header_is_a_runtime_error(small_demo, tmp_path, edit):
         assert "offset 0" in result[2]
 
 
+@pytest.mark.parametrize("layout", ["no-directory", "no-log"])
+def test_missing_ehr_store_is_a_runtime_error(small_demo, tmp_path, layout):
+    # audit and verify only read: a mistyped --store must not create a store
+    # and then report every anchored record as tampered
+    store = tmp_path / "store"
+    if layout == "no-log":
+        store.mkdir()
+    ledger = str(small_demo / "private.ledger")
+    for argv in (
+        ("ehr", "audit", "--store", str(store), "--ledger", ledger),
+        ("ehr", "verify", "--store", str(store), "--ledger", ledger, "--record", "r"),
+    ):
+        result = run_cli_process(*argv)
+        assert_one_error_line(result, 1)
+        assert "Traceback" not in result[2] and str(store / "ehr.log") in result[2]
+        if layout == "no-directory":
+            assert not store.exists()
+        else:
+            assert list(store.iterdir()) == []
+
+
 def test_non_utf8_ledger_is_a_runtime_error(small_demo, tmp_path):
     path = tmp_path / "private.ledger"
     path.write_bytes((small_demo / "private.ledger").read_bytes() + b"\xff")

@@ -142,13 +142,15 @@ def test_past_windows_match_past():
     for seed in range(40):
         rng = random.Random(seed)
         dag, _ = random_dag(rng, rng.randint(1, 30), max_parents=1 + seed % 5)
-        ids, index, low, win = dag.past_windows()
-        assert ids == dag.topological_order()
-        assert index == {bid: i for i, bid in enumerate(ids)}
-        for i, bid in enumerate(ids):
-            assert win[i] & 1 == 0 and win[i].bit_length() <= i - low[i]
-            window = {ids[low[i] + j] for j in range(i - low[i]) if win[i] >> j & 1}
-            assert set(ids[: low[i]]) | window == dag.past(bid), (seed, i)
+        # windows follow insertion order, so a shuffled one must work too
+        for view in (dag, reinsert_shuffled(dag, rng)):
+            ids, index, low, win = view.past_windows()
+            assert ids == list(view.blocks) and view.is_linear_extension(ids)
+            assert index == {bid: i for i, bid in enumerate(ids)}
+            for i, bid in enumerate(ids):
+                assert win[i] & 1 == 0 and win[i].bit_length() <= i - low[i]
+                window = {ids[low[i] + j] for j in range(i - low[i]) if win[i] >> j & 1}
+                assert set(ids[: low[i]]) | window == view.past(bid), (seed, i)
 
 
 def test_past_windows_span_the_dag_when_a_side_block_is_never_merged():

@@ -187,7 +187,7 @@ def test_past_masks_and_max_anticone_match_definitions():
         rng = random.Random(seed)
         dag, _ = random_dag(rng, rng.randint(1, 30))
         ids, index, past = dag.past_masks()
-        assert ids == dag.topological_order()
+        assert ids == list(dag.blocks) and dag.is_linear_extension(ids)
         assert index == {bid: i for i, bid in enumerate(ids)}
         for i, bid in enumerate(ids):
             assert {ids[j] for j in range(len(ids)) if past[i] >> j & 1} == dag.past(bid)
@@ -216,6 +216,29 @@ def test_max_anticone_matches_definition_on_sim_views(rate, k, mode):
                           seed=int(rate) + k, mode=mode))
     dag = node_view(trace, 0)
     assert len(dag) > 150
+    assert _max_anticone(dag) == max(len(dag.anticone(b)) for b in dag.blocks)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_ghostdag_run_is_the_same_on_every_node_view(k):
+    # the nodes receive concurrent blocks in different orders, so their
+    # views hold the same DAG in different insertion orders
+    _, trace = run(config(nodes=4, rate_lambda=20.0, duration=10.0, k=k, seed=5))
+    views = [node_view(trace, idx) for idx in range(4)]
+    assert len({tuple(view.blocks) for view in views}) > 1
+    want = ghostdag_run(views[0], GhostdagParams(k))
+    for view in views[1:]:
+        assert ghostdag_run(view, GhostdagParams(k)) == want
+
+
+def test_consensus_paths_never_sort_the_dag(monkeypatch):
+    def refuse(self):
+        raise AssertionError("topological_order called")
+
+    monkeypatch.setattr(BlockDag, "topological_order", refuse)
+    metrics, trace = run(config(nodes=4, rate_lambda=20.0, duration=10.0, seed=5))
+    assert check_convergence(trace, trace.config.k) and metrics.max_observed_anticone > 0
+    dag = node_view(trace, 1)
     assert _max_anticone(dag) == max(len(dag.anticone(b)) for b in dag.blocks)
 
 
