@@ -75,7 +75,11 @@ class EhrStore:
             self._log = open(os.path.join(directory, LOG_NAME), "a+b")
         self._index: dict[str, int] = {}
         self._count = 0
-        self._rebuild_index()
+        try:
+            self._rebuild_index()
+        except BaseException:
+            self.close()
+            raise
 
     def close(self):
         if self._dir is not None:

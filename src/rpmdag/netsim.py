@@ -7,6 +7,11 @@ are compared: blockdag (every tip becomes a parent, GHOSTDAG orders the
 result) and longest_chain (single parent, first-received tie-breaking,
 off-chain blocks are wasted).
 
+A block's parents, and so its past, are the same in every node's view;
+nodes differ only in which blocks they have received. So a run keeps one
+BlockDag, which takes each block when it is created, and each node keeps
+just the set of ids it has received and its own tips.
+
 Runs are deterministic: identical (config, seed) reproduce the exact
 trace, block ids, and metrics.
 """
@@ -112,24 +117,38 @@ class _SimTx:
 
 @dataclass
 class _NodeState:
+    """One node's view of the run's shared DAG.
+
+    The blocks themselves live once in the run's BlockDag; a node keeps
+    only the ids it has received, the tips among them, and its best tip.
+    """
+
     idx: int
-    view: BlockDag
+    seen: set[BlockId]
+    tips: set[BlockId]
     heights: dict[BlockId, int]  # shared across nodes; height never differs
     best_tip: BlockId
 
     def mining_parents(self, mode: str) -> tuple[BlockId, ...]:
         if mode == MODE_LONGEST_CHAIN:
             return (self.best_tip,)
-        return tuple(sorted(self.view.tips))
+        return tuple(sorted(self.tips))
 
     def receive(self, block: Block):
-        """Add a block whose parents are all in the view already.
+        """Take a block whose parents this node has received already.
 
         With one fixed delay a parent made at t' <= t arrives by t' + d <=
         t + d, and on a time tie its delivery was queued first, so every
-        block reaches a node after its parents.
+        block reaches a node after its parents. No child of it can have
+        arrived before it, so it is a tip.
         """
-        self.view.add(block)
+        if block.id in self.seen:
+            raise DuplicateBlock(f"node {self.idx} already has block {block.short_id()}")
+        if not self.seen.issuperset(block.parents):
+            raise MissingParent(f"node {self.idx} lacks a parent of block {block.short_id()}")
+        self.seen.add(block.id)
+        self.tips.difference_update(block.parents)
+        self.tips.add(block.id)
         if block.id not in self.heights:
             parent_h = max((self.heights[p] for p in block.parents), default=-1)
             self.heights[block.id] = parent_h + 1
@@ -142,13 +161,14 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
     """Simulate until quiescence (duration + delay) and measure."""
     rng = random.Random(config.seed)
     genesis = genesis_block()
+    # creation order is topological: a creator holds every parent it names
+    dag = BlockDag().add(genesis)
     heights = {genesis.id: 0}
     nodes = [
-        _NodeState(i, BlockDag().add(genesis), heights, genesis.id)
+        _NodeState(i, {genesis.id}, {genesis.id}, heights, genesis.id)
         for i in range(config.nodes)
     ]
     events: list[SimEvent] = []
-    blocks: dict[BlockId, Block] = {genesis.id: genesis}
 
     CREATE, DELIVER = 0, 1
     heap: list[tuple[float, int, int, object]] = []
@@ -160,7 +180,6 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
     if first <= config.duration:
         heapq.heappush(heap, (first, next(seq), CREATE, None))
 
-    created = 0
     while heap:
         t, _, kind, data = heapq.heappop(heap)
         if kind == CREATE:
@@ -171,10 +190,9 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
                 for _ in range(config.txs_per_block)
             )
             block = Block.create(node.mining_parents(config.mode), payload, t, f"n{idx}")
-            blocks[block.id] = block
+            dag.add(block)
             node.receive(block)
             events.append(SimEvent(t, idx, "created", block.id))
-            created += 1
             if config.nodes > 1:
                 # one entry reaches every other node at once, in node order
                 heapq.heappush(heap, (t + config.delay_d, next(seq), DELIVER, (idx, block)))
@@ -192,22 +210,28 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
         config=config,
         genesis=genesis.id,
         events=events,
-        blocks=blocks,
-        views={n.idx: frozenset(n.view.blocks) for n in nodes},
+        blocks=dag.blocks,
+        views={n.idx: frozenset(n.seen) for n in nodes},
         completed=True,
     )
-    metrics = _measure(trace, nodes, created)
+    metrics = _measure(trace, dag, nodes)
     return metrics, trace
 
 
-def _measure(trace: SimTrace, nodes: list[_NodeState], created: int) -> SimMetrics:
+def _measure(trace: SimTrace, dag: BlockDag, nodes: list[_NodeState]) -> SimMetrics:
     config = trace.config
-    view = nodes[0].view
+    node = nodes[0]
+    created = len(dag) - 1  # every block but genesis
+    # At quiescence every node has received every block. The anticone
+    # sizes are a property of the DAG, not of the order its blocks were
+    # added in, so the shared DAG measures node 0's view.
+    if len(node.seen) != len(dag):
+        raise IncompleteTrace(f"node 0 holds {len(node.seen)} of the {len(dag)} blocks at quiescence")
     if config.mode == MODE_BLOCKDAG:
-        # GHOSTDAG orders every block of the view; genesis was not created during the run
-        in_order = len(view.blocks) - 1
+        # GHOSTDAG orders every block of the view
+        in_order = created
     else:
-        in_order = nodes[0].heights[nodes[0].best_tip]
+        in_order = node.heights[node.best_tip]
 
     converged = len(set(trace.views.values())) == 1
     if config.mode == MODE_LONGEST_CHAIN:
@@ -218,7 +242,7 @@ def _measure(trace: SimTrace, nodes: list[_NodeState], created: int) -> SimMetri
         blocks_in_order=in_order,
         included_ratio=(in_order / created) if created else 1.0,
         effective_tps=in_order * config.txs_per_block / config.duration,
-        max_observed_anticone=_max_anticone(view),
+        max_observed_anticone=_max_anticone(dag),
         converged=converged,
     )
 
@@ -268,15 +292,18 @@ def check_convergence(trace: SimTrace, k: int) -> bool:
     """Replay the trace per node and verify all views and orders agree.
 
     Works from the event log rather than the recorded views, so a
-    truncated trace (missing deliveries) fails the check.
+    truncated trace (missing deliveries) fails the check, and so does an
+    event for a node the config does not have.
     """
     if not trace.completed:
         raise IncompleteTrace("trace does not cover a finished run")
     params = GhostdagParams(k)
     received: dict[int, list[BlockId]] = {idx: [] for idx in range(trace.config.nodes)}
     for ev in trace.events:
-        if ev.node in received:
-            received[ev.node].append(ev.block)
+        bids = received.get(ev.node)
+        if bids is None:
+            return False
+        bids.append(ev.block)
     # one replay at a time, each checked against the first node's
     first_blocks = first_order = None
     for bids in received.values():

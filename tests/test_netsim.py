@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import pathlib
 import random
 import tracemalloc
 
@@ -9,15 +11,17 @@ import pytest
 
 from helpers import random_dag
 from rpmdag.dag import Block, BlockDag, genesis_block
-from rpmdag.errors import IncompleteTrace, InvalidConfig
+from rpmdag.errors import DuplicateBlock, IncompleteTrace, InvalidConfig, MissingParent
 from rpmdag.ghostdag import GhostdagParams, ghostdag_run
 from rpmdag.netsim import (
     MODE_BLOCKDAG,
     MODE_LONGEST_CHAIN,
     MODES,
     SimConfig,
+    SimEvent,
     SimTrace,
     _max_anticone,
+    _measure,
     _NodeState,
     check_convergence,
     compare_modes,
@@ -287,10 +291,13 @@ def test_blocks_in_order_is_the_ghostdag_order_of_a_blockdag_view(rate, delay, k
     assert metrics.blocks_in_order == len(order) - 1
 
 
-def test_longest_chain_tie_keeps_first_received():
+def fresh_node() -> tuple[_NodeState, Block]:
     g = genesis_block()
-    view = BlockDag().add(g)
-    node = _NodeState(idx=0, view=view, heights={g.id: 0}, best_tip=g.id)
+    return _NodeState(idx=0, seen={g.id}, tips={g.id}, heights={g.id: 0}, best_tip=g.id), g
+
+
+def test_longest_chain_tie_keeps_first_received():
+    node, g = fresh_node()
     first = Block.create((g.id,), (), 1.0, "n1")
     second = Block.create((g.id,), (), 1.0, "n2")
     node.receive(first)
@@ -298,3 +305,108 @@ def test_longest_chain_tie_keeps_first_received():
     assert node.best_tip == first.id
     assert node.mining_parents(MODE_LONGEST_CHAIN) == (first.id,)
     assert node.mining_parents(MODE_BLOCKDAG) == tuple(sorted((first.id, second.id)))
+
+
+def test_receive_refuses_a_duplicate_or_a_block_before_its_parents():
+    node, g = fresh_node()
+    a = Block.create((g.id,), (), 1.0, "n1")
+    b = Block.create((a.id,), (), 2.0, "n1")
+    with pytest.raises(MissingParent):
+        node.receive(b)
+    assert (node.seen, node.tips, node.best_tip) == ({g.id}, {g.id}, g.id)
+    node.receive(a)
+    for again in (g, a):
+        with pytest.raises(DuplicateBlock):
+            node.receive(again)
+    node.receive(b)
+    assert (node.seen, node.tips, node.best_tip) == ({g.id, a.id, b.id}, {b.id}, b.id)
+
+
+def test_run_adds_each_block_to_one_dag_once(monkeypatch):
+    added = []
+    add = BlockDag.add
+
+    def counting_add(self, block):
+        added.append(block.id)
+        return add(self, block)
+
+    monkeypatch.setattr(BlockDag, "add", counting_add)
+    metrics, trace = run(config(nodes=4, rate_lambda=20.0, duration=10.0, seed=5))
+    assert len(added) == metrics.blocks_created + 1
+    assert added == list(trace.blocks)
+
+
+def test_measure_refuses_a_node_that_missed_a_block():
+    node, g = fresh_node()
+    dag = BlockDag().add(g).add(Block.create((g.id,), (), 1.0, "n1"))
+    trace = SimTrace(config=config(nodes=1), genesis=g.id, events=[], blocks=dag.blocks,
+                     views={0: frozenset(node.seen)}, completed=True)
+    with pytest.raises(IncompleteTrace):
+        _measure(trace, dag, [node])
+
+
+@pytest.mark.parametrize(
+    "nodes, rate, delay, mode",
+    [(4, 20.0, 1.0, MODE_BLOCKDAG), (2, 30.0, 0.1, MODE_BLOCKDAG), (7, 5.0, 2.5, MODE_LONGEST_CHAIN)],
+)
+def test_max_observed_anticone_is_the_same_on_every_node_view(nodes, rate, delay, mode):
+    # measured once on the shared DAG, it must hold for each node's own view
+    metrics, trace = run(config(nodes=nodes, rate_lambda=rate, delay_d=delay,
+                                duration=200.0 / rate, mode=mode))
+    for idx in range(nodes):
+        assert _max_anticone(node_view(trace, idx)) == metrics.max_observed_anticone
+
+
+@pytest.mark.parametrize("node", [2, 7, -1])
+def test_event_for_an_unknown_node_fails_convergence(node):
+    _, trace = run(config(nodes=2, duration=40.0, seed=1))
+    assert check_convergence(trace, trace.config.k)
+    for block in (trace.events[-1].block, b"\0" * 32):
+        stray = SimEvent(99.0, node, "received", block)
+        bad = dataclasses.replace(trace, events=trace.events + [stray])
+        assert not check_convergence(bad, trace.config.k), block
+
+
+GRID_GOLDEN = pathlib.Path(__file__).parent / "data" / "netsim_grid.json"
+GRID_DELAYS = (0.0, 0.1, 1.0, 2.5)
+
+
+def grid_config(nodes: int, rate: float, delay: float, mode: str, seed: int) -> SimConfig:
+    return SimConfig(nodes=nodes, rate_lambda=rate, delay_d=delay, duration=200.0 / rate,
+                     k=3, txs_per_block=2, seed=seed, mode=mode)
+
+
+def grid_digest(cfg: SimConfig) -> str:
+    """sha256 prefix over a run's metrics JSON, JSON-lines trace, views and
+    check_convergence verdicts, on the trace and with its last delivery dropped."""
+    metrics, trace = run(cfg)
+    h = hashlib.sha256(json.dumps(metrics.to_json(), sort_keys=True).encode())
+    h.update(trace_to_jsonl(trace).encode())
+    for idx in sorted(trace.views):
+        h.update(b"view %d:" % idx + b"".join(sorted(trace.views[idx])))
+    verdicts = [check_convergence(trace, cfg.k)]
+    received = [ev for ev in trace.events if ev.kind == "received"]
+    if received:
+        truncated = [ev for ev in trace.events if ev is not received[-1]]
+        verdicts.append(check_convergence(dataclasses.replace(trace, events=truncated), cfg.k))
+    h.update(bytes(verdicts))
+    return h.hexdigest()[:16]
+
+
+def grid_key(nodes: int, rate: float, delay: float, mode: str, seed: int) -> str:
+    return f"nodes={nodes} lambda={rate} d={delay} {mode} seed={seed}"
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 4, 7])
+@pytest.mark.parametrize("rate", [0.5, 5.0, 30.0])
+def test_runs_match_the_recorded_grid(nodes, rate):
+    # recorded when every node still kept a full BlockDag of its own
+    golden = json.loads(GRID_GOLDEN.read_text())
+    wrong = []
+    for delay in GRID_DELAYS:
+        for mode in MODES:
+            for seed in (1, 2):
+                key = grid_key(nodes, rate, delay, mode, seed)
+                if grid_digest(grid_config(nodes, rate, delay, mode, seed)) != golden[key]:
+                    wrong.append(key)
+    assert wrong == []
