@@ -487,3 +487,27 @@ def test_sim_run_output_is_byte_identical_to_golden(tmp_path):
     assert code == 0
     assert out == SIM_SEED_5_METRICS
     assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == SIM_SEED_5_TRACE_SHA256
+
+
+# sha256 of the stdout of `ledger inspect` on both ledgers and of `ehr audit`
+# on the state `rpm demo --seed 11 --state-dir DIR` writes with default options.
+DEMO_SEED_11_READ_SHA256 = {
+    ("ledger", "inspect", "--file", "private.ledger"):
+        "fe1fae190e8cfa46ff51099f85aa51048172d7047d32880a4911cc73a4cdbc65",
+    ("ledger", "inspect", "--file", "public.ledger"):
+        "15d98c09ea3809c8f2445d7927a015313442b03f989a218a28f390ad033497f2",
+    ("ehr", "audit", "--store", ".", "--ledger", "private.ledger"):
+        "0cb40f8a94bca0026e8b1cda6dafe005546a3b66b5e7744d7ca5b015e6c3ef23",
+}
+
+
+def test_inspect_and_audit_output_is_byte_identical_to_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli("rpm", "demo", "--seed", "11", "--state-dir", ".")
+    assert code == 0
+    digests = {}
+    for argv in DEMO_SEED_11_READ_SHA256:
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        digests[argv] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == DEMO_SEED_11_READ_SHA256
