@@ -23,7 +23,7 @@ from .errors import (
     FormatError,
     UnknownRecord,
 )
-from .hashing import digest, encode_str
+from .hashing import digest, encode_str, sorted_json
 from .ledger import Ledger, Transaction, TxKind
 
 INTACT = "intact"
@@ -93,7 +93,7 @@ class EhrStore:
             if not header_line:
                 break
             try:
-                header = json.loads(header_line)
+                header = json.loads(header_line.decode("utf-8"))
                 length = header["content_len"]
                 record_id = header["record_id"]
             except (ValueError, KeyError, TypeError) as exc:
@@ -123,15 +123,14 @@ class EhrStore:
             + encode_str(str(self._count))
             + bytes.fromhex(content_hash)
         ).hex()
-        header = json.dumps(
+        header = sorted_json(
             {
                 "record_id": record_id,
                 "patient": patient,
                 "stored_at": now,
                 "content_len": len(content),
                 "content_hash": content_hash,
-            },
-            sort_keys=True,
+            }
         ).encode()
         self._log.seek(0, io.SEEK_END)
         offset = self._log.tell()
@@ -147,7 +146,7 @@ class EhrStore:
         if record_id not in self._index:
             raise UnknownRecord(f"no record {record_id[:12]}")
         self._log.seek(self._index[record_id])
-        header = json.loads(self._log.readline())
+        header = json.loads(self._log.readline().decode("utf-8"))
         content = self._log.read(header["content_len"])
         return EhrRecord(
             record_id=header["record_id"],

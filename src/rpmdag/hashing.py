@@ -3,6 +3,23 @@
 All identifiers in the package are 32-byte sha256 digests of canonical
 serializations, so equal content always yields equal ids regardless of
 process, platform, or insertion order.
+
+Each encoder here has one byte contract:
+
+- canonical_json: UTF-8 bytes of compact JSON (separators "," and ":"),
+  keys sorted, non-ASCII escaped as \\uXXXX, NaN and infinities refused
+  with ValueError. Transaction ids, ledger payload chunks and EHR record
+  content are these bytes.
+- sorted_json: the text json.dumps(obj, sort_keys=True) returns, with
+  the default ", " and ": " separators and NaN written as a bare NaN.
+  EHR log headers, ledger inspect lines and sim trace lines are this.
+- encode_bytes, encode_str, encode_f64: length-prefixed or fixed-width
+  fields that hash inputs are built from.
+
+Each JSON encoder is built once per process and is never changed, so
+every call shares it. Both keep the circular-reference check: a value
+that contains itself raises ValueError and an unserialisable one
+TypeError, as json.dumps does.
 """
 
 from __future__ import annotations
@@ -13,6 +30,9 @@ import struct
 
 DIGEST_ALG = "sha256"
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+_SORTED = json.JSONEncoder(sort_keys=True)
+
 
 def digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
@@ -20,9 +40,12 @@ def digest(data: bytes) -> bytes:
 
 def canonical_json(obj) -> bytes:
     """Compact JSON with sorted keys. Rejects NaN and infinities."""
-    return json.dumps(
-        obj, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode()
+    return _CANONICAL.encode(obj).encode()
+
+
+def sorted_json(obj) -> str:
+    """json.dumps(obj, sort_keys=True), from the shared encoder."""
+    return _SORTED.encode(obj)
 
 
 def encode_bytes(data: bytes) -> bytes:

@@ -32,7 +32,7 @@ from .errors import (
     Unauthorized,
 )
 from .ghostdag import GhostdagParams, ghostdag_run
-from .hashing import DIGEST_ALG, canonical_json, digest
+from .hashing import DIGEST_ALG, canonical_json, digest, sorted_json
 
 EntityId = str
 
@@ -282,6 +282,14 @@ class Ledger:
     def _check_admissible(self, tx: Transaction) -> None:
         """The kind and body rules a transaction must meet on this ledger,
         whether it arrives by submit or from a saved file."""
+        # the tx id does not cover submitted_at, so only this check keeps a
+        # non-number or a NaN (which save would refuse) off the ledger; an
+        # int of any size is finite, and math.isfinite would overflow on it
+        at = tx.submitted_at
+        if isinstance(at, bool) or not (
+            isinstance(at, int) or (isinstance(at, float) and math.isfinite(at))
+        ):
+            raise FormatError(f"transaction field 'submitted_at' must be a finite number, got {at!r}")
         if tx.kind not in self.admissible_kinds():
             raise KindNotAdmissible(
                 f"{tx.kind.value} transactions are not accepted on the {self.visibility} ledger"
@@ -425,7 +433,7 @@ class Ledger:
                 if not chunk:
                     continue
                 try:
-                    obj = json.loads(base64.b64decode(chunk))
+                    obj = json.loads(base64.b64decode(chunk).decode("utf-8"))
                 except (ValueError, json.JSONDecodeError) as exc:
                     raise FormatError(f"line {lineno}: bad payload: {exc}") from None
                 tx = Transaction.from_wire(obj)
@@ -496,13 +504,12 @@ def inspect_jsonl(ledger: Ledger) -> str:
     lines = []
     for entry in ledger.confirmed():
         lines.append(
-            json.dumps(
+            sorted_json(
                 {
                     "position": entry.position,
                     "block": entry.block.hex(),
                     "tx": entry.tx.to_wire(),
-                },
-                sort_keys=True,
+                }
             )
         )
     return "\n".join(lines) + ("\n" if lines else "")

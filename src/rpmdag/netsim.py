@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from .dag import Block, BlockDag, BlockId, genesis_block, join_windows
 from .errors import DuplicateBlock, IncompleteTrace, InvalidConfig, MissingParent
 from .ghostdag import GhostdagParams, ghostdag_run
-from .hashing import digest, encode_str
+from .hashing import digest, encode_str, sorted_json
 
 MODE_BLOCKDAG = "blockdag"
 MODE_LONGEST_CHAIN = "longest_chain"
@@ -206,12 +206,16 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
                     other.receive(block)
                     events.append(SimEvent(t, other.idx, "received", block.id))
 
+    # At quiescence every node has received every block, so the views share
+    # one set. A node only receives blocks of the DAG, so a seen set as
+    # large as the DAG holds all of it.
+    everything = frozenset(dag.blocks)
     trace = SimTrace(
         config=config,
         genesis=genesis.id,
         events=events,
         blocks=dag.blocks,
-        views={n.idx: frozenset(n.seen) for n in nodes},
+        views={n.idx: everything if len(n.seen) == len(dag) else frozenset(n.seen) for n in nodes},
         completed=True,
     )
     metrics = _measure(trace, dag, nodes)
@@ -330,13 +334,8 @@ def check_convergence(trace: SimTrace, k: int) -> bool:
 
 def trace_to_jsonl(trace: SimTrace) -> str:
     """One JSON object per event, in processing order."""
-    import json
-
     lines = [
-        json.dumps(
-            {"time": ev.time, "node": ev.node, "event": ev.kind, "block": ev.block.hex()},
-            sort_keys=True,
-        )
+        sorted_json({"time": ev.time, "node": ev.node, "event": ev.kind, "block": ev.block.hex()})
         for ev in trace.events
     ]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -12,8 +12,11 @@ for the per-block engine in rpmdag.ghostdag.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import io
+import json
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +24,7 @@ from pathlib import Path
 
 from rpmdag.dag import Block, BlockDag, BlockId, genesis_block
 from rpmdag.ghostdag import Coloring, GhostdagParams, OrderedDag
+from rpmdag.hashing import canonical_json
 from rpmdag.ledger import PRIVATE, PUBLIC, Ledger, Transaction, TxKind
 
 
@@ -156,10 +160,18 @@ def run_cli_process(*argv: str, timeout: float = 20):
 
 def crafted_ledger_text(visibility: str, tx: Transaction) -> str:
     """A saved ledger whose one sealed block carries tx. The block goes in
-    by dag.add, so none of submit's checks see the transaction."""
+    by dag.add, so none of submit's checks see the transaction, and its
+    payload chunk is written by json.dumps, which also writes the NaN
+    that save_text refuses."""
     ledger = Ledger(visibility, 3, {"svc"})
-    ledger.dag.add(Block.create([ledger.genesis_id], (tx,), 1.0, "svc"))
-    return ledger.save_text()
+    # the block id binds the tx id, which does not cover submitted_at
+    stand_in = Transaction(tx.kind, tx.body, 0.0, tx.author)
+    ledger.dag.add(Block.create([ledger.genesis_id], (stand_in,), 1.0, "svc"))
+    chunk = json.dumps(tx.to_wire(), sort_keys=True, separators=(",", ":")).encode()
+    return ledger.save_text().replace(
+        base64.b64encode(canonical_json(stand_in.to_wire())).decode(),
+        base64.b64encode(chunk).decode(),
+    )
 
 
 # (case id, ledger visibility, transaction submit refuses, what the error names)
@@ -175,6 +187,12 @@ CRAFTED_LEDGERS = [
     ("access-change-without-grantor", PRIVATE,
      Transaction(TxKind.ACCESS_CHANGE, {"action": "grant", "grant_id": "grant-0001"}, 1.0, "svc"),
      "grantor"),
+    ("submitted-at-string", PRIVATE,
+     Transaction(TxKind.EHR_ANCHOR, {"record_id": "r", "content_hash": "c"}, "x", "svc"),
+     "submitted_at"),
+    ("submitted-at-nan", PRIVATE,
+     Transaction(TxKind.EHR_ANCHOR, {"record_id": "r", "content_hash": "c"}, math.nan, "svc"),
+     "submitted_at"),
 ]
 
 

@@ -339,6 +339,7 @@ EHR_HEADER_EDITS = {
     "no-stored-at": lambda h: _header_line({k: v for k, v in h.items() if k != "stored_at"}),
     "no-content-hash": lambda h: _header_line({k: v for k, v in h.items() if k != "content_hash"}),
     "0xff-in-header": lambda h: _header_line(h).replace(b'"patient"', b'"pat\xffent"'),
+    "bom-before-header": lambda h: b"\xef\xbb\xbf" + _header_line(h),
     "header-not-an-object": lambda h: b"[1, 2]\n",
 }
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import base64
+import json
 import math
 import os
 import random
@@ -146,6 +148,27 @@ def test_alert_bodies_are_scanned_on_any_ledger():
     assert ledger.pool == []
 
 
+@pytest.mark.parametrize("at", [math.nan, math.inf, -math.inf, "1.0", None, True])
+def test_submit_refuses_a_submitted_at_that_is_not_a_finite_number(at):
+    ledger = Ledger(PRIVATE, 3, WRITERS)
+    ledger.submit(anchor_tx(1), "svc")
+    tx = Transaction(TxKind.EHR_ANCHOR, {"record_id": "r", "content_hash": "c"}, at, "svc")
+    with pytest.raises(FormatError, match="submitted_at"):
+        ledger.submit(tx, "svc")
+    assert not ledger.has_tx(tx.id)
+    assert ledger.pool == [anchor_tx(1)]
+
+
+def test_submit_takes_an_int_submitted_at_of_any_size():
+    ledger = Ledger(PRIVATE, 3, WRITERS)
+    for n, at in enumerate((0, 2**1100)):
+        ledger.submit(Transaction(TxKind.EHR_ANCHOR, {"record_id": f"r{n}", "content_hash": "c"},
+                                  at, "svc"), "svc")
+    ledger.seal_block("sealer", 1.0)
+    again = Ledger.load_text(ledger.save_text())
+    assert [e.tx.submitted_at for e in again.confirmed()] == [0, 2**1100]
+
+
 def test_seal_requires_authorized_creator():
     ledger = Ledger(PRIVATE, 3, WRITERS)
     with pytest.raises(Unauthorized):
@@ -275,6 +298,20 @@ def test_persistence_detects_payload_tampering():
             break
     with pytest.raises(FormatError):
         Ledger.load_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-8-sig"])
+def test_payload_chunk_that_is_not_plain_utf8_is_a_format_error(encoding):
+    text = build_ledger().save_text()
+    line = text.splitlines()[2]
+    chunk = line.split(" | ")[1].split(",")[0]
+    raw = base64.b64decode(chunk)
+    recoded = raw.decode("utf-8").encode(encoding)
+    # the same JSON document, which json.loads on bytes would still read
+    assert json.loads(recoded) == json.loads(raw)
+    crafted = text.replace(chunk, base64.b64encode(recoded).decode(), 1)
+    with pytest.raises(FormatError, match="line 3: bad payload"):
+        Ledger.load_text(crafted)
 
 
 def test_persistence_detects_declared_id_mismatch():

@@ -336,6 +336,14 @@ def test_run_adds_each_block_to_one_dag_once(monkeypatch):
     assert added == list(trace.blocks)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_finished_run_shares_one_view_set(mode):
+    _, trace = run(config(nodes=4, rate_lambda=20.0, duration=10.0, seed=5, mode=mode))
+    views = list(trace.views.values())
+    assert len(views) == 4 and all(v is views[0] for v in views)
+    assert views[0] == trace.blocks.keys()
+
+
 def test_measure_refuses_a_node_that_missed_a_block():
     node, g = fresh_node()
     dag = BlockDag().add(g).add(Block.create((g.id,), (), 1.0, "n1"))
