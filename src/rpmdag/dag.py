@@ -7,13 +7,14 @@ the anticone (everything else), and b itself.
 
 BlockDag keeps its blocks in insertion order, and add() refuses a block
 whose parents are not there yet, so that order is always topological:
-every block comes after its whole past. Reachability questions are
-answered from one windowed structure built in that order: each block
-keeps a low-water index below which every block is its ancestor, and a
-bitmask window over the blocks from there up. A window spans the blocks
-still concurrent with the block, so it stays as narrow as the DAG is wide
-rather than growing with its length; only a block that is never merged
-holds every later window open.
+every block comes after its whole past. add() is the one place that
+builds reachability: as it takes a block it records the block's
+insertion index, its parents' indices and its past window, joined from
+the parents' windows by join_windows. A window is a low-water index
+below which every block is an ancestor, and a bitmask over the blocks
+from there up. It spans the blocks still concurrent with the block, so
+it stays as narrow as the DAG is wide rather than growing with its
+length; only a block that is never merged holds every later window open.
 
 BlockDag is a plain value container: reads are safe to share, mutation
 requires exclusive access.
@@ -88,16 +89,32 @@ def genesis_block(creator: NodeId = "genesis", timestamp: float = GENESIS_TIMEST
 
 @dataclass
 class BlockDag:
-    """Append-only block DAG with parent and child indexes.
+    """Append-only block DAG with its reachability kept per block.
 
     `blocks` is in insertion order, and add() takes a block only once its
-    parents are present, so that order is topological.
+    parents are present, so that order is topological. For the i-th block
+    inserted, add() also records:
+
+    - `index[id]`: i;
+    - `parent_index[i]`: its parents' indices, in the order the block
+      lists them;
+    - `low[i]` and `win[i]`: its past as a window (see past_windows).
+
+    Every field is written only by add(), which is why none is a
+    constructor argument; callers read them and must not mutate them. No
+    child index is kept: the few reads that walk down the DAG build one
+    with child_indices().
     """
 
-    blocks: dict[BlockId, Block] = field(default_factory=dict)
-    children: dict[BlockId, set[BlockId]] = field(default_factory=dict)
-    tips: set[BlockId] = field(default_factory=set)
-    genesis: BlockId | None = None
+    blocks: dict[BlockId, Block] = field(default_factory=dict, init=False)
+    tips: set[BlockId] = field(default_factory=set, init=False)
+    genesis: BlockId | None = field(default=None, init=False)
+    index: dict[BlockId, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    parent_index: list[tuple[int, ...]] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+    low: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+    win: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -109,28 +126,36 @@ class BlockDag:
         """Insert a block whose parents are already present.
 
         Orphans are the caller's problem: a missing parent raises rather
-        than being buffered.
+        than being buffered. Every check runs before the first write, so
+        a refused block leaves the DAG as it was.
         """
-        if block.id in self.blocks:
+        index = self.index
+        if block.id in index:
             raise DuplicateBlock(f"block {block.short_id()} already present")
         if not block.parents:
             if self.genesis is not None:
                 raise GenesisConflict("dag already has a genesis block")
+            parents: tuple[int, ...] = ()
         else:
-            missing = [p for p in block.parents if p not in self.blocks]
-            if missing:
-                shown = ",".join(p.hex()[:12] for p in missing)
-                raise MissingParent(f"block {block.short_id()} references unknown parents {shown}")
-            if len(set(block.parents)) != len(block.parents):
+            try:
+                parents = tuple([index[p] for p in block.parents])
+            except KeyError:
+                shown = ",".join(p.hex()[:12] for p in block.parents if p not in index)
+                raise MissingParent(
+                    f"block {block.short_id()} references unknown parents {shown}"
+                ) from None
+            if len(set(parents)) != len(parents):
                 raise FormatError(f"block {block.short_id()} lists a parent twice")
+        lo, w = join_windows(parents, self.low, self.win)
 
+        index[block.id] = len(self.blocks)
         self.blocks[block.id] = block
-        self.children[block.id] = set()
-        for p in block.parents:
-            self.children[p].add(block.id)
-            self.tips.discard(p)
+        self.parent_index.append(parents)
+        self.low.append(lo)
+        self.win.append(w)
+        self.tips.difference_update(block.parents)
         self.tips.add(block.id)
-        if block.is_genesis:
+        if not parents:
             self.genesis = block.id
         return self
 
@@ -159,21 +184,32 @@ class BlockDag:
     def future(self, bid: BlockId) -> set[BlockId]:
         """All strict descendants of bid."""
         self.block(bid)
-        seen: set[BlockId] = set()
-        stack = list(self.children[bid])
+        children = self.child_indices()
+        seen: set[int] = set()
+        stack = list(children[self.index[bid]])
         while stack:
             cur = stack.pop()
             if cur in seen:
                 continue
             seen.add(cur)
-            stack.extend(self.children[cur])
-        return seen
+            stack.extend(children[cur])
+        ids = list(self.blocks)
+        return {ids[i] for i in seen}
 
     def anticone(self, bid: BlockId) -> set[BlockId]:
         """Blocks neither reachable from bid nor reaching it."""
         related = self.past(bid) | self.future(bid)
         related.add(bid)
         return set(self.blocks) - related
+
+    def child_indices(self) -> list[list[int]]:
+        """Each block's children as insertion indices, in insertion order,
+        built from parent_index."""
+        children: list[list[int]] = [[] for _ in self.parent_index]
+        for i, parents in enumerate(self.parent_index):
+            for p in parents:
+                children[p].append(i)
+        return children
 
     def topological_order(self) -> list[BlockId]:
         """Parents-first order, deterministic via sorted tie-breaking.
@@ -182,17 +218,19 @@ class BlockDag:
         arrived in, which is why the text and DOT exports and saved ledgers
         are written in it.
         """
-        indegree = {bid: len(b.parents) for bid, b in self.blocks.items()}
-        ready = sorted(bid for bid, deg in indegree.items() if deg == 0)
+        ids = list(self.blocks)
+        children = self.child_indices()
+        indegree = [len(parents) for parents in self.parent_index]
+        ready = sorted(bid for bid, deg in zip(ids, indegree) if deg == 0)
         out: list[BlockId] = []
         while ready:
             cur = ready.pop(0)
             out.append(cur)
             added = False
-            for child in self.children[cur]:
+            for child in children[self.index[cur]]:
                 indegree[child] -= 1
                 if indegree[child] == 0:
-                    ready.append(child)
+                    ready.append(ids[child])
                     added = True
             if added:
                 ready.sort()
@@ -201,22 +239,15 @@ class BlockDag:
     def past_windows(self) -> tuple[list[BlockId], dict[BlockId, int], list[int], list[int]]:
         """Ids in insertion order, their index, and each block's past as a window.
 
-        Insertion order is topological (add() refuses a block before its
-        parents), so every parent's window is built before its children's.
-        Every index below low[i] is a strict ancestor of ids[i], and bit j
-        of win[i] says whether index low[i] + j is one. Bit 0 is always
-        clear, so low[i] is the first index that is not an ancestor, and a
-        reachability test is `x < low[i] or (win[i] >> (x - low[i])) & 1`.
+        The index and the windows are the ones add() keeps, not copies.
+        Insertion order is topological, so add() joins every parent's
+        window before its children's. Every index below low[i] is a strict
+        ancestor of ids[i], and bit j of win[i] says whether index
+        low[i] + j is one. Bit 0 is always clear, so low[i] is the first
+        index that is not an ancestor, and a reachability test is
+        `x < low[i] or (win[i] >> (x - low[i])) & 1`.
         """
-        ids = list(self.blocks)
-        index = {bid: i for i, bid in enumerate(ids)}
-        low: list[int] = []
-        win: list[int] = []
-        for block in self.blocks.values():
-            lo, w = join_windows([index[p] for p in block.parents], low, win)
-            low.append(lo)
-            win.append(w)
-        return ids, index, low, win
+        return list(self.blocks), self.index, self.low, self.win
 
     def past_masks(self) -> tuple[list[BlockId], dict[BlockId, int], list[int]]:
         """past_windows() expanded to full-width masks: bit j of the i-th

@@ -15,9 +15,10 @@ anticone sizes that merge changed. The k-cluster test walks the
 selected-parent chain down to the candidate's past, so the work per block
 depends on its mergeset and the blocks around it, not on the DAG's size.
 Those questions only concern blocks near the chain, so reachability is
-read from past windows joined by dag.join_windows, which are as wide as
-the DAG and not as long, and memory grows linearly with the number of
-blocks.
+read from the past windows BlockDag.add keeps for every block, which are
+as wide as the DAG and not as long, and memory grows linearly with the
+number of blocks. A run builds no reachability of its own; it joins one
+window only, the virtual block's.
 
 Everything is computed in insertion order, in one pass over the DAG:
 BlockDag.add refuses a block before its parents, so that order is
@@ -31,6 +32,7 @@ are deterministic for a given DAG and k.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .dag import BlockDag, BlockId, join_windows
@@ -171,20 +173,18 @@ class _Engine:
     candidate walks that chain down from the selected parent and stops at
     the first chain block in the candidate's past; a blue block's current
     anticone size is the one recorded nearest on the chain. Blocks are
-    indexed by insertion order, and each block's past window is joined from
-    its parents' in the same pass that colors it (see BlockDag.past_windows):
-    x is an ancestor of c when x < low[c] or bit x - low[c] of win[c] is
-    set. The mergeset is the block's window minus the selected parent's,
-    both rebased to the selected parent's low.
+    indexed by insertion order, and the parent indices and past windows are
+    the ones the DAG keeps (see BlockDag.past_windows), read and never
+    written: x is an ancestor of c when x < low[c] or bit x - low[c] of
+    win[c] is set. The mergeset is the block's window minus the selected
+    parent's, both rebased to the selected parent's low.
     """
 
     def __init__(self, dag: BlockDag):
         self.dag = dag
-        self.ids = list(dag.blocks)
-        self.index = {bid: i for i, bid in enumerate(self.ids)}
+        self.ids, self.index, self.low, self.win = dag.past_windows()
+        self.parent_index = dag.parent_index
         n = len(self.ids)
-        self.low: list[int] = []
-        self.win: list[int] = []
         self.score: list[int] = [0] * n
         self.parent: list[int] = [-1] * n  # selected parent index; -1 at genesis
         self.mergeset_blues: list[tuple[int, ...]] = [()] * n  # admitted only
@@ -198,12 +198,8 @@ class _Engine:
         Returns the virtual block's admitted blues and the selected tip
         (-1 on an empty DAG).
         """
-        index, low, win, score = self.index, self.low, self.win, self.score
-        for i, block in enumerate(self.dag.blocks.values()):
-            parents = [index[p] for p in block.parents]
-            lo, w = join_windows(parents, low, win)
-            low.append(lo)
-            win.append(w)
+        low, win, score = self.low, self.win, self.score
+        for i, parents in enumerate(self.parent_index):
             if not parents:
                 score[i] = 1
                 continue
@@ -213,7 +209,7 @@ class _Engine:
                 score[i] = score[parents[0]] + 1
                 continue
             sp = self._select(parents)
-            admitted, sizes = self._merge(sp, lo, w, k)
+            admitted, sizes = self._merge(sp, low[i], win[i], k)
             self.parent[i] = sp
             score[i] = score[sp] + 1 + len(admitted)
             if admitted:
@@ -221,13 +217,13 @@ class _Engine:
                 self.anticone_sizes[i] = sizes
         if not self.dag.tips:
             return [], -1
-        tips = [index[t] for t in self.dag.tips]
+        tips = [self.index[t] for t in self.dag.tips]
         virtual_low, virtual_win = join_windows(tips, low, win)
         sp = self._select(tips)
         admitted, _ = self._merge(sp, virtual_low, virtual_win, k)
         return admitted, sp
 
-    def _select(self, parents: list[int]) -> int:
+    def _select(self, parents: Sequence[int]) -> int:
         score, ids = self.score, self.ids
         return min(parents, key=lambda p: (-score[p], ids[p]))
 
@@ -328,7 +324,7 @@ class _Engine:
         its past and itself have been emitted. The virtual block's blues
         follow, then every block left, under the same rule.
         """
-        ids, index, blocks, score = self.ids, self.index, self.dag.blocks, self.score
+        ids, parent_index, score = self.ids, self.parent_index, self.score
         n = len(ids)
         emitted = bytearray(n)
         out: list[int] = []
@@ -343,8 +339,7 @@ class _Engine:
                 if emitted[node]:
                     continue
                 if not expanded:
-                    parents = map(index.__getitem__, blocks[ids[node]].parents)
-                    pending = [j for j in parents if not emitted[j]]
+                    pending = [j for j in parent_index[node] if not emitted[j]]
                     if pending:
                         # pushed in descending key order so the smallest pops first
                         pending.sort(key=sort_key, reverse=True)

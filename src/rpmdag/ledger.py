@@ -142,7 +142,10 @@ def validate_alert_body(body) -> None:
             raise PhiLeak(f"alert field {name!r} names a vital kind")
     if not _HEX64.match(body["ehr_record_hash"]):
         raise PhiLeak("ehr_record_hash must be a 64-char hex digest")
-    if not math.isfinite(body["occurred_at"]):
+    # the shape check refused a bool; an int of any size is finite, and
+    # math.isfinite would overflow on one above the float range
+    at = body["occurred_at"]
+    if isinstance(at, float) and not math.isfinite(at):
         raise PhiLeak("occurred_at must be a finite time")
     if body["severity"] not in ALERT_SEVERITIES:
         raise PhiLeak(f"severity must be one of {ALERT_SEVERITIES}")

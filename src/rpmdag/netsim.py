@@ -255,16 +255,16 @@ def _max_anticone(dag: BlockDag) -> int:
     """Largest anticone over the final view, counted from reachability windows.
 
     A block's anticone is every block outside its past, its future and
-    itself. The future windows come from the same join as the past ones,
-    run over children with the indices reversed.
+    itself. The past windows are the ones the DAG keeps; the future windows
+    come from the same join, run over children with the indices reversed.
     """
-    ids, index, low, win = dag.past_windows()
-    n = len(ids)
+    low, win = dag.low, dag.win
+    n = len(low)
     # future windows over the reversed order, where block i sits at n - 1 - i
     future_low: list[int] = []
     future_win: list[int] = []
-    for bid in reversed(ids):
-        lo, w = join_windows([n - 1 - index[c] for c in dag.children[bid]], future_low, future_win)
+    for children in reversed(dag.child_indices()):
+        lo, w = join_windows([n - 1 - c for c in children], future_low, future_win)
         future_low.append(lo)
         future_win.append(w)
     sizes = (

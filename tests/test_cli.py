@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from rpmdag.fixtures import REFERENCE_K3_BLUE, REFERENCE_K3_RED, reference_k3_text
+from rpmdag.ledger import PUBLIC, Transaction, TxKind
 
 from helpers import CRAFTED_LEDGERS, crafted_ledger_text, run_cli, run_cli_process
 
@@ -277,6 +278,16 @@ def test_crafted_ledger_body_is_a_runtime_error(tmp_path, visibility, tx):
         assert code == 1 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_inspect_reads_an_alert_whose_occurred_at_overflows_a_float(tmp_path):
+    path = tmp_path / "crafted.ledger"
+    body = {"patient": "p-01", "rule_id": "r-7", "ehr_record_hash": "ab" * 32,
+            "occurred_at": 2**1100, "severity": "urgent"}
+    path.write_text(crafted_ledger_text(PUBLIC, Transaction(TxKind.ALERT_EVENT, body, 1.0, "svc")))
+    code, out, err = run_cli_process("ledger", "inspect", "--file", str(path))
+    assert (code, err) == (0, "")
+    assert str(2**1100) in out
 
 
 def test_crafted_access_change_is_a_runtime_error_for_acl_check(tmp_path):

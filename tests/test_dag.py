@@ -138,19 +138,53 @@ def test_topological_order_is_linear_extension():
         assert dag.is_linear_extension(order)
 
 
+def assert_windows_match_past(dag: BlockDag, case) -> None:
+    # past() walks parents and never reads the windows
+    ids, index, low, win = dag.past_windows()
+    assert ids == list(dag.blocks) and dag.is_linear_extension(ids)
+    assert index == {bid: i for i, bid in enumerate(ids)}
+    assert dag.parent_index == [tuple(index[p] for p in dag.blocks[bid].parents) for bid in ids]
+    for i, bid in enumerate(ids):
+        assert win[i] & 1 == 0 and win[i].bit_length() <= i - low[i]
+        window = {ids[low[i] + j] for j in range(i - low[i]) if win[i] >> j & 1}
+        assert set(ids[: low[i]]) | window == dag.past(bid), (case, i)
+
+
 def test_past_windows_match_past():
     for seed in range(40):
         rng = random.Random(seed)
         dag, _ = random_dag(rng, rng.randint(1, 30), max_parents=1 + seed % 5)
         # windows follow insertion order, so a shuffled one must work too
         for view in (dag, reinsert_shuffled(dag, rng)):
-            ids, index, low, win = view.past_windows()
-            assert ids == list(view.blocks) and view.is_linear_extension(ids)
-            assert index == {bid: i for i, bid in enumerate(ids)}
-            for i, bid in enumerate(ids):
-                assert win[i] & 1 == 0 and win[i].bit_length() <= i - low[i]
-                window = {ids[low[i] + j] for j in range(i - low[i]) if win[i] >> j & 1}
-                assert set(ids[: low[i]]) | window == view.past(bid), (seed, i)
+            assert_windows_match_past(view, seed)
+
+
+def dag_state(dag: BlockDag):
+    return list(dag.blocks.items()), dag.tips, dag.genesis, dag.past_windows(), dag.parent_index
+
+
+def test_refused_add_changes_nothing():
+    for seed in range(40):
+        rng = random.Random(seed)
+        dag, ids = random_dag(rng, rng.randint(1, 30), max_parents=1 + seed % 4)
+        stranger = Block.create((ids[0],), (), -1.0, "stranger")
+        known = rng.choice(ids)
+        refused = [
+            (DuplicateBlock, dag.blocks[rng.choice(ids)]),
+            (GenesisConflict, genesis_block(creator="other")),
+            (MissingParent, Block.create((known, stranger.id), (), 0.5, "orphan")),
+            (FormatError, Block(id=b"\x01" * 32, parents=(known, known), timestamp=0.5)),
+        ]
+        for error, block in refused:
+            with pytest.raises(error):
+                dag.add(block)
+            rebuilt = BlockDag()
+            for kept in dag.blocks.values():
+                rebuilt.add(kept)
+            assert dag_state(dag) == dag_state(rebuilt), (seed, error)
+        parents = rng.sample(ids, rng.randint(1, min(3, len(ids))))
+        dag.add(Block.create(parents, (), float(len(ids)), "next"))
+        assert_windows_match_past(dag, seed)
 
 
 def test_past_windows_span_the_dag_when_a_side_block_is_never_merged():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import rpmdag.ghostdag
 from helpers import (
     bitmask_ghostdag_run,
     make_chain,
@@ -154,6 +155,50 @@ def test_engine_matches_bitmask_oracle_on_sim_views(rate, delay, duration, ks):
     for k in ks:
         assert_matches_bitmask_oracle(final, k, ("final", k))
         assert_matches_bitmask_oracle(partial, k, ("partial", k))
+
+
+def sim_view(seed: int) -> BlockDag:
+    """Node 1's view of a converged 4-node run, in the order it received
+    its blocks."""
+    _, trace = run(SimConfig(nodes=4, rate_lambda=20.0, delay_d=1.0, duration=20.0, k=3,
+                             seed=seed))
+    dag = BlockDag().add(trace.blocks[trace.genesis])
+    for ev in trace.events:
+        if ev.node == 1:
+            dag.add(trace.blocks[ev.block])
+    return dag
+
+
+def test_run_joins_only_the_virtual_blocks_window(monkeypatch):
+    # BlockDag.add keeps every block's window; a run must not rebuild them
+    calls = []
+    join = rpmdag.ghostdag.join_windows
+
+    def counting_join(parents, low, win):
+        calls.append(sorted(parents))
+        return join(parents, low, win)
+
+    dag = sim_view(5)
+    monkeypatch.setattr(rpmdag.ghostdag, "join_windows", counting_join)
+    ghostdag_run(dag, GhostdagParams(3))
+    assert calls == [sorted(dag.index[t] for t in dag.tips)]
+
+
+def test_run_on_a_dag_grown_after_an_earlier_run():
+    # the ledger's seal, confirmed(), seal pattern: windows added after a
+    # run must serve the next run as a fresh DAG's would
+    full = sim_view(6)
+    blocks = list(full.blocks.values())
+    dag = BlockDag()
+    for step, end in enumerate((1, 2, 40, len(blocks) // 2, len(blocks))):
+        for block in blocks[len(dag):end]:
+            dag.add(block)
+        fresh = BlockDag()
+        for block in blocks[:end]:
+            fresh.add(block)
+        for k in (0, 3):
+            assert ghostdag_run(dag, GhostdagParams(k)) == ghostdag_run(fresh, GhostdagParams(k))
+            assert_matches_bitmask_oracle(dag, k, (step, k))
 
 
 def test_greedy_blue_is_k_cluster():

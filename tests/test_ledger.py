@@ -100,15 +100,29 @@ def test_alert_body_rejects_wrong_shapes():
     with pytest.raises(PhiLeak):
         validate_alert_body(alert_body(occurred_at="noon"))
     with pytest.raises(PhiLeak):
-        validate_alert_body(alert_body(occurred_at=True))
-    with pytest.raises(PhiLeak):
-        validate_alert_body(alert_body(occurred_at=math.inf))
-    with pytest.raises(PhiLeak):
         validate_alert_body(alert_body(severity="panic"))
     with pytest.raises(PhiLeak):
         validate_alert_body(alert_body(ehr_record_hash="abc123"))
     with pytest.raises(PhiLeak):
         validate_alert_body(alert_body(ehr_record_hash=digest(b"x").hex().upper()))
+
+
+@pytest.mark.parametrize("at", [math.nan, math.inf, -math.inf, True])
+def test_alert_body_refuses_an_occurred_at_that_is_not_a_finite_number(at):
+    with pytest.raises(PhiLeak, match="occurred_at"):
+        validate_alert_body(alert_body(occurred_at=at))
+
+
+def test_alert_with_an_int_occurred_at_of_any_size_round_trips():
+    # math.isfinite overflows on an int above the float range
+    ledger = Ledger(PUBLIC, 3, WRITERS)
+    tx = Transaction(TxKind.ALERT_EVENT, alert_body(occurred_at=2**1100), 1.0, "svc")
+    ledger.submit(tx, "svc")
+    ledger.seal_block("sealer", 2.0)
+    text = ledger.save_text()
+    again = Ledger.load_text(text)
+    assert again.save_text() == text
+    assert [e.tx.body["occurred_at"] for e in again.confirmed()] == [2**1100]
 
 
 def test_alert_body_rejects_vital_names_and_loose_tokens():

@@ -247,15 +247,16 @@ def test_consensus_paths_never_sort_the_dag(monkeypatch):
 
 
 def test_reachability_memory_is_linear_in_blocks():
-    # Doubling the blocks should roughly double the peak memory of coloring
-    # and the anticone count. Full-width past masks made it grow about 3.7x.
+    # Doubling the blocks should roughly double the peak memory of building
+    # a view (add() keeps each block's window), coloring it and the
+    # anticone count. Full-width past masks made it grow about 3.7x.
     peaks = []
     for duration in (200.0, 400.0):
         _, trace = run(SimConfig(nodes=2, rate_lambda=20.0, delay_d=1.0, duration=duration,
                                  k=3, seed=3))
-        dag = node_view(trace, 0)
         tracemalloc.start()
         try:
+            dag = node_view(trace, 0)
             ghostdag_run(dag, GhostdagParams(3))
             _max_anticone(dag)
             peaks.append(tracemalloc.get_traced_memory()[1])
