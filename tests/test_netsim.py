@@ -377,6 +377,7 @@ def test_event_for_an_unknown_node_fails_convergence(node):
 
 
 GRID_GOLDEN = pathlib.Path(__file__).parent / "data" / "netsim_grid.json"
+GRID_STRUCTURE_GOLDEN = pathlib.Path(__file__).parent / "data" / "netsim_grid_structure.json"
 GRID_DELAYS = (0.0, 0.1, 1.0, 2.5)
 
 
@@ -385,20 +386,46 @@ def grid_config(nodes: int, rate: float, delay: float, mode: str, seed: int) -> 
                      k=3, txs_per_block=2, seed=seed, mode=mode)
 
 
+def grid_verdicts(trace: SimTrace, k: int) -> bytes:
+    """check_convergence on the trace and with its last delivery dropped."""
+    verdicts = [check_convergence(trace, k)]
+    received = [ev for ev in trace.events if ev.kind == "received"]
+    if received:
+        truncated = [ev for ev in trace.events if ev is not received[-1]]
+        verdicts.append(check_convergence(dataclasses.replace(trace, events=truncated), k))
+    return bytes(verdicts)
+
+
 def grid_digest(cfg: SimConfig) -> str:
     """sha256 prefix over a run's metrics JSON, JSON-lines trace, views and
-    check_convergence verdicts, on the trace and with its last delivery dropped."""
+    grid_verdicts."""
     metrics, trace = run(cfg)
     h = hashlib.sha256(json.dumps(metrics.to_json(), sort_keys=True).encode())
     h.update(trace_to_jsonl(trace).encode())
     for idx in sorted(trace.views):
         h.update(b"view %d:" % idx + b"".join(sorted(trace.views[idx])))
-    verdicts = [check_convergence(trace, cfg.k)]
-    received = [ev for ev in trace.events if ev.kind == "received"]
-    if received:
-        truncated = [ev for ev in trace.events if ev is not received[-1]]
-        verdicts.append(check_convergence(dataclasses.replace(trace, events=truncated), cfg.k))
-    h.update(bytes(verdicts))
+    h.update(grid_verdicts(trace, cfg.k))
+    return h.hexdigest()[:16]
+
+
+def grid_structure_digest(cfg: SimConfig) -> str:
+    """grid_digest without block ids: each block is named by its creation
+    index (genesis 0, then the blocks in `created`-event order). It hashes
+    the metrics JSON, every event, every view, every block's parents and
+    grid_verdicts, so it pins the DAG's shape and timing but not what a
+    block's id binds."""
+    metrics, trace = run(cfg)
+    created = [trace.genesis] + [ev.block for ev in trace.events if ev.kind == "created"]
+    number = {bid: i for i, bid in enumerate(created)}
+    h = hashlib.sha256(json.dumps(metrics.to_json(), sort_keys=True).encode())
+    for ev in trace.events:
+        h.update(json.dumps(["event", ev.time, ev.node, ev.kind, number[ev.block]]).encode())
+    for idx in sorted(trace.views):
+        h.update(json.dumps(["view", idx, sorted(number[b] for b in trace.views[idx])]).encode())
+    for bid in created:
+        parents = sorted(number[p] for p in trace.blocks[bid].parents)
+        h.update(json.dumps(["parents", number[bid], parents]).encode())
+    h.update(grid_verdicts(trace, cfg.k))
     return h.hexdigest()[:16]
 
 
@@ -406,16 +433,28 @@ def grid_key(nodes: int, rate: float, delay: float, mode: str, seed: int) -> str
     return f"nodes={nodes} lambda={rate} d={delay} {mode} seed={seed}"
 
 
-@pytest.mark.parametrize("nodes", [1, 2, 4, 7])
-@pytest.mark.parametrize("rate", [0.5, 5.0, 30.0])
-def test_runs_match_the_recorded_grid(nodes, rate):
-    # recorded when every node still kept a full BlockDag of its own
-    golden = json.loads(GRID_GOLDEN.read_text())
+def grid_mismatches(golden_path: pathlib.Path, digest_of, nodes: int, rate: float) -> list[str]:
+    golden = json.loads(golden_path.read_text())
     wrong = []
     for delay in GRID_DELAYS:
         for mode in MODES:
             for seed in (1, 2):
                 key = grid_key(nodes, rate, delay, mode, seed)
-                if grid_digest(grid_config(nodes, rate, delay, mode, seed)) != golden[key]:
+                if digest_of(grid_config(nodes, rate, delay, mode, seed)) != golden[key]:
                     wrong.append(key)
-    assert wrong == []
+    return wrong
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 4, 7])
+@pytest.mark.parametrize("rate", [0.5, 5.0, 30.0])
+def test_runs_match_the_recorded_grid(nodes, rate):
+    # recorded when every node still kept a full BlockDag of its own
+    assert grid_mismatches(GRID_GOLDEN, grid_digest, nodes, rate) == []
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 4, 7])
+@pytest.mark.parametrize("rate", [0.5, 5.0, 30.0])
+def test_runs_match_the_recorded_structure_grid(nodes, rate):
+    # recorded while blocks still carried filler transactions; the shape,
+    # times, metrics and verdicts must not depend on what a block id binds
+    assert grid_mismatches(GRID_STRUCTURE_GOLDEN, grid_structure_digest, nodes, rate) == []
