@@ -88,6 +88,8 @@ def _token_of(names: dict[str, bytes]) -> dict[bytes, str]:
 
 def cmd_dag_import(args) -> int:
     dag, names = _read_dag(args.file)
+    if dag.genesis is None:
+        raise FormatError(f"{args.file}: declares no blocks")
     genesis = _token_of(names)[dag.genesis]
     print(f"blocks={len(dag.blocks)} tips={len(dag.tips)} genesis={genesis}")
     return 0
@@ -376,7 +378,7 @@ COMMAND_SPECS = (
             Opt("duration", float, default=100.0, help="simulated time"),
             Opt("seed", int, required=True, help="RNG seed"),
             Opt("mode", str, default=MODE_BLOCKDAG, choices=MODES, help="consensus mode"),
-            Opt("txs-per-block", int, default=10, help="filler transactions per block"),
+            Opt("txs-per-block", int, default=10, help="transactions counted per block in effective_tps"),
             Opt("out", str, help="also write metrics JSON here"),
             Opt("trace", str, help="write the event trace as JSON lines"),
         ),
@@ -392,7 +394,7 @@ COMMAND_SPECS = (
             Opt("k", int, default=3, help="anticone bound"),
             Opt("duration", float, default=2000.0, help="simulated time"),
             Opt("seed", int, required=True, help="RNG seed"),
-            Opt("txs-per-block", int, default=10, help="filler transactions per block"),
+            Opt("txs-per-block", int, default=10, help="transactions counted per block in effective_tps"),
             Opt("out", str, help="also write the CSV here"),
         ),
         cmd_sim_sweep,

@@ -22,6 +22,7 @@ requires exclusive access.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass, field
 
@@ -221,19 +222,16 @@ class BlockDag:
         ids = list(self.blocks)
         children = self.child_indices()
         indegree = [len(parents) for parents in self.parent_index]
+        # a min-heap of ready ids (a sorted list is one): the smallest goes first
         ready = sorted(bid for bid, deg in zip(ids, indegree) if deg == 0)
         out: list[BlockId] = []
         while ready:
-            cur = ready.pop(0)
+            cur = heapq.heappop(ready)
             out.append(cur)
-            added = False
             for child in children[self.index[cur]]:
                 indegree[child] -= 1
                 if indegree[child] == 0:
-                    ready.append(ids[child])
-                    added = True
-            if added:
-                ready.sort()
+                    heapq.heappush(ready, ids[child])
         return out
 
     def past_windows(self) -> tuple[list[BlockId], dict[BlockId, int], list[int], list[int]]:

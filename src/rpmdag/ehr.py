@@ -24,7 +24,7 @@ from .errors import (
     UnknownRecord,
 )
 from .hashing import digest, encode_str, sorted_json
-from .ledger import Ledger, Transaction, TxKind
+from .ledger import Ledger, Scope, Transaction, TxKind
 
 INTACT = "intact"
 TAMPERED = "tampered"
@@ -224,8 +224,6 @@ def audit(store: EhrStore, ledger: Ledger) -> list[VerifyResult]:
 
 def read_gated(store: EhrStore, record_id: str, controller, session) -> EhrRecord:
     """Read record content only when the session passes the access check."""
-    from .acl import Scope
-
     record = store.read(record_id)
     if not controller.check_access(session, record.patient, Scope.EHR_READ):
         raise AccessDenied(f"no ehr_read access to {record.patient}")

@@ -7,6 +7,10 @@ are compared: blockdag (every tip becomes a parent, GHOSTDAG orders the
 result) and longest_chain (single parent, first-received tie-breaking,
 off-chain blocks are wasted).
 
+Simulated blocks carry no payload. Consensus orders blocks by DAG
+structure alone, so SimConfig.txs_per_block is just the per-block
+transaction count that effective_tps multiplies by.
+
 A block's parents, and so its past, are the same in every node's view;
 nodes differ only in which blocks they have received. So a run keeps one
 BlockDag, which takes each block when it is created, and each node keeps
@@ -27,7 +31,8 @@ from dataclasses import dataclass, replace
 from .dag import Block, BlockDag, BlockId, genesis_block, join_windows
 from .errors import DuplicateBlock, IncompleteTrace, InvalidConfig, MissingParent
 from .ghostdag import GhostdagParams, ghostdag_run
-from .hashing import digest, encode_str, sorted_json
+# digest is unused here; it stays importable because perfbench's tracer wraps netsim.digest
+from .hashing import digest, sorted_json
 
 MODE_BLOCKDAG = "blockdag"
 MODE_LONGEST_CHAIN = "longest_chain"
@@ -108,13 +113,6 @@ class SweepRow:
     effective_tps: float
 
 
-@dataclass(frozen=True, slots=True)
-class _SimTx:
-    """Synthetic filler transaction; only its id matters to the simulation."""
-
-    id: bytes
-
-
 @dataclass
 class _NodeState:
     """One node's view of the run's shared DAG.
@@ -173,8 +171,6 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
     CREATE, DELIVER = 0, 1
     heap: list[tuple[float, int, int, object]] = []
     seq = itertools.count()
-    tx_seq = itertools.count()
-    tx_prefix = b"simtx" + encode_str(str(config.seed))
 
     first = rng.expovariate(config.rate_lambda)
     if first <= config.duration:
@@ -185,11 +181,7 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
         if kind == CREATE:
             idx = rng.randrange(config.nodes)
             node = nodes[idx]
-            payload = tuple(
-                _SimTx(digest(tx_prefix + encode_str(str(next(tx_seq)))))
-                for _ in range(config.txs_per_block)
-            )
-            block = Block.create(node.mining_parents(config.mode), payload, t, f"n{idx}")
+            block = Block.create(node.mining_parents(config.mode), (), t, f"n{idx}")
             dag.add(block)
             node.receive(block)
             events.append(SimEvent(t, idx, "created", block.id))

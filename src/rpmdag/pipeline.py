@@ -11,6 +11,7 @@ value ever reaches a ledger body.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import random
@@ -19,7 +20,7 @@ from enum import Enum
 
 from .acl import AccessController, ManualClock, Role, Scope, Session
 from .ehr import EhrRecord, EhrStore, anchor
-from .errors import EhrRecordMissing, InvalidParameter, InvalidProfile, UnitMismatch
+from .errors import EhrRecordMissing, FormatError, InvalidParameter, InvalidProfile, UnitMismatch
 from .hashing import canonical_json, digest, encode_str
 from .ledger import (
     ALERT_SEVERITIES,
@@ -410,10 +411,6 @@ class RpmPipeline:
 
 def load_rules_json(text: str) -> list[ThresholdRule]:
     """Parse a JSON array of {rule_id, patient, vital, min, max, severity}."""
-    import json
-
-    from .errors import FormatError
-
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -508,6 +505,8 @@ def run_demo(
     granted provider, and one seal of both ledgers per window."""
     if patients < 1:
         raise InvalidParameter(f"patients must be positive, got {patients}")
+    if readings_per_device < 1:
+        raise InvalidParameter(f"readings_per_device must be positive, got {readings_per_device}")
     if duration <= 0:
         raise InvalidParameter(f"duration must be positive, got {duration}")
     author = RpmPipeline.author

@@ -414,6 +414,23 @@ def test_non_utf8_input_file_is_a_runtime_error(dag_file, tmp_path):
     assert_one_error_line(run_cli("rpm", "demo", "--seed", "1", "--rules", str(rules)), 1)
 
 
+@pytest.mark.parametrize("readings", ["0", "-3"])
+def test_demo_without_readings_is_a_runtime_error(readings):
+    # in a child process, so a traceback would reach its stderr
+    result = run_cli_process("rpm", "demo", "--seed", "1", "--readings-per-device", readings)
+    assert_one_error_line(result, 1)
+    assert "readings_per_device" in result[2]
+
+
+@pytest.mark.parametrize("text", ["", "# no blocks here\n\n   # nor here\n"])
+def test_dag_import_of_a_file_without_blocks_is_a_runtime_error(tmp_path, text):
+    path = tmp_path / "empty.dag"
+    path.write_text(text)
+    result = run_cli_process("dag", "import", "--file", str(path))
+    assert_one_error_line(result, 1)
+    assert "declares no blocks" in result[2]
+
+
 def test_non_utf8_config_file_is_a_usage_error(dag_file, tmp_path):
     config = tmp_path / "bad.conf"
     config.write_bytes(b"k=3\n# \xff\n")
@@ -480,7 +497,7 @@ SIM_SEED_5_METRICS = """{
   "max_observed_anticone": 49
 }
 """
-SIM_SEED_5_TRACE_SHA256 = "8f0ee8e57852ee2e52984a3838e4ddddd1dac6900291ad8a6cc4d645524c0b8f"
+SIM_SEED_5_TRACE_SHA256 = "c0493fe6f6b59632c3eca3a71c3b45410d0ece671898fe08f6ff977f8742591d"
 
 
 @pytest.mark.parametrize("k", sorted(COLOR_GOLDEN))
