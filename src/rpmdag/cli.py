@@ -15,7 +15,7 @@ import json
 import os
 import pathlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .acl import AccessController, ManualClock, Role, Scope, rebuild_grants
 from .dag import export_dag_dot, export_dag_text, parse_dag_text
@@ -144,7 +144,7 @@ def cmd_sim_run(args) -> int:
         mode=args.mode,
     )
     metrics, trace = run(config)
-    _emit(json.dumps(metrics.to_json(), sort_keys=True, indent=2) + "\n", args.out)
+    _emit(json.dumps(asdict(metrics), sort_keys=True, indent=2) + "\n", args.out)
     if args.trace:
         pathlib.Path(args.trace).write_text(trace_to_jsonl(trace))
     return 0
@@ -188,8 +188,6 @@ def cmd_rpm_demo(args) -> int:
     rules = None
     if args.rules:
         rules = load_rules_json(_read_text(args.rules))
-    if args.state_dir:
-        pathlib.Path(args.state_dir).mkdir(parents=True, exist_ok=True)
     result = run_demo(
         seed=args.seed,
         patients=args.patients,

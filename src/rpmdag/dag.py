@@ -99,7 +99,11 @@ class BlockDag:
     - `index[id]`: i;
     - `parent_index[i]`: its parents' indices, in the order the block
       lists them;
-    - `low[i]` and `win[i]`: its past as a window (see past_windows).
+    - `low[i]` and `win[i]`: its past as a window. Every index below
+      low[i] is a strict ancestor of the i-th block, and bit j of win[i]
+      says whether index low[i] + j is one. Bit 0 is always clear, so
+      low[i] is the first index that is not an ancestor, and a
+      reachability test is `x < low[i] or (win[i] >> (x - low[i])) & 1`.
 
     Every field is written only by add(), which is why none is a
     constructor argument; callers read them and must not mutate them. No
@@ -166,9 +170,6 @@ class BlockDag:
         except KeyError:
             raise UnknownBlock(f"no block {bid.hex()[:12]}") from None
 
-    def parents(self, bid: BlockId) -> tuple[BlockId, ...]:
-        return self.block(bid).parents
-
     def past(self, bid: BlockId) -> set[BlockId]:
         """All strict ancestors of bid."""
         self.block(bid)
@@ -234,24 +235,12 @@ class BlockDag:
                     heapq.heappush(ready, ids[child])
         return out
 
-    def past_windows(self) -> tuple[list[BlockId], dict[BlockId, int], list[int], list[int]]:
-        """Ids in insertion order, their index, and each block's past as a window.
-
-        The index and the windows are the ones add() keeps, not copies.
-        Insertion order is topological, so add() joins every parent's
-        window before its children's. Every index below low[i] is a strict
-        ancestor of ids[i], and bit j of win[i] says whether index
-        low[i] + j is one. Bit 0 is always clear, so low[i] is the first
-        index that is not an ancestor, and a reachability test is
-        `x < low[i] or (win[i] >> (x - low[i])) & 1`.
-        """
-        return list(self.blocks), self.index, self.low, self.win
-
     def past_masks(self) -> tuple[list[BlockId], dict[BlockId, int], list[int]]:
-        """past_windows() expanded to full-width masks: bit j of the i-th
-        mask is set when ids[j] is a strict ancestor of ids[i]."""
-        ids, index, low, win = self.past_windows()
-        return ids, index, [((1 << lo) - 1) | (w << lo) for lo, w in zip(low, win)]
+        """Ids in insertion order, their index, and the past windows
+        expanded to full-width masks: bit j of the i-th mask is set when
+        ids[j] is a strict ancestor of ids[i]."""
+        masks = [((1 << lo) - 1) | (w << lo) for lo, w in zip(self.low, self.win)]
+        return list(self.blocks), self.index, masks
 
     def is_linear_extension(self, order) -> bool:
         """True iff order lists every block exactly once, parents first."""

@@ -174,16 +174,17 @@ class _Engine:
     the first chain block in the candidate's past; a blue block's current
     anticone size is the one recorded nearest on the chain. Blocks are
     indexed by insertion order, and the parent indices and past windows are
-    the ones the DAG keeps (see BlockDag.past_windows), read and never
-    written: x is an ancestor of c when x < low[c] or bit x - low[c] of
-    win[c] is set. The mergeset is the block's window minus the selected
-    parent's, both rebased to the selected parent's low.
+    the ones the DAG keeps (see BlockDag), read and never written: x is an
+    ancestor of c when x < low[c] or bit x - low[c] of win[c] is set. The
+    mergeset is the block's window minus the selected parent's, both
+    rebased to the selected parent's low.
     """
 
     def __init__(self, dag: BlockDag):
         self.dag = dag
-        self.ids, self.index, self.low, self.win = dag.past_windows()
-        self.parent_index = dag.parent_index
+        self.ids = list(dag.blocks)
+        self.index, self.parent_index = dag.index, dag.parent_index
+        self.low, self.win = dag.low, dag.win
         n = len(self.ids)
         self.score: list[int] = [0] * n
         self.parent: list[int] = [-1] * n  # selected parent index; -1 at genesis

@@ -495,9 +495,6 @@ class DualLedger:
             raise KindNotAdmissible("alert already recorded on the public ledger")
         return self.private.submit(tx, author)
 
-    def submit_public(self, tx: Transaction, author: EntityId) -> SubmitReceipt:
-        return self.public.submit(tx, author)
-
     def seal_all(self, creator: EntityId, now: float) -> tuple[Block, Block]:
         return self.private.seal_block(creator, now), self.public.seal_block(creator, now)
 

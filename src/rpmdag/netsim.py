@@ -16,16 +16,19 @@ nodes differ only in which blocks they have received. So a run keeps one
 BlockDag, which takes each block when it is created, and each node keeps
 just the set of ids it has received and its own tips.
 
+Every block reaches every other node after the same delay, so deliveries
+fall due in creation order: they wait in a FIFO, and a delivery due at a
+creation time is handled before that creation.
+
 Runs are deterministic: identical (config, seed) reproduce the exact
 trace, block ids, and metrics.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, replace
 
 from .dag import Block, BlockDag, BlockId, genesis_block, join_windows
@@ -51,7 +54,8 @@ class SimConfig:
     mode: str = MODE_BLOCKDAG
 
     def __post_init__(self):
-        if not isinstance(self.nodes, int) or self.nodes < 1:
+        # bool is an int subclass; GhostdagParams refuses it for k the same way
+        if not isinstance(self.nodes, int) or isinstance(self.nodes, bool) or self.nodes < 1:
             raise InvalidConfig(f"nodes must be a positive integer, got {self.nodes!r}")
         if not (self.rate_lambda > 0 and math.isfinite(self.rate_lambda)):
             raise InvalidConfig(f"rate_lambda must be positive and finite, got {self.rate_lambda!r}")
@@ -59,10 +63,11 @@ class SimConfig:
             raise InvalidConfig(f"delay_d must be nonnegative and finite, got {self.delay_d!r}")
         if not (self.duration > 0 and math.isfinite(self.duration)):
             raise InvalidConfig(f"duration must be positive and finite, got {self.duration!r}")
-        if not isinstance(self.k, int) or self.k < 0:
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 0:
             raise InvalidConfig(f"k must be a nonnegative integer, got {self.k!r}")
-        if not isinstance(self.txs_per_block, int) or self.txs_per_block < 0:
-            raise InvalidConfig(f"txs_per_block must be nonnegative, got {self.txs_per_block!r}")
+        txs = self.txs_per_block
+        if not isinstance(txs, int) or isinstance(txs, bool) or txs < 0:
+            raise InvalidConfig(f"txs_per_block must be a nonnegative integer, got {txs!r}")
         if self.mode not in MODES:
             raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -93,16 +98,6 @@ class SimMetrics:
     effective_tps: float
     max_observed_anticone: int
     converged: bool
-
-    def to_json(self) -> dict:
-        return {
-            "blocks_created": self.blocks_created,
-            "blocks_in_order": self.blocks_in_order,
-            "included_ratio": self.included_ratio,
-            "effective_tps": self.effective_tps,
-            "max_observed_anticone": self.max_observed_anticone,
-            "converged": self.converged,
-        }
 
 
 @dataclass(frozen=True)
@@ -135,10 +130,10 @@ class _NodeState:
     def receive(self, block: Block):
         """Take a block whose parents this node has received already.
 
-        With one fixed delay a parent made at t' <= t arrives by t' + d <=
-        t + d, and on a time tie its delivery was queued first, so every
-        block reaches a node after its parents. No child of it can have
-        arrived before it, so it is a tip.
+        Deliveries leave a FIFO in creation order, and a delivery due at a
+        creation time is handled before that creation. A parent is created
+        before its child, so every block reaches a node after its parents.
+        No child of it can have arrived before it, so it is a tip.
         """
         if block.id in self.seen:
             raise DuplicateBlock(f"node {self.idx} already has block {block.short_id()}")
@@ -167,36 +162,30 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
         for i in range(config.nodes)
     ]
     events: list[SimEvent] = []
+    # (due time, creator, block): with one fixed delay, deliveries fall due
+    # in creation order, so a FIFO holds them
+    deliveries: deque[tuple[float, int, Block]] = deque()
 
-    CREATE, DELIVER = 0, 1
-    heap: list[tuple[float, int, int, object]] = []
-    seq = itertools.count()
-
-    first = rng.expovariate(config.rate_lambda)
-    if first <= config.duration:
-        heapq.heappush(heap, (first, next(seq), CREATE, None))
-
-    while heap:
-        t, _, kind, data = heapq.heappop(heap)
-        if kind == CREATE:
-            idx = rng.randrange(config.nodes)
-            node = nodes[idx]
-            block = Block.create(node.mining_parents(config.mode), (), t, f"n{idx}")
-            dag.add(block)
-            node.receive(block)
-            events.append(SimEvent(t, idx, "created", block.id))
-            if config.nodes > 1:
-                # one entry reaches every other node at once, in node order
-                heapq.heappush(heap, (t + config.delay_d, next(seq), DELIVER, (idx, block)))
-            nxt = t + rng.expovariate(config.rate_lambda)
-            if nxt <= config.duration:
-                heapq.heappush(heap, (nxt, next(seq), CREATE, None))
-        else:
-            creator, block = data
+    t = rng.expovariate(config.rate_lambda)
+    while t <= config.duration or deliveries:
+        if deliveries and (t > config.duration or deliveries[0][0] <= t):
+            # a delivery due by the next creation time, a tie included, goes first
+            due, creator, block = deliveries.popleft()
             for other in nodes:
                 if other.idx != creator:
                     other.receive(block)
-                    events.append(SimEvent(t, other.idx, "received", block.id))
+                    events.append(SimEvent(due, other.idx, "received", block.id))
+            continue
+        idx = rng.randrange(config.nodes)
+        node = nodes[idx]
+        block = Block.create(node.mining_parents(config.mode), (), t, f"n{idx}")
+        dag.add(block)
+        node.receive(block)
+        events.append(SimEvent(t, idx, "created", block.id))
+        if config.nodes > 1:
+            # one entry reaches every other node at once, in node order
+            deliveries.append((t + config.delay_d, idx, block))
+        t += rng.expovariate(config.rate_lambda)
 
     # At quiescence every node has received every block, so the views share
     # one set. A node only receives blocks of the DAG, so a seen set as

@@ -396,7 +396,7 @@ class RpmPipeline:
             author=self.author,
         )
         if not self.dual.public.has_tx(tx.id):
-            self.dual.submit_public(tx, self.author)
+            self.dual.public.submit(tx, self.author)
             self.alerts.append(event)
             log.info("alert %s for %s (%s)", event.event_id[:12], event.patient, event.severity)
         for sub in self.subscribers:
@@ -507,8 +507,13 @@ def run_demo(
         raise InvalidParameter(f"patients must be positive, got {patients}")
     if readings_per_device < 1:
         raise InvalidParameter(f"readings_per_device must be positive, got {readings_per_device}")
-    if duration <= 0:
-        raise InvalidParameter(f"duration must be positive, got {duration}")
+    if not (duration > 0 and math.isfinite(duration)):
+        raise InvalidParameter(f"duration must be positive and finite, got {duration}")
+    # every input is checked before the store opens, which creates state_dir
+    profiles = {
+        vital: DeviceProfile(base.mean, base.stddev, anomaly_probability, base.low, base.high)
+        for vital, base in DEMO_PROFILES.items()
+    }
     author = RpmPipeline.author
     sealer = "sealer-1"
     dual = DualLedger.create(
@@ -551,10 +556,7 @@ def run_demo(
     interval = duration / readings_per_device
     all_readings: list[VitalReading] = []
     for p_index, pid in enumerate(patient_ids):
-        for v_index, (vital, base) in enumerate(DEMO_PROFILES.items()):
-            profile = DeviceProfile(
-                base.mean, base.stddev, anomaly_probability, base.low, base.high
-            )
+        for v_index, (vital, profile) in enumerate(profiles.items()):
             stream_seed = (seed * 1000003 + p_index * 101 + v_index) & 0xFFFFFFFF
             all_readings.extend(
                 simulate_device(

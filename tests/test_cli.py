@@ -422,6 +422,19 @@ def test_demo_without_readings_is_a_runtime_error(readings):
     assert "readings_per_device" in result[2]
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("--duration", "nan", "duration"),
+    ("--duration", "inf", "duration"),
+    ("--anomaly-probability", "2", "anomaly_probability"),
+])
+def test_bad_demo_input_is_refused_before_anything_is_written(tmp_path, flag, value, name):
+    state = tmp_path / "state"
+    result = run_cli("rpm", "demo", "--seed", "1", flag, value, "--state-dir", str(state))
+    assert_one_error_line(result, 1)
+    assert name in result[2]
+    assert not state.exists()
+
+
 @pytest.mark.parametrize("text", ["", "# no blocks here\n\n   # nor here\n"])
 def test_dag_import_of_a_file_without_blocks_is_a_runtime_error(tmp_path, text):
     path = tmp_path / "empty.dag"

@@ -140,8 +140,8 @@ def test_topological_order_is_linear_extension():
 
 def assert_windows_match_past(dag: BlockDag, case) -> None:
     # past() walks parents and never reads the windows
-    ids, index, low, win = dag.past_windows()
-    assert ids == list(dag.blocks) and dag.is_linear_extension(ids)
+    ids, index, low, win = list(dag.blocks), dag.index, dag.low, dag.win
+    assert dag.is_linear_extension(ids)
     assert index == {bid: i for i, bid in enumerate(ids)}
     assert dag.parent_index == [tuple(index[p] for p in dag.blocks[bid].parents) for bid in ids]
     for i, bid in enumerate(ids):
@@ -160,7 +160,7 @@ def test_past_windows_match_past():
 
 
 def dag_state(dag: BlockDag):
-    return list(dag.blocks.items()), dag.tips, dag.genesis, dag.past_windows(), dag.parent_index
+    return list(dag.blocks.items()), dag.tips, dag.genesis, dag.index, dag.low, dag.win, dag.parent_index
 
 
 def test_refused_add_changes_nothing():
@@ -189,7 +189,7 @@ def test_refused_add_changes_nothing():
 
 def test_past_windows_span_the_dag_when_a_side_block_is_never_merged():
     dag, side = stale_side_block_dag(40)
-    ids, index, low, win = dag.past_windows()
+    ids, index, low, win = list(dag.blocks), dag.index, dag.low, dag.win
     s = index[side]
     for i, bid in enumerate(ids):
         if bid == side:
@@ -239,7 +239,7 @@ def test_parse_reference_fixture(reference_dag):
     assert len(dag.blocks) == 11
     assert dag.genesis == names["A"]
     assert dag.tips == {names[t] for t in ("H", "I", "J", "K")}
-    assert dag.parents(names["F"]) == (names["B"], names["C"])
+    assert dag.blocks[names["F"]].parents == (names["B"], names["C"])
 
 
 def test_text_round_trip(reference_dag):

@@ -543,7 +543,7 @@ def test_anchor_index_matches_a_scan_live_and_reloaded():
 def test_dual_ledger_routes_and_guards():
     dual = DualLedger.create(3, private_writers=WRITERS, public_writers=WRITERS)
     alert = Transaction(TxKind.ALERT_EVENT, alert_body(), 1.0, "svc")
-    dual.submit_public(alert, "svc")
+    dual.public.submit(alert, "svc")
     # the same alert may not also land on the private side
     with pytest.raises(KindNotAdmissible):
         dual.submit_private(alert, "svc")

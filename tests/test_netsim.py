@@ -6,11 +6,13 @@ import json
 import pathlib
 import random
 import tracemalloc
+import types
 
 import pytest
 
 from helpers import random_dag
 from rpmdag import dag as dag_module
+from rpmdag import netsim
 from rpmdag.dag import Block, BlockDag, genesis_block
 from rpmdag.errors import DuplicateBlock, IncompleteTrace, InvalidConfig, MissingParent
 from rpmdag.ghostdag import GhostdagParams, ghostdag_run
@@ -44,6 +46,7 @@ def test_config_validation():
     for bad in (
         dict(nodes=0),
         dict(nodes=1.5),
+        dict(nodes=True),
         dict(rate_lambda=0.0),
         dict(rate_lambda=-1.0),
         dict(rate_lambda=float("inf")),
@@ -55,11 +58,36 @@ def test_config_validation():
         dict(duration=float("inf")),
         dict(duration=float("nan")),
         dict(k=-1),
+        dict(k=True),
+        dict(k=False),
         dict(txs_per_block=-2),
+        dict(txs_per_block=True),
         dict(mode="chain"),
     ):
         with pytest.raises(InvalidConfig):
             config(**bad)
+
+
+class _EveryGapIsOne(random.Random):
+    """Every gap between block creations is 1.0."""
+
+    def expovariate(self, lambd):
+        return 1.0
+
+
+def test_a_delivery_due_at_a_creation_time_goes_first(monkeypatch):
+    # with delay_d 1.0 every delivery falls due exactly at the next creation
+    monkeypatch.setattr(netsim, "random", types.SimpleNamespace(Random=_EveryGapIsOne))
+    metrics, trace = run(config(nodes=2, delay_d=1.0, duration=10.0))
+    created = [ev for ev in trace.events if ev.kind == "created"]
+    assert [ev.time for ev in created] == [float(t) for t in range(1, 11)]
+    assert any(a.node != b.node for a, b in zip(created, created[1:]))
+    # so every creator holds the block made just before, and the DAG is a chain
+    previous = trace.genesis
+    for ev in created:
+        assert trace.blocks[ev.block].parents == (previous,)
+        previous = ev.block
+    assert metrics.max_observed_anticone == 0
 
 
 def test_determinism_bit_identical():
@@ -144,7 +172,7 @@ def test_blocks_carry_no_payload_and_hash_once(monkeypatch, mode):
 
 def test_metrics_json_shape():
     metrics, _ = run(config(duration=30.0))
-    payload = metrics.to_json()
+    payload = dataclasses.asdict(metrics)
     assert list(payload) == [
         "blocks_created", "blocks_in_order", "included_ratio",
         "effective_tps", "max_observed_anticone", "converged",
@@ -421,7 +449,7 @@ def grid_digest(cfg: SimConfig) -> str:
     """sha256 prefix over a run's metrics JSON, JSON-lines trace, views and
     grid_verdicts."""
     metrics, trace = run(cfg)
-    h = hashlib.sha256(json.dumps(metrics.to_json(), sort_keys=True).encode())
+    h = hashlib.sha256(json.dumps(dataclasses.asdict(metrics), sort_keys=True).encode())
     h.update(trace_to_jsonl(trace).encode())
     for idx in sorted(trace.views):
         h.update(b"view %d:" % idx + b"".join(sorted(trace.views[idx])))
@@ -438,7 +466,7 @@ def grid_structure_digest(cfg: SimConfig) -> str:
     metrics, trace = run(cfg)
     created = [trace.genesis] + [ev.block for ev in trace.events if ev.kind == "created"]
     number = {bid: i for i, bid in enumerate(created)}
-    h = hashlib.sha256(json.dumps(metrics.to_json(), sort_keys=True).encode())
+    h = hashlib.sha256(json.dumps(dataclasses.asdict(metrics), sort_keys=True).encode())
     for ev in trace.events:
         h.update(json.dumps(["event", ev.time, ev.node, ev.kind, number[ev.block]]).encode())
     for idx in sorted(trace.views):
