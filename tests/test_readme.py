@@ -23,13 +23,9 @@ def test_readme_library_example_runs():
     assert lines[1].startswith("{") and "readings" in lines[1]
 
 
-def _fenced_blocks(text: str) -> list[tuple[str, str]]:
-    """(language, body) of every fenced block, in order."""
-    return re.findall(r"^```(\w*)\n(.*?)^```$", text, re.M | re.S)
-
-
 def test_readme_cli_lines_run(tmp_path, monkeypatch):
-    blocks = _fenced_blocks(README.read_text())
+    # (language, body) of every fenced block, in order
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", README.read_text(), re.M | re.S)
     # the DAG text example is the first block with no language
     (tmp_path / "graph.dag").write_text(next(body for lang, body in blocks if not lang))
     monkeypatch.chdir(tmp_path)
