@@ -20,19 +20,25 @@ as wide as the DAG and not as long, and memory grows linearly with the
 number of blocks. A run builds no reachability of its own; it joins one
 window only, the virtual block's.
 
+A mergeset member can only be admitted when the chain block k steps below
+the selected parent is in its past. That filter empties most mergesets,
+and a block whose filtered mergeset is empty costs one score update: it
+allocates nothing and never enters the k-cluster test.
+
 Everything is computed in insertion order, in one pass over the DAG:
 BlockDag.add refuses a block before its parents, so that order is
 topological and a block's parents and its whole past come before it.
 
 The global coloring is the view of a virtual block whose parents are the
-current tips. All tie-breaking is lexicographic on block ids, so results
-are deterministic for a given DAG and k.
+current tips; it runs through the same loop, one turn after the last
+block. All tie-breaking is lexicographic on block ids, so results are
+deterministic for a given DAG and k.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .dag import BlockDag, BlockId, join_windows
@@ -178,6 +184,13 @@ class _Engine:
     ancestor of c when x < low[c] or bit x - low[c] of win[c] is set. The
     mergeset is the block's window minus the selected parent's, both
     rebased to the selected parent's low.
+
+    greedy picks the selected parent and filters the mergeset inline, and
+    calls _merge only for the members the k-deep filter leaves. A block
+    whose filtered mergeset is empty costs one score update. The virtual
+    block is index len(ids), the last turn of the same loop, with the tips
+    as its parents and their joined window as its past; the per-block
+    lists hold one entry for it.
     """
 
     def __init__(self, dag: BlockDag):
@@ -185,7 +198,7 @@ class _Engine:
         self.ids = list(dag.blocks)
         self.index, self.parent_index = dag.index, dag.parent_index
         self.low, self.win = dag.low, dag.win
-        n = len(self.ids)
+        n = len(self.ids) + 1  # the virtual block is the last
         self.score: list[int] = [0] * n
         self.parent: list[int] = [-1] * n  # selected parent index; -1 at genesis
         self.mergeset_blues: list[tuple[int, ...]] = [()] * n  # admitted only
@@ -193,70 +206,66 @@ class _Engine:
 
     # Coloring
 
-    def greedy(self, k: int) -> tuple[list[int], int]:
+    def greedy(self, k: int) -> tuple[tuple[int, ...], int]:
         """Color every block, then the virtual block over the current tips.
 
-        Returns the virtual block's admitted blues and the selected tip
-        (-1 on an empty DAG).
+        Returns the virtual block's admitted blues and its selected parent,
+        the selected tip (-1 on an empty DAG).
         """
-        low, win, score = self.low, self.win, self.score
-        for i, parents in enumerate(self.parent_index):
+        low, win, score, parent, ids = self.low, self.win, self.score, self.parent, self.ids
+        tips = [self.index[t] for t in self.dag.tips]
+        virtual = (tips, *join_windows(tips, low, win))
+        blocks = itertools.chain(zip(self.parent_index, low, win), [virtual])
+        candidates: list[int] = []  # one list, refilled for every merge
+        for i, (parents, lo, w) in enumerate(blocks):
             if not parents:
                 score[i] = 1
                 continue
-            if len(parents) == 1:
-                # a lone parent is the selected one and leaves nothing to merge
-                self.parent[i] = parents[0]
-                score[i] = score[parents[0]] + 1
-                continue
-            sp = self._select(parents)
-            admitted, sizes = self._merge(sp, low[i], win[i], k)
-            self.parent[i] = sp
-            score[i] = score[sp] + 1 + len(admitted)
-            if admitted:
-                self.mergeset_blues[i] = tuple(admitted)
-                self.anticone_sizes[i] = sizes
-        if not self.dag.tips:
-            return [], -1
-        tips = [self.index[t] for t in self.dag.tips]
-        virtual_low, virtual_win = join_windows(tips, low, win)
-        sp = self._select(tips)
-        admitted, _ = self._merge(sp, virtual_low, virtual_win, k)
-        return admitted, sp
+            # a lone parent is the selected one and leaves nothing to merge
+            sp = parents[0]
+            if len(parents) > 1:
+                for p in parents:  # highest blue score, ties to the smaller id
+                    if score[p] > score[sp] or (score[p] == score[sp] and ids[p] < ids[sp]):
+                        sp = p
+                # the mergeset: i's past minus sp's past and sp, rebased to
+                # sp's low (sp's past lies inside i's, so lo >= base)
+                base = low[sp]
+                shift = lo - base
+                fresh = ((w << shift) | ((1 << shift) - 1)) & ~(win[sp] | (1 << (sp - base)))
+                # A candidate whose past misses the chain block k steps
+                # below sp misses the k+1 chain blocks from sp down to there
+                # as well, which are blue blocks in its anticone, so it
+                # cannot be admitted.
+                deep = sp
+                for _ in range(k):
+                    if deep == -1:
+                        break
+                    deep = parent[deep]
+                if deep > base:
+                    # insertion order is topological, so no block inserted
+                    # before deep has it in its past
+                    fresh &= -1 << (deep - base)
+                while fresh:
+                    bit = fresh & -fresh
+                    fresh ^= bit
+                    c = base + bit.bit_length() - 1
+                    if deep == -1 or deep < low[c] or (win[c] >> (deep - low[c])) & 1:
+                        candidates.append(c)
+            parent[i] = sp
+            score[i] = score[sp] + 1
+            if candidates:
+                admitted, sizes = self._merge(sp, candidates, k)
+                candidates.clear()
+                if admitted:
+                    score[i] += len(admitted)
+                    self.mergeset_blues[i] = tuple(admitted)
+                    self.anticone_sizes[i] = sizes
+        return self.mergeset_blues[-1], parent[-1]
 
-    def _select(self, parents: Sequence[int]) -> int:
-        score, ids = self.score, self.ids
-        return min(parents, key=lambda p: (-score[p], ids[p]))
-
-    def _merge(self, sp: int, low: int, win: int, k: int) -> tuple[list[int], dict[int, int]]:
-        """Admit mergeset members in (blue score, id) order while the blue
-        set stays a k-cluster. The merging block's past is the window
-        (low, win). Returns the admitted blocks and the anticone sizes this
-        merge changed."""
-        # sp's past lies inside the merging block's, so low >= base
-        base = self.low[sp]
-        shift = low - base
-        past = (win << shift) | ((1 << shift) - 1)
-        fresh = past & ~(self.win[sp] | (1 << (sp - base)))
-        # A candidate whose past misses the chain block k steps below sp
-        # misses the k+1 chain blocks from sp down to there as well, which
-        # are blue blocks in its anticone, so it cannot be admitted.
-        deep = sp
-        for _ in range(k):
-            if deep == -1:
-                break
-            deep = self.parent[deep]
-        if deep > base:
-            # insertion order is topological, so no block inserted before
-            # deep has it in its past
-            fresh &= -1 << (deep - base)
-        candidates = []
-        while fresh:
-            bit = fresh & -fresh
-            fresh ^= bit
-            c = base + bit.bit_length() - 1
-            if deep == -1 or deep < self.low[c] or (self.win[c] >> (deep - self.low[c])) & 1:
-                candidates.append(c)
+    def _merge(self, sp: int, candidates: list[int], k: int) -> tuple[list[int], dict[int, int]]:
+        """Admit candidates in (blue score, id) order while the blue set
+        stays a k-cluster; sorts candidates in place. Returns the admitted
+        blocks and the anticone sizes this merge changed."""
         candidates.sort(key=lambda c: (self.score[c], self.ids[c]))
         admitted: list[int] = []
         sizes: dict[int, int] = {}
@@ -334,19 +343,26 @@ class _Engine:
             return (score[i], ids[i])
 
         def emit(i: int):
-            stack = [(i, False)]
+            if emitted[i]:
+                return
+            # ~node marks a node whose parents are pushed above it
+            stack = [i]
             while stack:
-                node, expanded = stack.pop()
-                if emitted[node]:
-                    continue
-                if not expanded:
+                node = stack.pop()
+                if node >= 0:
+                    if emitted[node]:
+                        continue
                     pending = [j for j in parent_index[node] if not emitted[j]]
                     if pending:
-                        # pushed in descending key order so the smallest pops first
-                        pending.sort(key=sort_key, reverse=True)
-                        stack.append((node, True))
-                        stack.extend([(j, False) for j in pending])
+                        if len(pending) > 1:
+                            # pushed in descending key order so the smallest pops first
+                            pending.sort(key=sort_key, reverse=True)
+                        stack.append(~node)
+                        stack += pending
                         continue
+                else:
+                    # every block pushed above it has been emitted, its parents too
+                    node = ~node
                 emitted[node] = 1
                 out.append(node)
 
@@ -375,7 +391,7 @@ def ghostdag_run(dag: BlockDag, params: GhostdagParams) -> OrderedDag:
         blue=blue,
         red=frozenset(ids) - blue,
         blue_score=dict(zip(ids, engine.score)),
-        selected_parent={ids[i]: ids[sp] for i, sp in enumerate(engine.parent) if sp != -1},
+        selected_parent={bid: ids[sp] for bid, sp in zip(ids, engine.parent) if sp != -1},
         k=params.k,
     )
     order = engine.order_blocks(chain, virtual_blues)

@@ -185,9 +185,10 @@ class DeviceProfile:
     high: float
 
     def __post_init__(self):
-        values = (self.mean, self.stddev, self.anomaly_probability, self.low, self.high)
-        if not all(math.isfinite(v) for v in values):
-            raise InvalidProfile("profile fields must be finite")
+        for name in ("mean", "stddev", "anomaly_probability", "low", "high"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidProfile(f"{name} must be finite, got {value}")
         if self.stddev <= 0:
             raise InvalidProfile(f"stddev must be positive, got {self.stddev}")
         if not 0.0 <= self.anomaly_probability <= 1.0:

@@ -426,6 +426,8 @@ def test_demo_without_readings_is_a_runtime_error(readings):
     ("--duration", "nan", "duration"),
     ("--duration", "inf", "duration"),
     ("--anomaly-probability", "2", "anomaly_probability"),
+    ("--anomaly-probability", "nan", "anomaly_probability"),
+    ("--anomaly-probability", "inf", "anomaly_probability"),
 ])
 def test_bad_demo_input_is_refused_before_anything_is_written(tmp_path, flag, value, name):
     state = tmp_path / "state"

@@ -136,10 +136,11 @@ def test_engine_matches_bitmask_oracle_when_a_side_block_is_never_merged():
 @pytest.mark.parametrize(
     "rate, delay, duration, ks",
     [(20.0, 1.0, 100.0, (0, 3, 10)), (5.0, 1.0, 400.0, (3,)), (20.0, 2.0, 100.0, (3,)),
-     (5.0, 2.0, 400.0, (3,))],
+     (5.0, 2.0, 400.0, (3,)), (40.0, 1.0, 50.0, (0, 1, 3))],
 )
 def test_engine_matches_bitmask_oracle_on_sim_views(rate, delay, duration, ks):
-    # a converged final view, and a node's view halfway, with tips in flight
+    # a converged final view, and a node's view halfway, with tips in flight;
+    # at rate 40 the k-deep filter empties most mergesets
     config = SimConfig(nodes=4, rate_lambda=rate, delay_d=delay, duration=duration, k=ks[0],
                        seed=int(rate * 10 + delay))
     _, trace = run(config)

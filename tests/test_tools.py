@@ -1,0 +1,51 @@
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COUNTER = ROOT / "tools" / "count_code_lines.py"
+
+
+def count(package: Path) -> tuple[int, list[tuple[int, str]]]:
+    """Run the counter on package; returns (exit code, (count, name) rows)."""
+    proc = subprocess.run([sys.executable, str(COUNTER), str(package)],
+                          capture_output=True, text=True, timeout=60)
+    rows = [(int(n), name) for n, name in (line.split() for line in proc.stdout.splitlines())]
+    return proc.returncode, rows
+
+
+def test_counter_lists_every_module_and_their_sum():
+    package = ROOT / "src" / "rpmdag"
+    code, rows = count(package)
+    assert code == 0
+    *modules, (total, label) = rows
+    assert [name for _, name in modules] == sorted(p.name for p in package.glob("*.py"))
+    assert all(n > 0 for n, _ in modules)
+    assert label == "total"
+    assert total == sum(n for n, _ in modules)
+
+
+def test_counter_skips_docstrings_comments_and_blank_lines(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '"""Module docstring,\n'
+        'two lines long."""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # a trailing comment counts as its line\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        "    '''Function docstring.'''\n"
+        "    'a lone string statement'\n"
+        "    return (x +\n"
+        "            1)\n"
+    )
+    (tmp_path / "b.py").write_text('"""Only a docstring."""\n# and a comment\n\n')
+    (tmp_path / "c.py").write_text('TEXT = """one\ntwo\nthree"""\n')
+    code, rows = count(tmp_path)
+    assert code == 0
+    # a: import, def, and the two lines of the return; c: the three lines
+    # of the assigned string
+    assert rows == [(4, "a.py"), (0, "b.py"), (3, "c.py"), (7, "total")]
