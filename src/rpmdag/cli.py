@@ -22,8 +22,8 @@ from .dag import export_dag_dot, export_dag_text, parse_dag_text
 from .ehr import INTACT, LOG_NAME, TAMPERED, EhrStore, audit, verify
 from .errors import FormatError, RpmdagError, UnknownEntity, UnknownGrant
 from .ghostdag import GhostdagParams, ghostdag_run, k_for_network, max_k_cluster
-from .ledger import PRIVATE, Ledger, inspect_jsonl
-from .netsim import MODE_BLOCKDAG, MODES, SimConfig, compare_modes, run, trace_to_jsonl
+from .ledger import PRIVATE, Ledger, inspect_lines
+from .netsim import MODE_BLOCKDAG, MODES, SimConfig, compare_modes, run, trace_lines
 from .pipeline import load_rules_json, run_demo
 
 ENV_PREFIX = "RPMDAG_"
@@ -146,7 +146,8 @@ def cmd_sim_run(args) -> int:
     metrics, trace = run(config)
     _emit(json.dumps(asdict(metrics), sort_keys=True, indent=2) + "\n", args.out)
     if args.trace:
-        pathlib.Path(args.trace).write_text(trace_to_jsonl(trace))
+        with open(args.trace, "w", encoding="utf-8") as fh:
+            fh.writelines(trace_lines(trace))
     return 0
 
 
@@ -180,7 +181,7 @@ def cmd_sim_sweep(args) -> int:
 # Ledger and monitoring
 
 def cmd_ledger_inspect(args) -> int:
-    sys.stdout.write(inspect_jsonl(Ledger.load(args.file)))
+    sys.stdout.writelines(inspect_lines(Ledger.load(args.file)))
     return 0
 
 

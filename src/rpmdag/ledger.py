@@ -243,6 +243,13 @@ class Ledger:
         self.visibility = visibility
         self.params = GhostdagParams(k)
         self.authorized_writers = set(authorized_writers)
+        for writer in sorted(self.authorized_writers):
+            # the saved header lists the writers as one comma-separated,
+            # whitespace-delimited field
+            if writer.split() != [writer] or "," in writer:
+                raise FormatError(
+                    f"writer name {writer!r} must be non-empty, without ',' or whitespace"
+                )
         self.max_block_txs = max_block_txs
         self.dag = BlockDag()
         # the genesis names the digest algorithm, so verification against
@@ -358,32 +365,36 @@ class Ledger:
     # and creator columns. Block ids are re-derived from content on load,
     # so a tampered file fails to parse.
 
-    def save_text(self) -> str:
+    def _save_lines(self):
+        """The saved file one line at a time, each ending in a newline:
+        the header, then the blocks in topological order."""
         writers = ",".join(sorted(self.authorized_writers))
-        lines = [
+        yield (
             f"# rpmdag-ledger v1 visibility={self.visibility} k={self.params.k} "
-            f"alg={DIGEST_ALG} max={self.max_block_txs} writers={writers}"
-        ]
+            f"alg={DIGEST_ALG} max={self.max_block_txs} writers={writers}\n"
+        )
         for bid in self.dag.topological_order():
             block = self.dag.blocks[bid]
             parents = ",".join(sorted(p.hex() for p in block.parents))
             payload = ",".join(
                 base64.b64encode(canonical_json(tx.to_wire())).decode() for tx in block.payload
             )
-            lines.append(
-                f"{bid.hex()}: {parents} | {payload} | {block.timestamp!r} | {block.creator}"
-            )
-        return "\n".join(lines) + "\n"
+            yield f"{bid.hex()}: {parents} | {payload} | {block.timestamp!r} | {block.creator}\n"
+
+    def save_text(self) -> str:
+        return "".join(self._save_lines())
 
     def save(self, path) -> None:
-        """Write to a temp file beside path, then rename it over path, so a
-        crash mid-write leaves the previous file whole. A symlinked path is
-        written through to its target, and an existing file keeps its mode."""
+        """Write the file one line at a time to a temp file beside path,
+        then rename it over path, so a crash mid-write leaves the previous
+        file whole and no more than one line is held beside the ledger. A
+        symlinked path is written through to its target, and an existing
+        file keeps its mode."""
         path = os.path.realpath(path)
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(self.save_text())
+                fh.writelines(self._save_lines())
             with contextlib.suppress(FileNotFoundError):
                 os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
             os.replace(tmp, path)
@@ -394,11 +405,27 @@ class Ledger:
 
     @classmethod
     def load_text(cls, text: str) -> "Ledger":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("# rpmdag-ledger v1 "):
+        return cls._parse(text.splitlines())
+
+    @classmethod
+    def load(cls, path) -> "Ledger":
+        """Read the file one line at a time, so no more than one line is
+        held beside the ledger being built. It accepts and refuses the same
+        files as load_text of their UTF-8 text, with the same messages; a
+        byte that is not UTF-8 is reported with its line."""
+        with open(path, "rb") as fh:
+            return cls._parse(_utf8_lines(fh))
+
+    @classmethod
+    def _parse(cls, lines) -> "Ledger":
+        """The ledger saved in lines, numbered from 1 the way
+        str.splitlines numbers them; blank lines are skipped."""
+        numbered = ((n, ln) for n, ln in enumerate(lines, start=1) if ln and not ln.isspace())
+        _, first = next(numbered, (0, ""))
+        if not first.startswith("# rpmdag-ledger v1 "):
             raise FormatError("not a ledger file")
         header = {}
-        for part in lines[0].removeprefix("# rpmdag-ledger v1 ").split():
+        for part in first.removeprefix("# rpmdag-ledger v1 ").split():
             name, sep, value = part.partition("=")
             if not sep:
                 raise FormatError(f"ledger header field {part!r} is not name=value")
@@ -415,7 +442,7 @@ class Ledger:
 
         ledger = cls(visibility, k, writers, max_txs)
         by_hex = {ledger.genesis_id.hex(): ledger.genesis_id}
-        for lineno, line in enumerate(lines[1:], start=2):
+        for lineno, line in numbered:
             cols = line.split(" | ")
             if len(cols) != 4:
                 raise FormatError(f"line {lineno}: expected 4 columns")
@@ -463,15 +490,23 @@ class Ledger:
                 ledger._tx_ids.add(tx.id)
         return ledger
 
-    @classmethod
-    def load(cls, path) -> "Ledger":
-        with open(path, "rb") as fh:
-            raw = fh.read()
+
+def _utf8_lines(fh):
+    r"""The lines of a binary file as str.splitlines gives them for its
+    UTF-8 text, decoded one b"\n"-terminated chunk at a time. Byte 0x0A
+    never sits inside a UTF-8 sequence, and "\r\n" is the only
+    two-character line break, so no chunk boundary splits either."""
+    lineno = 0
+    for chunk in fh:
         try:
-            text = raw.decode("utf-8")
+            text = chunk.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise FormatError(f"ledger is not UTF-8 text: {exc}") from None
-        return cls.load_text(text)
+            # the line of the bad byte: the breaks before it, plus one
+            lineno += len((chunk[: exc.start].decode("utf-8") + ".").splitlines())
+            raise FormatError(f"line {lineno}: ledger is not UTF-8 text: {exc}") from None
+        lines = text.splitlines()
+        lineno += len(lines)
+        yield from lines
 
 
 @dataclass
@@ -499,17 +534,19 @@ class DualLedger:
         return self.private.seal_block(creator, now), self.public.seal_block(creator, now)
 
 
+def inspect_lines(ledger: Ledger):
+    """Confirmed stream as JSON-lines, one entry per line, each ending in
+    a newline."""
+    for entry in ledger.confirmed():
+        yield sorted_json(
+            {
+                "position": entry.position,
+                "block": entry.block.hex(),
+                "tx": entry.tx.to_wire(),
+            }
+        ) + "\n"
+
+
 def inspect_jsonl(ledger: Ledger) -> str:
     """Confirmed stream as JSON-lines, one entry per line."""
-    lines = []
-    for entry in ledger.confirmed():
-        lines.append(
-            sorted_json(
-                {
-                    "position": entry.position,
-                    "block": entry.block.hex(),
-                    "tx": entry.tx.to_wire(),
-                }
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(inspect_lines(ledger))

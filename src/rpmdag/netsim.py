@@ -313,10 +313,15 @@ def check_convergence(trace: SimTrace, k: int) -> bool:
     return True
 
 
+def trace_lines(trace: SimTrace):
+    """One JSON object per event, in processing order, each line ending
+    in a newline."""
+    for ev in trace.events:
+        yield sorted_json(
+            {"time": ev.time, "node": ev.node, "event": ev.kind, "block": ev.block.hex()}
+        ) + "\n"
+
+
 def trace_to_jsonl(trace: SimTrace) -> str:
     """One JSON object per event, in processing order."""
-    lines = [
-        sorted_json({"time": ev.time, "node": ev.node, "event": ev.kind, "block": ev.block.hex()})
-        for ev in trace.events
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(trace_lines(trace))

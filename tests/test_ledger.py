@@ -6,9 +6,11 @@ import math
 import os
 import random
 import stat
+import tracemalloc
 
 import pytest
 
+import rpmdag.ledger as ledger_module
 from rpmdag.dag import Block
 from rpmdag.errors import FormatError, KindNotAdmissible, PhiLeak, Unauthorized
 from rpmdag.hashing import digest
@@ -405,6 +407,165 @@ def test_save_keeps_the_mode_and_writes_through_a_symlink(tmp_path):
     assert target.read_text() == ledger.save_text()
     assert stat.S_IMODE(os.stat(target).st_mode) == 0o600
     assert sorted(os.listdir(tmp_path)) == ["link.ledger", "real.ledger"]
+
+
+def test_save_stops_at_a_failure_mid_write_and_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "test.ledger"
+    Ledger(PRIVATE, 2, WRITERS).save(path)
+    before = path.read_bytes()
+    ledger = build_ledger()
+    calls = []
+    real = ledger_module.canonical_json
+
+    def third_call_fails(obj):
+        calls.append(obj)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return real(obj)
+
+    monkeypatch.setattr(ledger_module, "canonical_json", third_call_fails)
+    with pytest.raises(OSError, match="disk full"):
+        ledger.save(path)
+    assert len(calls) == 3
+    assert path.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def big_ledger(txs: int = 3000, per_block: int = 100) -> Ledger:
+    ledger = Ledger(PRIVATE, 3, WRITERS, max_block_txs=per_block)
+    for n in range(txs):
+        ledger.submit(
+            Transaction(
+                TxKind.EHR_ANCHOR,
+                {"record_id": f"rec-{n}", "content_hash": digest(n.to_bytes(4, "big")).hex()},
+                float(n),
+                "svc",
+            ),
+            "svc",
+        )
+        if len(ledger.pool) == per_block:
+            ledger.seal_block("sealer", float(n))
+    return ledger
+
+
+def test_save_and_load_hold_the_ledger_plus_about_one_line(tmp_path):
+    # a whole-file save or load holds the file's text several times over
+    # (about 3x each); a streamed one holds a few lines of 1/30 of it
+    ledger = big_ledger()
+    path = tmp_path / "big.ledger"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ledger.save(path)
+        save_peak = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.clear_traces()
+        tracemalloc.reset_peak()
+        again = Ledger.load(path)
+        retained, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert path.read_bytes() == ledger.save_text().encode()
+    assert again.save_text() == ledger.save_text()
+    assert save_peak < 0.5 * size
+    assert load_peak - retained < 0.5 * size
+
+
+@pytest.mark.parametrize(
+    "name", ["dr smith", "a,b", "", " svc", "svc\n", "a\tb", "a\x0bb", "a\x1cb", "a\u2028b", "a\x85b"]
+)
+def test_writer_names_a_saved_header_cannot_carry_are_refused(name):
+    with pytest.raises(FormatError, match="writer name"):
+        Ledger(PRIVATE, 3, ["svc", name])
+
+
+def test_writer_names_round_trip_through_a_saved_header(tmp_path):
+    writers = {"rpm-pipeline", "sealer-1", "acl-service", "dr.smith", "a=b", "ü"}
+    ledger = Ledger(PRIVATE, 3, writers)
+    path = tmp_path / "test.ledger"
+    ledger.save(path)
+    assert Ledger.load(path).authorized_writers == writers
+
+
+def test_load_errors_name_the_line_of_the_file(tmp_path):
+    lines = build_ledger().save_text().splitlines()
+    # header, blank, genesis, two blank lines, then the first block
+    lines[1:1] = [""]
+    lines[3:3] = ["", "  "]
+    assert lines[5].count(" | ") == 3
+    lines[5] = lines[5].replace(" | ", " |", 1)
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(FormatError, match="^line 6: expected 4 columns"):
+        Ledger.load_text(text)
+    path = tmp_path / "test.ledger"
+    path.write_bytes(text.encode())
+    with pytest.raises(FormatError, match="^line 6: expected 4 columns"):
+        Ledger.load(path)
+
+
+def test_a_byte_that_is_not_utf8_is_reported_with_its_line(tmp_path):
+    header, genesis, block = build_ledger().save_text().splitlines()[:3]
+    # lines 3 and 4 are blank, line 5 ends at a vertical tab, and the bad
+    # byte opens line 6
+    raw = f"{header}\n{genesis}\n\n\r\n\x0b".encode() + b"\xff" + block.encode() + b"\n"
+    path = tmp_path / "test.ledger"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match="^line 6: ledger is not UTF-8 text"):
+        Ledger.load(path)
+
+
+def outcome(load, arg):
+    try:
+        return "loaded", load(arg).save_text()
+    except FormatError as exc:
+        return "refused", str(exc)
+
+
+def _edit_line(text: str, n: int, edit) -> str:
+    lines = text.splitlines(keepends=True)
+    lines[n] = edit(lines[n])
+    return "".join(lines)
+
+
+def _inside(char: str):
+    # the character goes into the payload column, between two chunks
+    return lambda line: line.replace(",", f"{char},", 1)
+
+
+LINE_BREAK_EDITS = {
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "lone-cr-ending": lambda t: _edit_line(t, 1, lambda ln: ln[:-1] + "\r"),
+    "lone-cr-inside": lambda t: _edit_line(t, 2, _inside("\r")),
+    "cr-at-end": lambda t: t + "\r",
+    "vt-inside": lambda t: _edit_line(t, 2, _inside("\x0b")),
+    "fs-inside": lambda t: _edit_line(t, 2, _inside("\x1c")),
+    "ls-inside": lambda t: _edit_line(t, 2, _inside("\u2028")),
+    "vt-ending": lambda t: _edit_line(t, 2, lambda ln: ln[:-1] + "\x0b"),
+    "ls-in-header": lambda t: _edit_line(t, 0, lambda ln: ln.replace(" k=", "\u2028k=")),
+    "blank-lines": lambda t: t.replace("\n", "\n\n \t\n"),
+    "no-final-newline": lambda t: t.rstrip("\n"),
+    "crlf-no-final-newline": lambda t: t.replace("\n", "\r\n").rstrip("\r\n"),
+    "leading-blank-lines": lambda t: "\n\r\n" + t,
+    "empty": lambda t: "",
+    "only-blank-lines": lambda t: "\n \n\r\n",
+}
+
+
+@pytest.mark.parametrize("edit", LINE_BREAK_EDITS.values(), ids=LINE_BREAK_EDITS.keys())
+def test_load_and_load_text_agree_on_line_breaks(tmp_path, edit):
+    text = edit(build_ledger().save_text())
+    path = tmp_path / "test.ledger"
+    path.write_bytes(text.encode())
+    # read_text would translate "\r\n" and a lone "\r" to "\n"
+    expected = outcome(Ledger.load_text, path.read_bytes().decode("utf-8"))
+    assert outcome(Ledger.load, path) == expected
+
+
+def test_line_break_edits_cover_loads_and_refusals(tmp_path):
+    text = build_ledger().save_text()
+    kinds = {outcome(Ledger.load_text, edit(text))[0] for edit in LINE_BREAK_EDITS.values()}
+    assert kinds == {"loaded", "refused"}
 
 
 def linear_find(stream, tx_id):
