@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -555,3 +556,27 @@ def test_inspect_and_audit_output_is_byte_identical_to_golden(tmp_path, monkeypa
         assert code == 0
         digests[argv] = hashlib.sha256(out.encode()).hexdigest()
     assert digests == DEMO_SEED_11_READ_SHA256
+
+
+# Every `--help` stdout at 80 columns: the top level, each command group and
+# each command, concatenated in this order. argparse's layout differs
+# between Python versions, so the hash holds for the recording version only.
+HELP_INVOCATIONS = (
+    (), ("dag",), ("sim",), ("ledger",), ("rpm",), ("ehr",), ("acl",),
+    ("dag", "import"), ("dag", "export"), ("dag", "dot"), ("color",), ("oracle",),
+    ("sim", "run"), ("sim", "sweep"), ("ledger", "inspect"), ("rpm", "demo"),
+    ("ehr", "verify"), ("ehr", "audit"),
+    ("acl", "grant"), ("acl", "revoke"), ("acl", "check"),
+)
+HELP_SHA256 = "d79902fe77ca17c99af6cc569d7c7785e5e39c3bb01c5de4516bb516a77e8b4b"
+HELP_PYTHON = (3, 11)
+
+
+@pytest.mark.skipif(sys.version_info[:2] != HELP_PYTHON, reason="help recorded on Python 3.11")
+def test_help_output_is_byte_identical_to_golden():
+    h = hashlib.sha256()
+    for argv in HELP_INVOCATIONS:
+        code, out, err = run_cli(*argv, "--help", env={"COLUMNS": "80"})
+        assert (code, err) == (0, ""), argv
+        h.update(out.encode())
+    assert h.hexdigest() == HELP_SHA256
