@@ -96,14 +96,10 @@ def cmd_dag_import(args) -> int:
 
 
 def cmd_dag_export(args) -> int:
+    """`dag export` and `dag dot`: re-emit the DAG in either format."""
     dag, names = _read_dag(args.file)
-    _emit(export_dag_text(dag, names), args.out)
-    return 0
-
-
-def cmd_dag_dot(args) -> int:
-    dag, names = _read_dag(args.file)
-    _emit(export_dag_dot(dag, names), args.out)
+    export = export_dag_dot if args.subcommand == "dot" else export_dag_text
+    _emit(export(dag, names), args.out)
     return 0
 
 
@@ -128,22 +124,20 @@ def cmd_oracle(args) -> int:
 
 # Simulation
 
+def _sim_config(args, **fields) -> SimConfig:
+    """The SimConfig of the options that `sim run` and `sim sweep` share."""
+    return SimConfig(
+        nodes=args.nodes, delay_d=args.delay, duration=args.duration,
+        txs_per_block=args.txs_per_block, seed=args.seed, **fields,
+    )
+
+
 def cmd_sim_run(args) -> int:
     k = args.k
     if k is None:
         # Smallest k whose concurrency window overflows with chance < 1%.
         k = k_for_network(args.delay, args.rate_lambda, 0.01)
-    config = SimConfig(
-        nodes=args.nodes,
-        rate_lambda=args.rate_lambda,
-        delay_d=args.delay,
-        duration=args.duration,
-        k=k,
-        txs_per_block=args.txs_per_block,
-        seed=args.seed,
-        mode=args.mode,
-    )
-    metrics, trace = run(config)
+    metrics, trace = run(_sim_config(args, rate_lambda=args.rate_lambda, k=k, mode=args.mode))
     _emit(json.dumps(asdict(metrics), sort_keys=True, indent=2) + "\n", args.out)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -158,17 +152,7 @@ def cmd_sim_sweep(args) -> int:
         raise UsageError(f"--lambdas must be comma-separated rates, got {args.lambdas!r}")
     if not lambdas:
         raise UsageError("--lambdas must name at least one rate")
-    config = SimConfig(
-        nodes=args.nodes,
-        rate_lambda=lambdas[0],
-        delay_d=args.delay,
-        duration=args.duration,
-        k=args.k,
-        txs_per_block=args.txs_per_block,
-        seed=args.seed,
-        mode=MODE_BLOCKDAG,
-    )
-    rows = compare_modes(config, lambdas)
+    rows = compare_modes(_sim_config(args, rate_lambda=lambdas[0], k=args.k), lambdas)
     lines = ["lambda,mode,included_ratio,effective_tps"]
     for row in rows:
         lines.append(
@@ -217,13 +201,18 @@ def _open_store(directory: str) -> EhrStore:
     return EhrStore(directory)
 
 
-def cmd_ehr_verify(args) -> int:
+def _ehr_check(args, check):
+    """check(store, ledger) on the saved state; the store is closed after."""
     ledger = Ledger.load(args.ledger)
     store = _open_store(args.store)
     try:
-        result = verify(args.record, store, ledger)
+        return check(store, ledger)
     finally:
         store.close()
+
+
+def cmd_ehr_verify(args) -> int:
+    result = _ehr_check(args, lambda store, ledger: verify(args.record, store, ledger))
     recomputed = result.recomputed_hash or "-"
     anchored = result.anchored_hash or "-"
     print(f"{result.status} recomputed={recomputed} anchored={anchored}")
@@ -231,12 +220,7 @@ def cmd_ehr_verify(args) -> int:
 
 
 def cmd_ehr_audit(args) -> int:
-    ledger = Ledger.load(args.ledger)
-    store = _open_store(args.store)
-    try:
-        results = audit(store, ledger)
-    finally:
-        store.close()
+    results = _ehr_check(args, audit)
     for result in results:
         print(f"{result.record_id} {result.status}")
     tampered = sum(1 for r in results if r.status == TAMPERED)
@@ -251,12 +235,13 @@ def _load_roster(path: str) -> dict[str, dict]:
     try:
         entries = json.loads(_read_text(path))
         roster = {}
-        for entry in entries:
-            roster[entry["entity_id"]] = {
-                "entity_id": entry["entity_id"],
-                "role": Role(entry["role"]),
-                "credential": entry["credential"],
-            }
+        for i, entry in enumerate(entries):
+            entity, credential = entry["entity_id"], entry["credential"]
+            if not (isinstance(entity, str) and isinstance(credential, str)):
+                raise ValueError(f"entry {i}: entity_id and credential must be strings")
+            if entity in roster:
+                raise ValueError(f"entry {i}: entity_id {entity!r} is listed twice")
+            roster[entity] = {"role": Role(entry["role"]), "credential": credential}
         return roster
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"roster file {path!r}: {exc}") from exc
@@ -267,11 +252,11 @@ def _acl_open(args):
     if path.exists():
         ledger = Ledger.load(path)
     else:
-        ledger = Ledger(PRIVATE, k=args.k, authorized_writers={"acl-service", "acl-sealer"})
+        ledger = Ledger(PRIVATE, k=args.k, authorized_writers={AccessController.author, "acl-sealer"})
     roster = _load_roster(args.roster)
     controller = AccessController(clock=ManualClock(args.at), ledger=ledger)
-    for entry in roster.values():
-        controller.register(entry["entity_id"], entry["role"], entry["credential"])
+    for entity, entry in roster.items():
+        controller.register(entity, entry["role"], entry["credential"])
     controller.load_grants(rebuild_grants(ledger))
     return path, ledger, controller, roster
 
@@ -283,12 +268,17 @@ def _session_for(controller: AccessController, roster: dict, entity: str):
     return controller.authenticate(entity, entry["credential"])
 
 
+def _acl_save(path, ledger: Ledger, at: float):
+    """Seal the pending access change and write the ledger back."""
+    ledger.seal_block("acl-sealer", at)
+    ledger.save(path)
+
+
 def cmd_acl_grant(args) -> int:
     path, ledger, controller, roster = _acl_open(args)
     session = _session_for(controller, roster, args.grantor)
     grant = controller.grant(session, args.grantee, Scope(args.scope))
-    ledger.seal_block("acl-sealer", args.at)
-    ledger.save(path)
+    _acl_save(path, ledger, args.at)
     print(grant.grant_id)
     return 0
 
@@ -301,8 +291,7 @@ def cmd_acl_revoke(args) -> int:
         raise UnknownGrant(f"no grant {args.grant_id!r}")
     session = _session_for(controller, roster, grant.grantor)
     controller.revoke(session, args.grant_id)
-    ledger.seal_block("acl-sealer", args.at)
-    ledger.save(path)
+    _acl_save(path, ledger, args.at)
     print(f"revoked {args.grant_id}")
     return 0
 
@@ -315,6 +304,16 @@ def cmd_acl_check(args) -> int:
     return 0 if allowed else 1
 
 
+_DAG_FILE = (Opt("file", str, required=True, help="DAG text file"),)
+_DAG_EXPORT = _DAG_FILE + (Opt("out", str, help="write output here as well"),)
+_DAG_K = (
+    Opt("dag", str, required=True, help="DAG text file"),
+    Opt("k", int, required=True, help="anticone bound"),
+)
+_EHR_STATE = (
+    Opt("store", str, required=True, help="EHR store directory"),
+    Opt("ledger", str, required=True, help="private ledger file"),
+)
 _ACL_COMMON = (
     Opt("ledger", str, required=True, help="ledger file (created if missing)"),
     Opt("roster", str, required=True, help="JSON roster of entities and credentials"),
@@ -326,43 +325,31 @@ COMMAND_SPECS = (
     CommandSpec(
         "dag import",
         "parse and validate a DAG text file",
-        (Opt("file", str, required=True, help="DAG text file"),),
+        _DAG_FILE,
         cmd_dag_import,
     ),
     CommandSpec(
         "dag export",
         "re-emit a DAG file in canonical order",
-        (
-            Opt("file", str, required=True, help="DAG text file"),
-            Opt("out", str, help="write output here as well"),
-        ),
+        _DAG_EXPORT,
         cmd_dag_export,
     ),
     CommandSpec(
         "dag dot",
         "emit a DOT graph of the DAG",
-        (
-            Opt("file", str, required=True, help="DAG text file"),
-            Opt("out", str, help="write output here as well"),
-        ),
-        cmd_dag_dot,
+        _DAG_EXPORT,
+        cmd_dag_export,
     ),
     CommandSpec(
         "color",
         "greedy blue/red coloring with blue scores",
-        (
-            Opt("dag", str, required=True, help="DAG text file"),
-            Opt("k", int, required=True, help="anticone bound"),
-        ),
+        _DAG_K,
         cmd_color,
     ),
     CommandSpec(
         "oracle",
         "exact maximum k-cluster (exponential; small DAGs only)",
-        (
-            Opt("dag", str, required=True, help="DAG text file"),
-            Opt("k", int, required=True, help="anticone bound"),
-        ),
+        _DAG_K,
         cmd_oracle,
     ),
     CommandSpec(
@@ -423,20 +410,13 @@ COMMAND_SPECS = (
     CommandSpec(
         "ehr verify",
         "check one record's bytes against its confirmed anchor",
-        (
-            Opt("record", str, required=True, help="record id"),
-            Opt("store", str, required=True, help="EHR store directory"),
-            Opt("ledger", str, required=True, help="private ledger file"),
-        ),
+        (Opt("record", str, required=True, help="record id"),) + _EHR_STATE,
         cmd_ehr_verify,
     ),
     CommandSpec(
         "ehr audit",
         "verify every anchored record; nonzero exit if any tampered",
-        (
-            Opt("store", str, required=True, help="EHR store directory"),
-            Opt("ledger", str, required=True, help="private ledger file"),
-        ),
+        _EHR_STATE,
         cmd_ehr_audit,
     ),
     CommandSpec(

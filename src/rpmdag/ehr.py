@@ -191,35 +191,34 @@ def anchor(
     return AnchorReceipt(record.record_id, record.content_hash, tx.id)
 
 
-def verify(record_id: str, store: EhrStore, ledger: Ledger) -> VerifyResult:
-    """Recompute the stored content's digest and compare with the
-    confirmed anchor. Read-only; safe to repeat."""
-    record = store.read(record_id)
+def _status(record: EhrRecord, anchored: str | None) -> VerifyResult:
+    """Compare the digest of the record's bytes with its anchored hash."""
     recomputed = digest(record.content).hex()
-    anchored = confirmed_anchors(ledger).get(record_id)
     if anchored is None:
         status = UNANCHORED
     elif anchored == recomputed:
         status = INTACT
     else:
         status = TAMPERED
-    return VerifyResult(record_id, status, recomputed, anchored)
+    return VerifyResult(record.record_id, status, recomputed, anchored)
+
+
+def verify(record_id: str, store: EhrStore, ledger: Ledger) -> VerifyResult:
+    """Recompute the stored content's digest and compare with the
+    confirmed anchor. Read-only; safe to repeat."""
+    record = store.read(record_id)
+    return _status(record, confirmed_anchors(ledger).get(record_id))
 
 
 def audit(store: EhrStore, ledger: Ledger) -> list[VerifyResult]:
     """Verify every record with a confirmed anchor, in one ledger pass."""
     anchors = confirmed_anchors(ledger)
-    results = []
-    for record_id in sorted(anchors):
-        if record_id not in store:
-            # anchored content that cannot be produced is not intact
-            results.append(VerifyResult(record_id, TAMPERED, None, anchors[record_id]))
-            continue
-        record = store.read(record_id)
-        recomputed = digest(record.content).hex()
-        status = INTACT if recomputed == anchors[record_id] else TAMPERED
-        results.append(VerifyResult(record_id, status, recomputed, anchors[record_id]))
-    return results
+    return [
+        _status(store.read(record_id), anchors[record_id]) if record_id in store
+        # anchored content that cannot be produced is not intact
+        else VerifyResult(record_id, TAMPERED, None, anchors[record_id])
+        for record_id in sorted(anchors)
+    ]
 
 
 def read_gated(store: EhrStore, record_id: str, controller, session) -> EhrRecord:

@@ -238,8 +238,9 @@ class Ledger:
     ):
         if visibility not in (PRIVATE, PUBLIC):
             raise FormatError(f"visibility must be private or public, got {visibility!r}")
-        if max_block_txs < 1:
-            raise FormatError(f"ledger max={max_block_txs!r} must be at least 1")
+        # bool is an int subclass; SimConfig refuses it for its ints the same way
+        if not isinstance(max_block_txs, int) or isinstance(max_block_txs, bool) or max_block_txs < 1:
+            raise FormatError(f"ledger max={max_block_txs!r} must be an integer of at least 1")
         self.visibility = visibility
         self.params = GhostdagParams(k)
         self.authorized_writers = set(authorized_writers)

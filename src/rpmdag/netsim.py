@@ -320,8 +320,3 @@ def trace_lines(trace: SimTrace):
         yield sorted_json(
             {"time": ev.time, "node": ev.node, "event": ev.kind, "block": ev.block.hex()}
         ) + "\n"
-
-
-def trace_to_jsonl(trace: SimTrace) -> str:
-    """One JSON object per event, in processing order."""
-    return "".join(trace_lines(trace))

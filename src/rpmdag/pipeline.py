@@ -15,7 +15,7 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 
 from .acl import AccessController, ManualClock, Role, Scope, Session
@@ -44,15 +44,8 @@ class VitalKind(Enum):
 # The ledger's alert-body scan denies exactly these names; keep in sync.
 assert tuple(v.value for v in VitalKind) == VITAL_KIND_NAMES
 
-CANONICAL_UNIT = {
-    VitalKind.HEART_RATE: "bpm",
-    VitalKind.SYSTOLIC_BP: "mmHg",
-    VitalKind.DIASTOLIC_BP: "mmHg",
-    VitalKind.GLUCOSE: "mg/dL",
-    VitalKind.RESPIRATION: "breaths/min",
-}
-
-# Multipliers into the canonical unit for each vital.
+# Multipliers into the canonical unit for each vital; the canonical unit
+# is listed first.
 UNIT_FACTORS = {
     VitalKind.HEART_RATE: {"bpm": 1.0},
     VitalKind.SYSTOLIC_BP: {"mmHg": 1.0, "kPa": 7.50062},
@@ -60,6 +53,7 @@ UNIT_FACTORS = {
     VitalKind.GLUCOSE: {"mg/dL": 1.0, "mmol/L": 18.0182},
     VitalKind.RESPIRATION: {"breaths/min": 1.0},
 }
+CANONICAL_UNIT = {vital: next(iter(factors)) for vital, factors in UNIT_FACTORS.items()}
 
 NORMAL = "normal"
 ABNORMAL = "abnormal"
@@ -88,14 +82,7 @@ class VitalReading:
             raise UnitMismatch(f"cannot convert {self.unit!r} for {self.vital.value}")
         if self.unit == CANONICAL_UNIT[self.vital]:
             return self
-        return VitalReading(
-            patient=self.patient,
-            vital=self.vital,
-            value=self.value * factors[self.unit],
-            unit=CANONICAL_UNIT[self.vital],
-            measured_at=self.measured_at,
-            device=self.device,
-        )
+        return replace(self, value=self.value * factors[self.unit], unit=CANONICAL_UNIT[self.vital])
 
     def content_bytes(self) -> bytes:
         """Canonical bytes stored in the EHR; the only home of the value."""
@@ -165,13 +152,7 @@ class AlertEvent:
         ).hex()
 
     def to_body(self) -> dict:
-        return {
-            "patient": self.patient,
-            "rule_id": self.rule_id,
-            "ehr_record_hash": self.ehr_record_hash,
-            "occurred_at": self.occurred_at,
-            "severity": self.severity,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -346,11 +327,10 @@ class RpmPipeline:
 
     def process_batch(self, batch: AggregatedBatch, now: float) -> list[tuple[VitalReading, Verdict]]:
         """Store, evaluate, log, and alert one aggregated batch."""
-        for reading in batch.readings:
-            self.ingest(reading, now)
+        records = [self.ingest(reading, now) for reading in batch.readings]
         verdicts = evaluate(batch, self.rules_for(batch.patient))
-        for reading, verdict in verdicts:
-            record = self.record_for(reading)
+        # evaluate keeps batch order, so each verdict pairs with its record
+        for record, (reading, verdict) in zip(records, verdicts):
             self._log_verdict(reading, verdict, record, now)
             if verdict.status == ABNORMAL:
                 self.dispatch_alert(reading, verdict, now)
@@ -566,7 +546,9 @@ def run_demo(
             )
 
     window = duration / 10.0
-    batches = aggregate(all_readings, window)
+    by_start: dict[float, list[AggregatedBatch]] = {}
+    for batch in aggregate(all_readings, window):
+        by_start.setdefault(batch.window[0], []).append(batch)
 
     verdicts: list[tuple[VitalReading, Verdict]] = []
     alert_windows: dict[str, int] = {}
@@ -574,15 +556,15 @@ def run_demo(
     for w in range(window_count):
         window_end = (w + 1) * window
         clock.now = window_end
-        for batch in batches:
-            if batch.window[0] != w * window:
-                continue
+        for batch in by_start.get(w * window, ()):
             before = len(pipeline.alerts)
             verdicts.extend(pipeline.process_batch(batch, window_end))
             for event in pipeline.alerts[before:]:
                 alert_windows.setdefault(event.event_id, w)
         dual.seal_all(sealer, window_end)
-    # Final flush so anything still pooled is confirmed.
+    # A last seal of both ledgers. Each seal takes at most max_block_txs
+    # txs, so a backlog from windows with more traffic than that stays
+    # pooled, and save does not persist the pool.
     dual.seal_all(sealer, duration + window)
 
     return DemoResult(

@@ -492,6 +492,43 @@ def test_acl_cli_flow(tmp_path):
     assert code == 1 and err.strip()
 
 
+BAD_ROSTERS = {
+    "credential-not-a-string": [
+        {"entity_id": "p-01", "role": "patient", "credential": 7},
+        {"entity_id": "dr-01", "role": "healthcare_provider", "credential": "pw-dr"},
+    ],
+    "entity-not-a-string": [
+        {"entity_id": ["p-01"], "role": "patient", "credential": "pw-p"},
+        {"entity_id": "dr-01", "role": "healthcare_provider", "credential": "pw-dr"},
+    ],
+    # the second entry used to replace the first silently
+    "entity-listed-twice": [
+        {"entity_id": "p-01", "role": "patient", "credential": "pw-p"},
+        {"entity_id": "dr-01", "role": "healthcare_provider", "credential": "pw-dr"},
+        {"entity_id": "p-01", "role": "insurer", "credential": "pw-i"},
+    ],
+}
+ACL_COMMANDS = {
+    "grant": ("--grantor", "p-01", "--grantee", "dr-01", "--scope", "ehr_read"),
+    "check": ("--entity", "dr-01", "--patient", "p-01", "--scope", "ehr_read"),
+    "revoke": ("--grant-id", "grant-0001"),
+}
+
+
+@pytest.mark.parametrize("roster_case", sorted(BAD_ROSTERS))
+@pytest.mark.parametrize("command", sorted(ACL_COMMANDS))
+def test_bad_roster_entry_is_a_runtime_error(tmp_path, roster_case, command):
+    roster = tmp_path / "roster.json"
+    roster.write_text(json.dumps(BAD_ROSTERS[roster_case]))
+    ledger = tmp_path / "acl.ledger"
+    result = run_cli("acl", command, "--ledger", str(ledger), "--roster", str(roster),
+                     *ACL_COMMANDS[command])
+    assert "Traceback" not in result[2]
+    assert_one_error_line(result, 1)
+    assert "roster file" in result[2] and "entry " in result[2]
+    assert not ledger.exists()
+
+
 # `rpmdag color` stdout on the reference DAG, one "token color score" row per
 # block in token order, frozen before GHOSTDAG was reduced to one entry point.
 COLOR_GOLDEN = {

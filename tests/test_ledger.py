@@ -480,6 +480,21 @@ def test_writer_names_a_saved_header_cannot_carry_are_refused(name):
         Ledger(PRIVATE, 3, ["svc", name])
 
 
+@pytest.mark.parametrize("cap", [True, False, 2.5, "3", None, 0, -1])
+def test_block_caps_a_saved_header_cannot_carry_are_refused(cap):
+    # True and 2.5 used to be accepted and saved as max=True or max=2.5,
+    # which load refuses; "3" raised a bare TypeError
+    with pytest.raises(FormatError, match="max="):
+        Ledger(PRIVATE, 3, WRITERS, max_block_txs=cap)
+
+
+def test_an_integer_block_cap_round_trips_through_a_saved_header(tmp_path):
+    ledger = Ledger(PRIVATE, 3, WRITERS, max_block_txs=1)
+    path = tmp_path / "test.ledger"
+    ledger.save(path)
+    assert Ledger.load(path).max_block_txs == 1
+
+
 def test_writer_names_round_trip_through_a_saved_header(tmp_path):
     writers = {"rpm-pipeline", "sealer-1", "acl-service", "dr.smith", "a=b", "ü"}
     ledger = Ledger(PRIVATE, 3, writers)

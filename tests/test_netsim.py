@@ -29,7 +29,7 @@ from rpmdag.netsim import (
     check_convergence,
     compare_modes,
     run,
-    trace_to_jsonl,
+    trace_lines,
 )
 
 
@@ -94,7 +94,7 @@ def test_determinism_bit_identical():
     m1, t1 = run(config())
     m2, t2 = run(config())
     assert m1 == m2
-    assert trace_to_jsonl(t1) == trace_to_jsonl(t2)
+    assert "".join(trace_lines(t1)) == "".join(trace_lines(t2))
     m3, _ = run(config(seed=8))
     assert m3 != m1
 
@@ -227,7 +227,7 @@ def test_incomplete_trace_rejected():
 
 def test_trace_jsonl_format():
     _, trace = run(config(duration=40.0))
-    lines = trace_to_jsonl(trace).strip().splitlines()
+    lines = "".join(trace_lines(trace)).strip().splitlines()
     assert len(lines) == len(trace.events)
     first = json.loads(lines[0])
     assert set(first) == {"time", "node", "event", "block"}
@@ -450,7 +450,7 @@ def grid_digest(cfg: SimConfig) -> str:
     grid_verdicts."""
     metrics, trace = run(cfg)
     h = hashlib.sha256(json.dumps(dataclasses.asdict(metrics), sort_keys=True).encode())
-    h.update(trace_to_jsonl(trace).encode())
+    h.update("".join(trace_lines(trace)).encode())
     for idx in sorted(trace.views):
         h.update(b"view %d:" % idx + b"".join(sorted(trace.views[idx])))
     h.update(grid_verdicts(trace, cfg.k))
