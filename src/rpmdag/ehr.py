@@ -191,30 +191,30 @@ def anchor(
     return AnchorReceipt(record.record_id, record.content_hash, tx.id)
 
 
-def _status(record: EhrRecord, anchored: str | None) -> VerifyResult:
-    """Compare the digest of the record's bytes with its anchored hash."""
-    recomputed = digest(record.content).hex()
+def _status(record_id: str, content: bytes, anchored: str | None) -> VerifyResult:
+    """Compare the digest of a record's stored bytes with its anchored hash."""
+    recomputed = digest(content).hex()
     if anchored is None:
         status = UNANCHORED
     elif anchored == recomputed:
         status = INTACT
     else:
         status = TAMPERED
-    return VerifyResult(record.record_id, status, recomputed, anchored)
+    return VerifyResult(record_id, status, recomputed, anchored)
 
 
 def verify(record_id: str, store: EhrStore, ledger: Ledger) -> VerifyResult:
     """Recompute the stored content's digest and compare with the
     confirmed anchor. Read-only; safe to repeat."""
-    record = store.read(record_id)
-    return _status(record, confirmed_anchors(ledger).get(record_id))
+    content = store.read(record_id).content
+    return _status(record_id, content, confirmed_anchors(ledger).get(record_id))
 
 
 def audit(store: EhrStore, ledger: Ledger) -> list[VerifyResult]:
     """Verify every record with a confirmed anchor, in one ledger pass."""
     anchors = confirmed_anchors(ledger)
     return [
-        _status(store.read(record_id), anchors[record_id]) if record_id in store
+        _status(record_id, store.read(record_id).content, anchors[record_id]) if record_id in store
         # anchored content that cannot be produced is not intact
         else VerifyResult(record_id, TAMPERED, None, anchors[record_id])
         for record_id in sorted(anchors)

@@ -15,7 +15,7 @@ import json
 import logging
 import math
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .acl import AccessController, ManualClock, Role, Scope, Session
@@ -152,7 +152,9 @@ class AlertEvent:
         ).hex()
 
     def to_body(self) -> dict:
-        return asdict(self)
+        # a frozen dataclass without slots keeps exactly its fields, in
+        # order, in __dict__; asdict would deep-copy each one, 20x slower
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
