@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hmac
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import (
@@ -178,11 +178,11 @@ class AccessController:
         return any(g.active for g in self._by_key.get((patient, session.entity, scope), ()))
 
     def grant_table(self) -> dict[str, AccessGrant]:
-        return {gid: _copy_grant(g) for gid, g in self._grants.items()}
+        return {gid: replace(g) for gid, g in self._grants.items()}
 
     def load_grants(self, grants: dict[str, AccessGrant]):
         """Preload state rebuilt from a ledger (see rebuild_grants)."""
-        self._grants = {gid: _copy_grant(g) for gid, g in grants.items()}
+        self._grants = {gid: replace(g) for gid, g in grants.items()}
         self._by_key = {}
         for g in self._grants.values():
             self._index(g)
@@ -211,10 +211,6 @@ class AccessController:
             author=self.author,
         )
         self.ledger.submit(tx, self.author)
-
-
-def _copy_grant(g: AccessGrant) -> AccessGrant:
-    return AccessGrant(g.grant_id, g.grantor, g.grantee, g.scope, g.granted_at, g.revoked_at)
 
 
 def rebuild_grants(ledger: Ledger) -> dict[str, AccessGrant]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import pathlib
 import sys
@@ -20,14 +21,13 @@ from dataclasses import asdict, dataclass, field
 from .acl import AccessController, ManualClock, Role, Scope, rebuild_grants
 from .dag import export_dag_dot, export_dag_text, parse_dag_text
 from .ehr import INTACT, LOG_NAME, TAMPERED, EhrStore, audit, verify
-from .errors import FormatError, RpmdagError, UnknownEntity, UnknownGrant
+from .errors import FormatError, InvalidParameter, RpmdagError, UnknownEntity, UnknownGrant
 from .ghostdag import GhostdagParams, ghostdag_run, k_for_network, max_k_cluster
-from .ledger import PRIVATE, Ledger, inspect_lines
+from .ledger import PRIVATE, SCOPE_NAMES, Ledger, inspect_lines
 from .netsim import MODE_BLOCKDAG, MODES, SimConfig, compare_modes, run, trace_lines
 from .pipeline import load_rules_json, run_demo
 
 ENV_PREFIX = "RPMDAG_"
-SCOPE_NAMES = tuple(s.value for s in Scope)
 
 
 class UsageError(Exception):
@@ -248,6 +248,10 @@ def _load_roster(path: str) -> dict[str, dict]:
 
 
 def _acl_open(args):
+    # no session is live at a NaN or infinite time; refuse it by name
+    # before the ledger or roster is read
+    if not math.isfinite(args.at):
+        raise InvalidParameter(f"at must be a finite time, got {args.at!r}")
     path = pathlib.Path(args.ledger)
     if path.exists():
         ledger = Ledger.load(path)

@@ -76,10 +76,6 @@ class Block:
         bid = block_id(parents, [item.id for item in payload], timestamp, creator)
         return cls(id=bid, parents=parents, payload=payload, timestamp=timestamp, creator=creator)
 
-    @property
-    def is_genesis(self) -> bool:
-        return not self.parents
-
     def short_id(self) -> str:
         return self.id.hex()[:12]
 

@@ -43,13 +43,6 @@ class EhrRecord:
 
 
 @dataclass(frozen=True)
-class AnchorReceipt:
-    record_id: str
-    content_hash: str
-    tx_id: bytes
-
-
-@dataclass(frozen=True)
 class VerifyResult:
     record_id: str
     status: str  # intact | tampered | unanchored
@@ -171,9 +164,7 @@ def confirmed_anchors(ledger: Ledger) -> Mapping[str, str]:
     return MappingProxyType(ledger.confirmed().anchors)
 
 
-def anchor(
-    record: EhrRecord, ledger: Ledger, author: str, now: float = 0.0
-) -> AnchorReceipt:
+def anchor(record: EhrRecord, ledger: Ledger, author: str, now: float = 0.0) -> None:
     """Submit the record's digest to the private ledger, once per record.
 
     The anchor body carries only the record id and the digest; no health
@@ -188,7 +179,6 @@ def anchor(
         author=author,
     )
     ledger.submit(tx, author)
-    return AnchorReceipt(record.record_id, record.content_hash, tx.id)
 
 
 def _status(record_id: str, content: bytes, anchored: str | None) -> VerifyResult:

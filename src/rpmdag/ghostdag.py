@@ -76,9 +76,6 @@ class OrderedDag:
     order: tuple[BlockId, ...]
     coloring: Coloring
 
-    def position(self, bid: BlockId) -> int:
-        return self.order.index(bid)
-
 
 def is_k_cluster(dag: BlockDag, blocks, k: int) -> bool:
     """Check the defining property directly: every member has at most k

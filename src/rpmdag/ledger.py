@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from .dag import Block, BlockDag, BlockId, GENESIS_TIMESTAMP
+from .dag import Block, BlockDag, BlockId, genesis_block
 from .errors import (
     FormatError,
     KindNotAdmissible,
@@ -57,7 +57,18 @@ class Scope(Enum):
     TREATMENT_HISTORY = "treatment_history"
 
 
-_SCOPE_VALUES = tuple(s.value for s in Scope)
+SCOPE_NAMES = tuple(s.value for s in Scope)
+
+
+class VitalKind(Enum):
+    """The vitals a device measures; validate_alert_body refuses an alert
+    identifier that names one."""
+
+    HEART_RATE = "heart_rate"
+    SYSTOLIC_BP = "systolic_bp"
+    DIASTOLIC_BP = "diastolic_bp"
+    GLUCOSE = "glucose"
+    RESPIRATION = "respiration"
 
 
 @dataclass(frozen=True)
@@ -107,7 +118,7 @@ class Transaction:
 # values are shape-checked and may not mention any vital kind by name.
 
 ALERT_SEVERITIES = ("advisory", "urgent")
-VITAL_KIND_NAMES = ("heart_rate", "systolic_bp", "diastolic_bp", "glucose", "respiration")
+VITAL_KIND_NAMES = tuple(v.value for v in VitalKind)
 
 _ALERT_FIELDS: dict[str, type | tuple] = {
     "patient": str,
@@ -152,12 +163,6 @@ def validate_alert_body(body) -> None:
 
 
 @dataclass(frozen=True)
-class SubmitReceipt:
-    tx_id: bytes
-    position: int  # index in the pending pool at submission time
-
-
-@dataclass(frozen=True)
 class ConfirmedTx:
     tx: Transaction
     block: BlockId
@@ -188,10 +193,6 @@ class ConfirmedStream:
         return out
 
 
-_PUBLIC_KINDS = frozenset({TxKind.ALERT_EVENT})
-_PRIVATE_KINDS = frozenset(TxKind)
-
-
 def _check_anchor_body(body) -> None:
     """An anchor must name its record and the content hash it binds."""
     if not isinstance(body, dict) or not all(
@@ -210,20 +211,20 @@ def _check_access_change_body(body) -> None:
     for name in ("grant_id", "grantor", "grantee"):
         if not isinstance(body.get(name), str):
             raise FormatError(f"access_change field {name!r} must be a string")
-    if body.get("scope") not in _SCOPE_VALUES:
-        raise FormatError(f"access_change field 'scope' must be one of {list(_SCOPE_VALUES)}")
+    if body.get("scope") not in SCOPE_NAMES:
+        raise FormatError(f"access_change field 'scope' must be one of {list(SCOPE_NAMES)}")
     at = body.get("at")
     if isinstance(at, bool) or not isinstance(at, (int, float)):
         raise FormatError("access_change field 'at' must be a number")
 
 
 def _header_int(header: dict[str, str], name: str) -> int:
-    try:
-        return int(header[name])
-    except ValueError:
-        raise FormatError(
-            f"ledger header field {name}={header[name]!r} is not an integer"
-        ) from None
+    # only the plain ASCII decimal that _save_lines writes: int() would also
+    # take a sign, "_" separators, leading zeros and non-ASCII digits, each
+    # of which a re-save rewrites
+    if not re.fullmatch(r"0|[1-9][0-9]*", header[name]):
+        raise FormatError(f"ledger header field {name}={header[name]!r} is not an integer")
+    return int(header[name])
 
 
 class Ledger:
@@ -255,40 +256,44 @@ class Ledger:
         self.dag = BlockDag()
         # the genesis names the digest algorithm, so verification against
         # this ledger is self-describing
-        gen = Block.create((), (), GENESIS_TIMESTAMP, f"genesis:{visibility}:{DIGEST_ALG}")
+        gen = genesis_block(f"genesis:{visibility}:{DIGEST_ALG}")
         self.dag.add(gen)
         self.genesis_id = gen.id
         self.pool: list[Transaction] = []
-        self._tx_ids: set[bytes] = set()
-        self._anchored: set[str] | None = None  # see anchored_record_ids
+        self._ever: tuple[set[bytes], set[str]] | None = None  # see _ever_pooled
         self._confirmed: tuple[frozenset[BlockId], ConfirmedStream] | None = None
 
-    def admissible_kinds(self) -> frozenset[TxKind]:
-        return _PUBLIC_KINDS if self.visibility == PUBLIC else _PRIVATE_KINDS
+    def _ever_pooled(self) -> tuple[set[bytes], set[str]]:
+        """The id of every transaction ever pooled or sealed here, and the
+        record id of every EHR anchor among them.
+
+        Built by one scan of blocks and pool on the first call and kept
+        current by submit from then on. It is built lazily, not in
+        load_text, because the read path (load, audit, verify) asks
+        neither question: holding an id per transaction beside the loaded
+        blocks would only raise its peak memory.
+        """
+        if self._ever is None:
+            self._ever = (set(), set())
+            for txs in (*(b.payload for b in self.dag.blocks.values()), self.pool):
+                for tx in txs:
+                    self._note(tx)
+        return self._ever
+
+    def _note(self, tx: Transaction) -> None:
+        tx_ids, record_ids = self._ever
+        tx_ids.add(tx.id)
+        if tx.kind is TxKind.EHR_ANCHOR:
+            record_ids.add(tx.body["record_id"])
 
     def has_tx(self, tx_id: bytes) -> bool:
         """True if the tx id was ever pooled or sealed here."""
-        return tx_id in self._tx_ids
+        return tx_id in self._ever_pooled()[0]
 
     def anchored_record_ids(self) -> set[str]:
-        """Record ids with an EHR anchor anywhere on this ledger, pooled
-        or sealed; the same "ever pooled or sealed" sense as has_tx.
-
-        The set is built by one scan of pool and blocks on the first call
-        and kept current by submit from then on. It is built lazily, not
-        in load_text, because the read path (load, audit, verify) never
-        anchors: holding every record id beside the loaded blocks would
-        only raise its peak memory. The set is the ledger's own; callers
-        must not mutate it.
-        """
-        if self._anchored is None:
-            self._anchored = {
-                tx.body["record_id"]
-                for txs in (self.pool, *(b.payload for b in self.dag.blocks.values()))
-                for tx in txs
-                if tx.kind is TxKind.EHR_ANCHOR
-            }
-        return self._anchored
+        """Record ids with an EHR anchor ever pooled or sealed here. The
+        set is the ledger's own; callers must not mutate it."""
+        return self._ever_pooled()[1]
 
     def _check_admissible(self, tx: Transaction) -> None:
         """The kind and body rules a transaction must meet on this ledger,
@@ -301,7 +306,7 @@ class Ledger:
             isinstance(at, int) or (isinstance(at, float) and math.isfinite(at))
         ):
             raise FormatError(f"transaction field 'submitted_at' must be a finite number, got {at!r}")
-        if tx.kind not in self.admissible_kinds():
+        if self.visibility == PUBLIC and tx.kind is not TxKind.ALERT_EVENT:
             raise KindNotAdmissible(
                 f"{tx.kind.value} transactions are not accepted on the {self.visibility} ledger"
             )
@@ -312,17 +317,15 @@ class Ledger:
         elif tx.kind is TxKind.ACCESS_CHANGE:
             _check_access_change_body(tx.body)
 
-    def submit(self, tx: Transaction, author: EntityId) -> SubmitReceipt:
+    def submit(self, tx: Transaction, author: EntityId) -> None:
         if author not in self.authorized_writers:
             raise Unauthorized(f"{author!r} may not write to the {self.visibility} ledger")
         if tx.author != author:
             raise Unauthorized(f"{author!r} cannot submit a transaction authored by {tx.author!r}")
         self._check_admissible(tx)
-        if tx.kind is TxKind.EHR_ANCHOR and self._anchored is not None:
-            self._anchored.add(tx.body["record_id"])
         self.pool.append(tx)
-        self._tx_ids.add(tx.id)
-        return SubmitReceipt(tx_id=tx.id, position=len(self.pool) - 1)
+        if self._ever is not None:
+            self._note(tx)
 
     def seal_block(self, creator: EntityId, now: float) -> Block:
         if creator not in self.authorized_writers:
@@ -477,18 +480,17 @@ class Ledger:
                 timestamp = float(ts_col.strip())
             except ValueError:
                 raise FormatError(f"line {lineno}: bad timestamp {ts_col!r}") from None
+            block = Block.create(parent_ids, txs, timestamp, creator)
             if not parent_ids:
-                # re-derived genesis must already match the constructor's
-                if declared != ledger.genesis_id.hex():
+                # the re-derived genesis must be the constructor's, which
+                # the header fixes
+                if declared != ledger.genesis_id.hex() or block.id != ledger.genesis_id:
                     raise FormatError(f"line {lineno}: genesis does not match the ledger header")
                 continue
-            block = Block.create(parent_ids, txs, timestamp, creator)
             if block.id.hex() != declared:
                 raise FormatError(f"line {lineno}: block content does not match its id")
             ledger.dag.add(block)
             by_hex[block.id.hex()] = block.id
-            for tx in txs:
-                ledger._tx_ids.add(tx.id)
         return ledger
 
 
@@ -524,12 +526,12 @@ class DualLedger:
             public=Ledger(PUBLIC, k, public_writers),
         )
 
-    def submit_private(self, tx: Transaction, author: EntityId) -> SubmitReceipt:
+    def submit_private(self, tx: Transaction, author: EntityId) -> None:
         # the private side accepts every kind, except an alert that would
         # duplicate one already on the public ledger
         if tx.kind is TxKind.ALERT_EVENT and self.public.has_tx(tx.id):
             raise KindNotAdmissible("alert already recorded on the public ledger")
-        return self.private.submit(tx, author)
+        self.private.submit(tx, author)
 
     def seal_all(self, creator: EntityId, now: float) -> tuple[Block, Block]:
         return self.private.seal_block(creator, now), self.public.seal_block(creator, now)

@@ -182,9 +182,9 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
         dag.add(block)
         node.receive(block)
         events.append(SimEvent(t, idx, "created", block.id))
-        if config.nodes > 1:
-            # one entry reaches every other node at once, in node order
-            deliveries.append((t + config.delay_d, idx, block))
+        # one entry reaches every other node at once, in node order; on a
+        # one-node run it reaches none and draws nothing from rng
+        deliveries.append((t + config.delay_d, idx, block))
         t += rng.expovariate(config.rate_lambda)
 
     # At quiescence every node has received every block, so the views share

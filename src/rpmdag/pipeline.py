@@ -16,33 +16,15 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field, replace
-from enum import Enum
 
 from .acl import AccessController, ManualClock, Role, Scope, Session
 from .ehr import EhrRecord, EhrStore, anchor
 from .errors import EhrRecordMissing, FormatError, InvalidParameter, InvalidProfile, UnitMismatch
 from .hashing import canonical_json, digest, encode_str
-from .ledger import (
-    ALERT_SEVERITIES,
-    VITAL_KIND_NAMES,
-    DualLedger,
-    Transaction,
-    TxKind,
-)
+from .ledger import ALERT_SEVERITIES, DualLedger, Transaction, TxKind, VitalKind
 
 log = logging.getLogger(__name__)
 
-
-class VitalKind(Enum):
-    HEART_RATE = "heart_rate"
-    SYSTOLIC_BP = "systolic_bp"
-    DIASTOLIC_BP = "diastolic_bp"
-    GLUCOSE = "glucose"
-    RESPIRATION = "respiration"
-
-
-# The ledger's alert-body scan denies exactly these names; keep in sync.
-assert tuple(v.value for v in VitalKind) == VITAL_KIND_NAMES
 
 # Multipliers into the canonical unit for each vital; the canonical unit
 # is listed first.

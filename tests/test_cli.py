@@ -246,6 +246,11 @@ def test_rpm_demo_ehr_and_ledger_cli(tmp_path):
         ("k=3", "k=3 junk"),
         ("max=1000", "max=-1"),
         ("max=1000", "max=0"),
+        # int() takes each of these, but a re-save would rewrite it
+        ("k=3", "k=+3"),
+        ("k=3", "k=\u0663"),
+        ("max=1000", "max=1_000"),
+        ("max=1000", "max=01000"),
     ],
 )
 def test_malformed_ledger_header_is_a_runtime_error(tmp_path, old, new):
@@ -527,6 +532,27 @@ def test_bad_roster_entry_is_a_runtime_error(tmp_path, roster_case, command):
     assert_one_error_line(result, 1)
     assert "roster file" in result[2] and "entry " in result[2]
     assert not ledger.exists()
+
+
+@pytest.mark.parametrize("at", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", sorted(ACL_COMMANDS))
+def test_non_finite_at_is_a_runtime_error(tmp_path, command, at):
+    roster = tmp_path / "roster.json"
+    roster.write_text(json.dumps([
+        {"entity_id": "p-01", "role": "patient", "credential": "pw-p"},
+        {"entity_id": "dr-01", "role": "healthcare_provider", "credential": "pw-dr"},
+    ]))
+    ledger = tmp_path / "acl.ledger"
+    common = ("--ledger", str(ledger), "--roster", str(roster))
+    assert run_cli("acl", "grant", *common, *ACL_COMMANDS["grant"])[:2] == (0, "grant-0001\n")
+    before = ledger.read_bytes()
+    # refused by name before the ledger or the roster is read
+    for roster_path in (roster, tmp_path / "missing.json"):
+        result = run_cli("acl", command, "--ledger", str(ledger), "--roster", str(roster_path),
+                         *ACL_COMMANDS[command], f"--at={at}")
+        assert_one_error_line(result, 1)
+        assert "at must be a finite time" in result[2]
+    assert ledger.read_bytes() == before
 
 
 # `rpmdag color` stdout on the reference DAG, one "token color score" row per

@@ -331,8 +331,8 @@ def test_order_independent_of_insertion_order():
 def test_order_position_lookup(reference_dag):
     dag, names = reference_dag
     ordered = ghostdag_run(dag, GhostdagParams(3))
-    assert ordered.position(names["A"]) == 0
-    assert {ordered.position(bid) for bid in dag.blocks} == set(range(len(dag.blocks)))
+    assert ordered.order.index(names["A"]) == 0
+    assert {ordered.order.index(bid) for bid in dag.blocks} == set(range(len(dag.blocks)))
 
 
 def test_empty_dag_orders_empty():

@@ -13,7 +13,7 @@ import pytest
 import rpmdag.ledger as ledger_module
 from rpmdag.dag import Block
 from rpmdag.errors import FormatError, KindNotAdmissible, PhiLeak, Unauthorized
-from rpmdag.hashing import digest
+from rpmdag.hashing import canonical_json, digest
 from rpmdag.ledger import (
     PRIVATE,
     PUBLIC,
@@ -150,8 +150,8 @@ def test_public_ledger_admits_only_alerts():
     with pytest.raises(KindNotAdmissible):
         ledger.submit(anchor_tx(1), "svc")
     tx = Transaction(TxKind.ALERT_EVENT, alert_body(), 1.0, "svc")
-    receipt = ledger.submit(tx, "svc")
-    assert receipt.tx_id == tx.id and receipt.position == 0
+    assert ledger.submit(tx, "svc") is None
+    assert ledger.pool == [tx]
     assert ledger.has_tx(tx.id)
 
 
@@ -328,6 +328,25 @@ def test_payload_chunk_that_is_not_plain_utf8_is_a_format_error(encoding):
     crafted = text.replace(chunk, base64.b64encode(recoded).decode(), 1)
     with pytest.raises(FormatError, match="line 3: bad payload"):
         Ledger.load_text(crafted)
+
+
+# column index and new value of one genesis-line field; the genesis line is
+# `id:  |  | 0.0 | genesis:private:sha256`, so each edit keeps its declared id
+GENESIS_EDITS = {
+    "payload": (1, base64.b64encode(canonical_json(anchor_tx(9).to_wire())).decode()),
+    "timestamp": (2, "1.0"),
+    "creator": (3, "mallory"),
+}
+
+
+@pytest.mark.parametrize("column, value", GENESIS_EDITS.values(), ids=GENESIS_EDITS.keys())
+def test_persistence_detects_genesis_field_edits(column, value):
+    lines = build_ledger().save_text().splitlines()
+    cols = lines[1].split(" | ")
+    cols[column] = value
+    lines[1] = " | ".join(cols)
+    with pytest.raises(FormatError, match="line 2: genesis does not match the ledger header"):
+        Ledger.load_text("\n".join(lines) + "\n")
 
 
 def test_persistence_detects_declared_id_mismatch():
@@ -714,6 +733,30 @@ def test_anchor_index_matches_a_scan_live_and_reloaded():
     # save_text persists sealed blocks only, so pooled anchors are not reloaded
     pooled = {tx.body["record_id"] for tx in ledger.pool if tx.kind is TxKind.EHR_ANCHOR}
     assert reloaded.anchored_record_ids() == live - pooled
+
+
+def test_tx_index_matches_a_scan_live_and_reloaded():
+    live = run_demo(seed=3, patients=12, readings_per_device=100).dual.private
+    sealed = {tx.id for block in live.dag.blocks.values() for tx in block.payload}
+    pooled = {tx.id for tx in live.pool} - sealed
+    assert sealed and pooled
+    reloaded = Ledger.load_text(live.save_text())
+    for ledger in (live, reloaded):
+        assert all(ledger.has_tx(tx_id) for tx_id in sealed)
+    assert all(live.has_tx(tx_id) for tx_id in pooled)
+    # save_text persists sealed blocks only, so pooled txs are not reloaded
+    assert not any(reloaded.has_tx(tx_id) for tx_id in pooled)
+    # submits after the index is built, a resubmitted pooled tx among them,
+    # keep it equal to a scan; fresh[3] is never submitted
+    fresh = [anchor_tx(n, author="rpm-pipeline") for n in range(4)]
+    for tx in (next(tx for tx in live.pool if tx.id in pooled), *fresh[:2]):
+        reloaded.submit(tx, "rpm-pipeline")
+    reloaded.seal_block("sealer-1", 1e9)
+    reloaded.submit(fresh[2], "rpm-pipeline")
+    scanned = {tx.id for tx in reloaded.pool}
+    scanned.update(tx.id for block in reloaded.dag.blocks.values() for tx in block.payload)
+    candidates = sealed | pooled | {tx.id for tx in fresh}
+    assert {tx_id for tx_id in candidates if reloaded.has_tx(tx_id)} == scanned
 
 
 def test_dual_ledger_routes_and_guards():
