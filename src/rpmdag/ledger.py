@@ -445,7 +445,7 @@ class Ledger:
             raise FormatError(f"ledger header is missing {exc}") from None
 
         ledger = cls(visibility, k, writers, max_txs)
-        by_hex = {ledger.genesis_id.hex(): ledger.genesis_id}
+        by_hex: dict[str, BlockId] = {}  # the blocks read so far
         for lineno, line in numbered:
             cols = line.split(" | ")
             if len(cols) != 4:
@@ -482,15 +482,21 @@ class Ledger:
                 raise FormatError(f"line {lineno}: bad timestamp {ts_col!r}") from None
             block = Block.create(parent_ids, txs, timestamp, creator)
             if not parent_ids:
-                # the re-derived genesis must be the constructor's, which
-                # the header fixes
+                # the first block line alone is parentless, and it must
+                # re-derive to the constructor's genesis, which the header
+                # fixes
+                if by_hex:
+                    raise FormatError(f"line {lineno}: a second block without parents")
                 if declared != ledger.genesis_id.hex() or block.id != ledger.genesis_id:
                     raise FormatError(f"line {lineno}: genesis does not match the ledger header")
+                by_hex[declared] = block.id
                 continue
             if block.id.hex() != declared:
                 raise FormatError(f"line {lineno}: block content does not match its id")
             ledger.dag.add(block)
             by_hex[block.id.hex()] = block.id
+        if not by_hex:
+            raise FormatError("ledger has no genesis line")
         return ledger
 
 

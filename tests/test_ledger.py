@@ -349,6 +349,21 @@ def test_persistence_detects_genesis_field_edits(column, value):
         Ledger.load_text("\n".join(lines) + "\n")
 
 
+# a saved ledger rebuilt from its header, genesis line and block lines
+GENESIS_LINE_EDITS = {
+    "duplicated": (lambda h, g, blocks: [h, g, g, *blocks], "line 3: a second block without parents"),
+    "dropped": (lambda h, g, blocks: [h, *blocks], "line 2: unknown parent"),
+    "header-only": (lambda h, g, blocks: [h], "no genesis line"),
+}
+
+
+@pytest.mark.parametrize("edit, message", GENESIS_LINE_EDITS.values(), ids=GENESIS_LINE_EDITS.keys())
+def test_persistence_needs_one_genesis_line_first(edit, message):
+    header, genesis, *blocks = build_ledger().save_text().splitlines(keepends=True)
+    with pytest.raises(FormatError, match=message):
+        Ledger.load_text("".join(edit(header, genesis, blocks)))
+
+
 def test_persistence_detects_declared_id_mismatch():
     ledger = build_ledger()
     text = ledger.save_text()
