@@ -55,12 +55,13 @@ def block_id(parents, payload_ids, timestamp: float, creator: str) -> BlockId:
     return digest(b"".join(parts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """One block: identity, parent references, payload, and provenance.
 
     Payload items are opaque here; each must expose a 32-byte `.id` so the
-    block digest can bind them.
+    block digest can bind them. Slotted, so a block is one object with no
+    per-instance __dict__ beside it.
     """
 
     id: BlockId
@@ -145,7 +146,7 @@ class BlockDag:
                 raise MissingParent(
                     f"block {block.short_id()} references unknown parents {shown}"
                 ) from None
-            if len(set(parents)) != len(parents):
+            if len(parents) > 1 and len(set(parents)) != len(parents):
                 raise FormatError(f"block {block.short_id()} lists a parent twice")
         lo, w = join_windows(parents, self.low, self.win)
 

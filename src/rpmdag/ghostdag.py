@@ -33,12 +33,18 @@ The global coloring is the view of a virtual block whose parents are the
 current tips; it runs through the same loop, one turn after the last
 block. All tie-breaking is lexicographic on block ids, so results are
 deterministic for a given DAG and k.
+
+ghostdag_run returns the order at once, but builds the Coloring, a dict
+and a set entry per block, only on the first read of .coloring: the
+convergence check and the ledger's confirmed stream read the order alone.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .dag import BlockDag, BlockId, join_windows
@@ -69,12 +75,42 @@ class Coloring:
     k: int
 
 
-@dataclass(frozen=True)
 class OrderedDag:
-    """A coloring together with the total order it induces."""
+    """A total order together with the coloring that induces it.
 
-    order: tuple[BlockId, ...]
-    coloring: Coloring
+    Both read as attributes, and equality compares the order and the
+    coloring. ghostdag_run leaves its coloring unbuilt and builds it on the
+    first read of .coloring, because the convergence check and
+    Ledger.confirmed read .order alone.
+    """
+
+    __slots__ = ("_order", "_coloring", "_build")
+
+    def __init__(self, order: tuple[BlockId, ...], coloring: Coloring | None):
+        self._order = order
+        self._coloring = coloring
+        self._build: Callable[[], Coloring] | None = None
+
+    @property
+    def order(self) -> tuple[BlockId, ...]:
+        return self._order
+
+    @property
+    def coloring(self) -> Coloring:
+        if self._build is not None:
+            self._coloring = self._build()
+            self._build = None
+        return self._coloring
+
+    def __eq__(self, other):
+        if not isinstance(other, OrderedDag):
+            return NotImplemented
+        return self.order == other.order and self.coloring == other.coloring
+
+    __hash__ = None  # the coloring holds dicts
+
+    def __repr__(self) -> str:
+        return f"OrderedDag(order={self.order!r}, coloring={self.coloring!r})"
 
 
 def is_k_cluster(dag: BlockDag, blocks, k: int) -> bool:
@@ -310,6 +346,22 @@ class _Engine:
             j = self.parent[j]
         return size
 
+    def coloring(self, chain: list[int], virtual_blues: tuple[int, ...], k: int) -> Coloring:
+        """The global coloring: blue is the mergeset blues along the chain
+        from the selected tip down, and the virtual block's."""
+        ids = self.ids
+        blue = frozenset(
+            [ids[x] for ci in chain for x in (ci, *self.mergeset_blues[ci])]
+            + [ids[x] for x in virtual_blues]
+        )
+        return Coloring(
+            blue=blue,
+            red=frozenset(ids) - blue,
+            blue_score=dict(zip(ids, self.score)),
+            selected_parent={bid: ids[sp] for bid, sp in zip(ids, self.parent) if sp != -1},
+            k=k,
+        )
+
     # Ordering
 
     def chain(self, tip: int) -> list[int]:
@@ -349,17 +401,23 @@ class _Engine:
                 if node >= 0:
                     if emitted[node]:
                         continue
-                    pending = [j for j in parent_index[node] if not emitted[j]]
-                    if pending:
-                        if len(pending) > 1:
-                            # pushed in descending key order so the smallest pops first
-                            pending.sort(key=sort_key, reverse=True)
-                        stack.append(~node)
-                        stack += pending
-                        continue
-                else:
-                    # every block pushed above it has been emitted, its parents too
-                    node = ~node
+                    # the pending list is built only when a parent is missing
+                    parents = parent_index[node]
+                    for j in parents:
+                        if not emitted[j]:
+                            pending = [p for p in parents if not emitted[p]]
+                            if len(pending) > 1:
+                                # pushed in descending key order so the smallest pops first
+                                pending.sort(key=sort_key, reverse=True)
+                            stack.append(~node)
+                            stack += pending
+                            break
+                    else:
+                        emitted[node] = 1
+                        out.append(node)
+                    continue
+                # every block pushed above it has been emitted, its parents too
+                node = ~node
                 emitted[node] = 1
                 out.append(node)
 
@@ -375,24 +433,14 @@ class _Engine:
 
 
 def ghostdag_run(dag: BlockDag, params: GhostdagParams) -> OrderedDag:
-    """Color the DAG from the virtual block's view, then order it."""
+    """Color the DAG from the virtual block's view, then order it. The
+    Coloring is built on the first read of .coloring."""
     engine = _Engine(dag)
     virtual_blues, selected_tip = engine.greedy(params.k)
     chain = engine.chain(selected_tip)
-    ids = engine.ids
-    blue = frozenset(
-        [ids[x] for ci in chain for x in (ci, *engine.mergeset_blues[ci])]
-        + [ids[x] for x in virtual_blues]
-    )
-    coloring = Coloring(
-        blue=blue,
-        red=frozenset(ids) - blue,
-        blue_score=dict(zip(ids, engine.score)),
-        selected_parent={bid: ids[sp] for bid, sp in zip(ids, engine.parent) if sp != -1},
-        k=params.k,
-    )
-    order = engine.order_blocks(chain, virtual_blues)
-    return OrderedDag(order=tuple(order), coloring=coloring)
+    ordered = OrderedDag(tuple(engine.order_blocks(chain, virtual_blues)), None)
+    ordered._build = functools.partial(engine.coloring, chain, virtual_blues, params.k)
+    return ordered
 
 
 def k_for_network(delay: float, rate: float, delta: float) -> int:

@@ -26,6 +26,7 @@ from functools import cached_property
 
 from .dag import Block, BlockDag, BlockId, genesis_block
 from .errors import (
+    DuplicateBlock,
     FormatError,
     KindNotAdmissible,
     PhiLeak,
@@ -383,7 +384,8 @@ class Ledger:
             payload = ",".join(
                 base64.b64encode(canonical_json(tx.to_wire())).decode() for tx in block.payload
             )
-            yield f"{bid.hex()}: {parents} | {payload} | {block.timestamp!r} | {block.creator}\n"
+            timestamp = float(block.timestamp)  # an int time saves as the float it loads as
+            yield f"{bid.hex()}: {parents} | {payload} | {timestamp!r} | {block.creator}\n"
 
     def save_text(self) -> str:
         return "".join(self._save_lines())
@@ -476,8 +478,12 @@ class Ledger:
                 except (FormatError, KindNotAdmissible, PhiLeak) as exc:
                     raise FormatError(f"line {lineno}: {exc}") from None
                 txs.append(tx)
+            # the column must be the one spelling save writes, so a respelt
+            # time such as "+1.0" or "1.0e0" is refused like any other edit
             try:
-                timestamp = float(ts_col.strip())
+                timestamp = float(ts_col)
+                if repr(timestamp) != ts_col:
+                    raise ValueError
             except ValueError:
                 raise FormatError(f"line {lineno}: bad timestamp {ts_col!r}") from None
             block = Block.create(parent_ids, txs, timestamp, creator)
@@ -493,7 +499,10 @@ class Ledger:
                 continue
             if block.id.hex() != declared:
                 raise FormatError(f"line {lineno}: block content does not match its id")
-            ledger.dag.add(block)
+            try:
+                ledger.dag.add(block)
+            except DuplicateBlock as exc:
+                raise FormatError(f"line {lineno}: {exc}") from None
             by_hex[block.id.hex()] = block.id
         if not by_hex:
             raise FormatError("ledger has no genesis line")

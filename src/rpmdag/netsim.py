@@ -20,6 +20,11 @@ Every block reaches every other node after the same delay, so deliveries
 fall due in creation order: they wait in a FIFO, and a delivery due at a
 creation time is handled before that creation.
 
+The per-block work is kept to what some output reads. Events are named
+tuples, and a block's height, worked out once when it is created, and
+each node's best tip are tracked in longest_chain mode only, the one mode
+whose parents and measure read them.
+
 Runs are deterministic: identical (config, seed) reproduce the exact
 trace, block ids, and metrics.
 """
@@ -30,6 +35,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .dag import Block, BlockDag, BlockId, genesis_block, join_windows
 from .errors import DuplicateBlock, IncompleteTrace, InvalidConfig, MissingParent
@@ -72,8 +78,7 @@ class SimConfig:
             raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     time: float
     node: int
     kind: str  # "created" | "received"
@@ -127,8 +132,9 @@ class _NodeState:
             return (self.best_tip,)
         return tuple(sorted(self.tips))
 
-    def receive(self, block: Block):
-        """Take a block whose parents this node has received already.
+    def take(self, block: Block):
+        """Take a block whose parents this node has received already, as
+        a seen id and a tip.
 
         Deliveries leave a FIFO in creation order, and a delivery due at a
         creation time is handled before that creation. A parent is created
@@ -142,6 +148,12 @@ class _NodeState:
         self.seen.add(block.id)
         self.tips.difference_update(block.parents)
         self.tips.add(block.id)
+
+    def receive(self, block: Block):
+        """Take the block as take does, then record its height, worked out
+        on its first receipt (its creator's), and move the best tip to it
+        when it is higher. Only longest_chain mode reads either."""
+        self.take(block)
         if block.id not in self.heights:
             parent_h = max((self.heights[p] for p in block.parents), default=-1)
             self.heights[block.id] = parent_h + 1
@@ -162,6 +174,9 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
         for i in range(config.nodes)
     ]
     events: list[SimEvent] = []
+    # heights and the best tip pick longest_chain's parents and measure its
+    # chain; blockdag mode reads neither, so its nodes only take blocks
+    receive = _NodeState.receive if config.mode == MODE_LONGEST_CHAIN else _NodeState.take
     # (due time, creator, block): with one fixed delay, deliveries fall due
     # in creation order, so a FIFO holds them
     deliveries: deque[tuple[float, int, Block]] = deque()
@@ -173,14 +188,14 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
             due, creator, block = deliveries.popleft()
             for other in nodes:
                 if other.idx != creator:
-                    other.receive(block)
+                    receive(other, block)
                     events.append(SimEvent(due, other.idx, "received", block.id))
             continue
         idx = rng.randrange(config.nodes)
         node = nodes[idx]
         block = Block.create(node.mining_parents(config.mode), (), t, f"n{idx}")
         dag.add(block)
-        node.receive(block)
+        receive(node, block)
         events.append(SimEvent(t, idx, "created", block.id))
         # one entry reaches every other node at once, in node order; on a
         # one-node run it reaches none and draws nothing from rng

@@ -285,14 +285,20 @@ class RpmPipeline:
         self.dual = dual
         self.store = store
         self.controller = controller
-        self.rules = list(rules)
+        # a tuple, so the per-patient index built from it cannot go stale
+        self.rules = tuple(rules)
+        by_patient: dict[str, list[ThresholdRule]] = {}
+        for rule in self.rules:
+            by_patient.setdefault(rule.patient, []).append(rule)
+        self._rules_by_patient = {p: tuple(rs) for p, rs in by_patient.items()}
         self.subscribers: list[Subscriber] = []
         self._records: dict[VitalReading, EhrRecord] = {}
         self._delivered: set[tuple[str, str]] = set()
         self.alerts: list[AlertEvent] = []
 
-    def rules_for(self, patient: str) -> list[ThresholdRule]:
-        return [r for r in self.rules if r.patient == patient]
+    def rules_for(self, patient: str) -> tuple[ThresholdRule, ...]:
+        """The patient's rules, in the order they were given."""
+        return self._rules_by_patient.get(patient, ())
 
     def ingest(self, reading: VitalReading, now: float) -> EhrRecord:
         """Persist one normalized reading to the EHR and anchor its hash."""

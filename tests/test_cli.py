@@ -401,6 +401,15 @@ def test_missing_ehr_store_is_a_runtime_error(small_demo, tmp_path, layout):
             assert list(store.iterdir()) == []
 
 
+def test_repeated_block_line_is_a_runtime_error(small_demo, tmp_path):
+    text = (small_demo / "private.ledger").read_text()
+    path = tmp_path / "private.ledger"
+    path.write_text(text + text.splitlines(keepends=True)[-1])
+    result = run_cli("ledger", "inspect", "--file", str(path))
+    assert_one_error_line(result, 1)
+    assert f"line {len(text.splitlines()) + 1}: block " in result[2]
+
+
 def test_non_utf8_ledger_is_a_runtime_error(small_demo, tmp_path):
     path = tmp_path / "private.ledger"
     path.write_bytes((small_demo / "private.ledger").read_bytes() + b"\xff")

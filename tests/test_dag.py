@@ -58,6 +58,13 @@ def test_genesis_properties():
     assert dag.tips == {g.id}
 
 
+def test_block_is_one_slotted_object():
+    block = Block.create((genesis_block().id,), (), 1.0, "x")
+    assert not hasattr(block, "__dict__")
+    with pytest.raises(AttributeError):
+        block.creator = "y"
+
+
 def test_second_genesis_rejected():
     dag = BlockDag().add(genesis_block())
     with pytest.raises(GenesisConflict):

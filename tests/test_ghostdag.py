@@ -24,7 +24,8 @@ from rpmdag.ghostdag import (
     k_for_network,
     max_k_cluster,
 )
-from rpmdag.netsim import SimConfig, run
+from rpmdag.ledger import PRIVATE, Ledger
+from rpmdag.netsim import SimConfig, check_convergence, run
 
 # Blue scores of the reference DAG, frozen from a hand-checked run of the
 # plain-set reference implementation.
@@ -101,6 +102,8 @@ def assert_matches_bitmask_oracle(dag: BlockDag, k: int, case) -> None:
         want.coloring.selected_parent.items()
     ), case
     assert got.order == want.order, case
+    # the engine's coloring is built on this read; equality compares it too
+    assert got == want, case
 
 
 def test_engine_matches_bitmask_oracle_on_greedy_corpus():
@@ -368,3 +371,22 @@ def test_k_for_network_validation():
                 (1.0, 1.0, 1.0), (math.inf, 1.0, 0.01), (1.0, math.nan, 0.01)):
         with pytest.raises(InvalidParameter):
             k_for_network(*bad)
+
+
+def test_convergence_and_confirmed_build_no_coloring(monkeypatch):
+    # both read .order alone, so neither builds a Coloring
+    def refuse(**fields):
+        raise AssertionError("a Coloring was built")
+
+    _, trace = run(SimConfig(nodes=4, rate_lambda=20.0, delay_d=1.0, duration=10.0, k=3, seed=5))
+    ledger = Ledger(PRIVATE, 2, {"sealer"})
+    for t in range(5):
+        ledger.seal_block("sealer", float(t))
+    monkeypatch.setattr(rpmdag.ghostdag, "Coloring", refuse)
+    assert check_convergence(trace, 3)
+    assert len(ledger.confirmed()) == 0
+    ordered = ghostdag_run(ledger.dag, GhostdagParams(2))
+    with pytest.raises(AssertionError, match="a Coloring was built"):
+        ordered.coloring
+    monkeypatch.undo()
+    assert ordered.coloring.blue == set(ledger.dag.blocks)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import stat
 import tracemalloc
 
@@ -287,6 +288,9 @@ def build_ledger() -> Ledger:
 
 def test_persistence_round_trip(tmp_path):
     ledger = build_ledger()
+    # a block sealed at an int time saves the float it loads as
+    ledger.seal_block("sealer", 20)
+    assert " | 20.0 | sealer\n" in ledger.save_text()
     path = tmp_path / "test.ledger"
     ledger.save(path)
     again = Ledger.load(path)
@@ -543,7 +547,8 @@ def test_load_errors_name_the_line_of_the_file(tmp_path):
     lines[1:1] = [""]
     lines[3:3] = ["", "  "]
     assert lines[5].count(" | ") == 3
-    lines[5] = lines[5].replace(" | ", " |", 1)
+    block_line = lines[5]
+    lines[5] = block_line.replace(" | ", " |", 1)
     text = "\n".join(lines) + "\n"
     with pytest.raises(FormatError, match="^line 6: expected 4 columns"):
         Ledger.load_text(text)
@@ -551,6 +556,22 @@ def test_load_errors_name_the_line_of_the_file(tmp_path):
     path.write_bytes(text.encode())
     with pytest.raises(FormatError, match="^line 6: expected 4 columns"):
         Ledger.load(path)
+    # the first block was sealed at 1.0; each respelling reads as 1.0 but
+    # is not the spelling save writes, so it is refused as an edit
+    assert block_line.split(" | ")[2] == "1.0"
+    for spelling in ("+1.0", "1.0e0", " 1.0", "\u0661.0", "1"):
+        lines[5] = block_line.replace(" | 1.0 | ", f" | {spelling} | ")
+        message = re.escape(f"line 6: bad timestamp {spelling!r}")
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            Ledger.load_text("\n".join(lines) + "\n")
+
+
+def test_a_repeated_block_line_is_refused_with_its_line():
+    lines = build_ledger().save_text().splitlines(keepends=True)
+    repeated = "".join(lines + lines[-1:])
+    short = lines[-1][:12]
+    with pytest.raises(FormatError, match=f"^line {len(lines) + 1}: block {short} already present"):
+        Ledger.load_text(repeated)
 
 
 def test_a_byte_that_is_not_utf8_is_reported_with_its_line(tmp_path):

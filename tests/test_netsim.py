@@ -68,6 +68,15 @@ def test_config_validation():
             config(**bad)
 
 
+def test_sim_event_is_an_immutable_named_tuple():
+    event = SimEvent(1.0, 2, "received", b"\0" * 32)
+    assert SimEvent._fields == ("time", "node", "kind", "block")
+    assert event == SimEvent(time=1.0, node=2, kind="received", block=b"\0" * 32)
+    assert (event.time, event.node, event.kind, event.block) == tuple(event)
+    with pytest.raises(AttributeError):
+        event.node = 3
+
+
 class _EveryGapIsOne(random.Random):
     """Every gap between block creations is 1.0."""
 

@@ -349,3 +349,12 @@ def test_demo_state_is_byte_identical_to_golden(tmp_path):
         for name in DEMO_SEED_11_SHA256
     }
     assert digests == DEMO_SEED_11_SHA256
+
+
+def test_rules_for_matches_a_scan_of_every_rule():
+    pipeline = run_demo(seed=3, patients=3, readings_per_device=2, duration=10.0).pipeline
+    patients = {r.patient for r in pipeline.rules}
+    assert len(patients) == 3
+    for patient in sorted(patients) + ["nobody"]:
+        want = [r for r in pipeline.rules if r.patient == patient]
+        assert list(pipeline.rules_for(patient)) == want, patient
