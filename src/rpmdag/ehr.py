@@ -33,7 +33,7 @@ UNANCHORED = "unanchored"
 LOG_NAME = "ehr.log"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EhrRecord:
     record_id: str
     patient: str
@@ -42,7 +42,7 @@ class EhrRecord:
     content_hash: str  # hex digest of content
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerifyResult:
     record_id: str
     status: str  # intact | tampered | unanchored

@@ -9,7 +9,9 @@ Each encoder here has one byte contract:
 - canonical_json: UTF-8 bytes of compact JSON (separators "," and ":"),
   keys sorted, non-ASCII escaped as \\uXXXX, NaN and infinities refused
   with ValueError. Transaction ids, ledger payload chunks and EHR record
-  content are these bytes.
+  content are these bytes. A transaction keeps the bytes its id hashes,
+  and its payload chunk is spliced from them (Transaction.wire_bytes)
+  rather than encoded again; the spliced chunk is the same bytes.
 - sorted_json: the text json.dumps(obj, sort_keys=True) returns, with
   the default ", " and ": " separators and NaN written as a bare NaN.
   EHR log headers, ledger inspect lines and sim trace lines are this.

@@ -20,6 +20,7 @@ import math
 import os
 import re
 import stat
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -72,23 +73,42 @@ class VitalKind(Enum):
     RESPIRATION = "respiration"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """A ledger entry. Identity covers kind, body, and author; the
     submission time is bookkeeping, so a resubmitted transaction keeps
-    its id and the confirmed stream can deduplicate retries."""
+    its id and the confirmed stream can deduplicate retries.
+
+    The identity bytes, canonical_json of {kind, body, author}, are kept
+    as ident, and the saved payload chunk is spliced from them by
+    wire_bytes, so each transaction is JSON-encoded once. Like the id,
+    they assume the body is not changed after construction."""
 
     kind: TxKind
     body: dict
     submitted_at: float
     author: EntityId
     id: bytes = field(init=False)
+    ident: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ident = canonical_json(
             {"kind": self.kind.value, "body": self.body, "author": self.author}
         )
+        object.__setattr__(self, "ident", ident)
         object.__setattr__(self, "id", digest(ident))
+
+    def wire_bytes(self) -> bytes:
+        """canonical_json(self.to_wire()), without encoding the body again.
+
+        The wire keys sort as author, body, id, kind, submitted_at, so the
+        id goes in before the last ',"kind":' of ident (kind is its last
+        key, and its value is an enum name), and submitted_at goes at the
+        end. A time canonical_json refuses raises the same error here."""
+        head, sep, tail = self.ident.rpartition(b',"kind":')
+        return b'%s,"id":"%s"%s%s,"submitted_at":%s}' % (
+            head, self.id.hex().encode(), sep, tail[:-1], canonical_json(self.submitted_at)
+        )
 
     def to_wire(self) -> dict:
         return {
@@ -163,7 +183,7 @@ def validate_alert_body(body) -> None:
         raise PhiLeak(f"severity must be one of {ALERT_SEVERITIES}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfirmedTx:
     tx: Transaction
     block: BlockId
@@ -217,6 +237,14 @@ def _check_access_change_body(body) -> None:
     at = body.get("at")
     if isinstance(at, bool) or not isinstance(at, (int, float)):
         raise FormatError("access_change field 'at' must be a number")
+
+
+def _finite_number(value) -> bool:
+    """An int or a finite float, and not a bool. An int of any size is
+    finite, and math.isfinite would overflow on one above the float range."""
+    return not isinstance(value, bool) and (
+        isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    )
 
 
 def _header_int(header: dict[str, str], name: str) -> int:
@@ -300,12 +328,9 @@ class Ledger:
         """The kind and body rules a transaction must meet on this ledger,
         whether it arrives by submit or from a saved file."""
         # the tx id does not cover submitted_at, so only this check keeps a
-        # non-number or a NaN (which save would refuse) off the ledger; an
-        # int of any size is finite, and math.isfinite would overflow on it
+        # non-number or a NaN (which save would refuse) off the ledger
         at = tx.submitted_at
-        if isinstance(at, bool) or not (
-            isinstance(at, int) or (isinstance(at, float) and math.isfinite(at))
-        ):
+        if not _finite_number(at):
             raise FormatError(f"transaction field 'submitted_at' must be a finite number, got {at!r}")
         if self.visibility == PUBLIC and tx.kind is not TxKind.ALERT_EVENT:
             raise KindNotAdmissible(
@@ -331,6 +356,11 @@ class Ledger:
     def seal_block(self, creator: EntityId, now: float) -> Block:
         if creator not in self.authorized_writers:
             raise Unauthorized(f"{creator!r} may not seal blocks on the {self.visibility} ledger")
+        # save writes the time as a float repr and load takes only a finite
+        # one back, so an int must fit a float too; checked before the pool
+        # is drained
+        if not _finite_number(now) or abs(now) > sys.float_info.max:
+            raise FormatError(f"seal time 'now' must be a finite number, got {now!r}")
         payload = tuple(self.pool[: self.max_block_txs])
         del self.pool[: self.max_block_txs]
         block = Block.create(sorted(self.dag.tips), payload, now, creator)
@@ -381,9 +411,7 @@ class Ledger:
         for bid in self.dag.topological_order():
             block = self.dag.blocks[bid]
             parents = ",".join(sorted(p.hex() for p in block.parents))
-            payload = ",".join(
-                base64.b64encode(canonical_json(tx.to_wire())).decode() for tx in block.payload
-            )
+            payload = ",".join(base64.b64encode(tx.wire_bytes()).decode() for tx in block.payload)
             timestamp = float(block.timestamp)  # an int time saves as the float it loads as
             yield f"{bid.hex()}: {parents} | {payload} | {timestamp!r} | {block.creator}\n"
 
@@ -479,10 +507,11 @@ class Ledger:
                     raise FormatError(f"line {lineno}: {exc}") from None
                 txs.append(tx)
             # the column must be the one spelling save writes, so a respelt
-            # time such as "+1.0" or "1.0e0" is refused like any other edit
+            # time such as "+1.0" or "1.0e0" is refused like any other edit,
+            # and a finite one, as seal_block takes no other
             try:
                 timestamp = float(ts_col)
-                if repr(timestamp) != ts_col:
+                if repr(timestamp) != ts_col or not math.isfinite(timestamp):
                     raise ValueError
             except ValueError:
                 raise FormatError(f"line {lineno}: bad timestamp {ts_col!r}") from None

@@ -44,7 +44,7 @@ UNEVALUATED = "unevaluated"
 _SEVERITY_RANK = {name: i for i, name in enumerate(ALERT_SEVERITIES)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VitalReading:
     patient: str
     vital: VitalKind
@@ -109,7 +109,7 @@ class AggregatedBatch:
     window: tuple[float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     status: str
     rule_id: str | None = None

@@ -45,6 +45,16 @@ def test_store_and_read_round_trip():
     assert store.record_ids() == [rec.record_id]
 
 
+def test_records_and_verify_results_are_slotted():
+    store = EhrStore()
+    record = store.store(b"hr=72", "p-01", now=5.0)
+    assert not hasattr(record, "__dict__")
+    assert not hasattr(store.read(record.record_id), "__dict__")
+    ledger = Ledger(PRIVATE, 3, {"svc"})
+    anchor(record, ledger, "svc")
+    assert not hasattr(verify(record.record_id, store, ledger), "__dict__")
+
+
 def test_store_rejects_empty_content():
     store = EhrStore()
     with pytest.raises(EmptyContent):

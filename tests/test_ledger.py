@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 import math
 import os
 import random
 import re
 import stat
+import struct
 import tracemalloc
 
 import pytest
@@ -79,6 +81,130 @@ def test_tx_from_wire_rejects_tampering():
         Transaction.from_wire(wire)
     with pytest.raises(FormatError):
         Transaction.from_wire({"kind": "nope"})
+
+
+# characters that JSON escapes or that leave ASCII: quotes, backslashes,
+# control characters, the line separators, and a non-BMP character that is
+# escaped as a surrogate pair
+_CHARS = 'ab kind,:"\\/\x00\x01\x1f\x7f\t\n\u00e9\u2028\u4e2d\U0001f600'
+_TRAPS = ('kind', ',"kind":', '"kind":"alert_event"}', 'submitted_at', 'id')
+
+
+def _random_text(rng: random.Random) -> str:
+    if rng.random() < 0.2:
+        return rng.choice(_TRAPS)
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(8)))
+
+
+def _random_float(rng: random.Random) -> float:
+    """A finite float from the whole range: subnormal, near the maximum,
+    signed zeros, or any bit pattern that is not NaN or infinite."""
+    pick = rng.randrange(4)
+    if pick == 0:
+        return rng.choice((5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                           -1.7976931348623157e308, 0.0, -0.0, 0.1, 1e16, 1e-7))
+    if pick == 1:
+        return rng.uniform(-1e6, 1e6)
+    while True:
+        value = struct.unpack(">d", rng.getrandbits(64).to_bytes(8, "big"))[0]
+        if math.isfinite(value):
+            return value
+
+
+def _random_int(rng: random.Random) -> int:
+    value = rng.getrandbits(rng.choice((1, 8, 53, 64, 1100)))
+    return -value if rng.random() < 0.3 else value
+
+
+def _random_json(rng: random.Random, depth: int = 0):
+    pick = rng.randrange(8 if depth < 3 else 5)
+    if pick == 0:
+        return rng.choice((None, True, False))
+    if pick == 1:
+        return _random_int(rng)
+    if pick == 2:
+        return _random_float(rng)
+    if pick in (3, 4):
+        return _random_text(rng)
+    if pick == 5:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return _random_body(rng, depth + 1)
+
+
+def _random_body(rng: random.Random, depth: int = 0) -> dict:
+    body = {_random_text(rng): _random_json(rng, depth) for _ in range(rng.randrange(5))}
+    if rng.random() < 0.3:
+        body["kind"] = _random_json(rng, depth)
+    return body
+
+
+def _random_submitted_at(rng: random.Random):
+    return _random_int(rng) if rng.random() < 0.4 else _random_float(rng)
+
+
+def test_wire_bytes_equal_the_encoded_wire_dict():
+    rng = random.Random(1901)
+    for _ in range(600):
+        tx = Transaction(
+            kind=rng.choice(list(TxKind)),
+            body=_random_body(rng),
+            submitted_at=_random_submitted_at(rng),
+            author=_random_text(rng),
+        )
+        assert tx.wire_bytes() == canonical_json(tx.to_wire()), tx
+
+
+@pytest.mark.parametrize("at", [math.nan, math.inf, -math.inf])
+def test_wire_bytes_refuse_a_non_finite_time_as_canonical_json_does(at):
+    tx = Transaction(TxKind.EHR_ANCHOR, {"record_id": "r", "content_hash": "c"}, at, "svc")
+    with pytest.raises(ValueError):
+        canonical_json(tx.to_wire())
+    with pytest.raises(ValueError):
+        tx.wire_bytes()
+
+
+def test_every_saved_chunk_of_the_seed_11_demo_is_its_wire_bytes(tmp_path):
+    # the steps of `rpm demo --seed 11 --state-dir DIR`
+    result = run_demo(seed=11, state_dir=str(tmp_path))
+    result.store.close()
+    chunks = 0
+    for ledger in (result.dual.private, result.dual.public):
+        path = tmp_path / f"{ledger.visibility}.ledger"
+        ledger.save(path)
+        for line in path.read_text().splitlines()[1:]:
+            head, payload, _, _ = line.split(" | ")
+            block = ledger.dag.blocks[bytes.fromhex(head.partition(":")[0])]
+            saved = [base64.b64decode(chunk) for chunk in payload.split(",") if chunk]
+            assert saved == [tx.wire_bytes() for tx in block.payload]
+            chunks += len(saved)
+    assert chunks > 1000
+
+
+def test_transaction_and_confirmed_tx_are_slotted():
+    tx = anchor_tx(3)
+    ledger = Ledger(PRIVATE, 3, WRITERS)
+    ledger.submit(tx, "svc")
+    ledger.seal_block("sealer", 1.0)
+    (entry,) = ledger.confirmed()
+    assert not hasattr(tx, "__dict__")
+    assert not hasattr(entry, "__dict__")
+    assert entry.tx is tx
+
+
+def test_a_replaced_transaction_keeps_its_id_and_identity_bytes():
+    tx = anchor_tx(3)
+    moved = dataclasses.replace(tx, submitted_at=99.0)
+    assert moved.submitted_at == 99.0
+    assert moved.id == tx.id and moved.ident == tx.ident
+    assert digest(tx.ident) == tx.id
+
+
+def test_a_transaction_equals_a_rebuilt_copy():
+    tx = anchor_tx(3)
+    again = Transaction(tx.kind, dict(tx.body), tx.submitted_at, tx.author)
+    assert again == tx and again is not tx
+    assert again != dataclasses.replace(tx, submitted_at=99.0)
+    assert "ident" not in repr(tx)
 
 
 def test_alert_body_accepts_the_closed_schema():
@@ -200,6 +326,19 @@ def test_seal_drains_fifo_up_to_cap():
     block = ledger.seal_block("sealer", 1.0)
     assert [t.id for t in block.payload] == [txs[0].id, txs[1].id]
     assert [t.id for t in ledger.pool] == [txs[2].id]
+
+
+@pytest.mark.parametrize(
+    "now", [math.nan, math.inf, -math.inf, True, "1.0", None, pytest.param(2**1100, id="2**1100")]
+)
+def test_seal_refuses_a_time_that_is_not_a_finite_number(now):
+    ledger = build_ledger()
+    ledger.submit(anchor_tx(9), "svc")
+    before = ledger.save_text()
+    with pytest.raises(FormatError, match="^seal time 'now' must be a finite number, got "):
+        ledger.seal_block("sealer", now)
+    assert ledger.pool == [anchor_tx(9)]
+    assert ledger.save_text() == before
 
 
 def test_seal_empty_pool_extends_tips():
@@ -564,6 +703,17 @@ def test_load_errors_name_the_line_of_the_file(tmp_path):
         message = re.escape(f"line 6: bad timestamp {spelling!r}")
         with pytest.raises(FormatError, match=f"^{message}$"):
             Ledger.load_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_timestamp_column_is_refused(now):
+    # a block whose id binds the time, added past seal_block's check
+    ledger = build_ledger()
+    ledger.dag.add(Block.create(sorted(ledger.dag.tips), (), now, "sealer"))
+    text = ledger.save_text()
+    line = len(text.splitlines())
+    with pytest.raises(FormatError, match=f"^line {line}: bad timestamp '{now!r}'$"):
+        Ledger.load_text(text)
 
 
 def test_a_repeated_block_line_is_refused_with_its_line():

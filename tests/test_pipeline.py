@@ -50,6 +50,12 @@ def test_vital_kinds_match_the_ledger_scan_list():
     assert tuple(v.value for v in VitalKind) == VITAL_KIND_NAMES
 
 
+def test_readings_and_verdicts_are_slotted():
+    assert not hasattr(reading(72.0), "__dict__")
+    assert not hasattr(reading(72.0, unit="bpm").normalized(), "__dict__")
+    assert not hasattr(Verdict(NORMAL), "__dict__")
+
+
 def test_unit_normalization():
     bp = reading(16.0, vital=VitalKind.SYSTOLIC_BP, unit="kPa")
     norm = bp.normalized()
