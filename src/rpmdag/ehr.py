@@ -12,6 +12,8 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -24,13 +26,15 @@ from .errors import (
     UnknownRecord,
 )
 from .hashing import digest, encode_str, sorted_json
-from .ledger import Ledger, Scope, Transaction, TxKind
+from .ledger import Ledger, Scope, Transaction, TxKind, _finite_number
 
 INTACT = "intact"
 TAMPERED = "tampered"
 UNANCHORED = "unanchored"
 
 LOG_NAME = "ehr.log"
+
+_HEX_DIGEST = re.compile("[0-9a-f]{64}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,13 +54,23 @@ class VerifyResult:
     anchored_hash: str | None
 
 
+def _record_id(patient: str, position: int, content_hash: str) -> str:
+    """The id of the record at position in the log: binds its patient and
+    content hash, so an edit to either in a header changes the id."""
+    return digest(
+        b"ehr-record" + encode_str(patient) + encode_str(str(position)) + bytes.fromhex(content_hash)
+    ).hex()
+
+
 class EhrStore:
-    """Append-only record log with an in-memory offset index.
+    """Append-only record log with an in-memory index.
 
     Records are framed as a JSON header line followed by the raw content
-    bytes; the index (record_id to offset) is rebuilt by scanning the log
-    on open. With no directory the log lives in memory, which is enough
-    for simulations and tests.
+    bytes. The index maps each record_id to its content offset, content
+    length, patient, stored_at and content_hash; it is rebuilt by scanning
+    the log on open, which checks each header and its record_id binding
+    once. With no directory the log lives in memory, which is enough for
+    simulations and tests.
     """
 
     def __init__(self, directory: str | None = None):
@@ -66,7 +80,7 @@ class EhrStore:
         else:
             os.makedirs(directory, exist_ok=True)
             self._log = open(os.path.join(directory, LOG_NAME), "a+b")
-        self._index: dict[str, int] = {}
+        self._index: dict[str, tuple[int, int, str, float, str]] = {}
         self._count = 0
         try:
             self._rebuild_index()
@@ -87,35 +101,48 @@ class EhrStore:
                 break
             try:
                 header = json.loads(header_line.decode("utf-8"))
-                length = header["content_len"]
                 record_id = header["record_id"]
+                patient = header["patient"]
+                stored_at = header["stored_at"]
+                length = header["content_len"]
+                content_hash = header["content_hash"]
+                # checked once here so read() can trust every indexed entry; a
+                # negative length would seek back onto the header and never end
+                valid = (
+                    type(length) is int
+                    and length >= 0
+                    and isinstance(patient, str)
+                    and _finite_number(stored_at)
+                    and _HEX_DIGEST.fullmatch(content_hash)
+                )
+                bound = valid and _record_id(patient, self._count, content_hash) == record_id
             except (ValueError, KeyError, TypeError) as exc:
                 raise FormatError(f"corrupt record header at offset {offset}: {exc}") from None
-            # checked once here so read() can trust every indexed header; a
-            # negative length would seek back onto the header and never end
-            if not (
-                type(length) is int
-                and length >= 0
-                and isinstance(record_id, str)
-                and {"patient", "stored_at", "content_hash"} <= header.keys()
-            ):
+            if not valid:
                 raise FormatError(f"corrupt record header at offset {offset}")
-            self._log.seek(length + 1, io.SEEK_CUR)  # content plus separator
-            self._index[record_id] = offset
+            if not bound:
+                raise FormatError(
+                    f"corrupt record header at offset {offset}: record_id does not match"
+                    " its patient, position and content_hash"
+                )
+            start = offset + len(header_line)
+            self._log.seek(start + length + 1)  # past content and separator
+            # one string per patient rather than one per record
+            self._index[record_id] = (start, length, sys.intern(patient), stored_at, content_hash)
             self._count += 1
 
     def store(self, content: bytes, patient: str, now: float = 0.0) -> EhrRecord:
         """Append a record. Identical content appended twice yields two
-        distinct record ids with the same content hash."""
+        distinct record ids with the same content hash. Input the log
+        could not read back is refused before any byte is written."""
         if not content:
             raise EmptyContent("record content must be non-empty")
+        if not isinstance(patient, str):
+            raise FormatError(f"record field 'patient' must be a string, got {patient!r}")
+        if not _finite_number(now) or abs(now) > sys.float_info.max:
+            raise FormatError(f"record field 'stored_at' must be a finite number, got {now!r}")
         content_hash = digest(content).hex()
-        record_id = digest(
-            b"ehr-record"
-            + encode_str(patient)
-            + encode_str(str(self._count))
-            + bytes.fromhex(content_hash)
-        ).hex()
+        record_id = _record_id(patient, self._count, content_hash)
         header = sorted_json(
             {
                 "record_id": record_id,
@@ -124,30 +151,25 @@ class EhrStore:
                 "content_len": len(content),
                 "content_hash": content_hash,
             }
-        ).encode()
+        ).encode() + b"\n"
         self._log.seek(0, io.SEEK_END)
-        offset = self._log.tell()
-        self._log.write(header + b"\n" + content + b"\n")
+        start = self._log.tell() + len(header)
+        self._log.write(header + content + b"\n")
         if self._dir is not None:
             self._log.flush()
-        self._index[record_id] = offset
+        self._index[record_id] = (start, len(content), patient, now, content_hash)
         self._count += 1
         return EhrRecord(record_id, patient, content, now, content_hash)
 
     def read(self, record_id: str) -> EhrRecord:
-        """Read a record back from the log bytes as they are now."""
-        if record_id not in self._index:
+        """The record with the header fields checked at open (or written by
+        store) and the content bytes as they are in the log now."""
+        entry = self._index.get(record_id)
+        if entry is None:
             raise UnknownRecord(f"no record {record_id[:12]}")
-        self._log.seek(self._index[record_id])
-        header = json.loads(self._log.readline().decode("utf-8"))
-        content = self._log.read(header["content_len"])
-        return EhrRecord(
-            record_id=header["record_id"],
-            patient=header["patient"],
-            content=content,
-            stored_at=header["stored_at"],
-            content_hash=header["content_hash"],
-        )
+        start, length, patient, stored_at, content_hash = entry
+        self._log.seek(start)
+        return EhrRecord(record_id, patient, self._log.read(length), stored_at, content_hash)
 
     def record_ids(self) -> list[str]:
         return list(self._index)

@@ -347,6 +347,10 @@ def _length_seeking_back_to_its_header(header: dict) -> bytes:
         length = -(len(line) + 1)
 
 
+def _flip_last_hex(text: str) -> str:
+    return text[:-1] + ("0" if text[-1] != "0" else "1")
+
+
 EHR_HEADER_EDITS = {
     "length-seeks-back-to-its-header": _length_seeking_back_to_its_header,
     "negative-length": lambda h: _header_line({**h, "content_len": -1}),
@@ -358,6 +362,11 @@ EHR_HEADER_EDITS = {
     "0xff-in-header": lambda h: _header_line(h).replace(b'"patient"', b'"pat\xffent"'),
     "bom-before-header": lambda h: b"\xef\xbb\xbf" + _header_line(h),
     "header-not-an-object": lambda h: b"[1, 2]\n",
+    "relabelled-patient": lambda h: _header_line({**h, "patient": h["patient"] + "-other"}),
+    "edited-content-hash": lambda h: _header_line({**h, "content_hash": _flip_last_hex(h["content_hash"])}),
+    "upper-case-content-hash": lambda h: _header_line({**h, "content_hash": h["content_hash"].upper()}),
+    "edited-record-id": lambda h: _header_line({**h, "record_id": _flip_last_hex(h["record_id"])}),
+    "nan-stored-at": lambda h: _header_line({**h, "stored_at": float("nan")}),
 }
 
 

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import json
+import math
 import os
+import random
+import struct
 
 import pytest
 
+import rpmdag.ehr
 import rpmdag.ledger
 from rpmdag.acl import AccessController, ManualClock, Role, Scope
 from rpmdag.ehr import (
@@ -98,6 +103,161 @@ def test_corrupt_header_is_rejected_on_open(tmp_path):
         fh.write(b"{broken")
     with pytest.raises(FormatError):
         EhrStore(str(tmp_path))
+
+
+def _log_path(tmp_path) -> str:
+    return os.path.join(str(tmp_path), LOG_NAME)
+
+
+def _two_patient_log(tmp_path) -> tuple[bytes, int]:
+    """The log bytes of a p-01 and a p-02 record, and the p-02 header's offset."""
+    store = EhrStore(str(tmp_path))
+    store.store(b"p-01 vitals", "p-01", now=1.0)
+    with open(_log_path(tmp_path), "rb") as fh:
+        second = len(fh.read())
+    store.store(b"p-02 vitals", "p-02", now=2.0)
+    store.close()
+    with open(_log_path(tmp_path), "rb") as fh:
+        return fh.read(), second
+
+
+def test_relabelled_patient_is_refused_at_open(tmp_path):
+    # read_gated decides access from the header's patient: a header relabelled
+    # to another patient must not open, or that patient's grantees read it
+    raw, second = _two_patient_log(tmp_path)
+    with open(_log_path(tmp_path), "wb") as fh:
+        fh.write(raw.replace(b'"patient": "p-02"', b'"patient": "p-01"'))
+    with pytest.raises(FormatError, match=f"offset {second}: record_id does not match"):
+        EhrStore(str(tmp_path))
+
+
+def test_duplicated_record_is_refused_at_its_own_offset(tmp_path):
+    raw, second = _two_patient_log(tmp_path)
+    with open(_log_path(tmp_path), "ab") as fh:
+        fh.write(raw[second:])
+    with pytest.raises(FormatError, match=f"offset {len(raw)}: record_id does not match"):
+        EhrStore(str(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("stored_at", float("inf")),
+        ("stored_at", True),
+        ("stored_at", "soon"),
+        ("stored_at", None),
+        ("patient", 5),
+        ("content_hash", "ab" * 31),
+        ("content_hash", 7),
+    ],
+)
+def test_header_field_of_the_wrong_kind_is_refused_at_open(tmp_path, field, value):
+    raw, _ = _two_patient_log(tmp_path)
+    first, rest = raw.split(b"\n", 1)
+    header = {**json.loads(first), field: value}
+    with open(_log_path(tmp_path), "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n" + rest)
+    with pytest.raises(FormatError, match="offset 0"):
+        EhrStore(str(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "patient, now",
+    [
+        (5, 1.0),
+        (None, 1.0),
+        (b"p-01", 1.0),
+        ("p-01", float("nan")),
+        ("p-01", float("inf")),
+        ("p-01", float("-inf")),
+        ("p-01", True),
+        ("p-01", "soon"),
+        ("p-01", None),
+        ("p-01", 10**400),
+    ],
+)
+def test_store_refuses_bad_input_before_writing(tmp_path, patient, now):
+    store = EhrStore(str(tmp_path))
+    kept = store.store(b"kept", "p-01", now=1.0)
+    size = os.path.getsize(_log_path(tmp_path))
+    with pytest.raises(FormatError):
+        store.store(b"refused", patient, now)
+    assert os.path.getsize(_log_path(tmp_path)) == size
+    later = store.store(b"later", "p-01", now=2.0)
+    store.close()
+    again = EhrStore(str(tmp_path))
+    assert again.record_ids() == [kept.record_id, later.record_id]
+    assert again.read(later.record_id) == later
+    again.close()
+
+
+# quotes, backslashes, control characters, the line separators and
+# characters outside ASCII and the BMP, which the JSON header escapes
+_PATIENT_CHARS = 'p-0"\\/\x00\x1f\t\n\u00e9\u2028\u4e2d\U0001f600'
+# newlines and bytes that are not UTF-8 in the content framing
+_CONTENT_BYTES = b"ab\n\r\x00\x80\xc3\xff{}\""
+
+
+def _random_now(rng: random.Random) -> float:
+    pick = rng.randrange(3)
+    if pick == 0:
+        return rng.choice((0, 0.0, -0.0, 5e-324, 1.7976931348623157e308, -(2**53), 0.1))
+    if pick == 1:
+        return rng.randrange(-(2**63), 2**63)
+    while True:
+        value = struct.unpack(">d", rng.getrandbits(64).to_bytes(8, "big"))[0]
+        if math.isfinite(value):
+            return value
+
+
+def test_read_returns_the_stored_record_field_for_field(tmp_path):
+    rng = random.Random(2020)
+    on_disk, in_memory = EhrStore(str(tmp_path)), EhrStore()
+    stored = []
+    for _ in range(300):
+        patient = "".join(rng.choice(_PATIENT_CHARS) for _ in range(rng.randrange(8)))
+        content = bytes(rng.choice(_CONTENT_BYTES) for _ in range(rng.randrange(1, 40)))
+        now = _random_now(rng)
+        rec = on_disk.store(content, patient, now)
+        assert in_memory.store(content, patient, now) == rec
+        stored.append(rec)
+    on_disk.close()
+    again = EhrStore(str(tmp_path))
+    try:
+        for store in (again, in_memory):
+            assert store.record_ids() == [rec.record_id for rec in stored]
+            for rec in stored:
+                # repr also tells -0.0 from 0.0 and an int time from a float one
+                assert repr(store.read(rec.record_id)) == repr(rec)
+    finally:
+        again.close()
+
+
+def test_reads_after_open_decode_no_json(tmp_path, monkeypatch):
+    store = EhrStore(str(tmp_path))
+    ledger = make_ledger()
+    recs = [store.store(f"reading {n}".encode(), f"p-0{n % 2}", now=float(n)) for n in range(4)]
+    for rec in recs:
+        anchor(rec, ledger, "svc")
+    ledger.seal_block("sealer", 9.0)
+    store.close()
+    again = EhrStore(str(tmp_path))
+    controller = AccessController(clock=ManualClock(0.0))
+    controller.register("p-00", Role.PATIENT, "pw")
+    session = controller.authenticate("p-00", "pw")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a read decoded JSON")
+
+    monkeypatch.setattr(rpmdag.ehr.json, "loads", refuse)
+    try:
+        assert [verify(rec.record_id, again, ledger).status for rec in recs] == [INTACT] * 4
+        assert [r.status for r in audit(again, ledger)] == [INTACT] * 4
+        assert read_gated(again, recs[0].record_id, controller, session) == recs[0]
+        with pytest.raises(AccessDenied):
+            read_gated(again, recs[1].record_id, controller, session)
+    finally:
+        again.close()
 
 
 def test_anchor_receipt_and_body():
