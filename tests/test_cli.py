@@ -112,6 +112,26 @@ def test_sim_sweep_csv_shape():
     assert rates == ["0.5", "0.5", "2.0", "2.0"]
 
 
+# `sim sweep --lambdas 0.5,2 --nodes 3 --duration 50 --seed 4` stdout.
+SIM_SWEEP_SEED_4_CSV = """lambda,mode,included_ratio,effective_tps
+0.5,blockdag,1.0,5.0
+0.5,longest_chain,0.64,3.2
+2.0,blockdag,1.0,21.0
+2.0,longest_chain,0.5333333333333333,11.2
+"""
+
+
+def test_sim_sweep_output_is_byte_identical_to_golden(tmp_path):
+    out_path = tmp_path / "sweep.csv"
+    code, out, _ = run_cli(
+        "sim", "sweep", "--lambdas", "0.5,2", "--nodes", "3",
+        "--duration", "50", "--seed", "4", "--out", str(out_path),
+    )
+    assert code == 0
+    assert out == SIM_SWEEP_SEED_4_CSV
+    assert out_path.read_bytes() == SIM_SWEEP_SEED_4_CSV.encode()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
