@@ -81,8 +81,8 @@ class Block:
         return self.id.hex()[:12]
 
 
-def genesis_block(creator: NodeId = "genesis", timestamp: float = GENESIS_TIMESTAMP) -> Block:
-    return Block.create((), (), timestamp, creator)
+def genesis_block(creator: NodeId = "genesis") -> Block:
+    return Block.create((), (), GENESIS_TIMESTAMP, creator)
 
 
 @dataclass

@@ -14,9 +14,7 @@ import json
 import os
 import re
 import sys
-from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from .errors import (
     AccessDenied,
@@ -80,8 +78,8 @@ class EhrStore:
         else:
             os.makedirs(directory, exist_ok=True)
             self._log = open(os.path.join(directory, LOG_NAME), "a+b")
+        # one entry per record: each record_id binds the record's position
         self._index: dict[str, tuple[int, int, str, float, str]] = {}
-        self._count = 0
         try:
             self._rebuild_index()
         except BaseException:
@@ -115,7 +113,7 @@ class EhrStore:
                     and _finite_number(stored_at)
                     and _HEX_DIGEST.fullmatch(content_hash)
                 )
-                bound = valid and _record_id(patient, self._count, content_hash) == record_id
+                bound = valid and _record_id(patient, len(self._index), content_hash) == record_id
             except (ValueError, KeyError, TypeError) as exc:
                 raise FormatError(f"corrupt record header at offset {offset}: {exc}") from None
             if not valid:
@@ -129,7 +127,6 @@ class EhrStore:
             self._log.seek(start + length + 1)  # past content and separator
             # one string per patient rather than one per record
             self._index[record_id] = (start, length, sys.intern(patient), stored_at, content_hash)
-            self._count += 1
 
     def store(self, content: bytes, patient: str, now: float = 0.0) -> EhrRecord:
         """Append a record. Identical content appended twice yields two
@@ -142,7 +139,7 @@ class EhrStore:
         if not _finite_number(now) or abs(now) > sys.float_info.max:
             raise FormatError(f"record field 'stored_at' must be a finite number, got {now!r}")
         content_hash = digest(content).hex()
-        record_id = _record_id(patient, self._count, content_hash)
+        record_id = _record_id(patient, len(self._index), content_hash)
         header = sorted_json(
             {
                 "record_id": record_id,
@@ -158,7 +155,6 @@ class EhrStore:
         if self._dir is not None:
             self._log.flush()
         self._index[record_id] = (start, len(content), patient, now, content_hash)
-        self._count += 1
         return EhrRecord(record_id, patient, content, now, content_hash)
 
     def read(self, record_id: str) -> EhrRecord:
@@ -176,14 +172,6 @@ class EhrStore:
 
     def __contains__(self, record_id: str) -> bool:
         return record_id in self._index
-
-
-def confirmed_anchors(ledger: Ledger) -> Mapping[str, str]:
-    """record_id to anchored content hash, first confirmed anchor wins.
-
-    A read-only view of the map the ledger's confirmed stream keeps, so
-    repeated calls on an unchanged ledger share one build."""
-    return MappingProxyType(ledger.confirmed().anchors)
 
 
 def anchor(record: EhrRecord, ledger: Ledger, author: str, now: float = 0.0) -> None:
@@ -219,12 +207,12 @@ def verify(record_id: str, store: EhrStore, ledger: Ledger) -> VerifyResult:
     """Recompute the stored content's digest and compare with the
     confirmed anchor. Read-only; safe to repeat."""
     content = store.read(record_id).content
-    return _status(record_id, content, confirmed_anchors(ledger).get(record_id))
+    return _status(record_id, content, ledger.confirmed().anchors.get(record_id))
 
 
 def audit(store: EhrStore, ledger: Ledger) -> list[VerifyResult]:
     """Verify every record with a confirmed anchor, in one ledger pass."""
-    anchors = confirmed_anchors(ledger)
+    anchors = ledger.confirmed().anchors
     return [
         _status(record_id, store.read(record_id).content, anchors[record_id]) if record_id in store
         # anchored content that cannot be produced is not intact

@@ -72,35 +72,23 @@ class Coloring:
     red: frozenset[BlockId]
     blue_score: dict[BlockId, int]
     selected_parent: dict[BlockId, BlockId]
-    k: int
 
 
 class OrderedDag:
     """A total order together with the coloring that induces it.
 
-    Both read as attributes, and equality compares the order and the
-    coloring. ghostdag_run leaves its coloring unbuilt and builds it on the
-    first read of .coloring, because the convergence check and
-    Ledger.confirmed read .order alone.
+    The coloring is built by build on the first read of .coloring, because
+    the convergence check and Ledger.confirmed read .order alone. Equality
+    compares the order and the coloring.
     """
 
-    __slots__ = ("_order", "_coloring", "_build")
+    def __init__(self, order: tuple[BlockId, ...], build: Callable[[], Coloring]):
+        self.order = order
+        self._build = build
 
-    def __init__(self, order: tuple[BlockId, ...], coloring: Coloring | None):
-        self._order = order
-        self._coloring = coloring
-        self._build: Callable[[], Coloring] | None = None
-
-    @property
-    def order(self) -> tuple[BlockId, ...]:
-        return self._order
-
-    @property
+    @functools.cached_property
     def coloring(self) -> Coloring:
-        if self._build is not None:
-            self._coloring = self._build()
-            self._build = None
-        return self._coloring
+        return self._build()
 
     def __eq__(self, other):
         if not isinstance(other, OrderedDag):
@@ -346,7 +334,7 @@ class _Engine:
             j = self.parent[j]
         return size
 
-    def coloring(self, chain: list[int], virtual_blues: tuple[int, ...], k: int) -> Coloring:
+    def coloring(self, chain: list[int], virtual_blues: tuple[int, ...]) -> Coloring:
         """The global coloring: blue is the mergeset blues along the chain
         from the selected tip down, and the virtual block's."""
         ids = self.ids
@@ -359,7 +347,6 @@ class _Engine:
             red=frozenset(ids) - blue,
             blue_score=dict(zip(ids, self.score)),
             selected_parent={bid: ids[sp] for bid, sp in zip(ids, self.parent) if sp != -1},
-            k=k,
         )
 
     # Ordering
@@ -438,9 +425,8 @@ def ghostdag_run(dag: BlockDag, params: GhostdagParams) -> OrderedDag:
     engine = _Engine(dag)
     virtual_blues, selected_tip = engine.greedy(params.k)
     chain = engine.chain(selected_tip)
-    ordered = OrderedDag(tuple(engine.order_blocks(chain, virtual_blues)), None)
-    ordered._build = functools.partial(engine.coloring, chain, virtual_blues, params.k)
-    return ordered
+    order = tuple(engine.order_blocks(chain, virtual_blues))
+    return OrderedDag(order, functools.partial(engine.coloring, chain, virtual_blues))
 
 
 def k_for_network(delay: float, rate: float, delta: float) -> int:

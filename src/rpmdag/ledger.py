@@ -21,9 +21,11 @@ import os
 import re
 import stat
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from types import MappingProxyType
 
 from .dag import Block, BlockDag, BlockId, genesis_block
 from .errors import (
@@ -187,7 +189,6 @@ def validate_alert_body(body) -> None:
 class ConfirmedTx:
     tx: Transaction
     block: BlockId
-    position: int  # index in the confirmed stream
 
 
 @dataclass(frozen=True)
@@ -204,14 +205,14 @@ class ConfirmedStream:
         return len(self.entries)
 
     @cached_property
-    def anchors(self) -> dict[str, str]:
+    def anchors(self) -> Mapping[str, str]:
         """record_id to anchored content hash, first confirmed anchor wins.
-        Shared by every caller of the stream; do not mutate."""
+        A read-only view, shared by every caller of the stream."""
         out: dict[str, str] = {}
         for entry in self.entries:
             if entry.tx.kind is TxKind.EHR_ANCHOR:
                 out.setdefault(entry.tx.body["record_id"], entry.tx.body["content_hash"])
-        return out
+        return MappingProxyType(out)
 
 
 def _check_anchor_body(body) -> None:
@@ -285,12 +286,10 @@ class Ledger:
         self.dag = BlockDag()
         # the genesis names the digest algorithm, so verification against
         # this ledger is self-describing
-        gen = genesis_block(f"genesis:{visibility}:{DIGEST_ALG}")
-        self.dag.add(gen)
-        self.genesis_id = gen.id
+        self.dag.add(genesis_block(f"genesis:{visibility}:{DIGEST_ALG}"))
         self.pool: list[Transaction] = []
         self._ever: tuple[set[bytes], set[str]] | None = None  # see _ever_pooled
-        self._confirmed: tuple[frozenset[BlockId], ConfirmedStream] | None = None
+        self._confirmed: tuple[int, ConfirmedStream] | None = None
 
     def _ever_pooled(self) -> tuple[set[bytes], set[str]]:
         """The id of every transaction ever pooled or sealed here, and the
@@ -374,14 +373,13 @@ class Ledger:
         submission order holds; duplicate tx ids keep only their first
         occurrence.
 
-        The last stream is kept and returned again while the tip set is
-        unchanged: blocks are only ever added, also by dag.add directly,
-        and each binds its parents, so the tips fix the whole DAG. The
-        stream is built on the first call, never in load_text or submit,
-        so a ledger that is only written holds none.
+        The last stream is kept and returned again while the block count is
+        unchanged: blocks are only ever added, also by dag.add directly, so
+        the count fixes the whole DAG. The stream is built on the first
+        call, never in load_text or submit, so a ledger that is only
+        written holds none.
         """
-        tips = frozenset(self.dag.tips)
-        if self._confirmed is not None and self._confirmed[0] == tips:
+        if self._confirmed is not None and self._confirmed[0] == len(self.dag):
             return self._confirmed[1]
         ordered = ghostdag_run(self.dag, self.params)
         entries: list[ConfirmedTx] = []
@@ -391,9 +389,9 @@ class Ledger:
                 if tx.id in seen:
                     continue
                 seen.add(tx.id)
-                entries.append(ConfirmedTx(tx=tx, block=bid, position=len(entries)))
+                entries.append(ConfirmedTx(tx=tx, block=bid))
         stream = ConfirmedStream(entries=tuple(entries))
-        self._confirmed = (tips, stream)
+        self._confirmed = (len(self.dag), stream)
         return stream
 
     # Persistence: the DAG text format extended with payload, timestamp,
@@ -522,7 +520,7 @@ class Ledger:
                 # fixes
                 if by_hex:
                     raise FormatError(f"line {lineno}: a second block without parents")
-                if declared != ledger.genesis_id.hex() or block.id != ledger.genesis_id:
+                if declared != ledger.dag.genesis.hex() or block.id != ledger.dag.genesis:
                     raise FormatError(f"line {lineno}: genesis does not match the ledger header")
                 by_hex[declared] = block.id
                 continue
@@ -584,10 +582,10 @@ class DualLedger:
 def inspect_lines(ledger: Ledger):
     """Confirmed stream as JSON-lines, one entry per line, each ending in
     a newline."""
-    for entry in ledger.confirmed():
+    for position, entry in enumerate(ledger.confirmed()):
         yield sorted_json(
             {
-                "position": entry.position,
+                "position": position,
                 "block": entry.block.hex(),
                 "tx": entry.tx.to_wire(),
             }

@@ -105,14 +105,6 @@ class SimMetrics:
     converged: bool
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    rate_lambda: float
-    mode: str
-    included_ratio: float
-    effective_tps: float
-
-
 @dataclass
 class _NodeState:
     """One node's view of the run's shared DAG.
@@ -270,22 +262,12 @@ def _max_anticone(dag: BlockDag) -> int:
     return max(sizes, default=0)
 
 
-def compare_modes(config: SimConfig, lambda_sweep) -> list[SweepRow]:
-    """Run both modes at each rate with identical seeds; one row per run."""
+def compare_modes(config: SimConfig, lambda_sweep) -> list[tuple[SimConfig, SimMetrics]]:
+    """Run both modes at each rate with identical seeds; one (config,
+    metrics) pair per run."""
     # every config is validated before the first run starts
     configs = [replace(config, rate_lambda=lam, mode=mode) for lam in lambda_sweep for mode in MODES]
-    rows = []
-    for cfg in configs:
-        metrics, _ = run(cfg)
-        rows.append(
-            SweepRow(
-                rate_lambda=cfg.rate_lambda,
-                mode=cfg.mode,
-                included_ratio=metrics.included_ratio,
-                effective_tps=metrics.effective_tps,
-            )
-        )
-    return rows
+    return [(cfg, run(cfg)[0]) for cfg in configs]
 
 
 def check_convergence(trace: SimTrace, k: int) -> bool:

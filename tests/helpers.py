@@ -166,7 +166,7 @@ def crafted_ledger_text(visibility: str, tx: Transaction) -> str:
     ledger = Ledger(visibility, 3, {"svc"})
     # the block id binds the tx id, which does not cover submitted_at
     stand_in = Transaction(tx.kind, tx.body, 0.0, tx.author)
-    ledger.dag.add(Block.create([ledger.genesis_id], (stand_in,), 1.0, "svc"))
+    ledger.dag.add(Block.create([ledger.dag.genesis], (stand_in,), 1.0, "svc"))
     chunk = json.dumps(tx.to_wire(), sort_keys=True, separators=(",", ":")).encode()
     return ledger.save_text().replace(
         base64.b64encode(canonical_json(stand_in.to_wire())).decode(),
@@ -365,7 +365,6 @@ def bitmask_ghostdag_run(dag: BlockDag, params: GhostdagParams) -> OrderedDag:
         red=frozenset(engine.ids) - blue,
         blue_score=dict(zip(engine.ids, engine.score)),
         selected_parent=engine.selected_parent,
-        k=params.k,
     )
     order = engine.order_blocks(blue_mask, selected_tip)
-    return OrderedDag(order=tuple(order), coloring=coloring)
+    return OrderedDag(tuple(order), lambda: coloring)

@@ -223,8 +223,8 @@ def test_criterion_04_orders_are_linear_extensions(
 
 def test_criterion_05_throughput_mechanism(sweep_result):
     rows = sweep_result.rows
-    blockdag = [r.included_ratio for r in rows if r.mode == MODE_BLOCKDAG]
-    longest = [r.included_ratio for r in rows if r.mode == MODE_LONGEST_CHAIN]
+    blockdag = [m.included_ratio for c, m in rows if c.mode == MODE_BLOCKDAG]
+    longest = [m.included_ratio for c, m in rows if c.mode == MODE_LONGEST_CHAIN]
     assert blockdag == [1.0, 1.0, 1.0]
     assert longest[0] > longest[1] > longest[2]
     assert longest[2] < 0.5

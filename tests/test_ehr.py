@@ -19,7 +19,6 @@ from rpmdag.ehr import (
     EhrStore,
     anchor,
     audit,
-    confirmed_anchors,
     read_gated,
     verify,
 )
@@ -335,10 +334,10 @@ def test_confirmed_anchors_is_read_only():
     rec = store.store(b"shared", "p-01")
     anchor(rec, ledger, "svc")
     ledger.seal_block("sealer", 1.0)
-    anchors = confirmed_anchors(ledger)
+    anchors = ledger.confirmed().anchors
     with pytest.raises(TypeError):
         anchors[rec.record_id] = "0" * 64
-    assert confirmed_anchors(ledger) == {rec.record_id: rec.content_hash}
+    assert ledger.confirmed().anchors == {rec.record_id: rec.content_hash}
 
 
 def test_verify_is_read_only():

@@ -321,7 +321,7 @@ def test_order_contains_reds_after_covering_blues(reference_dag):
 def test_order_independent_of_insertion_order():
     # the engine indexes blocks by insertion order; every result must be
     # the same for any valid order (OrderedDag equality compares the order,
-    # blue, red, blue_score, selected_parent and k)
+    # blue, red, blue_score and selected_parent)
     for seed in range(40):
         rng = random.Random(seed)
         dag, _ = random_dag(rng, rng.randint(1, 30), max_parents=1 + seed % 5)

@@ -191,15 +191,15 @@ def test_metrics_json_shape():
 
 def test_compare_modes_rows():
     rows = compare_modes(config(duration=80.0), [0.5, 2.0])
-    assert [(r.rate_lambda, r.mode) for r in rows] == [
+    assert [(c.rate_lambda, c.mode) for c, _ in rows] == [
         (0.5, MODE_BLOCKDAG), (0.5, MODE_LONGEST_CHAIN),
         (2.0, MODE_BLOCKDAG), (2.0, MODE_LONGEST_CHAIN),
     ]
-    for row in rows:
-        if row.mode == MODE_BLOCKDAG:
-            assert row.included_ratio == 1.0
+    for c, m in rows:
+        if c.mode == MODE_BLOCKDAG:
+            assert m.included_ratio == 1.0
         else:
-            assert row.included_ratio <= 1.0
+            assert m.included_ratio <= 1.0
 
 
 def test_convergence_replay():
