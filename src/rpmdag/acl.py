@@ -11,6 +11,7 @@ not an exception.
 from __future__ import annotations
 
 import hmac
+import re
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -27,6 +28,7 @@ from .hashing import digest
 from .ledger import Ledger, Scope, Transaction, TxKind
 
 SESSION_LIFETIME = 3600.0  # one simulated hour
+_NUMBERED_GRANT = re.compile(r"grant-([0-9]{1,18})")
 
 
 class ManualClock:
@@ -186,10 +188,11 @@ class AccessController:
         self._by_key = {}
         for g in self._grants.values():
             self._index(g)
-        numeric = [
-            int(gid.split("-")[1]) for gid in grants if gid.startswith("grant-")
-        ]
-        self._grant_seq = max(numeric, default=0)
+        # the counter goes past every "grant-" id numbered in ASCII digits;
+        # a number over 18 digits is none it reaches, and int() refuses
+        # one over 4,300
+        numbered = (_NUMBERED_GRANT.fullmatch(gid) for gid in grants)
+        self._grant_seq = max((int(m[1]) for m in numbered if m), default=0)
 
     def _index(self, grant: AccessGrant):
         self._by_key.setdefault((grant.grantor, grant.grantee, grant.scope), []).append(grant)

@@ -23,6 +23,7 @@ from .dag import export_dag_dot, export_dag_text, parse_dag_text
 from .ehr import INTACT, LOG_NAME, TAMPERED, EhrStore, audit, verify
 from .errors import FormatError, InvalidParameter, RpmdagError, UnknownEntity, UnknownGrant
 from .ghostdag import GhostdagParams, ghostdag_run, k_for_network, max_k_cluster
+from .hashing import utf8_text
 from .ledger import PRIVATE, SCOPE_NAMES, Ledger, inspect_lines
 from .netsim import MODE_BLOCKDAG, MODES, SimConfig, compare_modes, run, trace_lines
 from .pipeline import load_rules_json, run_demo
@@ -235,13 +236,13 @@ def _load_roster(path: str) -> dict[str, dict]:
         roster = {}
         for i, entry in enumerate(entries):
             entity, credential = entry["entity_id"], entry["credential"]
-            if not (isinstance(entity, str) and isinstance(credential, str)):
-                raise ValueError(f"entry {i}: entity_id and credential must be strings")
+            if not (utf8_text(entity) and utf8_text(credential)):
+                raise ValueError(f"entry {i}: entity_id and credential must be UTF-8 strings")
             if entity in roster:
                 raise ValueError(f"entry {i}: entity_id {entity!r} is listed twice")
             roster[entity] = {"role": Role(entry["role"]), "credential": credential}
         return roster
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FormatError(f"roster file {path!r}: {exc}") from exc
 
 

@@ -23,7 +23,7 @@ from .errors import (
     FormatError,
     UnknownRecord,
 )
-from .hashing import digest, encode_str, sorted_json
+from .hashing import digest, encode_str, sorted_json, utf8_text
 from .ledger import Ledger, Scope, Transaction, TxKind, _finite_number
 
 INTACT = "intact"
@@ -114,7 +114,7 @@ class EhrStore:
                     and _HEX_DIGEST.fullmatch(content_hash)
                 )
                 bound = valid and _record_id(patient, len(self._index), content_hash) == record_id
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise FormatError(f"corrupt record header at offset {offset}: {exc}") from None
             if not valid:
                 raise FormatError(f"corrupt record header at offset {offset}")
@@ -134,8 +134,8 @@ class EhrStore:
         could not read back is refused before any byte is written."""
         if not content:
             raise EmptyContent("record content must be non-empty")
-        if not isinstance(patient, str):
-            raise FormatError(f"record field 'patient' must be a string, got {patient!r}")
+        if not utf8_text(patient):
+            raise FormatError(f"record field 'patient' must be a UTF-8 string, got {patient!r}")
         if not _finite_number(now) or abs(now) > sys.float_info.max:
             raise FormatError(f"record field 'stored_at' must be a finite number, got {now!r}")
         content_hash = digest(content).hex()

@@ -28,12 +28,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import struct
 
 DIGEST_ALG = "sha256"
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 _SORTED = json.JSONEncoder(sort_keys=True)
+_SURROGATE = re.compile("[\ud800-\udfff]")  # the code points UTF-8 cannot encode
 
 
 def digest(data: bytes) -> bytes:
@@ -48,6 +50,11 @@ def canonical_json(obj) -> bytes:
 def sorted_json(obj) -> str:
     """json.dumps(obj, sort_keys=True), from the shared encoder."""
     return _SORTED.encode(obj)
+
+
+def utf8_text(value) -> bool:
+    """A str that str.encode() takes: one without a lone surrogate."""
+    return isinstance(value, str) and not _SURROGATE.search(value)
 
 
 def encode_bytes(data: bytes) -> bytes:

@@ -496,10 +496,10 @@ class Ledger:
                     continue
                 try:
                     obj = json.loads(base64.b64decode(chunk).decode("utf-8"))
-                except (ValueError, json.JSONDecodeError) as exc:
+                except (ValueError, RecursionError) as exc:
                     raise FormatError(f"line {lineno}: bad payload: {exc}") from None
-                tx = Transaction.from_wire(obj)
                 try:
+                    tx = Transaction.from_wire(obj)
                     ledger._check_admissible(tx)
                 except (FormatError, KindNotAdmissible, PhiLeak) as exc:
                     raise FormatError(f"line {lineno}: {exc}") from None

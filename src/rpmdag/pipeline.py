@@ -14,11 +14,12 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import random
 from dataclasses import dataclass, field, replace
 
 from .acl import AccessController, ManualClock, Role, Scope, Session
-from .ehr import EhrRecord, EhrStore, anchor
+from .ehr import LOG_NAME, EhrRecord, EhrStore, anchor
 from .errors import EhrRecordMissing, FormatError, InvalidParameter, InvalidProfile, UnitMismatch
 from .hashing import canonical_json, digest, encode_str
 from .ledger import ALERT_SEVERITIES, DualLedger, Transaction, TxKind, VitalKind
@@ -90,6 +91,9 @@ class ThresholdRule:
     severity: str
 
     def __post_init__(self):
+        # both key the pipeline's rule index and the alert body
+        if not (isinstance(self.rule_id, str) and isinstance(self.patient, str)):
+            raise InvalidParameter("a rule's rule_id and patient must be strings")
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
             raise InvalidParameter(f"rule {self.rule_id!r} bounds must be finite")
         if self.min >= self.max:
@@ -384,7 +388,7 @@ def load_rules_json(text: str) -> list[ThresholdRule]:
     """Parse a JSON array of {rule_id, patient, vital, min, max, severity}."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"rules file is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise FormatError("rules file must be a JSON array")
@@ -401,7 +405,8 @@ def load_rules_json(text: str) -> list[ThresholdRule]:
                     severity=entry["severity"],
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        # float() raises OverflowError on an integer beyond the float range
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"rules entry {i}: {exc}") from exc
     return rules
 
@@ -480,7 +485,12 @@ def run_demo(
         raise InvalidParameter(f"readings_per_device must be positive, got {readings_per_device}")
     if not (duration > 0 and math.isfinite(duration)):
         raise InvalidParameter(f"duration must be positive and finite, got {duration}")
-    # every input is checked before the store opens, which creates state_dir
+    # every input is checked before the store opens, which creates state_dir;
+    # one history per state dir, as a rerun would save its ledgers over the
+    # last run's and orphan the records the log holds
+    for name in (LOG_NAME, "private.ledger", "public.ledger"):
+        if state_dir is not None and os.path.lexists(os.path.join(state_dir, name)):
+            raise FileExistsError(f"state dir {state_dir!r} already holds {name}")
     profiles = {
         vital: DeviceProfile(base.mean, base.stddev, anomaly_probability, base.low, base.high)
         for vital, base in DEMO_PROFILES.items()

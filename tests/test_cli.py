@@ -481,6 +481,30 @@ def test_bad_demo_input_is_refused_before_anything_is_written(tmp_path, flag, va
     assert not state.exists()
 
 
+STATE_FILES = ("ehr.log", "private.ledger", "public.ledger")
+
+
+def test_demo_rerun_into_a_used_state_dir_is_refused(tmp_path):
+    argv = ("rpm", "demo", "--seed", "11", "--patients", "1", "--readings-per-device", "2",
+            "--duration", "10", "--state-dir", str(tmp_path))
+    assert run_cli(*argv)[0] == 0
+    before = {name: (tmp_path / name).read_bytes() for name in STATE_FILES}
+    result = run_cli(*argv[:2], "--seed", "12", *argv[4:])
+    assert_one_error_line(result, 1)
+    assert "already holds" in result[2]
+    assert {name: (tmp_path / name).read_bytes() for name in STATE_FILES} == before
+
+
+@pytest.mark.parametrize("name", STATE_FILES)
+def test_demo_refuses_a_state_dir_holding_any_state_file(tmp_path, name):
+    (tmp_path / name).write_bytes(b"earlier\n")
+    result = run_cli("rpm", "demo", "--seed", "1", "--state-dir", str(tmp_path))
+    assert_one_error_line(result, 1)
+    assert name in result[2]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+    assert (tmp_path / name).read_bytes() == b"earlier\n"
+
+
 @pytest.mark.parametrize("text", ["", "# no blocks here\n\n   # nor here\n"])
 def test_dag_import_of_a_file_without_blocks_is_a_runtime_error(tmp_path, text):
     path = tmp_path / "empty.dag"

@@ -190,6 +190,19 @@ def test_store_refuses_bad_input_before_writing(tmp_path, patient, now):
     again.close()
 
 
+@pytest.mark.parametrize("patient", ["\ud800", "p-01\udfff", "\udc00p"])
+def test_store_refuses_a_lone_surrogate_patient_before_writing(tmp_path, patient):
+    # UTF-8 cannot encode a lone surrogate, so neither the record id nor
+    # the header could be written
+    store = EhrStore(str(tmp_path))
+    store.store(b"kept", "p-01", now=1.0)
+    size = os.path.getsize(_log_path(tmp_path))
+    with pytest.raises(FormatError, match="UTF-8 string"):
+        store.store(b"refused", patient, 2.0)
+    assert os.path.getsize(_log_path(tmp_path)) == size
+    store.close()
+
+
 # quotes, backslashes, control characters, the line separators and
 # characters outside ASCII and the BMP, which the JSON header escapes
 _PATIENT_CHARS = 'p-0"\\/\x00\x1f\t\n\u00e9\u2028\u4e2d\U0001f600'

@@ -86,6 +86,14 @@ def test_rule_validation():
         rule(math.nan, 100.0)
 
 
+@pytest.mark.parametrize("field", ["rule_id", "patient"])
+@pytest.mark.parametrize("value", [["p-01"], {"p": 1}, 7, None])
+def test_rule_refuses_a_rule_id_or_patient_that_is_not_a_string(field, value):
+    # a list patient used to raise TypeError (unhashable) in the rule index
+    with pytest.raises(InvalidParameter, match="must be strings"):
+        rule(50.0, 100.0, **{field: value})
+
+
 def test_thresholds_are_a_closed_interval():
     r = rule(50.0, 100.0)
     assert not r.is_abnormal(50.0)
