@@ -155,8 +155,8 @@ def cmd_sim_sweep(args) -> int:
         raise UsageError("--lambdas must name at least one rate")
     rows = compare_modes(_sim_config(args, rate_lambda=lambdas[0], k=args.k), lambdas)
     lines = ["lambda,mode,included_ratio,effective_tps"]
-    for cfg, metrics in rows:
-        lines.append(f"{cfg.rate_lambda},{cfg.mode},{metrics.included_ratio},{metrics.effective_tps}")
+    for cfg, m in rows:
+        lines.append(f"{cfg.rate_lambda},{cfg.mode},{m.included_ratio},{m.effective_tps}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

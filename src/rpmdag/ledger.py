@@ -130,7 +130,8 @@ class Transaction:
                 submitted_at=obj["submitted_at"],
                 author=obj["author"],
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        # a body nested near the recursion limit decodes, but may not encode
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:
             raise FormatError(f"bad transaction record: {exc}") from None
         if tx.id.hex() != obj.get("id"):
             raise FormatError("transaction id does not match its content")
@@ -583,13 +584,14 @@ def inspect_lines(ledger: Ledger):
     """Confirmed stream as JSON-lines, one entry per line, each ending in
     a newline."""
     for position, entry in enumerate(ledger.confirmed()):
-        yield sorted_json(
-            {
-                "position": position,
-                "block": entry.block.hex(),
-                "tx": entry.tx.to_wire(),
-            }
-        ) + "\n"
+        try:
+            line = sorted_json(
+                {"position": position, "block": entry.block.hex(), "tx": entry.tx.to_wire()}
+            )
+        except RecursionError:
+            # load encoded the body, but a few frames further up the stack
+            raise FormatError(f"confirmed entry {position} is nested too deep to print") from None
+        yield line + "\n"
 
 
 def inspect_jsonl(ledger: Ledger) -> str:

@@ -178,3 +178,22 @@ def test_deeply_nested_ehr_log_header(tmp_path, depth):
     code, _, err = assert_clean_exit(
         ("ehr", "audit", "--store", str(tmp_path), "--ledger", str(ledger)), depth)
     assert code == 1 and "corrupt record header at offset 0" in err, err
+
+
+def test_ledger_bodies_nested_near_the_recursion_limit(tmp_path):
+    # a body the parser decodes and hashes may still be too deep to encode
+    # again one frame further down, where inspect prints it
+    crafted = 0
+    for depth in range(900, 1000):
+        try:
+            body = {"x": json.loads("[" * depth + "]" * depth)}
+            ledger = Ledger(PRIVATE, 3, {"svc"})
+            ledger.submit(Transaction(TxKind.RULE_EVALUATION, body, 0.0, "svc"), "svc")
+            ledger.seal_block("svc", 1.0)
+            path = tmp_path / f"{depth}.ledger"
+            ledger.save(path)
+        except RecursionError:
+            continue
+        crafted += 1
+        assert_clean_exit(("ledger", "inspect", "--file", str(path)), depth)
+    assert crafted > 50
