@@ -91,6 +91,9 @@ class EhrStore:
             self._log.close()
 
     def _rebuild_index(self):
+        # one string per patient rather than one per record; a table of this
+        # open only, as sys.intern makes a string immortal on Python 3.12
+        patients: dict[str, str] = {}
         self._log.seek(0)
         while True:
             offset = self._log.tell()
@@ -125,8 +128,8 @@ class EhrStore:
                 )
             start = offset + len(header_line)
             self._log.seek(start + length + 1)  # past content and separator
-            # one string per patient rather than one per record
-            self._index[record_id] = (start, length, sys.intern(patient), stored_at, content_hash)
+            patient = patients.setdefault(patient, patient)
+            self._index[record_id] = (start, length, patient, stored_at, content_hash)
 
     def store(self, content: bytes, patient: str, now: float = 0.0) -> EhrRecord:
         """Append a record. Identical content appended twice yields two

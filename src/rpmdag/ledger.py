@@ -155,6 +155,17 @@ _HEX64 = re.compile(r"^[0-9a-f]{64}$")
 _OPAQUE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 
+def token_fault(value: str) -> str | None:
+    """Why value may not be an alert's patient or rule_id, or None when it
+    is an opaque token that names no vital kind."""
+    if not _OPAQUE.match(value):
+        return "must be an opaque token"
+    lowered = value.lower()
+    if any(v in lowered for v in VITAL_KIND_NAMES):
+        return "names a vital kind"
+    return None
+
+
 def validate_alert_body(body) -> None:
     """Reject anything but the closed AlertEvent schema. Raises PhiLeak."""
     if not isinstance(body, dict):
@@ -170,11 +181,9 @@ def validate_alert_body(body) -> None:
         if isinstance(value, bool) or not isinstance(value, kind):
             raise PhiLeak(f"alert field {name!r} has the wrong shape")
     for name in ("patient", "rule_id"):
-        if not _OPAQUE.match(body[name]):
-            raise PhiLeak(f"alert field {name!r} must be an opaque token")
-        lowered = body[name].lower()
-        if any(v in lowered for v in VITAL_KIND_NAMES):
-            raise PhiLeak(f"alert field {name!r} names a vital kind")
+        fault = token_fault(body[name])
+        if fault:
+            raise PhiLeak(f"alert field {name!r} {fault}")
     if not _HEX64.match(body["ehr_record_hash"]):
         raise PhiLeak("ehr_record_hash must be a 64-char hex digest")
     # the shape check refused a bool; an int of any size is finite, and
@@ -475,6 +484,7 @@ class Ledger:
 
         ledger = cls(visibility, k, writers, max_txs)
         by_hex: dict[str, BlockId] = {}  # the blocks read so far
+        shared: dict[str, str] = {}  # see _share_strings; dropped on return
         for lineno, line in numbered:
             cols = line.split(" | ")
             if len(cols) != 4:
@@ -499,6 +509,7 @@ class Ledger:
                     obj = json.loads(base64.b64decode(chunk).decode("utf-8"))
                 except (ValueError, RecursionError) as exc:
                     raise FormatError(f"line {lineno}: bad payload: {exc}") from None
+                _share_strings(obj, shared)
                 try:
                     tx = Transaction.from_wire(obj)
                     ledger._check_admissible(tx)
@@ -535,6 +546,37 @@ class Ledger:
         if not by_hex:
             raise FormatError("ledger has no genesis line")
         return ledger
+
+
+# body fields whose string values repeat across transactions: patient
+# pseudonyms, vital, verdict and severity names, rule ids, and the names in
+# an access change
+_SHARED_FIELDS = frozenset(
+    ("patient", "vital", "verdict", "rule_id", "severity", "action", "scope", "grantor", "grantee")
+)
+
+
+def _share_strings(obj, shared: dict[str, str]) -> None:
+    """Rebind a decoded wire record's author, its body keys and the string
+    values of _SHARED_FIELDS to the equal str already in shared, so a loaded
+    ledger holds each of them once rather than once per transaction.
+
+    Only str objects go into the table: keyed by value, 0.0 would stand in
+    for -0.0, or 1 for 1.0 and True, and change the saved bytes. Digests are
+    unique, so they are left out. A record of another shape is left as it
+    is, for from_wire to refuse."""
+    if type(obj) is not dict:
+        return
+    author = obj.get("author")
+    if type(author) is str:
+        obj["author"] = shared.setdefault(author, author)
+    body = obj.get("body")
+    if type(body) is dict:
+        obj["body"] = {
+            shared.setdefault(key, key): shared.setdefault(value, value)
+            if type(value) is str and key in _SHARED_FIELDS else value
+            for key, value in body.items()
+        }
 
 
 def _utf8_lines(fh):

@@ -22,7 +22,7 @@ from .acl import AccessController, ManualClock, Role, Scope, Session
 from .ehr import LOG_NAME, EhrRecord, EhrStore, anchor
 from .errors import EhrRecordMissing, FormatError, InvalidParameter, InvalidProfile, UnitMismatch
 from .hashing import canonical_json, digest, encode_str
-from .ledger import ALERT_SEVERITIES, DualLedger, Transaction, TxKind, VitalKind
+from .ledger import ALERT_SEVERITIES, DualLedger, Transaction, TxKind, VitalKind, token_fault
 
 log = logging.getLogger(__name__)
 
@@ -94,6 +94,13 @@ class ThresholdRule:
         # both key the pipeline's rule index and the alert body
         if not (isinstance(self.rule_id, str) and isinstance(self.patient, str)):
             raise InvalidParameter("a rule's rule_id and patient must be strings")
+        # an alert body carries both, so refuse here what its scan would
+        # refuse at the first alert, after the EHR log is written
+        for name in ("rule_id", "patient"):
+            value = getattr(self, name)
+            fault = token_fault(value)
+            if fault:
+                raise InvalidParameter(f"rule field {name!r} {fault}, got {value!r}")
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
             raise InvalidParameter(f"rule {self.rule_id!r} bounds must be finite")
         if self.min >= self.max:

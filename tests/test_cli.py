@@ -505,6 +505,23 @@ def test_demo_refuses_a_state_dir_holding_any_state_file(tmp_path, name):
     assert (tmp_path / name).read_bytes() == b"earlier\n"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rule_id", "heart_rate-hi"), ("rule_id", "r 1"), ("patient", "p 01"), ("patient", "\ud800"),
+])
+def test_demo_refuses_a_rule_an_alert_could_not_carry_before_writing(tmp_path, field, value):
+    # such a rule used to fail at the first alert, after ehr.log was written
+    rule = {"rule_id": "r-1", "patient": "p-01", "vital": "heart_rate",
+            "min": 70.0, "max": 80.0, "severity": "urgent", field: value}
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps([rule]))
+    state = tmp_path / "S"
+    result = run_cli("rpm", "demo", "--seed", "1", "--patients", "1", "--readings-per-device", "4",
+                     "--duration", "10", "--rules", str(rules), "--state-dir", str(state))
+    assert_one_error_line(result, 1)
+    assert f"rule field {field!r}" in result[2]
+    assert not state.exists()
+
+
 @pytest.mark.parametrize("text", ["", "# no blocks here\n\n   # nor here\n"])
 def test_dag_import_of_a_file_without_blocks_is_a_runtime_error(tmp_path, text):
     path = tmp_path / "empty.dag"

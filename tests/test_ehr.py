@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 import random
 import struct
+import tracemalloc
 
 import pytest
 
@@ -91,6 +93,30 @@ def test_persistence_across_reopen(tmp_path):
     extra = again.store(b"entry 0", "p-00")
     assert extra.record_id not in {r.record_id for r in recs}
     again.close()
+
+
+def test_an_open_store_shares_each_patient_and_a_dropped_one_keeps_nothing(tmp_path):
+    # sys.intern makes a string immortal on Python 3.12, so it kept every
+    # distinct patient of every log opened until the process exited
+    for tag in ("warm", "drop"):
+        store = EhrStore(str(tmp_path / tag))
+        for n in range(3000):
+            store.store(b"x", f"p-{tag}-{n // 2}", float(n))
+        store.close()
+    EhrStore(str(tmp_path / "warm")).close()  # compiles and caches what any open needs
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        again = EhrStore(str(tmp_path / "drop"))
+        first, second = (again.read(record_id) for record_id in again.record_ids()[:2])
+        assert first.patient == second.patient and first.patient is second.patient
+        again.close()
+        del again, first, second
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 4096, retained
 
 
 def test_corrupt_header_is_rejected_on_open(tmp_path):

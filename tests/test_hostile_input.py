@@ -5,7 +5,8 @@ under a fixed seed: a type swap, a duplicated entry, a numeric extreme, a
 lone surrogate or deep nesting, at the top level, in one entry or in one
 field. The CLI runs in-process on the result and must exit 0, 1 or 2,
 raise nothing and print at most one `error:` line. Crafted ledgers and
-EHR logs add the grant-id and deep-nesting cases for those files.
+EHR logs add the grant-id and deep-nesting cases for those files, and
+ledgers whose bodies hold values that are equal but encode differently.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ import random
 import pytest
 
 from rpmdag.acl import AccessController
+from rpmdag.dag import Block
 from rpmdag.ehr import LOG_NAME
-from rpmdag.ledger import PRIVATE, Ledger, Transaction, TxKind
+from rpmdag.errors import FormatError
+from rpmdag.ledger import PRIVATE, PUBLIC, Ledger, Transaction, TxKind
 
 from helpers import run_cli
 
@@ -197,3 +200,76 @@ def test_ledger_bodies_nested_near_the_recursion_limit(tmp_path):
         crafted += 1
         assert_clean_exit(("ledger", "inspect", "--file", str(path)), depth)
     assert crafted > 50
+
+
+ALERT = {"patient": "p-01", "rule_id": "r-1", "ehr_record_hash": "ab" * 32,
+         "occurred_at": 1.0, "severity": "urgent"}
+GRANT = {"action": "grant", "grant_id": "grant-0001", "grantor": "p-01",
+         "grantee": "dr-01", "scope": "ehr_read", "at": 0.0}
+# (case id, ledger visibility, kind, the (author, body) of each transaction in
+# one block, and None when the file loads and saves again byte-identically,
+# else the message load refuses it with). Values that are equal but encode
+# differently sit in the same field of different transactions, so a load that
+# shared them by value would change a transaction and fail its id.
+EQUAL_BUT_DIFFERENT = [
+    ("signed-zero", PRIVATE, TxKind.RULE_EVALUATION,
+     [("svc", {"patient": 0.0, "vital": -0.0, "at": 0.0}),
+      ("svc", {"patient": -0.0, "vital": 0.0, "at": -0.0})], None),
+    ("one-true", PRIVATE, TxKind.RULE_EVALUATION,
+     [(1, {"patient": 1, "verdict": True}), (1.0, {"patient": 1.0, "verdict": 1}),
+      (True, {"patient": True, "verdict": 1.0})], None),
+    ("null-list-dict", PRIVATE, TxKind.RULE_EVALUATION,
+     [("svc", {"patient": None, "vital": ["p-01"], "rule_id": {"patient": "p-01"}}),
+      ("svc", {"patient": "p-01", "vital": [], "rule_id": {}}),
+      ("svc", {"patient": [None], "vital": {"vital": [0.0, -0.0]}, "rule_id": None})], None),
+    ("hex-length", PRIVATE, TxKind.RULE_EVALUATION,
+     [("svc", {"patient": "z" * 64, "ehr_record_hash": "z" * 64}),
+      ("svc", {"patient": "z" * 64, "ehr_record_hash": "Z" * 64})], None),
+    ("surrogate", PRIVATE, TxKind.RULE_EVALUATION,
+     [("\ud800", {"patient": "\ud800", "\udfff": "p\udfff"}),
+      ("\ud800", {"patient": "\ud800", "\udfff": "p\udfff"})], None),
+    ("alert-signed-zero", PUBLIC, TxKind.ALERT_EVENT,
+     [("svc", {**ALERT, "occurred_at": 0.0}), ("svc", {**ALERT, "occurred_at": -0.0})], None),
+    ("alert-one-true", PUBLIC, TxKind.ALERT_EVENT,
+     [("svc", {**ALERT, "occurred_at": 1}), ("svc", {**ALERT, "occurred_at": 1.0}),
+      ("svc", {**ALERT, "occurred_at": True})],
+     "line 3: alert field 'occurred_at' has the wrong shape"),
+    ("alert-null", PUBLIC, TxKind.ALERT_EVENT,
+     [("svc", ALERT), ("svc", {**ALERT, "patient": None})],
+     "line 3: alert field 'patient' has the wrong shape"),
+    ("alert-hex-length", PUBLIC, TxKind.ALERT_EVENT,
+     [("svc", ALERT), ("svc", {**ALERT, "ehr_record_hash": "z" * 64})],
+     "line 3: ehr_record_hash must be a 64-char hex digest"),
+    ("alert-surrogate", PUBLIC, TxKind.ALERT_EVENT,
+     [("svc", ALERT), ("svc", {**ALERT, "patient": "p-01\udfff"})],
+     "line 3: alert field 'patient' must be an opaque token"),
+    ("grant-signed-zero", PRIVATE, TxKind.ACCESS_CHANGE,
+     [("svc", GRANT), ("svc", {**GRANT, "at": -0.0}), ("svc", {**GRANT, "grantor": "g" * 64})],
+     None),
+    ("grant-one-true", PRIVATE, TxKind.ACCESS_CHANGE,
+     [("svc", {**GRANT, "at": 1}), ("svc", {**GRANT, "at": 1.0}), ("svc", {**GRANT, "at": True})],
+     "line 3: access_change field 'at' must be a number"),
+    ("grant-list", PRIVATE, TxKind.ACCESS_CHANGE,
+     [("svc", GRANT), ("svc", {**GRANT, "grantee": ["dr-01"]})],
+     "line 3: access_change field 'grantee' must be a string"),
+]
+
+
+@pytest.mark.parametrize("case, visibility, kind, txs, refused",
+                         EQUAL_BUT_DIFFERENT, ids=[c[0] for c in EQUAL_BUT_DIFFERENT])
+def test_ledger_bodies_of_equal_values_that_encode_differently(tmp_path, case, visibility,
+                                                                kind, txs, refused):
+    ledger = Ledger(visibility, 3, {"svc"})
+    payload = tuple(Transaction(kind, body, 0.0, author) for author, body in txs)
+    # dag.add, so that submit's checks do not see the transactions
+    ledger.dag.add(Block.create([ledger.dag.genesis], payload, 1.0, "svc"))
+    path = tmp_path / f"{case}.ledger"
+    ledger.save(path)
+    if refused is None:
+        assert Ledger.load(path).save_text().encode() == path.read_bytes()
+    else:
+        with pytest.raises(FormatError) as info:
+            Ledger.load(path)
+        assert str(info.value) == refused
+    code, _, err = assert_clean_exit(("ledger", "inspect", "--file", str(path)), case)
+    assert (code, err) == ((0, "") if refused is None else (1, f"error: {refused}\n"))

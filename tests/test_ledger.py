@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -646,6 +647,98 @@ def test_save_and_load_hold_the_ledger_plus_about_one_line(tmp_path):
     assert again.save_text() == ledger.save_text()
     assert save_peak < 0.5 * size
     assert load_peak - retained < 0.5 * size
+
+
+@pytest.fixture(scope="module")
+def demo_state(tmp_path_factory):
+    """The saved ledgers of a small demo with alerts and access changes."""
+    state = tmp_path_factory.mktemp("demo")
+    result = run_demo(5, patients=3, readings_per_device=6, anomaly_probability=0.5,
+                      state_dir=str(state))
+    result.dual.private.save(state / "private.ledger")
+    result.dual.public.save(state / "public.ledger")
+    result.store.close()
+    return state
+
+
+# body fields whose string values repeat from one transaction to the next
+SHARED_FIELDS = {"patient", "vital", "verdict", "rule_id", "severity", "action", "scope",
+                 "grantor", "grantee"}
+
+
+def loaded_txs(path) -> list[Transaction]:
+    ledger = Ledger.load(path)
+    return [tx for block in ledger.dag.blocks.values() for tx in block.payload]
+
+
+@pytest.mark.parametrize("name", ["private.ledger", "public.ledger"])
+def test_load_shares_each_author_body_key_and_closed_set_value(demo_state, name):
+    txs = loaded_txs(demo_state / name)
+    kinds = {tx.kind for tx in txs}
+    assert kinds == ({TxKind.ALERT_EVENT} if name == "public.ledger" else
+                     {TxKind.EHR_ANCHOR, TxKind.RULE_EVALUATION, TxKind.ACCESS_CHANGE})
+    first: dict[str, str] = {}
+    shared = 0
+    for tx in txs:
+        strings = [tx.author, *tx.body]
+        strings += [value for key, value in tx.body.items()
+                    if key in SHARED_FIELDS and isinstance(value, str)]
+        for text in strings:
+            assert first.setdefault(text, text) is text, text
+            shared += 1
+    assert shared > 5 * len(txs)
+
+
+def test_load_shares_no_digest(demo_state):
+    # a rule evaluation names the content hash its record's anchor binds:
+    # equal strings, kept apart
+    txs = loaded_txs(demo_state / "private.ledger")
+    anchored = {tx.body["content_hash"]: tx.body["content_hash"]
+                for tx in txs if tx.kind is TxKind.EHR_ANCHOR}
+    evaluations = [tx for tx in txs if tx.kind is TxKind.RULE_EVALUATION]
+    assert evaluations
+    for tx in evaluations:
+        digest_hex = tx.body["ehr_record_hash"]
+        assert anchored[digest_hex] == digest_hex and anchored[digest_hex] is not digest_hex
+
+
+@pytest.mark.parametrize("name", ["private.ledger", "public.ledger"])
+def test_a_loaded_ledger_saves_its_file_again(demo_state, name):
+    path = demo_state / name
+    assert Ledger.load(path).save_text().encode() == path.read_bytes()
+
+
+def saved_ledger_of_new_strings(path, tag: str):
+    """A saved ledger whose authors, body keys and shared values are new to
+    the process."""
+    ledger = Ledger(PRIVATE, 3, {f"svc-{tag}", "sealer"}, max_block_txs=500)
+    for n in range(2000):
+        body = {"patient": f"p-{tag}-{n}", "vital": f"v-{tag}-{n}", f"key-{tag}-{n}": n}
+        author = f"svc-{tag}"
+        ledger.submit(Transaction(TxKind.RULE_EVALUATION, body, 0.0, author), author)
+    while ledger.pool:
+        ledger.seal_block("sealer", 1.0)
+    ledger.save(path)
+
+
+def test_a_dropped_ledger_leaves_nothing_behind(tmp_path):
+    # a table kept past the load, or sys.intern on a Python where it makes
+    # strings immortal, would keep the new strings
+    saved_ledger_of_new_strings(tmp_path / "warm.ledger", "warm")
+    saved_ledger_of_new_strings(tmp_path / "drop.ledger", "drop")
+    Ledger.load(tmp_path / "warm.ledger")  # compiles and caches what any load needs
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = Ledger.load(tmp_path / "drop.ledger")
+        held = tracemalloc.get_traced_memory()[0] - before
+        del loaded
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held > 1_000_000
+    assert retained < 4096, retained
 
 
 @pytest.mark.parametrize(

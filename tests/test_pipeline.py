@@ -12,9 +12,10 @@ from rpmdag.errors import (
     FormatError,
     InvalidParameter,
     InvalidProfile,
+    PhiLeak,
     UnitMismatch,
 )
-from rpmdag.ledger import VITAL_KIND_NAMES, DualLedger, TxKind
+from rpmdag.ledger import VITAL_KIND_NAMES, DualLedger, TxKind, validate_alert_body
 from rpmdag.pipeline import (
     ABNORMAL,
     DEMO_PROFILES,
@@ -92,6 +93,23 @@ def test_rule_refuses_a_rule_id_or_patient_that_is_not_a_string(field, value):
     # a list patient used to raise TypeError (unhashable) in the rule index
     with pytest.raises(InvalidParameter, match="must be strings"):
         rule(50.0, 100.0, **{field: value})
+
+
+@pytest.mark.parametrize("field", ["rule_id", "patient"])
+@pytest.mark.parametrize("value, fault", [
+    ("r 1", "must be an opaque token"),
+    ("", "must be an opaque token"),
+    ("\ud800", "must be an opaque token"),
+    ("heart_rate-hi", "names a vital kind"),
+    ("p-GLUCOSE", "names a vital kind"),
+])
+def test_rule_refuses_what_the_alert_scan_would_refuse(field, value, fault):
+    # refused with the rules, not at the first alert after the EHR log is written
+    with pytest.raises(InvalidParameter, match=f"rule field '{field}' {fault}"):
+        rule(50.0, 100.0, **{field: value})
+    with pytest.raises(PhiLeak, match=f"alert field '{field}' {fault}"):
+        validate_alert_body({"patient": "p-01", "rule_id": "r-1", "ehr_record_hash": "ab" * 32,
+                             "occurred_at": 1.0, "severity": "urgent", field: value})
 
 
 def test_thresholds_are_a_closed_interval():
