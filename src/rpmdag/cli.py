@@ -184,9 +184,11 @@ def cmd_rpm_demo(args) -> int:
     )
     if args.state_dir:
         base = pathlib.Path(args.state_dir)
-        result.dual.private.save(base / "private.ledger")
-        result.dual.public.save(base / "public.ledger")
-        result.store.close()
+        try:
+            result.dual.private.save(base / "private.ledger")
+            result.dual.public.save(base / "public.ledger")
+        finally:
+            result.store.close()
     _emit(json.dumps(result.counts(), sort_keys=True, indent=2) + "\n", args.out)
     return 0
 
@@ -504,6 +506,9 @@ def _load_config(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise UsageError(f"config line {lineno}: expected key=value")
+        if "\x00" in line:
+            # no path holds a NUL, and argv and the environment cannot
+            raise UsageError(f"config line {lineno}: holds a NUL byte")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in ALL_OPTION_NAMES:
             raise UsageError(f"unknown config key {key!r}")

@@ -23,7 +23,6 @@ requires exclusive access.
 from __future__ import annotations
 
 import heapq
-import re
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -34,7 +33,7 @@ from .errors import (
     NotAPermutation,
     UnknownBlock,
 )
-from .hashing import digest, encode_bytes, encode_f64, encode_str
+from .hashing import digest, encode_bytes, encode_f64, encode_str, opaque_token
 
 BlockId = bytes
 NodeId = str
@@ -279,8 +278,6 @@ def join_windows(parents, low: list[int], win: list[int]) -> tuple[int, int]:
 # A line with no parents declares the genesis. Tokens are arbitrary names
 # that are mapped to content digests on import.
 
-_TOKEN = re.compile(r"^[A-Za-z0-9_.-]+$")
-
 
 def parse_dag_text(text: str) -> tuple[BlockDag, dict[str, BlockId]]:
     """Build a DAG from the text format. Returns (dag, token -> id map)."""
@@ -294,7 +291,7 @@ def parse_dag_text(text: str) -> tuple[BlockDag, dict[str, BlockId]]:
             raise FormatError(f"line {lineno}: expected '<id>: <parents>'")
         token, _, rest = line.partition(":")
         token = token.strip()
-        if not _TOKEN.match(token):
+        if not opaque_token(token):
             raise FormatError(f"line {lineno}: bad block id {token!r}")
         if token in names:
             raise DuplicateBlock(f"line {lineno}: block {token!r} declared twice")

@@ -12,8 +12,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import re
-import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -23,16 +21,14 @@ from .errors import (
     FormatError,
     UnknownRecord,
 )
-from .hashing import digest, encode_str, sorted_json, utf8_text
-from .ledger import Ledger, Scope, Transaction, TxKind, _finite_number
+from .hashing import digest, encode_str, float_time, hex_digest, sorted_json, utf8_text
+from .ledger import Ledger, Scope, Transaction, TxKind
 
 INTACT = "intact"
 TAMPERED = "tampered"
 UNANCHORED = "unanchored"
 
 LOG_NAME = "ehr.log"
-
-_HEX_DIGEST = re.compile("[0-9a-f]{64}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,8 +109,8 @@ class EhrStore:
                     type(length) is int
                     and length >= 0
                     and isinstance(patient, str)
-                    and _finite_number(stored_at)
-                    and _HEX_DIGEST.fullmatch(content_hash)
+                    and float_time(stored_at)
+                    and hex_digest(content_hash)
                 )
                 bound = valid and _record_id(patient, len(self._index), content_hash) == record_id
             except (ValueError, KeyError, TypeError, RecursionError) as exc:
@@ -139,7 +135,7 @@ class EhrStore:
             raise EmptyContent("record content must be non-empty")
         if not utf8_text(patient):
             raise FormatError(f"record field 'patient' must be a UTF-8 string, got {patient!r}")
-        if not _finite_number(now) or abs(now) > sys.float_info.max:
+        if not float_time(now):
             raise FormatError(f"record field 'stored_at' must be a finite number, got {now!r}")
         content_hash = digest(content).hex()
         record_id = _record_id(patient, len(self._index), content_hash)

@@ -16,11 +16,9 @@ from __future__ import annotations
 import base64
 import contextlib
 import json
-import math
 import os
 import re
 import stat
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
@@ -36,7 +34,8 @@ from .errors import (
     Unauthorized,
 )
 from .ghostdag import GhostdagParams, ghostdag_run
-from .hashing import DIGEST_ALG, canonical_json, digest, sorted_json
+from .hashing import (DIGEST_ALG, canonical_json, digest, finite_number, float_time, hex_digest,
+                      opaque_token, sorted_json, utf8_text)
 
 EntityId = str
 
@@ -151,14 +150,12 @@ _ALERT_FIELDS: dict[str, type | tuple] = {
     "occurred_at": (int, float),
     "severity": str,
 }
-_HEX64 = re.compile(r"^[0-9a-f]{64}$")
-_OPAQUE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 
-def token_fault(value: str) -> str | None:
+def token_fault(value) -> str | None:
     """Why value may not be an alert's patient or rule_id, or None when it
     is an opaque token that names no vital kind."""
-    if not _OPAQUE.match(value):
+    if not opaque_token(value):
         return "must be an opaque token"
     lowered = value.lower()
     if any(v in lowered for v in VITAL_KIND_NAMES):
@@ -184,12 +181,9 @@ def validate_alert_body(body) -> None:
         fault = token_fault(body[name])
         if fault:
             raise PhiLeak(f"alert field {name!r} {fault}")
-    if not _HEX64.match(body["ehr_record_hash"]):
+    if not hex_digest(body["ehr_record_hash"]):
         raise PhiLeak("ehr_record_hash must be a 64-char hex digest")
-    # the shape check refused a bool; an int of any size is finite, and
-    # math.isfinite would overflow on one above the float range
-    at = body["occurred_at"]
-    if isinstance(at, float) and not math.isfinite(at):
+    if not finite_number(body["occurred_at"]):
         raise PhiLeak("occurred_at must be a finite time")
     if body["severity"] not in ALERT_SEVERITIES:
         raise PhiLeak(f"severity must be one of {ALERT_SEVERITIES}")
@@ -250,14 +244,6 @@ def _check_access_change_body(body) -> None:
         raise FormatError("access_change field 'at' must be a number")
 
 
-def _finite_number(value) -> bool:
-    """An int or a finite float, and not a bool. An int of any size is
-    finite, and math.isfinite would overflow on one above the float range."""
-    return not isinstance(value, bool) and (
-        isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-    )
-
-
 def _header_int(header: dict[str, str], name: str) -> int:
     # only the plain ASCII decimal that _save_lines writes: int() would also
     # take a sign, "_" separators, leading zeros and non-ASCII digits, each
@@ -287,10 +273,10 @@ class Ledger:
         self.authorized_writers = set(authorized_writers)
         for writer in sorted(self.authorized_writers):
             # the saved header lists the writers as one comma-separated,
-            # whitespace-delimited field
-            if writer.split() != [writer] or "," in writer:
+            # whitespace-delimited field of UTF-8 text
+            if not utf8_text(writer) or writer.split() != [writer] or "," in writer:
                 raise FormatError(
-                    f"writer name {writer!r} must be non-empty, without ',' or whitespace"
+                    f"writer name {writer!r} must be non-empty UTF-8, without ',' or whitespace"
                 )
         self.max_block_txs = max_block_txs
         self.dag = BlockDag()
@@ -339,7 +325,7 @@ class Ledger:
         # the tx id does not cover submitted_at, so only this check keeps a
         # non-number or a NaN (which save would refuse) off the ledger
         at = tx.submitted_at
-        if not _finite_number(at):
+        if not finite_number(at):
             raise FormatError(f"transaction field 'submitted_at' must be a finite number, got {at!r}")
         if self.visibility == PUBLIC and tx.kind is not TxKind.ALERT_EVENT:
             raise KindNotAdmissible(
@@ -365,10 +351,8 @@ class Ledger:
     def seal_block(self, creator: EntityId, now: float) -> Block:
         if creator not in self.authorized_writers:
             raise Unauthorized(f"{creator!r} may not seal blocks on the {self.visibility} ledger")
-        # save writes the time as a float repr and load takes only a finite
-        # one back, so an int must fit a float too; checked before the pool
-        # is drained
-        if not _finite_number(now) or abs(now) > sys.float_info.max:
+        # checked before the pool is drained
+        if not float_time(now):
             raise FormatError(f"seal time 'now' must be a finite number, got {now!r}")
         payload = tuple(self.pool[: self.max_block_txs])
         del self.pool[: self.max_block_txs]
@@ -435,7 +419,7 @@ class Ledger:
         path = os.path.realpath(path)
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
                 fh.writelines(self._save_lines())
             with contextlib.suppress(FileNotFoundError):
                 os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
@@ -447,7 +431,7 @@ class Ledger:
 
     @classmethod
     def load_text(cls, text: str) -> "Ledger":
-        return cls._parse(text.splitlines())
+        return cls._parse(text.split("\n"))
 
     @classmethod
     def load(cls, path) -> "Ledger":
@@ -460,14 +444,16 @@ class Ledger:
 
     @classmethod
     def _parse(cls, lines) -> "Ledger":
-        """The ledger saved in lines, numbered from 1 the way
-        str.splitlines numbers them; blank lines are skipped."""
+        """The ledger saved in lines, the file split at "\n" only and
+        numbered from 1; blank lines are skipped. Any other line break
+        character, "\r" too, is part of its line, and no whitespace is
+        stripped around the separators _save_lines writes."""
         numbered = ((n, ln) for n, ln in enumerate(lines, start=1) if ln and not ln.isspace())
         _, first = next(numbered, (0, ""))
         if not first.startswith("# rpmdag-ledger v1 "):
             raise FormatError("not a ledger file")
         header = {}
-        for part in first.removeprefix("# rpmdag-ledger v1 ").split():
+        for part in first.removeprefix("# rpmdag-ledger v1 ").split(" "):
             name, sep, value = part.partition("=")
             if not sep:
                 raise FormatError(f"ledger header field {part!r} is not name=value")
@@ -490,23 +476,18 @@ class Ledger:
             if len(cols) != 4:
                 raise FormatError(f"line {lineno}: expected 4 columns")
             head, payload_col, ts_col, creator = cols
-            declared, _, parents_col = head.partition(":")
-            declared = declared.strip()
+            declared, _, parents_col = head.partition(": ")
             parent_ids = []
-            for p in parents_col.split(","):
-                p = p.strip()
-                if not p:
-                    continue
+            for p in parents_col.split(",") if parents_col else ():
                 if p not in by_hex:
                     raise FormatError(f"line {lineno}: unknown parent {p[:12]}")
                 parent_ids.append(by_hex[p])
             txs = []
-            for chunk in payload_col.split(","):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
+            for chunk in payload_col.split(",") if payload_col else ():
                 try:
-                    obj = json.loads(base64.b64decode(chunk).decode("utf-8"))
+                    # unvalidated, b64decode skips a character outside the
+                    # base64 alphabet, so a chunk edited by adding one loads
+                    obj = json.loads(base64.b64decode(chunk, validate=True).decode("utf-8"))
                 except (ValueError, RecursionError) as exc:
                     raise FormatError(f"line {lineno}: bad payload: {exc}") from None
                 _share_strings(obj, shared)
@@ -521,7 +502,7 @@ class Ledger:
             # and a finite one, as seal_block takes no other
             try:
                 timestamp = float(ts_col)
-                if repr(timestamp) != ts_col or not math.isfinite(timestamp):
+                if repr(timestamp) != ts_col or not finite_number(timestamp):
                     raise ValueError
             except ValueError:
                 raise FormatError(f"line {lineno}: bad timestamp {ts_col!r}") from None
@@ -580,21 +561,14 @@ def _share_strings(obj, shared: dict[str, str]) -> None:
 
 
 def _utf8_lines(fh):
-    r"""The lines of a binary file as str.splitlines gives them for its
-    UTF-8 text, decoded one b"\n"-terminated chunk at a time. Byte 0x0A
-    never sits inside a UTF-8 sequence, and "\r\n" is the only
-    two-character line break, so no chunk boundary splits either."""
-    lineno = 0
-    for chunk in fh:
+    r"""The lines of a binary file as load_text splits its UTF-8 text, at
+    b"\n" only, each decoded as strict UTF-8. Byte 0x0A never sits inside
+    a UTF-8 sequence."""
+    for lineno, line in enumerate(fh, start=1):
         try:
-            text = chunk.decode("utf-8")
+            yield line.removesuffix(b"\n").decode("utf-8")
         except UnicodeDecodeError as exc:
-            # the line of the bad byte: the breaks before it, plus one
-            lineno += len((chunk[: exc.start].decode("utf-8") + ".").splitlines())
             raise FormatError(f"line {lineno}: ledger is not UTF-8 text: {exc}") from None
-        lines = text.splitlines()
-        lineno += len(lines)
-        yield from lines
 
 
 @dataclass
@@ -610,13 +584,6 @@ class DualLedger:
             private=Ledger(PRIVATE, k, private_writers),
             public=Ledger(PUBLIC, k, public_writers),
         )
-
-    def submit_private(self, tx: Transaction, author: EntityId) -> None:
-        # the private side accepts every kind, except an alert that would
-        # duplicate one already on the public ledger
-        if tx.kind is TxKind.ALERT_EVENT and self.public.has_tx(tx.id):
-            raise KindNotAdmissible("alert already recorded on the public ledger")
-        self.private.submit(tx, author)
 
     def seal_all(self, creator: EntityId, now: float) -> tuple[Block, Block]:
         return self.private.seal_block(creator, now), self.public.seal_block(creator, now)

@@ -91,11 +91,9 @@ class ThresholdRule:
     severity: str
 
     def __post_init__(self):
-        # both key the pipeline's rule index and the alert body
-        if not (isinstance(self.rule_id, str) and isinstance(self.patient, str)):
-            raise InvalidParameter("a rule's rule_id and patient must be strings")
-        # an alert body carries both, so refuse here what its scan would
-        # refuse at the first alert, after the EHR log is written
+        # both key the pipeline's rule index, and an alert body carries
+        # both, so refuse here what its scan would refuse at the first
+        # alert, after the EHR log is written
         for name in ("rule_id", "patient"):
             value = getattr(self, name)
             fault = token_fault(value)
@@ -354,7 +352,7 @@ class RpmPipeline:
             submitted_at=now,
             author=self.author,
         )
-        self.dual.submit_private(tx, self.author)
+        self.dual.private.submit(tx, self.author)
 
     def dispatch_alert(
         self, reading: VitalReading, verdict: Verdict, now: float
@@ -509,7 +507,6 @@ def run_demo(
         private_writers={author, sealer, AccessController.author},
         public_writers={author, sealer},
     )
-    store = EhrStore(state_dir)
     clock = ManualClock()
     controller = AccessController(clock=clock, ledger=dual.private)
 
@@ -537,10 +534,6 @@ def run_demo(
             for v_index, (vital, profile) in enumerate(DEMO_PROFILES.items())
         ]
 
-    pipeline = RpmPipeline(dual, store, controller, rules)
-    subscriber = Subscriber(entity=provider, session=provider_session)
-    pipeline.subscribers.append(subscriber)
-
     interval = duration / readings_per_device
     all_readings: list[VitalReading] = []
     for p_index, pid in enumerate(patient_ids):
@@ -557,22 +550,32 @@ def run_demo(
     for batch in aggregate(all_readings, window):
         by_start.setdefault(batch.window[0], []).append(batch)
 
-    verdicts: list[tuple[VitalReading, Verdict]] = []
-    alert_windows: dict[str, int] = {}
-    window_count = int(math.ceil(duration / window))
-    for w in range(window_count):
-        window_end = (w + 1) * window
-        clock.now = window_end
-        for batch in by_start.get(w * window, ()):
-            before = len(pipeline.alerts)
-            verdicts.extend(pipeline.process_batch(batch, window_end))
-            for event in pipeline.alerts[before:]:
-                alert_windows.setdefault(event.event_id, w)
-        dual.seal_all(sealer, window_end)
-    # A last seal of both ledgers. Each seal takes at most max_block_txs
-    # txs, so a backlog from windows with more traffic than that stays
-    # pooled, and save does not persist the pool.
-    dual.seal_all(sealer, duration + window)
+    # the store is opened last and closed again if the run raises; a run
+    # that returns hands it to the caller in the result
+    store = EhrStore(state_dir)
+    try:
+        pipeline = RpmPipeline(dual, store, controller, rules)
+        subscriber = Subscriber(entity=provider, session=provider_session)
+        pipeline.subscribers.append(subscriber)
+        verdicts: list[tuple[VitalReading, Verdict]] = []
+        alert_windows: dict[str, int] = {}
+        window_count = int(math.ceil(duration / window))
+        for w in range(window_count):
+            window_end = (w + 1) * window
+            clock.now = window_end
+            for batch in by_start.get(w * window, ()):
+                before = len(pipeline.alerts)
+                verdicts.extend(pipeline.process_batch(batch, window_end))
+                for event in pipeline.alerts[before:]:
+                    alert_windows.setdefault(event.event_id, w)
+            dual.seal_all(sealer, window_end)
+        # A last seal of both ledgers. Each seal takes at most max_block_txs
+        # txs, so a backlog from windows with more traffic than that stays
+        # pooled, and save does not persist the pool.
+        dual.seal_all(sealer, duration + window)
+    except BaseException:
+        store.close()
+        raise
 
     return DemoResult(
         patients=patient_ids,

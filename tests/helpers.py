@@ -184,6 +184,11 @@ CRAFTED_LEDGERS = [
     ("alert-outside-schema", PUBLIC,
      Transaction(TxKind.ALERT_EVENT, {"patient": "p-01", "heart_rate": 140}, 1.0, "svc"),
      "outside the schema"),
+    ("alert-hash-with-newline", PUBLIC,
+     Transaction(TxKind.ALERT_EVENT, {"patient": "p-01", "rule_id": "r-1", "occurred_at": 1.0,
+                                      "ehr_record_hash": "ab" * 32 + "\n", "severity": "urgent"},
+                 1.0, "svc"),
+     "ehr_record_hash"),
     ("access-change-without-grantor", PRIVATE,
      Transaction(TxKind.ACCESS_CHANGE, {"action": "grant", "grant_id": "grant-0001"}, 1.0, "svc"),
      "grantor"),

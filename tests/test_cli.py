@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from rpmdag.fixtures import REFERENCE_K3_BLUE, REFERENCE_K3_RED, reference_k3_text
-from rpmdag.ledger import PUBLIC, Transaction, TxKind
+from rpmdag.ledger import PUBLIC, Ledger, Transaction, TxKind
 
 from helpers import CRAFTED_LEDGERS, crafted_ledger_text, run_cli, run_cli_process
 
@@ -522,6 +523,20 @@ def test_demo_refuses_a_rule_an_alert_could_not_carry_before_writing(tmp_path, f
     assert not state.exists()
 
 
+def test_demo_closes_its_store_when_a_save_fails(tmp_path, monkeypatch):
+    def failing(self, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Ledger, "save", failing)
+    state = tmp_path / "S"
+    result = run_cli("rpm", "demo", "--seed", "1", "--patients", "1", "--readings-per-device", "4",
+                     "--duration", "10", "--state-dir", str(state))
+    assert_one_error_line(result, 1)
+    assert "disk full" in result[2]
+    # an open log would warn here, and the warning fails the test
+    gc.collect()
+
+
 @pytest.mark.parametrize("text", ["", "# no blocks here\n\n   # nor here\n"])
 def test_dag_import_of_a_file_without_blocks_is_a_runtime_error(tmp_path, text):
     path = tmp_path / "empty.dag"
@@ -535,6 +550,15 @@ def test_non_utf8_config_file_is_a_usage_error(dag_file, tmp_path):
     config = tmp_path / "bad.conf"
     config.write_bytes(b"k=3\n# \xff\n")
     assert_one_error_line(run_cli("color", "--dag", dag_file, "--config", str(config)), 2)
+
+
+def test_config_value_holding_a_nul_byte_is_a_usage_error(tmp_path):
+    # a path holding one made open raise ValueError, a traceback
+    config = tmp_path / "nul.conf"
+    config.write_bytes(b"k=3\ndag=x\x00y\n")
+    result = run_cli("color", "--config", str(config))
+    assert_one_error_line(result, 2)
+    assert "config line 2: holds a NUL byte" in result[2]
 
 
 def test_acl_cli_flow(tmp_path):

@@ -171,6 +171,9 @@ def test_duplicated_record_is_refused_at_its_own_offset(tmp_path):
         ("stored_at", True),
         ("stored_at", "soon"),
         ("stored_at", None),
+        # store refuses a time a float cannot hold, so open does too
+        ("stored_at", 10**400),
+        ("stored_at", -(10**400)),
         ("patient", 5),
         ("content_hash", "ab" * 31),
         ("content_hash", 7),

@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from rpmdag.hashing import canonical_json, sorted_json
+from rpmdag.hashing import (
+    canonical_json,
+    finite_number,
+    float_time,
+    hex_digest,
+    opaque_token,
+    sorted_json,
+)
 
 _TEXT = "aZ09 _-\"\\/\n\t\x00\x7fé中 😀"
 
@@ -67,3 +74,22 @@ def test_encoders_raise_what_json_dumps_raises():
     # a refused value leaves the shared encoders as they were
     assert canonical_json({"b": [1, "é"], "a": None}) == b'{"a":null,"b":[1,"\\u00e9"]}'
     assert sorted_json({"b": 1.5, "a": True}) == '{"a": true, "b": 1.5}'
+
+
+HEX = "ab" * 32
+
+
+@pytest.mark.parametrize("rule, accepted, refused", [
+    (finite_number, [0, -1.5, 2**1100, 1e308],
+     [True, math.nan, math.inf, -math.inf, "1", None]),
+    (float_time, [0, -1.5, 1e308, 2**1023],
+     [True, math.nan, math.inf, 2**1100, -(2**1100), "1", None]),
+    # a "$"-anchored match would take the value with a final newline
+    (hex_digest, [HEX],
+     [HEX + "\n", HEX.upper(), HEX[:-1], HEX + "0", " " + HEX, b"\xab" * 32, None]),
+    (opaque_token, ["r-1", "p_01.x", "A"],
+     ["r-1\n", "", "r 1", "\ud800", "p-\u0661", 7, None, ["r-1"]]),
+])
+def test_value_rules_take_any_value(rule, accepted, refused):
+    assert [rule(value) for value in accepted] == [True] * len(accepted)
+    assert [rule(value) for value in refused] == [False] * len(refused)

@@ -7,6 +7,8 @@ field. The CLI runs in-process on the result and must exit 0, 1 or 2,
 raise nothing and print at most one `error:` line. Crafted ledgers and
 EHR logs add the grant-id and deep-nesting cases for those files, and
 ledgers whose bodies hold values that are equal but encode differently.
+DAG text files, and the --config files and RPMDAG_* values of the
+commands that read them, are mutated at the byte level too.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import base64
 import copy
 import json
 import random
+import re
 
 import pytest
 
@@ -22,6 +25,7 @@ from rpmdag.acl import AccessController
 from rpmdag.dag import Block
 from rpmdag.ehr import LOG_NAME
 from rpmdag.errors import FormatError
+from rpmdag.fixtures import reference_k3_text
 from rpmdag.ledger import PRIVATE, PUBLIC, Ledger, Transaction, TxKind
 
 from helpers import run_cli
@@ -82,9 +86,9 @@ def mutate(rng: random.Random, base: list) -> str:
     return json.dumps(doc).replace(json.dumps(DEEP), "[" * depth + "]" * depth)
 
 
-def assert_clean_exit(argv, case):
+def assert_clean_exit(argv, case, env=None):
     try:
-        code, out, err = run_cli(*argv)
+        code, out, err = run_cli(*argv, env=env)
     except BaseException as exc:  # a traceback on the command line
         pytest.fail(f"{case}: {type(exc).__name__}: {str(exc)[:200]}")
     assert code in (0, 1, 2), case
@@ -273,3 +277,126 @@ def test_ledger_bodies_of_equal_values_that_encode_differently(tmp_path, case, v
         assert str(info.value) == refused
     code, _, err = assert_clean_exit(("ledger", "inspect", "--file", str(path)), case)
     assert (code, err) == ((0, "") if refused is None else (1, f"error: {refused}\n"))
+
+
+
+# DAG text and the options of the commands that read it: dag import, dag
+# export --out, color and oracle, on the reference DAG (11 blocks, well under
+# the oracle's cap of 20) after one seeded mutation of the DAG file, or of
+# the --config file and RPMDAG_* values that set the commands' options.
+
+SPLICES = (b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xef\xbb\xbf", b"\x00", b"\r", b"\x0b",
+           "\x85".encode(), "\u2028".encode(), b"\n", b" ", b"#", b":", b",", b"=")
+DAG_TOKENS = ("", "A" * 5000, "\u0663", "A.B", "-", "9" * 5000, "a:b", "\U0001f600", "#")
+TOKEN = re.compile(r"[A-Za-z0-9_.-]+")
+
+
+def mutate_bytes(rng: random.Random, text: str) -> bytes:
+    """The UTF-8 of text after one seeded mutation: a flipped bit, a
+    truncation, a duplicated line, bytes spliced in (invalid UTF-8, a NUL, a
+    line break or a separator) or a token swapped for an extreme one."""
+    data = text.encode()
+    kind = rng.choice(("flip", "truncate", "duplicate", "splice", "token"))
+    i = rng.randrange(len(data))
+    if kind == "flip":
+        return data[:i] + bytes([data[i] ^ (1 << rng.randrange(8))]) + data[i + 1:]
+    if kind == "truncate":
+        return data[:i]
+    if kind == "duplicate":
+        lines = data.splitlines(keepends=True)
+        n = rng.randrange(len(lines))
+        return b"".join(lines[:n + 1] + lines[n:])
+    if kind == "splice":
+        return data[:i] + rng.choice(SPLICES) + data[i:]
+    token = rng.choice(list(TOKEN.finditer(text)))
+    return (text[:token.start()] + rng.choice(DAG_TOKENS) + text[token.end():]).encode()
+
+
+def dag_commands(dag: str, out: str):
+    """(command words, the options it needs) for each command that reads a
+    DAG file."""
+    return (
+        (("dag", "import"), {"file": dag}),
+        (("dag", "export"), {"file": dag, "out": out}),
+        (("color",), {"dag": dag, "k": "3"}),
+        (("oracle",), {"dag": dag, "k": "3"}),
+    )
+
+
+def assert_refusal_writes_nothing(tmp_path, argv, case, env=None):
+    """assert_clean_exit, and a refused command leaves tmp_path as it was,
+    so a refused export writes no --out file."""
+    before = sorted(tmp_path.rglob("*"))
+    code, _, _ = assert_clean_exit(argv, case, env)
+    if code != 0:
+        assert sorted(tmp_path.rglob("*")) == before, case
+    (tmp_path / "out.dag").unlink(missing_ok=True)
+
+
+def test_mutated_dag_text(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # so that no relative path leaves it
+    rng = random.Random(8103)
+    dag = tmp_path / "mutated.dag"
+    for i in range(CASES):
+        data = mutate_bytes(rng, reference_k3_text())
+        dag.write_bytes(data)
+        for words, options in dag_commands(str(dag), str(tmp_path / "out.dag")):
+            flags = [part for name, value in options.items() for part in (f"--{name}", value)]
+            assert_refusal_writes_nothing(tmp_path, (*words, *flags), (i, words, data[:120]))
+
+
+# values for one option: numeric extremes, respellings of 3, paths to
+# nothing, to a directory and to a file that is not a DAG, and a NUL byte,
+# which no path can hold
+OPTION_VALUES = (
+    "", " ", "-1", "0", "10" * 400, "9" * 5000, "1e308", "nan", "inf", "3.0", "0x3",
+    "\u0663", "3_0", "+3", " 3 ", "missing.dag", ".", "config.txt", "nodir/out.dag",
+    "x\x00y", "\U0001f600",
+)
+
+
+def mutate_options(rng: random.Random, options: dict[str, str]) -> tuple[bytes, dict[str, str]]:
+    """A config file and RPMDAG_* values that set options after one seeded
+    mutation: a hostile value, a duplicated key, an unknown key, a line
+    that is not key=value, or a byte-level mutation of the file."""
+    options = dict(options)
+    lines = []
+    kind = rng.choice(("value", "duplicate", "unknown", "syntax", "bytes"))
+    name = rng.choice(sorted(options))
+    if kind == "value":
+        options[name] = rng.choice(OPTION_VALUES)
+    elif kind == "duplicate":
+        lines.append(f"{name}={rng.choice(OPTION_VALUES)}")
+    elif kind == "unknown":
+        lines.append(rng.choice(("colour=blue", "seed=1", "K=3", "=3", "k ey=3")))
+    elif kind == "syntax":
+        lines.append(rng.choice(("k", "k==3", "[dag]", "k: 3")))
+    lines.extend(f"{key}={value}" for key, value in options.items())
+    rng.shuffle(lines)
+    text = "\n".join(lines) + "\n"
+    config = mutate_bytes(rng, text) if kind == "bytes" else text.encode()
+    # each value is in the config file, and some are in the environment as
+    # well, which wins; it cannot hold a NUL, and "\udcff" is how Python
+    # reads a byte of it that is not UTF-8
+    env = {}
+    for key, value in options.items():
+        if "\x00" not in value and rng.random() < 0.4:
+            env[f"RPMDAG_{key.upper()}"] = value if rng.random() < 0.8 else "\udcff"
+    return config, env
+
+
+def test_mutated_config_and_environment(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(8104)
+    dag = tmp_path / "reference.dag"
+    dag.write_text(reference_k3_text())
+    config = tmp_path / "config.txt"
+    for i in range(CASES):
+        words, options = rng.choice(dag_commands(str(dag), "out.dag"))
+        data, env = mutate_options(rng, options)
+        config.write_bytes(data)
+        if rng.random() < 0.5:
+            argv = (*words, "--config", str(config))
+        else:
+            argv, env = words, {**env, "RPMDAG_CONFIG": str(config)}
+        assert_refusal_writes_nothing(tmp_path, argv, (i, words, data[:120], env), env)

@@ -557,6 +557,18 @@ def test_load_text_applies_submit_body_rules(visibility, tx, named):
         Ledger.load_text(text)
 
 
+@pytest.mark.parametrize(
+    "visibility, tx, named",
+    [case[1:] for case in CRAFTED_LEDGERS],
+    ids=[case[0] for case in CRAFTED_LEDGERS],
+)
+def test_submit_refuses_what_load_text_refuses(visibility, tx, named):
+    ledger = Ledger(visibility, 3, {"svc"})
+    with pytest.raises((FormatError, KindNotAdmissible, PhiLeak), match=named):
+        ledger.submit(tx, "svc")
+    assert ledger.pool == []
+
+
 def test_save_leaves_the_old_file_when_the_rename_fails(tmp_path, monkeypatch):
     path = tmp_path / "test.ledger"
     Ledger(PRIVATE, 2, WRITERS).save(path)
@@ -742,7 +754,8 @@ def test_a_dropped_ledger_leaves_nothing_behind(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name", ["dr smith", "a,b", "", " svc", "svc\n", "a\tb", "a\x0bb", "a\x1cb", "a\u2028b", "a\x85b"]
+    "name",
+    ["dr smith", "a,b", "", " svc", "svc\n", "a\tb", "a\x0bb", "a\x1cb", "a\u2028b", "a\x85b", "\ud800"],
 )
 def test_writer_names_a_saved_header_cannot_carry_are_refused(name):
     with pytest.raises(FormatError, match="writer name"):
@@ -818,12 +831,12 @@ def test_a_repeated_block_line_is_refused_with_its_line():
 
 def test_a_byte_that_is_not_utf8_is_reported_with_its_line(tmp_path):
     header, genesis, block = build_ledger().save_text().splitlines()[:3]
-    # lines 3 and 4 are blank, line 5 ends at a vertical tab, and the bad
-    # byte opens line 6
+    # lines are counted by "\n" alone: lines 3 and 4 are blank (4 holds a
+    # "\r"), and the bad byte follows a vertical tab on line 5
     raw = f"{header}\n{genesis}\n\n\r\n\x0b".encode() + b"\xff" + block.encode() + b"\n"
     path = tmp_path / "test.ledger"
     path.write_bytes(raw)
-    with pytest.raises(FormatError, match="^line 6: ledger is not UTF-8 text"):
+    with pytest.raises(FormatError, match="^line 5: ledger is not UTF-8 text"):
         Ledger.load(path)
 
 
@@ -872,6 +885,15 @@ def test_load_and_load_text_agree_on_line_breaks(tmp_path, edit):
     # read_text would translate "\r\n" and a lone "\r" to "\n"
     expected = outcome(Ledger.load_text, path.read_bytes().decode("utf-8"))
     assert outcome(Ledger.load, path) == expected
+
+
+def test_a_crlf_copy_of_a_saved_ledger_is_refused(tmp_path):
+    # "\n" is the one line break; the "\r" before it is part of the line
+    text = build_ledger().save_text().replace("\n", "\r\n")
+    path = tmp_path / "test.ledger"
+    path.write_bytes(text.encode())
+    assert outcome(Ledger.load_text, text)[0] == "refused"
+    assert outcome(Ledger.load, path) == outcome(Ledger.load_text, text)
 
 
 def test_line_break_edits_cover_loads_and_refusals(tmp_path):
@@ -1041,13 +1063,9 @@ def test_dual_ledger_routes_and_guards():
     dual = DualLedger.create(3, private_writers=WRITERS, public_writers=WRITERS)
     alert = Transaction(TxKind.ALERT_EVENT, alert_body(), 1.0, "svc")
     dual.public.submit(alert, "svc")
-    # the same alert may not also land on the private side
-    with pytest.raises(KindNotAdmissible):
-        dual.submit_private(alert, "svc")
-    # other kinds go private; alerts not on the public side are fine too
-    dual.submit_private(anchor_tx(1), "svc")
+    dual.private.submit(anchor_tx(1), "svc")
     other = Transaction(TxKind.ALERT_EVENT, alert_body(rule_id="r-8"), 1.0, "svc")
-    dual.submit_private(other, "svc")
+    dual.private.submit(other, "svc")
     priv, pub = dual.seal_all("sealer", 2.0)
     assert len(priv.payload) == 2 and len(pub.payload) == 1
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 
@@ -15,7 +16,7 @@ from rpmdag.errors import (
     PhiLeak,
     UnitMismatch,
 )
-from rpmdag.ledger import VITAL_KIND_NAMES, DualLedger, TxKind, validate_alert_body
+from rpmdag.ledger import VITAL_KIND_NAMES, DualLedger, TxKind, token_fault, validate_alert_body
 from rpmdag.pipeline import (
     ABNORMAL,
     DEMO_PROFILES,
@@ -90,8 +91,9 @@ def test_rule_validation():
 @pytest.mark.parametrize("field", ["rule_id", "patient"])
 @pytest.mark.parametrize("value", [["p-01"], {"p": 1}, 7, None])
 def test_rule_refuses_a_rule_id_or_patient_that_is_not_a_string(field, value):
-    # a list patient used to raise TypeError (unhashable) in the rule index
-    with pytest.raises(InvalidParameter, match="must be strings"):
+    # a list patient used to raise TypeError (unhashable) in the rule index;
+    # token_fault takes any value, so a non-str is not an opaque token
+    with pytest.raises(InvalidParameter, match=f"rule field '{field}' must be an opaque token"):
         rule(50.0, 100.0, **{field: value})
 
 
@@ -100,10 +102,13 @@ def test_rule_refuses_a_rule_id_or_patient_that_is_not_a_string(field, value):
     ("r 1", "must be an opaque token"),
     ("", "must be an opaque token"),
     ("\ud800", "must be an opaque token"),
+    # "$" would also match before the final newline
+    ("r-1\n", "must be an opaque token"),
     ("heart_rate-hi", "names a vital kind"),
     ("p-GLUCOSE", "names a vital kind"),
 ])
 def test_rule_refuses_what_the_alert_scan_would_refuse(field, value, fault):
+    assert token_fault(value) == fault
     # refused with the rules, not at the first alert after the EHR log is written
     with pytest.raises(InvalidParameter, match=f"rule field '{field}' {fault}"):
         rule(50.0, 100.0, **{field: value})
@@ -381,6 +386,19 @@ def test_demo_state_is_byte_identical_to_golden(tmp_path):
         for name in DEMO_SEED_11_SHA256
     }
     assert digests == DEMO_SEED_11_SHA256
+
+
+def test_demo_closes_its_store_when_the_run_raises(tmp_path, monkeypatch):
+    def failing(self, batch, now):
+        raise RuntimeError("batch failed")
+
+    monkeypatch.setattr(RpmPipeline, "process_batch", failing)
+    with pytest.raises(RuntimeError, match="batch failed"):
+        run_demo(seed=1, patients=1, readings_per_device=4, duration=10.0,
+                 state_dir=str(tmp_path))
+    # an open log would warn here, and the warning fails the test
+    gc.collect()
+    assert (tmp_path / "ehr.log").exists()
 
 
 def test_rules_for_matches_a_scan_of_every_rule():
