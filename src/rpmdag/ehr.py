@@ -21,7 +21,7 @@ from .errors import (
     FormatError,
     UnknownRecord,
 )
-from .hashing import digest, encode_str, float_time, hex_digest, sorted_json, utf8_text
+from .hashing import digest, encode_str, float_time, hex_digest, shown, sorted_json, utf8_text
 from .ledger import Ledger, Scope, Transaction, TxKind
 
 INTACT = "intact"
@@ -136,7 +136,7 @@ class EhrStore:
         if not utf8_text(patient):
             raise FormatError(f"record field 'patient' must be a UTF-8 string, got {patient!r}")
         if not float_time(now):
-            raise FormatError(f"record field 'stored_at' must be a finite number, got {now!r}")
+            raise FormatError(f"record field 'stored_at' must be a finite number, got {shown(now)}")
         content_hash = digest(content).hex()
         record_id = _record_id(patient, len(self._index), content_hash)
         header = sorted_json(

@@ -18,15 +18,18 @@ Each encoder here has one byte contract:
 - encode_bytes, encode_str, encode_f64: length-prefixed or fixed-width
   fields that hash inputs are built from.
 
-Each JSONEncoder object is built once per process and is never changed,
-so every call shares its settings; json still builds its C encoder on
-every call. Both keep the circular-reference check: a value that
-contains itself raises ValueError and an unserialisable one TypeError,
-as json.dumps does.
+Each of canonical_json and sorted_json is one call of CPython's C
+encoder (json.encoder.c_make_encoder) with its settings and a fresh
+circular-reference map, so no state outlives a call and both are
+reentrant and thread-safe. The bytes, and the ValueError for a value
+that contains itself or TypeError for an unserialisable one, are what
+json.dumps gives with the same settings. The import fails on a Python
+without the _json accelerator.
 
 The value rules that more than one module applies to outside input are
 here too, each as one predicate that takes any value: utf8_text,
-finite_number, float_time, hex_digest and opaque_token.
+finite_number, float_time, hex_digest and opaque_token. shown writes a
+refused value into an error message.
 """
 
 from __future__ import annotations
@@ -40,8 +43,13 @@ import sys
 
 DIGEST_ALG = "sha256"
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
-_SORTED = json.JSONEncoder(sort_keys=True)
+# c_make_encoder(markers, default, encoder, indent, key_separator,
+# item_separator, sort_keys, skipkeys, allow_nan), as json.dumps calls it
+_make_encoder = json.encoder.c_make_encoder
+if _make_encoder is None:
+    raise ImportError("rpmdag needs CPython's _json accelerator (json.encoder.c_make_encoder)")
+_escape = json.encoder.encode_basestring_ascii
+_refuse = json.JSONEncoder().default  # raises json.dumps's TypeError; reads no setting
 _SURROGATE = re.compile("[\ud800-\udfff]")  # the code points UTF-8 cannot encode
 _HEX_DIGEST = re.compile("[0-9a-f]{64}")
 _TOKEN = re.compile("[A-Za-z0-9_.-]+")
@@ -53,12 +61,14 @@ def digest(data: bytes) -> bytes:
 
 def canonical_json(obj) -> bytes:
     """Compact JSON with sorted keys. Rejects NaN and infinities."""
-    return _CANONICAL.encode(obj).encode()
+    encode = _make_encoder({}, _refuse, _escape, None, ":", ",", True, False, False)
+    return "".join(encode(obj, 0)).encode()
 
 
 def sorted_json(obj) -> str:
-    """json.dumps(obj, sort_keys=True), from the shared encoder."""
-    return _SORTED.encode(obj)
+    """json.dumps(obj, sort_keys=True)."""
+    encode = _make_encoder({}, _refuse, _escape, None, ": ", ", ", True, False, True)
+    return "".join(encode(obj, 0))
 
 
 def utf8_text(value) -> bool:
@@ -78,6 +88,14 @@ def float_time(value) -> bool:
     """A finite number a float can hold, as a time saved by its float repr
     must be."""
     return finite_number(value) and abs(value) <= sys.float_info.max
+
+
+def shown(value) -> str:
+    """repr(value) for an error message, but not of an int above the float
+    range, whose repr may run to thousands of digits or raise ValueError."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return "an int above the float range"
+    return repr(value)
 
 
 def hex_digest(value) -> bool:

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .ghostdag import GhostdagParams, ghostdag_run
 from .hashing import (DIGEST_ALG, canonical_json, digest, finite_number, float_time, hex_digest,
-                      opaque_token, sorted_json, utf8_text)
+                      opaque_token, shown, sorted_json, utf8_text)
 
 EntityId = str
 
@@ -323,10 +323,13 @@ class Ledger:
         """The kind and body rules a transaction must meet on this ledger,
         whether it arrives by submit or from a saved file."""
         # the tx id does not cover submitted_at, so only this check keeps a
-        # non-number or a NaN (which save would refuse) off the ledger
+        # non-number, a NaN or an int too long to write off the ledger; the
+        # rule is the seal time's
         at = tx.submitted_at
-        if not finite_number(at):
-            raise FormatError(f"transaction field 'submitted_at' must be a finite number, got {at!r}")
+        if not float_time(at):
+            raise FormatError(
+                f"transaction field 'submitted_at' must be a finite number, got {shown(at)}"
+            )
         if self.visibility == PUBLIC and tx.kind is not TxKind.ALERT_EVENT:
             raise KindNotAdmissible(
                 f"{tx.kind.value} transactions are not accepted on the {self.visibility} ledger"
@@ -353,7 +356,7 @@ class Ledger:
             raise Unauthorized(f"{creator!r} may not seal blocks on the {self.visibility} ledger")
         # checked before the pool is drained
         if not float_time(now):
-            raise FormatError(f"seal time 'now' must be a finite number, got {now!r}")
+            raise FormatError(f"seal time 'now' must be a finite number, got {shown(now)}")
         payload = tuple(self.pool[: self.max_block_txs])
         del self.pool[: self.max_block_txs]
         block = Block.create(sorted(self.dag.tips), payload, now, creator)
@@ -392,14 +395,18 @@ class Ledger:
     # and creator columns. Block ids are re-derived from content on load,
     # so a tampered file fails to parse.
 
+    def _header(self) -> str:
+        """The header line save writes, without its newline."""
+        writers = ",".join(sorted(self.authorized_writers))
+        return (
+            f"# rpmdag-ledger v1 visibility={self.visibility} k={self.params.k} "
+            f"alg={DIGEST_ALG} max={self.max_block_txs} writers={writers}"
+        )
+
     def _save_lines(self):
         """The saved file one line at a time, each ending in a newline:
         the header, then the blocks in topological order."""
-        writers = ",".join(sorted(self.authorized_writers))
-        yield (
-            f"# rpmdag-ledger v1 visibility={self.visibility} k={self.params.k} "
-            f"alg={DIGEST_ALG} max={self.max_block_txs} writers={writers}\n"
-        )
+        yield self._header() + "\n"
         for bid in self.dag.topological_order():
             block = self.dag.blocks[bid]
             parents = ",".join(sorted(p.hex() for p in block.parents))
@@ -469,6 +476,10 @@ class Ledger:
             raise FormatError(f"ledger header is missing {exc}") from None
 
         ledger = cls(visibility, k, writers, max_txs)
+        # one spelling, as for block lines: no unknown, repeated, missing or
+        # reordered field, and the writers sorted
+        if first != ledger._header():
+            raise FormatError(f"ledger header is not spelt as save writes it: {ledger._header()!r}")
         by_hex: dict[str, BlockId] = {}  # the blocks read so far
         shared: dict[str, str] = {}  # see _share_strings; dropped on return
         for lineno, line in numbered:

@@ -198,6 +198,10 @@ CRAFTED_LEDGERS = [
     ("submitted-at-nan", PRIVATE,
      Transaction(TxKind.EHR_ANCHOR, {"record_id": "r", "content_hash": "c"}, math.nan, "svc"),
      "submitted_at"),
+    # an int save could write, but a float cannot hold
+    ("submitted-at-above-float-range", PRIVATE,
+     Transaction(TxKind.EHR_ANCHOR, {"record_id": "r", "content_hash": "c"}, 10**400, "svc"),
+     "'submitted_at' must be a finite number, got an int above the float range"),
 ]
 
 

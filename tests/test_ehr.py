@@ -202,6 +202,8 @@ def test_header_field_of_the_wrong_kind_is_refused_at_open(tmp_path, field, valu
         ("p-01", "soon"),
         ("p-01", None),
         ("p-01", 10**400),
+        # too long for repr, so the message must not write it
+        pytest.param("p-01", 10**5000, id="p-01-int-of-5001-digits"),
     ],
 )
 def test_store_refuses_bad_input_before_writing(tmp_path, patient, now):

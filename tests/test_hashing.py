@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import threading
 
 import pytest
 
@@ -71,9 +72,114 @@ def test_encoders_raise_what_json_dumps_raises():
             encode({"s": {1, 2}})
         with pytest.raises(ValueError):
             encode(looped)
-    # a refused value leaves the shared encoders as they were
+    # a refused value leaves nothing behind for the next call
     assert canonical_json({"b": [1, "é"], "a": None}) == b'{"a":null,"b":[1,"\\u00e9"]}'
     assert sorted_json({"b": 1.5, "a": True}) == '{"a": true, "b": 1.5}'
+
+
+def outcome(encode, value):
+    """What encode(value) gives: its result, or the type and message of
+    what it raises."""
+    try:
+        return encode(value)
+    except Exception as exc:  # compared by type and message below
+        return type(exc), str(exc)
+
+
+def dumps_canonical(value) -> bytes:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
+
+
+def dumps_sorted(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+class Text(str):
+    def __str__(self):
+        return "not this"
+
+
+class Number(int):
+    def __repr__(self):
+        return "not this"
+
+
+class Real(float):
+    def __repr__(self):
+        return "not this"
+
+
+class Map(dict):
+    def items(self):
+        return [("not", "this")]
+
+
+class Seq(list):
+    def __iter__(self):
+        return iter(["not this"])
+
+
+def _nested(depth: int):
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def parity_values():
+    """(case, value) pairs that the encoders must treat as json.dumps does
+    with the same settings: refused values with the same exception type and
+    message, the rest with the same text."""
+    return [
+        ("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
+        ("nan-in-list", [1, math.nan]), ("inf-as-value", {"t": -math.inf}),
+        ("set", {"s": {1, 2}}), ("bytes", [b"x"]), ("object", object()),
+        ("int-keys", {2: "b", 1: "a", -1: None}), ("float-keys", {1.5: 1, -0.0: 2, 1e300: 3}),
+        ("bool-keys", {True: 1, False: 0}), ("none-key", {None: 1}),
+        ("mixed-keys", {1: "a", "b": 2}), ("mixed-keys-none", {None: 1, "a": 2}),
+        ("str-subclass", {Text("k"): Text("v")}), ("int-subclass", [Number(7), {Number(3): 1}]),
+        ("float-subclass", {"x": Real(1.5)}), ("dict-subclass", Map(b=1, a=2)),
+        ("list-subclass", Seq([1, 2])), ("tuple", (1, (2, "é"), {"t": (3,)})),
+        ("top-level-str", "é\n\ud800"), ("bool-not-int", [True, 1, False, 0]),
+        ("depth-10", _nested(10)), ("depth-100000", _nested(100_000)),
+    ]
+
+
+def test_encoders_match_json_dumps_on_edge_values():
+    for case, value in parity_values():
+        assert outcome(canonical_json, value) == outcome(dumps_canonical, value), case
+        assert outcome(sorted_json, value) == outcome(dumps_sorted, value), case
+
+
+def test_a_circular_value_is_refused_and_the_next_encode_succeeds():
+    for encode, dumps in ((canonical_json, dumps_canonical), (sorted_json, dumps_sorted)):
+        looped: dict = {"a": 1}
+        looped["self"] = [looped]
+        refused = outcome(encode, looped)
+        assert refused == outcome(dumps, looped) == (ValueError, "Circular reference detected")
+        # the same objects without the loop: a mark the refused call left
+        # behind would refuse them again
+        looped["self"] = []
+        assert encode(looped) == dumps(looped)
+        shared = [1]
+        assert encode([shared, shared]) == dumps([[1], [1]])
+
+
+def test_encoders_give_the_same_bytes_on_four_threads():
+    value = {"b": [random_json(random.Random(seed)) for seed in range(20)], "a": _nested(50)}
+    expected = (canonical_json(value), sorted_json(value))
+    results: list = []
+
+    def work():
+        got = {(canonical_json(value), sorted_json(value)) for _ in range(2000)}
+        results.append(got)
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert results == [{expected}] * 4
 
 
 HEX = "ab" * 32

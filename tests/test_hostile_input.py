@@ -8,7 +8,9 @@ raise nothing and print at most one `error:` line. Crafted ledgers and
 EHR logs add the grant-id and deep-nesting cases for those files, and
 ledgers whose bodies hold values that are equal but encode differently.
 DAG text files, and the --config files and RPMDAG_* values of the
-commands that read them, are mutated at the byte level too.
+commands that read them, are mutated at the byte level too, and so are
+the --config files and RPMDAG_* values of ledger inspect, ehr audit and
+acl check over saved state.
 """
 
 from __future__ import annotations
@@ -355,18 +357,20 @@ OPTION_VALUES = (
 )
 
 
-def mutate_options(rng: random.Random, options: dict[str, str]) -> tuple[bytes, dict[str, str]]:
+def mutate_options(rng: random.Random, options: dict[str, str],
+                   values: tuple = OPTION_VALUES) -> tuple[bytes, dict[str, str]]:
     """A config file and RPMDAG_* values that set options after one seeded
-    mutation: a hostile value, a duplicated key, an unknown key, a line
-    that is not key=value, or a byte-level mutation of the file."""
+    mutation: a hostile value from values, a duplicated key, an unknown
+    key, a line that is not key=value, or a byte-level mutation of the
+    file."""
     options = dict(options)
     lines = []
     kind = rng.choice(("value", "duplicate", "unknown", "syntax", "bytes"))
     name = rng.choice(sorted(options))
     if kind == "value":
-        options[name] = rng.choice(OPTION_VALUES)
+        options[name] = rng.choice(values)
     elif kind == "duplicate":
-        lines.append(f"{name}={rng.choice(OPTION_VALUES)}")
+        lines.append(f"{name}={rng.choice(values)}")
     elif kind == "unknown":
         lines.append(rng.choice(("colour=blue", "seed=1", "K=3", "=3", "k ey=3")))
     elif kind == "syntax":
@@ -385,18 +389,62 @@ def mutate_options(rng: random.Random, options: dict[str, str]) -> tuple[bytes, 
     return config, env
 
 
+def assert_mutated_options_exit_cleanly(tmp_path, rng, words, options, case,
+                                        values=OPTION_VALUES):
+    """Run words with options set by a seeded mutation of tmp_path/config.txt
+    and RPMDAG_* values, the file given by --config or by RPMDAG_CONFIG."""
+    data, env = mutate_options(rng, options, values)
+    config = tmp_path / "config.txt"
+    config.write_bytes(data)
+    if rng.random() < 0.5:
+        argv = (*words, "--config", str(config))
+    else:
+        argv, env = words, {**env, "RPMDAG_CONFIG": str(config)}
+    assert_refusal_writes_nothing(tmp_path, argv, (case, words, data[:120], env), env)
+
+
 def test_mutated_config_and_environment(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rng = random.Random(8104)
     dag = tmp_path / "reference.dag"
     dag.write_text(reference_k3_text())
-    config = tmp_path / "config.txt"
     for i in range(CASES):
         words, options = rng.choice(dag_commands(str(dag), "out.dag"))
-        data, env = mutate_options(rng, options)
-        config.write_bytes(data)
-        if rng.random() < 0.5:
-            argv = (*words, "--config", str(config))
-        else:
-            argv, env = words, {**env, "RPMDAG_CONFIG": str(config)}
-        assert_refusal_writes_nothing(tmp_path, argv, (i, words, data[:120], env), env)
+        assert_mutated_options_exit_cleanly(tmp_path, rng, words, options, i)
+
+
+# The read commands over saved state: ledger inspect, ehr audit and acl
+# check, on a small saved demo and an acl ledger holding one grant, after
+# one seeded mutation of their --config file and RPMDAG_* values. rpm demo
+# is left out, so that a mutated size never starts a run.
+
+READ_COMMANDS = (
+    (("ledger", "inspect"), {"file": "state/private.ledger"}),
+    (("ehr", "audit"), {"store": "state", "ledger": "state/private.ledger"}),
+    (("acl", "check"), {"ledger": "acl.ledger", "roster": "roster.json", "at": "0.0", "k": "3",
+                        "entity": "dr-01", "patient": "p-01", "scope": "ehr_read"}),
+)
+# besides OPTION_VALUES: each saved file, the state directory and the other
+# names and scopes, each in a place that expects another
+STATE_VALUES = OPTION_VALUES + (
+    "state", "state/ehr.log", "state/private.ledger", "state/public.ledger", "acl.ledger",
+    "roster.json", "p-01", "dr-01", "alerts_subscribe", "-0.0", "1e400",
+)
+
+
+@pytest.mark.parametrize("words, options", READ_COMMANDS,
+                         ids=[" ".join(words) for words, _ in READ_COMMANDS])
+def test_mutated_options_of_the_read_commands(tmp_path, monkeypatch, words, options):
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli("rpm", "demo", "--seed", "1", "--patients", "2",
+                         "--readings-per-device", "4", "--duration", "10", "--state-dir", "state")
+    assert code == 0
+    (tmp_path / "roster.json").write_text(json.dumps(ROSTER))
+    code, _, _ = run_cli("acl", "grant", "--ledger", "acl.ledger", "--roster", "roster.json",
+                         "--grantor", "p-01", "--grantee", "dr-01", "--scope", "ehr_read")
+    assert code == 0
+    flags = [part for name, value in options.items() for part in (f"--{name}", value)]
+    assert assert_clean_exit((*words, *flags), words)[0] == 0
+    rng = random.Random(8105 + READ_COMMANDS.index((words, options)))
+    for i in range(CASES):
+        assert_mutated_options_exit_cleanly(tmp_path, rng, words, options, i, STATE_VALUES)

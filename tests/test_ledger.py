@@ -292,7 +292,12 @@ def test_alert_bodies_are_scanned_on_any_ledger():
     assert ledger.pool == []
 
 
-@pytest.mark.parametrize("at", [math.nan, math.inf, -math.inf, "1.0", None, True])
+@pytest.mark.parametrize("at", [
+    math.nan, math.inf, -math.inf, "1.0", None, True,
+    # ints a float cannot hold; save could not write 10**5000, nor repr show it
+    pytest.param(2**1100, id="2**1100"), pytest.param(-(10**400), id="-10**400"),
+    pytest.param(10**5000, id="10**5000"),
+])
 def test_submit_refuses_a_submitted_at_that_is_not_a_finite_number(at):
     ledger = Ledger(PRIVATE, 3, WRITERS)
     ledger.submit(anchor_tx(1), "svc")
@@ -303,14 +308,15 @@ def test_submit_refuses_a_submitted_at_that_is_not_a_finite_number(at):
     assert ledger.pool == [anchor_tx(1)]
 
 
-def test_submit_takes_an_int_submitted_at_of_any_size():
+def test_submit_takes_an_int_submitted_at_a_float_can_hold():
     ledger = Ledger(PRIVATE, 3, WRITERS)
-    for n, at in enumerate((0, 2**1100)):
+    for n, at in enumerate((0, 2**1023, -(2**1023))):
         ledger.submit(Transaction(TxKind.EHR_ANCHOR, {"record_id": f"r{n}", "content_hash": "c"},
                                   at, "svc"), "svc")
     ledger.seal_block("sealer", 1.0)
     again = Ledger.load_text(ledger.save_text())
-    assert [e.tx.submitted_at for e in again.confirmed()] == [0, 2**1100]
+    assert [e.tx.submitted_at for e in again.confirmed()] == [0, 2**1023, -(2**1023)]
+
 
 
 def test_seal_requires_authorized_creator():
@@ -330,7 +336,9 @@ def test_seal_drains_fifo_up_to_cap():
 
 
 @pytest.mark.parametrize(
-    "now", [math.nan, math.inf, -math.inf, True, "1.0", None, pytest.param(2**1100, id="2**1100")]
+    "now", [math.nan, math.inf, -math.inf, True, "1.0", None, pytest.param(2**1100, id="2**1100"),
+            # too long for repr, so the message must not write it
+            pytest.param(10**5000, id="10**5000")]
 )
 def test_seal_refuses_a_time_that_is_not_a_finite_number(now):
     ledger = build_ledger()
@@ -528,6 +536,9 @@ def test_persistence_rejects_foreign_headers():
         Ledger.load_text(text)
 
 
+RESPELT = "^ledger header is not spelt as save writes it: "
+
+
 @pytest.mark.parametrize(
     "old, new, named",
     [
@@ -536,6 +547,15 @@ def test_persistence_rejects_foreign_headers():
         ("k=2", "k=2 junk", "junk"),
         ("max=4", "max=-1", "max="),
         ("max=4", "max=0", "max="),
+        # each of these loaded, and all but the missing writers re-saved as
+        # the original file; the header has one spelling, as block lines do
+        ("writers=sealer,svc", "writers=sealer,svc x=1", RESPELT),
+        ("k=2", "k=2 k=2", RESPELT),
+        ("k=2 alg=sha256", "alg=sha256 k=2", RESPELT),
+        ("writers=sealer,svc", "writers=svc,sealer", RESPELT),
+        (" writers=sealer,svc", "", RESPELT),
+        ("writers=sealer,svc", "writers=sealer,sealer,svc", RESPELT),
+        ("writers=sealer,svc", "writers=sealer,,svc", RESPELT),
     ],
 )
 def test_malformed_header_is_a_format_error(old, new, named):
