@@ -183,8 +183,8 @@ def validate_alert_body(body) -> None:
             raise PhiLeak(f"alert field {name!r} {fault}")
     if not hex_digest(body["ehr_record_hash"]):
         raise PhiLeak("ehr_record_hash must be a 64-char hex digest")
-    if not finite_number(body["occurred_at"]):
-        raise PhiLeak("occurred_at must be a finite time")
+    if not float_time(body["occurred_at"]):
+        raise PhiLeak("occurred_at must be a finite time a float can hold")
     if body["severity"] not in ALERT_SEVERITIES:
         raise PhiLeak(f"severity must be one of {ALERT_SEVERITIES}")
 

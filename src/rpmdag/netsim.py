@@ -12,9 +12,19 @@ structure alone, so SimConfig.txs_per_block is just the per-block
 transaction count that effective_tps multiplies by.
 
 A block's parents, and so its past, are the same in every node's view;
-nodes differ only in which blocks they have received. So a run keeps one
-BlockDag, which takes each block when it is created, and each node keeps
-just the set of ids it has received and its own tips.
+nodes differ only in which blocks they have received. So a run keeps its
+blocks once, each taken when it is created, and each node keeps just the
+set of ids it has received and its own tips. A blockdag run keeps them in
+one BlockDag, whose past windows GHOSTDAG reads. A longest_chain run's DAG
+is a tree whose stale forks are never merged, so past windows would span
+back to the oldest fork; it keeps its blocks in a plain dict instead, and
+measures anticones from block heights and subtree sizes.
+
+The largest anticone is counted in one walk from the last block to the
+first, in either mode. Each block passes what it knows of its future (a
+window over the reversed order, or a subtree size) to its parents and is
+dropped, so the walk holds entries only for the blocks at its frontier:
+memory grows with the DAG's width, not with its length.
 
 Every block reaches every other node after the same delay, so deliveries
 fall due in creation order: they wait in a FIFO, and a delivery due at a
@@ -31,17 +41,16 @@ trace, block ids, and metrics.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .dag import Block, BlockDag, BlockId, genesis_block, join_windows
+from .dag import Block, BlockDag, BlockId, genesis_block
 from .errors import DuplicateBlock, IncompleteTrace, InvalidConfig, MissingParent
 from .ghostdag import GhostdagParams, ghostdag_run
 # digest is unused here; it stays importable because perfbench's tracer wraps netsim.digest
-from .hashing import digest, sorted_json
+from .hashing import digest, float_time, shown, sorted_json
 
 MODE_BLOCKDAG = "blockdag"
 MODE_LONGEST_CHAIN = "longest_chain"
@@ -63,12 +72,14 @@ class SimConfig:
         # bool is an int subclass; GhostdagParams refuses it for k the same way
         if not isinstance(self.nodes, int) or isinstance(self.nodes, bool) or self.nodes < 1:
             raise InvalidConfig(f"nodes must be a positive integer, got {self.nodes!r}")
-        if not (self.rate_lambda > 0 and math.isfinite(self.rate_lambda)):
-            raise InvalidConfig(f"rate_lambda must be positive and finite, got {self.rate_lambda!r}")
-        if not (self.delay_d >= 0 and math.isfinite(self.delay_d)):
-            raise InvalidConfig(f"delay_d must be nonnegative and finite, got {self.delay_d!r}")
-        if not (self.duration > 0 and math.isfinite(self.duration)):
-            raise InvalidConfig(f"duration must be positive and finite, got {self.duration!r}")
+        # times and rates take the float-time rule: not a bool, a str or an
+        # int above the float range
+        if not (float_time(self.rate_lambda) and self.rate_lambda > 0):
+            raise InvalidConfig(f"rate_lambda must be positive and finite, got {shown(self.rate_lambda)}")
+        if not (float_time(self.delay_d) and self.delay_d >= 0):
+            raise InvalidConfig(f"delay_d must be nonnegative and finite, got {shown(self.delay_d)}")
+        if not (float_time(self.duration) and self.duration > 0):
+            raise InvalidConfig(f"duration must be positive and finite, got {shown(self.duration)}")
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 0:
             raise InvalidConfig(f"k must be a nonnegative integer, got {self.k!r}")
         txs = self.txs_per_block
@@ -109,8 +120,9 @@ class SimMetrics:
 class _NodeState:
     """One node's view of the run's shared DAG.
 
-    The blocks themselves live once in the run's BlockDag; a node keeps
-    only the ids it has received, the tips among them, and its best tip.
+    The blocks themselves live once in the run (its BlockDag, or in
+    longest_chain mode a plain dict); a node keeps only the ids it has
+    received, the tips among them, and its best tip.
     """
 
     idx: int
@@ -158,17 +170,21 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
     """Simulate until quiescence (duration + delay) and measure."""
     rng = random.Random(config.seed)
     genesis = genesis_block()
-    # creation order is topological: a creator holds every parent it names
-    dag = BlockDag().add(genesis)
+    # creation order is topological: a creator holds every parent it names.
+    # Only GHOSTDAG reads past windows, so a longest_chain run keeps none
+    chain = config.mode == MODE_LONGEST_CHAIN
+    dag = None if chain else BlockDag().add(genesis)
+    blocks = {genesis.id: genesis} if chain else dag.blocks
     heights = {genesis.id: 0}
     nodes = [
         _NodeState(i, {genesis.id}, {genesis.id}, heights, genesis.id)
         for i in range(config.nodes)
     ]
+    creators = [f"n{i}" for i in range(config.nodes)]
     events: list[SimEvent] = []
     # heights and the best tip pick longest_chain's parents and measure its
     # chain; blockdag mode reads neither, so its nodes only take blocks
-    receive = _NodeState.receive if config.mode == MODE_LONGEST_CHAIN else _NodeState.take
+    receive = _NodeState.receive if chain else _NodeState.take
     # (due time, creator, block): with one fixed delay, deliveries fall due
     # in creation order, so a FIFO holds them
     deliveries: deque[tuple[float, int, Block]] = deque()
@@ -185,9 +201,14 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
             continue
         idx = rng.randrange(config.nodes)
         node = nodes[idx]
-        block = Block.create(node.mining_parents(config.mode), (), t, f"n{idx}")
-        dag.add(block)
+        block = Block.create(node.mining_parents(config.mode), (), t, creators[idx])
+        # the creator refuses a duplicate or a missing parent before the
+        # block is kept
         receive(node, block)
+        if chain:
+            blocks[block.id] = block
+        else:
+            dag.add(block)
         events.append(SimEvent(t, idx, "created", block.id))
         # one entry reaches every other node at once, in node order; on a
         # one-node run it reaches none and draws nothing from rng
@@ -197,44 +218,47 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
     # At quiescence every node has received every block, so the views share
     # one set. A node only receives blocks of the DAG, so a seen set as
     # large as the DAG holds all of it.
-    everything = frozenset(dag.blocks)
+    everything = frozenset(blocks)
     trace = SimTrace(
         config=config,
         genesis=genesis.id,
         events=events,
-        blocks=dag.blocks,
-        views={n.idx: everything if len(n.seen) == len(dag) else frozenset(n.seen) for n in nodes},
+        blocks=blocks,
+        views={n.idx: everything if len(n.seen) == len(blocks) else frozenset(n.seen) for n in nodes},
         completed=True,
     )
     metrics = _measure(trace, dag, nodes)
     return metrics, trace
 
 
-def _measure(trace: SimTrace, dag: BlockDag, nodes: list[_NodeState]) -> SimMetrics:
+def _measure(trace: SimTrace, dag: BlockDag | None, nodes: list[_NodeState]) -> SimMetrics:
+    """The run's metrics. dag is a blockdag run's shared DAG, and None for
+    a longest_chain run, whose tree is measured from trace.blocks."""
     config = trace.config
     node = nodes[0]
-    created = len(dag) - 1  # every block but genesis
+    n = len(trace.blocks)
+    created = n - 1  # every block but genesis
     # At quiescence every node has received every block. The anticone
     # sizes are a property of the DAG, not of the order its blocks were
-    # added in, so the shared DAG measures node 0's view.
-    if len(node.seen) != len(dag):
-        raise IncompleteTrace(f"node 0 holds {len(node.seen)} of the {len(dag)} blocks at quiescence")
+    # added in, so the shared blocks measure node 0's view.
+    if len(node.seen) != n:
+        raise IncompleteTrace(f"node 0 holds {len(node.seen)} of the {n} blocks at quiescence")
+    converged = len(set(trace.views.values())) == 1
     if config.mode == MODE_BLOCKDAG:
         # GHOSTDAG orders every block of the view
         in_order = created
+        largest = _max_anticone(dag)
     else:
         in_order = node.heights[node.best_tip]
-
-    converged = len(set(trace.views.values())) == 1
-    if config.mode == MODE_LONGEST_CHAIN:
-        converged = converged and len({n.best_tip for n in nodes}) == 1
+        largest = _tree_max_anticone(trace.blocks, node.heights)
+        converged = converged and len({other.best_tip for other in nodes}) == 1
 
     return SimMetrics(
         blocks_created=created,
         blocks_in_order=in_order,
         included_ratio=(in_order / created) if created else 1.0,
         effective_tps=in_order * config.txs_per_block / config.duration,
-        max_observed_anticone=_max_anticone(dag),
+        max_observed_anticone=largest,
         converged=converged,
     )
 
@@ -243,23 +267,53 @@ def _max_anticone(dag: BlockDag) -> int:
     """Largest anticone over the final view, counted from reachability windows.
 
     A block's anticone is every block outside its past, its future and
-    itself. The past windows are the ones the DAG keeps; the future windows
-    come from the same join, run over children with the indices reversed.
+    itself. The past windows are the ones the DAG keeps. The future windows
+    are the same windows over the reversed order, where block i sits at
+    n - 1 - i: the blocks are walked from last to first, and each one, once
+    its window is read, joins itself and that window into a pending entry
+    of each parent, as join_windows joins parents. A block's entry is
+    complete when the walk reaches it, since all its children come later.
+    Only blocks with a walked child and not yet walked themselves hold an
+    entry, so the entries span the DAG's width, not its length.
     """
-    low, win = dag.low, dag.win
+    low, win, parent_index = dag.low, dag.win, dag.parent_index
     n = len(low)
-    # future windows over the reversed order, where block i sits at n - 1 - i
-    future_low: list[int] = []
-    future_win: list[int] = []
-    for children in reversed(dag.child_indices()):
-        lo, w = join_windows([n - 1 - c for c in children], future_low, future_win)
-        future_low.append(lo)
-        future_win.append(w)
-    sizes = (
-        n - 1 - lo - w.bit_count() - future_lo - future_w.bit_count()
-        for lo, w, future_lo, future_w in zip(low, win, reversed(future_low), reversed(future_win))
-    )
-    return max(sizes, default=0)
+    pending: dict[int, tuple[int, int]] = {}
+    largest = 0
+    for i in range(n - 1, -1, -1):
+        base, mask = pending.pop(i, (0, 0))
+        # the trailing ones of the union, future blocks too, fold into the low
+        ones = (mask ^ (mask + 1)).bit_length() - 1
+        lo, w = base + ones, mask >> ones
+        largest = max(largest, n - 1 - low[i] - win[i].bit_count() - lo - w.bit_count())
+        bits = w | (1 << (n - 1 - i - lo))
+        for p in parent_index[i]:
+            base, mask = pending.get(p, (0, 0))
+            if lo > base:
+                pending[p] = (lo, (mask >> (lo - base)) | bits)
+            else:
+                pending[p] = (base, mask | (bits >> (base - lo)))
+    return largest
+
+
+def _tree_max_anticone(blocks: dict[BlockId, Block], heights: dict[BlockId, int]) -> int:
+    """Largest anticone of a tree whose blocks are in creation order.
+
+    In a tree a block's past is its height, and its future with itself is
+    its subtree, so its anticone holds n - height - subtree blocks. The
+    subtree sizes take one walk from the last block to the first: each
+    block adds its own size to its parent's pending count, which is
+    complete when the walk reaches the parent.
+    """
+    n = len(blocks)
+    pending: dict[BlockId, int] = {}
+    largest = 0
+    for bid in reversed(blocks):
+        subtree = pending.pop(bid, 0) + 1
+        largest = max(largest, n - heights[bid] - subtree)
+        for p in blocks[bid].parents:
+            pending[p] = pending.get(p, 0) + subtree
+    return largest
 
 
 def compare_modes(config: SimConfig, lambda_sweep) -> list[tuple[SimConfig, SimMetrics]]:

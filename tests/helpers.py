@@ -202,6 +202,11 @@ CRAFTED_LEDGERS = [
     ("submitted-at-above-float-range", PRIVATE,
      Transaction(TxKind.EHR_ANCHOR, {"record_id": "r", "content_hash": "c"}, 10**400, "svc"),
      "'submitted_at' must be a finite number, got an int above the float range"),
+    ("alert-occurred-at-above-float-range", PUBLIC,
+     Transaction(TxKind.ALERT_EVENT, {"patient": "p-01", "rule_id": "r-1", "occurred_at": 10**400,
+                                      "ehr_record_hash": "ab" * 32, "severity": "urgent"},
+                 1.0, "svc"),
+     "occurred_at must be a finite time a float can hold"),
 ]
 
 

@@ -307,14 +307,21 @@ def test_crafted_ledger_body_is_a_runtime_error(tmp_path, visibility, tx):
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-def test_inspect_reads_an_alert_whose_occurred_at_overflows_a_float(tmp_path):
+def test_inspect_reads_an_int_occurred_at_only_if_a_float_can_hold_it(tmp_path):
+    # the largest int a float holds is read and written as an int; one above
+    # the float range is one error line, not a traceback
     path = tmp_path / "crafted.ledger"
-    body = {"patient": "p-01", "rule_id": "r-7", "ehr_record_hash": "ab" * 32,
-            "occurred_at": 2**1100, "severity": "urgent"}
-    path.write_text(crafted_ledger_text(PUBLIC, Transaction(TxKind.ALERT_EVENT, body, 1.0, "svc")))
-    code, out, err = run_cli_process("ledger", "inspect", "--file", str(path))
-    assert (code, err) == (0, "")
-    assert str(2**1100) in out
+    for at, want in ((2**1023, 0), (2**1100, 1)):
+        body = {"patient": "p-01", "rule_id": "r-7", "ehr_record_hash": "ab" * 32,
+                "occurred_at": at, "severity": "urgent"}
+        path.write_text(crafted_ledger_text(PUBLIC, Transaction(TxKind.ALERT_EVENT, body, 1.0, "svc")))
+        code, out, err = run_cli_process("ledger", "inspect", "--file", str(path))
+        assert code == want, err
+        if want == 0:
+            assert err == "" and str(at) in out
+        else:
+            assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+            assert "occurred_at must be a finite time a float can hold" in err
 
 
 def test_crafted_access_change_is_a_runtime_error_for_acl_check(tmp_path):

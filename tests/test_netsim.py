@@ -26,6 +26,7 @@ from rpmdag.netsim import (
     _max_anticone,
     _measure,
     _NodeState,
+    _tree_max_anticone,
     check_convergence,
     compare_modes,
     run,
@@ -51,6 +52,17 @@ def test_config_validation():
         dict(rate_lambda=-1.0),
         dict(rate_lambda=float("inf")),
         dict(rate_lambda=float("nan")),
+        # a bool, a str, None and ints a float cannot hold
+        dict(rate_lambda=True),
+        dict(rate_lambda="5"),
+        dict(rate_lambda=10**400),
+        dict(delay_d=False),
+        dict(delay_d="1"),
+        dict(delay_d=-(10**400)),
+        dict(duration=True),
+        dict(duration=None),
+        dict(duration=10**400),
+        dict(duration=10**5000),  # too long for repr, so the message must not write it
         dict(delay_d=-0.1),
         dict(delay_d=float("inf")),
         dict(delay_d=float("nan")),
@@ -66,6 +78,13 @@ def test_config_validation():
     ):
         with pytest.raises(InvalidConfig):
             config(**bad)
+
+
+def test_config_takes_ints_a_float_can_hold():
+    cfg = config(rate_lambda=2, delay_d=0, duration=2**1023)
+    assert (cfg.rate_lambda, cfg.delay_d, cfg.duration) == (2, 0, 2**1023)
+    metrics, _ = run(config(rate_lambda=2, delay_d=1, duration=20))
+    assert metrics == run(config(rate_lambda=2.0, delay_d=1.0, duration=20.0))[0]
 
 
 def test_sim_event_is_an_immutable_named_tuple():
@@ -256,6 +275,8 @@ def test_past_masks_and_max_anticone_match_definitions():
         expected = max(len(dag.anticone(b)) for b in dag.blocks)
         assert _max_anticone(dag) == expected, f"seed {seed}"
     assert _max_anticone(BlockDag()) == 0
+    g = genesis_block()
+    assert _tree_max_anticone({g.id: g}, {g.id: 0}) == 0
 
 
 def node_view(trace: SimTrace, node: int) -> BlockDag:
@@ -274,11 +295,56 @@ def node_view(trace: SimTrace, node: int) -> BlockDag:
 )
 def test_max_anticone_matches_definition_on_sim_views(rate, k, mode):
     # longest-chain views keep stale forks unmerged, so their windows are wide
-    _, trace = run(config(nodes=4, rate_lambda=rate, duration=200.0 / rate, k=k,
-                          seed=int(rate) + k, mode=mode))
+    metrics, trace = run(config(nodes=4, rate_lambda=rate, duration=200.0 / rate, k=k,
+                                seed=int(rate) + k, mode=mode))
     dag = node_view(trace, 0)
     assert len(dag) > 150
-    assert _max_anticone(dag) == max(len(dag.anticone(b)) for b in dag.blocks)
+    expected = max(len(dag.anticone(b)) for b in dag.blocks)
+    assert _max_anticone(dag) == metrics.max_observed_anticone == expected
+
+
+def chain_heights(blocks) -> dict:
+    """Each block's height in a tree whose blocks are in creation order."""
+    heights = {}
+    for bid, block in blocks.items():
+        heights[bid] = 1 + max((heights[p] for p in block.parents), default=-1)
+    return heights
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("nodes", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_max_observed_anticone_matches_brute_force_on_small_runs(mode, nodes, seed):
+    # the run's own count (windows pushed to parents in blockdag mode, the
+    # tree formula in longest_chain mode) against BlockDag.anticone
+    metrics, trace = run(config(nodes=nodes, rate_lambda=5.0, delay_d=1.0, duration=15.0,
+                                seed=seed, mode=mode))
+    dag = node_view(trace, 0)
+    assert metrics.max_observed_anticone == max(len(dag.anticone(b)) for b in dag.blocks)
+    if mode == MODE_LONGEST_CHAIN:
+        # a tree: n - height - subtree is the window count
+        assert _tree_max_anticone(trace.blocks, chain_heights(trace.blocks)) == _max_anticone(dag)
+
+
+def test_anticone_counts_build_no_child_lists(monkeypatch):
+    def refuse(self):
+        raise AssertionError("child_indices called")
+
+    monkeypatch.setattr(BlockDag, "child_indices", refuse)
+    _, trace = run(config(nodes=4, rate_lambda=20.0, duration=10.0, seed=5))
+    assert _max_anticone(node_view(trace, 2)) > 0
+
+
+def test_longest_chain_run_keeps_no_block_dag(monkeypatch):
+    def refuse(self, block):
+        raise AssertionError("BlockDag.add called")
+
+    monkeypatch.setattr(BlockDag, "add", refuse)
+    metrics, trace = run(config(nodes=4, rate_lambda=20.0, duration=10.0, seed=5,
+                                mode=MODE_LONGEST_CHAIN))
+    assert metrics.blocks_created + 1 == len(trace.blocks) and metrics.max_observed_anticone > 0
+    created = [ev.block for ev in trace.events if ev.kind == "created"]
+    assert list(trace.blocks) == [trace.genesis] + created
 
 
 @pytest.mark.parametrize("k", [0, 3])
@@ -317,6 +383,24 @@ def test_reachability_memory_is_linear_in_blocks():
             dag = node_view(trace, 0)
             ghostdag_run(dag, GhostdagParams(3))
             _max_anticone(dag)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] / peaks[0] < 2.5, peaks
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_whole_run_memory_is_linear_in_blocks(mode):
+    # Doubling the blocks should roughly double the peak memory of a whole
+    # run. A longest_chain run's stale forks are never merged, so past
+    # windows kept for its blocks would span back to the oldest of them.
+    peaks = []
+    for duration in (200.0, 400.0):
+        cfg = SimConfig(nodes=2, rate_lambda=20.0, delay_d=1.0, duration=duration, k=3,
+                        seed=3, mode=mode)
+        tracemalloc.start()
+        try:
+            run(cfg)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
