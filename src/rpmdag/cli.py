@@ -198,7 +198,7 @@ def _open_store(directory: str) -> EhrStore:
     log is an error, so a read-only command writes nothing."""
     log = os.path.join(directory, LOG_NAME)
     if not os.path.isfile(log):
-        raise FileNotFoundError(f"no EHR log at {log}")
+        raise FileNotFoundError(f"no EHR log at {log!r}")
     return EhrStore(directory)
 
 

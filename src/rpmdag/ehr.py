@@ -161,7 +161,7 @@ class EhrStore:
         store) and the content bytes as they are in the log now."""
         entry = self._index.get(record_id)
         if entry is None:
-            raise UnknownRecord(f"no record {record_id[:12]}")
+            raise UnknownRecord(f"no record {record_id[:12]!r}")
         start, length, patient, stored_at, content_hash = entry
         self._log.seek(start)
         return EhrRecord(record_id, patient, self._log.read(length), stored_at, content_hash)

@@ -30,10 +30,16 @@ Every block reaches every other node after the same delay, so deliveries
 fall due in creation order: they wait in a FIFO, and a delivery due at a
 creation time is handled before that creation.
 
-The per-block work is kept to what some output reads. Events are named
-tuples, and a block's height, worked out once when it is created, and
-each node's best tip are tracked in longest_chain mode only, the one mode
-whose parents and measure read them.
+The trace keeps each step once, as it happens: a creation, or a delivery
+that reaches every other node at once, in node order. A step is its block
+and a one-byte kind, and nothing per node; the per-node events, named
+tuples, are made afresh each time the trace is read. A delivery's time is
+its block's timestamp plus the delay, the same float the FIFO holds.
+
+The per-block work is kept to what some output reads. A block's height,
+worked out once when it is created, and each node's best tip are tracked
+in longest_chain mode only, the one mode whose parents and measure read
+them.
 
 Runs are deterministic: identical (config, seed) reproduce the exact
 trace, block ids, and metrics.
@@ -96,11 +102,57 @@ class SimEvent(NamedTuple):
     block: BlockId
 
 
+_CREATED, _DELIVERED = 0, 1
+
+
+class StepLog:
+    """A run's events, kept as its steps in the order they happened.
+
+    A step is a block and a one-byte kind: the block's creation by its
+    creator, or its delivery to every other node at once, in node order.
+    Each iteration yields the same SimEvents in the same order, one per
+    node a step reaches, and len() counts them.
+    """
+
+    __slots__ = ("blocks", "kinds", "nodes", "delay_d", "node_of")
+
+    def __init__(self, nodes: int, delay_d: float, creators: list[str]):
+        self.blocks: list[Block] = []
+        self.kinds = bytearray()
+        self.nodes = nodes
+        self.delay_d = delay_d
+        self.node_of = {name: idx for idx, name in enumerate(creators)}
+
+    def add(self, block: Block, kind: int):
+        self.blocks.append(block)
+        self.kinds.append(kind)
+
+    def __len__(self) -> int:
+        created = self.kinds.count(_CREATED)
+        return created + (len(self.kinds) - created) * (self.nodes - 1)
+
+    def __iter__(self):
+        nodes = range(self.nodes)
+        # builds each SimEvent without the Python-level __new__ that calling
+        # a NamedTuple runs
+        new = tuple.__new__
+        for block, kind in zip(self.blocks, self.kinds):
+            creator = self.node_of[block.creator]
+            if kind == _CREATED:
+                yield new(SimEvent, (block.timestamp, creator, "created", block.id))
+                continue
+            due = block.timestamp + self.delay_d
+            for idx in nodes:
+                if idx != creator:
+                    yield new(SimEvent, (due, idx, "received", block.id))
+
+
 @dataclass
 class SimTrace:
     config: SimConfig
     genesis: BlockId
-    events: list[SimEvent]
+    # a run's is a StepLog; a hand-built trace may pass a list
+    events: StepLog | list[SimEvent]
     blocks: dict[BlockId, Block]
     views: dict[int, frozenset[BlockId]]
     completed: bool
@@ -181,7 +233,7 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
         for i in range(config.nodes)
     ]
     creators = [f"n{i}" for i in range(config.nodes)]
-    events: list[SimEvent] = []
+    steps = StepLog(config.nodes, config.delay_d, creators)
     # heights and the best tip pick longest_chain's parents and measure its
     # chain; blockdag mode reads neither, so its nodes only take blocks
     receive = _NodeState.receive if chain else _NodeState.take
@@ -193,11 +245,11 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
     while t <= config.duration or deliveries:
         if deliveries and (t > config.duration or deliveries[0][0] <= t):
             # a delivery due by the next creation time, a tie included, goes first
-            due, creator, block = deliveries.popleft()
+            _, creator, block = deliveries.popleft()
             for other in nodes:
                 if other.idx != creator:
                     receive(other, block)
-                    events.append(SimEvent(due, other.idx, "received", block.id))
+            steps.add(block, _DELIVERED)
             continue
         idx = rng.randrange(config.nodes)
         node = nodes[idx]
@@ -209,7 +261,7 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
             blocks[block.id] = block
         else:
             dag.add(block)
-        events.append(SimEvent(t, idx, "created", block.id))
+        steps.add(block, _CREATED)
         # one entry reaches every other node at once, in node order; on a
         # one-node run it reaches none and draws nothing from rng
         deliveries.append((t + config.delay_d, idx, block))
@@ -222,7 +274,7 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
     trace = SimTrace(
         config=config,
         genesis=genesis.id,
-        events=events,
+        events=steps,
         blocks=blocks,
         views={n.idx: everything if len(n.seen) == len(blocks) else frozenset(n.seen) for n in nodes},
         completed=True,
@@ -328,8 +380,9 @@ def check_convergence(trace: SimTrace, k: int) -> bool:
     """Replay the trace per node and verify all views and orders agree.
 
     Works from the event log rather than the recorded views, so a
-    truncated trace (missing deliveries) fails the check, and so does an
-    event for a node the config does not have.
+    truncated trace fails the check, whether it lost one delivery or
+    every event of a block, and so does an event for a node the config
+    does not have.
     """
     if not trace.completed:
         raise IncompleteTrace("trace does not cover a finished run")
@@ -340,8 +393,9 @@ def check_convergence(trace: SimTrace, k: int) -> bool:
         if bids is None:
             return False
         bids.append(ev.block)
-    # one replay at a time, each checked against the first node's
-    first_blocks = first_order = None
+    # one replay at a time: each must hold every block of the run, and
+    # order them as the first node's does
+    first_order = None
     for bids in received.values():
         dag = BlockDag().add(trace.blocks[trace.genesis])
         for bid in bids:
@@ -352,9 +406,7 @@ def check_convergence(trace: SimTrace, k: int) -> bool:
                 dag.add(block)
             except (MissingParent, DuplicateBlock):
                 return False
-        if first_blocks is None:
-            first_blocks = dag.blocks.keys()
-        elif dag.blocks.keys() != first_blocks:
+        if dag.blocks.keys() != trace.blocks.keys():
             return False
         order = ghostdag_run(dag, params).order
         if first_order is None:

@@ -9,8 +9,8 @@ EHR logs add the grant-id and deep-nesting cases for those files, and
 ledgers whose bodies hold values that are equal but encode differently.
 DAG text files, and the --config files and RPMDAG_* values of the
 commands that read them, are mutated at the byte level too, and so are
-the --config files and RPMDAG_* values of ledger inspect, ehr audit and
-acl check over saved state.
+the --config files and RPMDAG_* values of ledger inspect, ehr audit, ehr
+verify and acl check over saved state.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import pytest
 
 from rpmdag.acl import AccessController
 from rpmdag.dag import Block
-from rpmdag.ehr import LOG_NAME
+from rpmdag.ehr import LOG_NAME, EhrStore
 from rpmdag.errors import FormatError
 from rpmdag.fixtures import reference_k3_text
 from rpmdag.ledger import PRIVATE, PUBLIC, Ledger, Transaction, TxKind
@@ -413,16 +413,20 @@ def test_mutated_config_and_environment(tmp_path, monkeypatch):
         assert_mutated_options_exit_cleanly(tmp_path, rng, words, options, i)
 
 
-# The read commands over saved state: ledger inspect, ehr audit and acl
-# check, on a small saved demo and an acl ledger holding one grant, after
-# one seeded mutation of their --config file and RPMDAG_* values. rpm demo
-# is left out, so that a mutated size never starts a run.
+# The read commands over saved state: ledger inspect, ehr audit, ehr verify
+# and acl check, on a small saved demo and an acl ledger holding one grant,
+# after one seeded mutation of their --config file and RPMDAG_* values. rpm
+# demo is left out, so that a mutated size never starts a run. ehr verify's
+# --record is the saved demo's first record, which SAVED_RECORD stands for.
 
+SAVED_RECORD = "\x00record\x00"
 READ_COMMANDS = (
     (("ledger", "inspect"), {"file": "state/private.ledger"}),
     (("ehr", "audit"), {"store": "state", "ledger": "state/private.ledger"}),
     (("acl", "check"), {"ledger": "acl.ledger", "roster": "roster.json", "at": "0.0", "k": "3",
                         "entity": "dr-01", "patient": "p-01", "scope": "ehr_read"}),
+    (("ehr", "verify"), {"record": SAVED_RECORD, "store": "state",
+                         "ledger": "state/private.ledger"}),
 )
 # besides OPTION_VALUES: each saved file, the state directory and the other
 # names and scopes, each in a place that expects another
@@ -443,8 +447,30 @@ def test_mutated_options_of_the_read_commands(tmp_path, monkeypatch, words, opti
     code, _, _ = run_cli("acl", "grant", "--ledger", "acl.ledger", "--roster", "roster.json",
                          "--grantor", "p-01", "--grantee", "dr-01", "--scope", "ehr_read")
     assert code == 0
+    rng = random.Random(8105 + READ_COMMANDS.index((words, options)))
+    store = EhrStore("state")
+    options = {name: store.record_ids()[0] if value == SAVED_RECORD else value
+               for name, value in options.items()}
+    store.close()
     flags = [part for name, value in options.items() for part in (f"--{name}", value)]
     assert assert_clean_exit((*words, *flags), words)[0] == 0
-    rng = random.Random(8105 + READ_COMMANDS.index((words, options)))
     for i in range(CASES):
         assert_mutated_options_exit_cleanly(tmp_path, rng, words, options, i, STATE_VALUES)
+
+
+def test_a_record_id_or_store_cannot_forge_a_second_error_line(tmp_path, monkeypatch):
+    # only the environment can hold a newline in a value; the unknown id or
+    # missing store is quoted in the one error line
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli("rpm", "demo", "--seed", "1", "--patients", "2",
+                         "--readings-per-device", "4", "--duration", "10", "--state-dir", "state")
+    assert code == 0
+    for env, err in (
+        ({"RPMDAG_RECORD": "a\nerror: b", "RPMDAG_STORE": "state"},
+         "error: no record 'a\\nerror: b'\n"),
+        ({"RPMDAG_RECORD": "a", "RPMDAG_STORE": "a\nerror: b"},
+         "error: no EHR log at 'a\\nerror: b/ehr.log'\n"),
+    ):
+        result = assert_clean_exit(("ehr", "verify", "--ledger", "state/private.ledger"),
+                                   env, env)
+        assert result == (1, "", err)

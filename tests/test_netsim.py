@@ -234,16 +234,28 @@ def test_convergence_single_node():
 
 def test_truncated_trace_fails_convergence():
     _, trace = run(config(duration=120.0))
-    received = [e for e in trace.events if e.kind == "received"]
+    # one list, so that its events can be told apart by identity
+    events = list(trace.events)
+    received = [e for e in events if e.kind == "received"]
     truncated = SimTrace(
         config=trace.config,
         genesis=trace.genesis,
-        events=[e for e in trace.events if e is not received[-1]],
+        events=[e for e in events if e is not received[-1]],
         blocks=trace.blocks,
         views=trace.views,
         completed=True,
     )
     assert not check_convergence(truncated, trace.config.k)
+
+
+@pytest.mark.parametrize("lost", ["every block", "the last block"])
+def test_trace_that_lost_whole_blocks_fails_convergence(lost):
+    # every node would agree on a smaller DAG than the run made
+    _, trace = run(config(duration=120.0))
+    events = list(trace.events)
+    last = events[-1].block
+    kept = [] if lost == "every block" else [ev for ev in events if ev.block != last]
+    assert not check_convergence(dataclasses.replace(trace, events=kept), trace.config.k)
 
 
 def test_incomplete_trace_rejected():
@@ -407,6 +419,27 @@ def test_whole_run_memory_is_linear_in_blocks(mode):
     assert peaks[1] / peaks[0] < 2.5, peaks
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_trace_memory_per_block_does_not_grow_with_nodes(mode):
+    # a delivery reaches every other node at once, so the trace keeps one
+    # step for it, not one event per node it reaches. What the trace keeps
+    # is what deleting it frees, which leaves out a first run's caches.
+    per_block = []
+    for nodes in (2, 8):
+        cfg = SimConfig(nodes=nodes, rate_lambda=20.0, delay_d=1.0, duration=50.0, k=3,
+                        seed=3, mode=mode)
+        tracemalloc.start()
+        try:
+            _, trace = run(cfg)
+            blocks = len(trace.blocks)
+            kept = tracemalloc.get_traced_memory()[0]
+            del trace
+            per_block.append((kept - tracemalloc.get_traced_memory()[0]) / blocks)
+        finally:
+            tracemalloc.stop()
+    assert per_block[1] / per_block[0] < 1.3, per_block
+
+
 @pytest.mark.parametrize("seed", range(16))
 def test_every_node_receives_a_block_after_its_parents(seed):
     # the invariant that lets a node add each block as it arrives: with one
@@ -512,9 +545,10 @@ def test_max_observed_anticone_is_the_same_on_every_node_view(nodes, rate, delay
 def test_event_for_an_unknown_node_fails_convergence(node):
     _, trace = run(config(nodes=2, duration=40.0, seed=1))
     assert check_convergence(trace, trace.config.k)
-    for block in (trace.events[-1].block, b"\0" * 32):
+    events = list(trace.events)
+    for block in (events[-1].block, b"\0" * 32):
         stray = SimEvent(99.0, node, "received", block)
-        bad = dataclasses.replace(trace, events=trace.events + [stray])
+        bad = dataclasses.replace(trace, events=events + [stray])
         assert not check_convergence(bad, trace.config.k), block
 
 
@@ -531,9 +565,11 @@ def grid_config(nodes: int, rate: float, delay: float, mode: str, seed: int) -> 
 def grid_verdicts(trace: SimTrace, k: int) -> bytes:
     """check_convergence on the trace and with its last delivery dropped."""
     verdicts = [check_convergence(trace, k)]
-    received = [ev for ev in trace.events if ev.kind == "received"]
+    # one list, so that its events can be told apart by identity
+    events = list(trace.events)
+    received = [ev for ev in events if ev.kind == "received"]
     if received:
-        truncated = [ev for ev in trace.events if ev is not received[-1]]
+        truncated = [ev for ev in events if ev is not received[-1]]
         verdicts.append(check_convergence(dataclasses.replace(trace, events=truncated), k))
     return bytes(verdicts)
 
