@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import pathlib
 import sys
@@ -23,7 +22,7 @@ from .dag import export_dag_dot, export_dag_text, parse_dag_text
 from .ehr import INTACT, LOG_NAME, TAMPERED, EhrStore, audit, verify
 from .errors import FormatError, InvalidParameter, RpmdagError, UnknownEntity, UnknownGrant
 from .ghostdag import GhostdagParams, ghostdag_run, k_for_network, max_k_cluster
-from .hashing import utf8_text
+from .hashing import float_time, shown, utf8_text
 from .ledger import PRIVATE, SCOPE_NAMES, Ledger, inspect_lines
 from .netsim import MODE_BLOCKDAG, MODES, SimConfig, compare_modes, run, trace_lines
 from .pipeline import load_rules_json, run_demo
@@ -68,7 +67,7 @@ def _read_text(path: str) -> str:
     try:
         return pathlib.Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
+        raise FormatError(f"{path!r}: not UTF-8 text: {exc}") from None
 
 
 def _read_dag(path: str):
@@ -90,7 +89,7 @@ def _token_of(names: dict[str, bytes]) -> dict[bytes, str]:
 def cmd_dag_import(args) -> int:
     dag, names = _read_dag(args.file)
     if dag.genesis is None:
-        raise FormatError(f"{args.file}: declares no blocks")
+        raise FormatError(f"{args.file!r}: declares no blocks")
     genesis = _token_of(names)[dag.genesis]
     print(f"blocks={len(dag.blocks)} tips={len(dag.tips)} genesis={genesis}")
     return 0
@@ -251,8 +250,8 @@ def _load_roster(path: str) -> dict[str, dict]:
 def _acl_open(args):
     # no session is live at a NaN or infinite time; refuse it by name
     # before the ledger or roster is read
-    if not math.isfinite(args.at):
-        raise InvalidParameter(f"at must be a finite time, got {args.at!r}")
+    if not float_time(args.at):
+        raise InvalidParameter(f"at must be a finite time, got {shown(args.at)}")
     path = pathlib.Path(args.ledger)
     if path.exists():
         ledger = Ledger.load(path)

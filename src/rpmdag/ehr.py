@@ -21,7 +21,7 @@ from .errors import (
     FormatError,
     UnknownRecord,
 )
-from .hashing import digest, encode_str, float_time, hex_digest, shown, sorted_json, utf8_text
+from .hashing import digest, encode_str, float_time, hex_digest, shown, sorted_json, utf8_text, whole_number
 from .ledger import Ledger, Scope, Transaction, TxKind
 
 INTACT = "intact"
@@ -106,8 +106,7 @@ class EhrStore:
                 # checked once here so read() can trust every indexed entry; a
                 # negative length would seek back onto the header and never end
                 valid = (
-                    type(length) is int
-                    and length >= 0
+                    whole_number(length, 0)
                     and isinstance(patient, str)
                     and float_time(stored_at)
                     and hex_digest(content_hash)

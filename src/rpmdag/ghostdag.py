@@ -49,6 +49,7 @@ from dataclasses import dataclass
 
 from .dag import BlockDag, BlockId, join_windows
 from .errors import InvalidParameter, TooLarge, UnknownBlock
+from .hashing import float_time, shown, whole_number
 
 ORACLE_CAP = 20
 
@@ -60,8 +61,8 @@ class GhostdagParams:
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 0:
-            raise InvalidParameter(f"k must be a nonnegative integer, got {self.k!r}")
+        if not whole_number(self.k, 0):
+            raise InvalidParameter(f"k must be a nonnegative integer, got {shown(self.k)}")
 
 
 @dataclass(frozen=True)
@@ -434,13 +435,18 @@ def k_for_network(delay: float, rate: float, delta: float) -> int:
     rarer than delta, for block creation as a Poisson process of the given
     rate. k+1 is then the high-probability cap on concurrent blocks.
     """
-    if not (delay > 0) or not math.isfinite(delay):
-        raise InvalidParameter(f"delay must be positive, got {delay!r}")
-    if not (rate > 0) or not math.isfinite(rate):
-        raise InvalidParameter(f"rate must be positive, got {rate!r}")
-    if not (0 < delta < 1):
-        raise InvalidParameter(f"delta must be in (0, 1), got {delta!r}")
+    for name, value in (("delay", delay), ("rate", rate)):
+        if not (float_time(value) and value > 0):
+            raise InvalidParameter(f"{name} must be positive and finite, got {shown(value)}")
+    if not (float_time(delta) and 0 < delta < 1):
+        raise InvalidParameter(f"delta must be in (0, 1), got {shown(delta)}")
     mu = 2.0 * delay * rate
+    if mu == math.inf:
+        raise InvalidParameter("2 * delay * rate overflows the float range")
+    if mu == 0.0:
+        # underflowed, and the log below would fail; every mu down to
+        # about 2e-300 already gives 0
+        return 0
     log_mu = math.log(mu)
     cdf = 0.0
     m = 0

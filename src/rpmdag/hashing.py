@@ -28,8 +28,10 @@ without the _json accelerator.
 
 The value rules that more than one module applies to outside input are
 here too, each as one predicate that takes any value: utf8_text,
-finite_number, float_time, hex_digest and opaque_token. shown writes a
-refused value into an error message.
+finite_number, float_time, whole_number, hex_digest and opaque_token.
+Every numeric parameter in the package is a time, amount, rate or bound
+checked with float_time, or a count checked with whole_number. shown
+writes a refused value into an error message.
 """
 
 from __future__ import annotations
@@ -88,6 +90,11 @@ def float_time(value) -> bool:
     """A finite number a float can hold, as a time saved by its float repr
     must be."""
     return finite_number(value) and abs(value) <= sys.float_info.max
+
+
+def whole_number(value, least: int) -> bool:
+    """An int of at least `least`, and not a bool: a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def shown(value) -> str:

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .ghostdag import GhostdagParams, ghostdag_run
 from .hashing import (DIGEST_ALG, canonical_json, digest, finite_number, float_time, hex_digest,
-                      opaque_token, shown, sorted_json, utf8_text)
+                      opaque_token, shown, sorted_json, utf8_text, whole_number)
 
 EntityId = str
 
@@ -239,8 +239,7 @@ def _check_access_change_body(body) -> None:
             raise FormatError(f"access_change field {name!r} must be a string")
     if body.get("scope") not in SCOPE_NAMES:
         raise FormatError(f"access_change field 'scope' must be one of {list(SCOPE_NAMES)}")
-    at = body.get("at")
-    if isinstance(at, bool) or not isinstance(at, (int, float)):
+    if not finite_number(body.get("at")):
         raise FormatError("access_change field 'at' must be a number")
 
 
@@ -265,9 +264,8 @@ class Ledger:
     ):
         if visibility not in (PRIVATE, PUBLIC):
             raise FormatError(f"visibility must be private or public, got {visibility!r}")
-        # bool is an int subclass; SimConfig refuses it for its ints the same way
-        if not isinstance(max_block_txs, int) or isinstance(max_block_txs, bool) or max_block_txs < 1:
-            raise FormatError(f"ledger max={max_block_txs!r} must be an integer of at least 1")
+        if not whole_number(max_block_txs, 1):
+            raise FormatError(f"ledger max={shown(max_block_txs)} must be an integer of at least 1")
         self.visibility = visibility
         self.params = GhostdagParams(k)
         self.authorized_writers = set(authorized_writers)

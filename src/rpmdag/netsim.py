@@ -56,7 +56,7 @@ from .dag import Block, BlockDag, BlockId, genesis_block
 from .errors import DuplicateBlock, IncompleteTrace, InvalidConfig, MissingParent
 from .ghostdag import GhostdagParams, ghostdag_run
 # digest is unused here; it stays importable because perfbench's tracer wraps netsim.digest
-from .hashing import digest, float_time, shown, sorted_json
+from .hashing import digest, float_time, shown, sorted_json, whole_number
 
 MODE_BLOCKDAG = "blockdag"
 MODE_LONGEST_CHAIN = "longest_chain"
@@ -75,22 +75,16 @@ class SimConfig:
     mode: str = MODE_BLOCKDAG
 
     def __post_init__(self):
-        # bool is an int subclass; GhostdagParams refuses it for k the same way
-        if not isinstance(self.nodes, int) or isinstance(self.nodes, bool) or self.nodes < 1:
-            raise InvalidConfig(f"nodes must be a positive integer, got {self.nodes!r}")
-        # times and rates take the float-time rule: not a bool, a str or an
-        # int above the float range
+        for name, least in (("nodes", 1), ("k", 0), ("txs_per_block", 0)):
+            value = getattr(self, name)
+            if not whole_number(value, least):
+                raise InvalidConfig(f"{name} must be an integer of at least {least}, got {shown(value)}")
         if not (float_time(self.rate_lambda) and self.rate_lambda > 0):
             raise InvalidConfig(f"rate_lambda must be positive and finite, got {shown(self.rate_lambda)}")
         if not (float_time(self.delay_d) and self.delay_d >= 0):
             raise InvalidConfig(f"delay_d must be nonnegative and finite, got {shown(self.delay_d)}")
         if not (float_time(self.duration) and self.duration > 0):
             raise InvalidConfig(f"duration must be positive and finite, got {shown(self.duration)}")
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 0:
-            raise InvalidConfig(f"k must be a nonnegative integer, got {self.k!r}")
-        txs = self.txs_per_block
-        if not isinstance(txs, int) or isinstance(txs, bool) or txs < 0:
-            raise InvalidConfig(f"txs_per_block must be a nonnegative integer, got {txs!r}")
         if self.mode not in MODES:
             raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from .acl import AccessController, ManualClock, Role, Scope, Session
 from .ehr import LOG_NAME, EhrRecord, EhrStore, anchor
 from .errors import EhrRecordMissing, FormatError, InvalidParameter, InvalidProfile, UnitMismatch
-from .hashing import canonical_json, digest, encode_str
+from .hashing import canonical_json, digest, encode_str, float_time, shown, whole_number
 from .ledger import ALERT_SEVERITIES, DualLedger, Transaction, TxKind, VitalKind, token_fault
 
 log = logging.getLogger(__name__)
@@ -55,8 +55,10 @@ class VitalReading:
     device: str
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise InvalidParameter(f"reading value must be finite, got {self.value!r}")
+        if not float_time(self.value):
+            raise InvalidParameter(f"reading value must be a finite number, got {shown(self.value)}")
+        if not float_time(self.measured_at):
+            raise InvalidParameter(f"measured_at must be a finite number, got {shown(self.measured_at)}")
 
     def normalized(self) -> "VitalReading":
         """Convert into the vital's canonical unit."""
@@ -99,10 +101,10 @@ class ThresholdRule:
             fault = token_fault(value)
             if fault:
                 raise InvalidParameter(f"rule field {name!r} {fault}, got {value!r}")
-        if not (math.isfinite(self.min) and math.isfinite(self.max)):
-            raise InvalidParameter(f"rule {self.rule_id!r} bounds must be finite")
-        if self.min >= self.max:
-            raise InvalidParameter(f"rule {self.rule_id!r} needs min < max")
+        if not (float_time(self.min) and float_time(self.max) and self.min < self.max):
+            raise InvalidParameter(
+                f"rule {self.rule_id!r} needs finite min < max, got {shown(self.min)}, {shown(self.max)}"
+            )
         if self.severity not in ALERT_SEVERITIES:
             raise InvalidParameter(f"rule {self.rule_id!r} severity {self.severity!r}")
 
@@ -161,8 +163,8 @@ class DeviceProfile:
     def __post_init__(self):
         for name in ("mean", "stddev", "anomaly_probability", "low", "high"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidProfile(f"{name} must be finite, got {value}")
+            if not float_time(value):
+                raise InvalidProfile(f"{name} must be a finite number, got {shown(value)}")
         if self.stddev <= 0:
             raise InvalidProfile(f"stddev must be positive, got {self.stddev}")
         if not 0.0 <= self.anomaly_probability <= 1.0:
@@ -183,8 +185,10 @@ def simulate_device(
 ) -> list[VitalReading]:
     """Seeded synthetic stream: baseline draws clamped to mean ± 4σ, with
     anomalies injected strictly outside [low, high] at the configured rate."""
-    if count < 0:
-        raise InvalidParameter(f"count must be nonnegative, got {count}")
+    if not whole_number(count, 0):
+        raise InvalidParameter(f"count must be a nonnegative integer, got {shown(count)}")
+    if not float_time(interval):
+        raise InvalidParameter(f"interval must be a finite number, got {shown(interval)}")
     device = f"dev-{patient}-{vital.value}"
     rng = random.Random(seed)
     readings = []
@@ -215,8 +219,8 @@ def simulate_device(
 def aggregate(readings, window: float) -> list[AggregatedBatch]:
     """Group unit-normalized readings per patient per window of the given
     duration. Empty windows are omitted; nothing is duplicated or dropped."""
-    if window <= 0 or not math.isfinite(window):
-        raise InvalidParameter(f"window must be positive, got {window}")
+    if not (float_time(window) and window > 0):
+        raise InvalidParameter(f"window must be positive and finite, got {shown(window)}")
     last_seen: dict[str, float] = {}
     groups: dict[tuple[int, str], list[VitalReading]] = {}
     for reading in readings:
@@ -484,12 +488,11 @@ def run_demo(
     """Full path: per-patient device streams for every vital, windowed
     aggregation, rule evaluation, EHR anchoring, alert dispatch to a
     granted provider, and one seal of both ledgers per window."""
-    if patients < 1:
-        raise InvalidParameter(f"patients must be positive, got {patients}")
-    if readings_per_device < 1:
-        raise InvalidParameter(f"readings_per_device must be positive, got {readings_per_device}")
-    if not (duration > 0 and math.isfinite(duration)):
-        raise InvalidParameter(f"duration must be positive and finite, got {duration}")
+    for name, value in (("patients", patients), ("readings_per_device", readings_per_device)):
+        if not whole_number(value, 1):
+            raise InvalidParameter(f"{name} must be a positive integer, got {shown(value)}")
+    if not (float_time(duration) and duration > 0):
+        raise InvalidParameter(f"duration must be positive and finite, got {shown(duration)}")
     # every input is checked before the store opens, which creates state_dir;
     # one history per state dir, as a rerun would save its ledgers over the
     # last run's and orphan the records the log holds

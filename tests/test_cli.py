@@ -150,6 +150,17 @@ def test_non_finite_sim_parameter_is_a_runtime_error(argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("delay_and_rate", ["1e-200", "1e200"])
+def test_a_derived_k_at_an_extreme_delay_times_rate_exits_cleanly(delay_and_rate):
+    # 2 * delay * rate underflows to 0.0 or overflows to inf in k_for_network
+    result = run_cli_process("sim", "run", "--seed", "1", "--delay", delay_and_rate,
+                             "--lambda", delay_and_rate, "--duration", "1")
+    if result[0] == 0:
+        assert result[2] == ""
+    else:
+        assert_one_error_line(result, 1)
+
+
 def test_missing_seed_is_a_usage_error():
     code, _, err = run_cli("sim", "run")
     assert code == 2

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 
@@ -371,6 +372,20 @@ def test_k_for_network_validation():
                 (1.0, 1.0, 1.0), (math.inf, 1.0, 0.01), (1.0, math.nan, 0.01)):
         with pytest.raises(InvalidParameter):
             k_for_network(*bad)
+
+
+def test_k_for_network_is_zero_when_the_window_underflows():
+    # 2 * delay * rate underflows to 0.0, whose log the Poisson sum cannot take
+    assert k_for_network(1e-200, 1e-200, 0.01) == 0
+    assert k_for_network(1e-150, 1e-150, 0.01) == 0
+
+
+def test_k_for_network_refuses_an_overflowing_window_at_once():
+    # 2 * delay * rate is inf; summing its series would run ten million turns
+    start = time.perf_counter()
+    with pytest.raises(InvalidParameter, match="overflows"):
+        k_for_network(1e200, 1e200, 0.01)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_convergence_and_confirmed_build_no_coloring(monkeypatch):

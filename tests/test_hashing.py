@@ -14,6 +14,7 @@ from rpmdag.hashing import (
     hex_digest,
     opaque_token,
     sorted_json,
+    whole_number,
 )
 
 _TEXT = "aZ09 _-\"\\/\n\t\x00\x7fé中 😀"
@@ -195,6 +196,8 @@ HEX = "ab" * 32
      [HEX + "\n", HEX.upper(), HEX[:-1], HEX + "0", " " + HEX, b"\xab" * 32, None]),
     (opaque_token, ["r-1", "p_01.x", "A"],
      ["r-1\n", "", "r 1", "\ud800", "p-\u0661", 7, None, ["r-1"]]),
+    pytest.param(lambda value: whole_number(value, 1), [1, 2**1100],
+                 [0, -1, -(10**5000), True, 2.5, 1e308, "1", None], id="whole_number"),
 ])
 def test_value_rules_take_any_value(rule, accepted, refused):
     assert [rule(value) for value in accepted] == [True] * len(accepted)

@@ -7,7 +7,8 @@ field. The CLI runs in-process on the result and must exit 0, 1 or 2,
 raise nothing and print at most one `error:` line. Crafted ledgers and
 EHR logs add the grant-id and deep-nesting cases for those files, and
 ledgers whose bodies hold values that are equal but encode differently.
-DAG text files, and the --config files and RPMDAG_* values of the
+Every numeric parameter of the library refuses each hostile value of its
+kind with its module's error. DAG text files, and the --config files and RPMDAG_* values of the
 commands that read them, are mutated at the byte level too, and so are
 the --config files and RPMDAG_* values of ledger inspect, ehr audit, ehr
 verify and acl check over saved state.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import base64
 import copy
 import json
+import math
 import random
 import re
 
@@ -26,9 +28,13 @@ import pytest
 from rpmdag.acl import AccessController
 from rpmdag.dag import Block
 from rpmdag.ehr import LOG_NAME, EhrStore
-from rpmdag.errors import FormatError
+from rpmdag.errors import FormatError, InvalidConfig, InvalidParameter, InvalidProfile
 from rpmdag.fixtures import reference_k3_text
-from rpmdag.ledger import PRIVATE, PUBLIC, Ledger, Transaction, TxKind
+from rpmdag.ghostdag import GhostdagParams, k_for_network
+from rpmdag.ledger import PRIVATE, PUBLIC, Ledger, Transaction, TxKind, VitalKind
+from rpmdag.netsim import SimConfig
+from rpmdag.pipeline import (DeviceProfile, ThresholdRule, VitalReading, aggregate, run_demo,
+                             simulate_device)
 
 from helpers import run_cli
 
@@ -474,3 +480,115 @@ def test_a_record_id_or_store_cannot_forge_a_second_error_line(tmp_path, monkeyp
         result = assert_clean_exit(("ehr", "verify", "--ledger", "state/private.ledger"),
                                    env, env)
         assert result == (1, "", err)
+
+
+def test_a_file_name_cannot_forge_a_second_error_line(tmp_path, monkeypatch):
+    # the path is quoted in the one error line, as the store path is
+    monkeypatch.chdir(tmp_path)
+    name = "e\nerror: forged.dag"
+    for content, err in ((b"# a comment only\n", "declares no blocks"),
+                         (b"\xff\n", "not UTF-8 text")):
+        (tmp_path / name).write_bytes(content)
+        code, out, got = assert_clean_exit(("dag", "import", "--file", name), content)
+        assert (code, out) == (1, ""), got
+        assert got.startswith(f"error: {name!r}: {err}") and got.count("\n") == 1, got
+
+
+def _sim_config(**fields):
+    return SimConfig(**{"nodes": 2, "rate_lambda": 1.0, "delay_d": 1.0, "duration": 10.0,
+                        "k": 3, **fields})
+
+
+def _reading(**fields):
+    return VitalReading(**{"patient": "p-01", "vital": VitalKind.HEART_RATE, "value": 70.0,
+                           "unit": "bpm", "measured_at": 0.0, "device": "d", **fields})
+
+
+def _rule(**fields):
+    return ThresholdRule(**{"rule_id": "r-1", "patient": "p-01", "vital": VitalKind.HEART_RATE,
+                            "min": 60.0, "max": 100.0, "severity": "urgent", **fields})
+
+
+def _profile(**fields):
+    return DeviceProfile(**{"mean": 70.0, "stddev": 5.0, "anomaly_probability": 0.1,
+                            "low": 60.0, "high": 100.0, **fields})
+
+
+def _simulate(**fields):
+    return simulate_device(**{"patient": "p-01", "vital": VitalKind.HEART_RATE,
+                              "profile": _profile(), "seed": 1, "count": 3, "interval": 1.0,
+                              **fields})
+
+
+def _demo(**fields):
+    return run_demo(**{"seed": 1, "patients": 1, "readings_per_device": 4, "duration": 10.0,
+                       **fields})
+
+
+def _k_for_network(**fields):
+    return k_for_network(**{"delay": 1.0, "rate": 1.0, "delta": 0.01, **fields})
+
+
+def _ehr_content_len(tmp_path, value):
+    store = EhrStore(str(tmp_path))
+    store.store(b"x", "p-01")
+    store.close()
+    log = tmp_path / LOG_NAME
+    # json.dumps cannot write an int of more than 4300 digits
+    text = "-1" + "0" * 5000 if value == -(10**5000) else json.dumps(value)
+    log.write_bytes(log.read_bytes().replace(b'"content_len": 1', f'"content_len": {text}'.encode()))
+    EhrStore(str(tmp_path)).close()
+
+
+# parameter: (a call that passes it the value, the error, the least count,
+# or None for a time, amount, rate or bound)
+NUMERIC_PARAMETERS = {
+    "SimConfig.nodes": (lambda v, _: _sim_config(nodes=v), InvalidConfig, 1),
+    "SimConfig.k": (lambda v, _: _sim_config(k=v), InvalidConfig, 0),
+    "SimConfig.txs_per_block": (lambda v, _: _sim_config(txs_per_block=v), InvalidConfig, 0),
+    "SimConfig.rate_lambda": (lambda v, _: _sim_config(rate_lambda=v), InvalidConfig, None),
+    "SimConfig.delay_d": (lambda v, _: _sim_config(delay_d=v), InvalidConfig, None),
+    "SimConfig.duration": (lambda v, _: _sim_config(duration=v), InvalidConfig, None),
+    "GhostdagParams.k": (lambda v, _: GhostdagParams(v), InvalidParameter, 0),
+    "k_for_network.delay": (lambda v, _: _k_for_network(delay=v), InvalidParameter, None),
+    "k_for_network.rate": (lambda v, _: _k_for_network(rate=v), InvalidParameter, None),
+    "k_for_network.delta": (lambda v, _: _k_for_network(delta=v), InvalidParameter, None),
+    "Ledger.max_block_txs": (lambda v, _: Ledger(PRIVATE, 3, {"svc"}, max_block_txs=v),
+                             FormatError, 1),
+    "EhrStore.content_len": (lambda v, tmp: _ehr_content_len(tmp, v), FormatError, 0),
+    "VitalReading.value": (lambda v, _: _reading(value=v), InvalidParameter, None),
+    "VitalReading.measured_at": (lambda v, _: _reading(measured_at=v), InvalidParameter, None),
+    "ThresholdRule.min": (lambda v, _: _rule(min=v), InvalidParameter, None),
+    "ThresholdRule.max": (lambda v, _: _rule(max=v), InvalidParameter, None),
+    "DeviceProfile.mean": (lambda v, _: _profile(mean=v), InvalidProfile, None),
+    "DeviceProfile.stddev": (lambda v, _: _profile(stddev=v), InvalidProfile, None),
+    "DeviceProfile.anomaly_probability": (lambda v, _: _profile(anomaly_probability=v),
+                                          InvalidProfile, None),
+    "DeviceProfile.low": (lambda v, _: _profile(low=v), InvalidProfile, None),
+    "DeviceProfile.high": (lambda v, _: _profile(high=v), InvalidProfile, None),
+    "simulate_device.count": (lambda v, _: _simulate(count=v), InvalidParameter, 0),
+    "simulate_device.interval": (lambda v, _: _simulate(interval=v), InvalidParameter, None),
+    "aggregate.window": (lambda v, _: aggregate([], v), InvalidParameter, None),
+    "run_demo.patients": (lambda v, _: _demo(patients=v), InvalidParameter, 1),
+    "run_demo.readings_per_device": (lambda v, _: _demo(readings_per_device=v),
+                                     InvalidParameter, 1),
+    "run_demo.duration": (lambda v, _: _demo(duration=v), InvalidParameter, None),
+    "run_demo.anomaly_probability": (lambda v, _: _demo(anomaly_probability=v),
+                                     InvalidProfile, None),
+    "run_demo.k": (lambda v, _: _demo(k=v), InvalidParameter, 0),
+}
+
+
+@pytest.mark.parametrize("parameter", sorted(NUMERIC_PARAMETERS))
+def test_every_numeric_parameter_refuses_hostile_values(tmp_path, parameter):
+    # every hostile value of the parameter's kind, not a seeded sample of
+    # them; no valid count is huge, as a run that large would not end
+    call, error, least = NUMERIC_PARAMETERS[parameter]
+    if least is None:
+        values = (True, None, "1", math.nan, math.inf, -math.inf, 10**400, -(10**400))
+    else:
+        values = (True, None, "1", 2.5, least - 1, -(10**5000))
+    for i, value in enumerate(values):
+        with pytest.raises(error) as refused:
+            call(value, tmp_path / str(i))
+        assert "\n" not in str(refused.value), (parameter, i)

@@ -1,4 +1,5 @@
-"""The package runs on the standard library alone."""
+"""The package runs on the standard library alone, and spells each value
+rule in hashing.py only."""
 
 from __future__ import annotations
 
@@ -9,21 +10,43 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rpmdag"
 
 
-def test_every_absolute_import_is_standard_library():
+def package_nodes():
+    """(module path, node) for every AST node of every package module."""
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
-    outside = []
     for path in modules:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            outside += [
-                f"{path.name}:{node.lineno} {name}"
-                for name in names
-                if name.partition(".")[0] not in sys.stdlib_module_names
-            ]
+            yield path, node
+
+
+def test_every_absolute_import_is_standard_library():
+    outside = []
+    for path, node in package_nodes():
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        outside += [
+            f"{path.name}:{node.lineno} {name}"
+            for name in names
+            if name.partition(".")[0] not in sys.stdlib_module_names
+        ]
     assert outside == []
+
+
+def test_only_hashing_calls_math_isfinite():
+    # every other module checks a number with hashing's finite_number or
+    # float_time, so the rule is said once
+    spelled = [
+        f"{path.name}:{node.lineno}"
+        for path, node in package_nodes()
+        if path.name != "hashing.py"
+        and (
+            isinstance(node, ast.Attribute) and node.attr == "isfinite"
+            or isinstance(node, ast.ImportFrom) and node.module == "math"
+            and any(alias.name == "isfinite" for alias in node.names)
+        )
+    ]
+    assert spelled == []
