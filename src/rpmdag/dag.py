@@ -74,7 +74,7 @@ class Block:
         parents = tuple(parents)
         payload = tuple(payload)
         bid = block_id(parents, [item.id for item in payload], timestamp, creator)
-        return cls(id=bid, parents=parents, payload=payload, timestamp=timestamp, creator=creator)
+        return cls(bid, parents, payload, timestamp, creator)  # positional is faster
 
     def short_id(self) -> str:
         return self.id.hex()[:12]

@@ -10,7 +10,6 @@ with the confirmed anchor.
 from __future__ import annotations
 
 import io
-import json
 import os
 from dataclasses import dataclass
 
@@ -21,7 +20,8 @@ from .errors import (
     FormatError,
     UnknownRecord,
 )
-from .hashing import digest, encode_str, float_time, hex_digest, shown, sorted_json, utf8_text, whole_number
+from .hashing import (digest, encode_str, float_time, hex_digest, parse_json, shown, sorted_json,
+                      utf8_text, whole_number)
 from .ledger import Ledger, Scope, Transaction, TxKind
 
 INTACT = "intact"
@@ -97,7 +97,8 @@ class EhrStore:
             if not header_line:
                 break
             try:
-                header = json.loads(header_line.decode("utf-8"))
+                # the header and nothing else: "\r\n" or a space is refused
+                header = parse_json(header_line.removesuffix(b"\n").decode("utf-8"))
                 record_id = header["record_id"]
                 patient = header["patient"]
                 stored_at = header["stored_at"]
@@ -155,13 +156,20 @@ class EhrStore:
         self._index[record_id] = (start, len(content), patient, now, content_hash)
         return EhrRecord(record_id, patient, content, now, content_hash)
 
-    def read(self, record_id: str) -> EhrRecord:
-        """The record with the header fields checked at open (or written by
-        store) and the content bytes as they are in the log now."""
+    def _entry(self, record_id: str) -> tuple[int, int, str, float, str]:
         entry = self._index.get(record_id)
         if entry is None:
             raise UnknownRecord(f"no record {record_id[:12]!r}")
-        start, length, patient, stored_at, content_hash = entry
+        return entry
+
+    def patient(self, record_id: str) -> str:
+        """The record's patient, from the index: no content byte is read."""
+        return self._entry(record_id)[2]
+
+    def read(self, record_id: str) -> EhrRecord:
+        """The record with the header fields checked at open (or written by
+        store) and the content bytes as they are in the log now."""
+        start, length, patient, stored_at, content_hash = self._entry(record_id)
         self._log.seek(start)
         return EhrRecord(record_id, patient, self._log.read(length), stored_at, content_hash)
 
@@ -220,8 +228,9 @@ def audit(store: EhrStore, ledger: Ledger) -> list[VerifyResult]:
 
 
 def read_gated(store: EhrStore, record_id: str, controller, session) -> EhrRecord:
-    """Read record content only when the session passes the access check."""
-    record = store.read(record_id)
-    if not controller.check_access(session, record.patient, Scope.EHR_READ):
-        raise AccessDenied(f"no ehr_read access to {record.patient}")
-    return record
+    """Read record content only when the session passes the access check,
+    which is made first: a refused request reads no content byte."""
+    patient = store.patient(record_id)
+    if not controller.check_access(session, patient, Scope.EHR_READ):
+        raise AccessDenied(f"no ehr_read access to {patient}")
+    return store.read(record_id)

@@ -447,6 +447,12 @@ def k_for_network(delay: float, rate: float, delta: float) -> int:
         # underflowed, and the log below would fail; every mu down to
         # about 2e-300 already gives 0
         return 0
+    cap = 10_000_000  # the most terms summed
+    # P(X <= cap) <= exp(cap - mu) * (mu / cap) ** cap for mu > cap (a
+    # Chernoff bound); when that is below (1 - delta) / e, the sum cannot
+    # pass 1 - delta by the cap, so it is refused without running it
+    if mu > cap and cap - mu + cap * math.log(mu / cap) < math.log1p(-delta) - 1:
+        raise InvalidParameter("window parameters do not converge")
     log_mu = math.log(mu)
     cdf = 0.0
     m = 0
@@ -455,5 +461,5 @@ def k_for_network(delay: float, rate: float, delta: float) -> int:
         if m >= 1 and 1.0 - cdf < delta:
             return m - 1
         m += 1
-        if m > 10_000_000:
+        if m > cap:
             raise InvalidParameter("window parameters do not converge")

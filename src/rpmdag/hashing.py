@@ -23,15 +23,24 @@ encoder (json.encoder.c_make_encoder) with its settings and a fresh
 circular-reference map, so no state outlives a call and both are
 reentrant and thread-safe. The bytes, and the ValueError for a value
 that contains itself or TypeError for an unserialisable one, are what
-json.dumps gives with the same settings. The import fails on a Python
-without the _json accelerator.
+json.dumps gives with the same settings.
+
+parse_json is the one decoder of stored JSON records (ledger payload
+chunks, EHR log headers): one call of the C scanner
+(json.scanner.c_make_scanner) that json.loads itself uses. It gives what
+json.loads gives for a value with nothing around it, and refuses any
+whitespace before or after the value (a BOM too) with
+json.JSONDecodeError, as no writer in the package puts it there. Files a
+person writes (rules, rosters, configs, DAG text) keep json.loads. The
+import fails on a Python without the _json accelerator.
 
 The value rules that more than one module applies to outside input are
 here too, each as one predicate that takes any value: utf8_text,
-finite_number, float_time, whole_number, hex_digest and opaque_token.
-Every numeric parameter in the package is a time, amount, rate or bound
-checked with float_time, or a count checked with whole_number. shown
-writes a refused value into an error message.
+finite_number, float_time, integer, whole_number, hex_digest and
+opaque_token. Every numeric parameter in the package is a time, amount,
+rate or bound checked with float_time, a count checked with
+whole_number, or a seed checked with integer. shown writes a refused
+value into an error message.
 """
 
 from __future__ import annotations
@@ -48,8 +57,11 @@ DIGEST_ALG = "sha256"
 # c_make_encoder(markers, default, encoder, indent, key_separator,
 # item_separator, sort_keys, skipkeys, allow_nan), as json.dumps calls it
 _make_encoder = json.encoder.c_make_encoder
-if _make_encoder is None:
-    raise ImportError("rpmdag needs CPython's _json accelerator (json.encoder.c_make_encoder)")
+if _make_encoder is None or json.scanner.c_make_scanner is None:
+    raise ImportError("rpmdag needs CPython's _json accelerator (c_make_encoder, c_make_scanner)")
+# scan(text, idx) -> (value, end), with json.loads's default settings; it
+# raises StopIteration(idx) when no value starts at idx
+_scan = json.scanner.c_make_scanner(json.JSONDecoder())
 _escape = json.encoder.encode_basestring_ascii
 _refuse = json.JSONEncoder().default  # raises json.dumps's TypeError; reads no setting
 _SURROGATE = re.compile("[\ud800-\udfff]")  # the code points UTF-8 cannot encode
@@ -73,6 +85,18 @@ def sorted_json(obj) -> str:
     return "".join(encode(obj, 0))
 
 
+def parse_json(text: str):
+    """json.loads(text) for a text that is one JSON value with no
+    whitespace around it; any other text raises json.JSONDecodeError."""
+    try:
+        value, end = _scan(text, 0)
+    except StopIteration as stop:
+        raise json.JSONDecodeError("Expecting value", text, stop.value) from None
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return value
+
+
 def utf8_text(value) -> bool:
     """A str that str.encode() takes: one without a lone surrogate."""
     return isinstance(value, str) and not _SURROGATE.search(value)
@@ -92,9 +116,14 @@ def float_time(value) -> bool:
     return finite_number(value) and abs(value) <= sys.float_info.max
 
 
+def integer(value) -> bool:
+    """An int of any sign, and not a bool: a seed."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def whole_number(value, least: int) -> bool:
     """An int of at least `least`, and not a bool: a count."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+    return integer(value) and value >= least
 
 
 def shown(value) -> str:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import base64
 import contextlib
-import json
 import os
 import re
 import stat
@@ -35,7 +34,7 @@ from .errors import (
 )
 from .ghostdag import GhostdagParams, ghostdag_run
 from .hashing import (DIGEST_ALG, canonical_json, digest, finite_number, float_time, hex_digest,
-                      opaque_token, shown, sorted_json, utf8_text, whole_number)
+                      opaque_token, parse_json, shown, sorted_json, utf8_text, whole_number)
 
 EntityId = str
 
@@ -50,6 +49,9 @@ class TxKind(Enum):
     RULE_EVALUATION = "rule_evaluation"
     ALERT_EVENT = "alert_event"
     ACCESS_CHANGE = "access_change"
+
+
+_KINDS = {kind.value: kind for kind in TxKind}  # faster than TxKind(value)
 
 
 class Scope(Enum):
@@ -123,12 +125,10 @@ class Transaction:
     @classmethod
     def from_wire(cls, obj: dict) -> "Transaction":
         try:
-            tx = cls(
-                kind=TxKind(obj["kind"]),
-                body=obj["body"],
-                submitted_at=obj["submitted_at"],
-                author=obj["author"],
-            )
+            # positional: a frozen dataclass called with keywords is slower;
+            # TxKind(value) raises the ValueError that names an unknown kind
+            kind = _KINDS.get(obj["kind"]) or TxKind(obj["kind"])
+            tx = cls(kind, obj["body"], obj["submitted_at"], obj["author"])
         # a body nested near the recursion limit decodes, but may not encode
         except (KeyError, ValueError, TypeError, RecursionError) as exc:
             raise FormatError(f"bad transaction record: {exc}") from None
@@ -384,7 +384,7 @@ class Ledger:
                 if tx.id in seen:
                     continue
                 seen.add(tx.id)
-                entries.append(ConfirmedTx(tx=tx, block=bid))
+                entries.append(ConfirmedTx(tx, bid))  # positional, as in from_wire
         stream = ConfirmedStream(entries=tuple(entries))
         self._confirmed = (len(self.dag), stream)
         return stream
@@ -496,7 +496,7 @@ class Ledger:
                 try:
                     # unvalidated, b64decode skips a character outside the
                     # base64 alphabet, so a chunk edited by adding one loads
-                    obj = json.loads(base64.b64decode(chunk, validate=True).decode("utf-8"))
+                    obj = parse_json(base64.b64decode(chunk, validate=True).decode("utf-8"))
                 except (ValueError, RecursionError) as exc:
                     raise FormatError(f"line {lineno}: bad payload: {exc}") from None
                 _share_strings(obj, shared)

@@ -56,7 +56,7 @@ from .dag import Block, BlockDag, BlockId, genesis_block
 from .errors import DuplicateBlock, IncompleteTrace, InvalidConfig, MissingParent
 from .ghostdag import GhostdagParams, ghostdag_run
 # digest is unused here; it stays importable because perfbench's tracer wraps netsim.digest
-from .hashing import digest, float_time, shown, sorted_json, whole_number
+from .hashing import digest, float_time, integer, shown, sorted_json, whole_number
 
 MODE_BLOCKDAG = "blockdag"
 MODE_LONGEST_CHAIN = "longest_chain"
@@ -79,6 +79,8 @@ class SimConfig:
             value = getattr(self, name)
             if not whole_number(value, least):
                 raise InvalidConfig(f"{name} must be an integer of at least {least}, got {shown(value)}")
+        if not integer(self.seed):
+            raise InvalidConfig(f"seed must be an integer, got {shown(self.seed)}")
         if not (float_time(self.rate_lambda) and self.rate_lambda > 0):
             raise InvalidConfig(f"rate_lambda must be positive and finite, got {shown(self.rate_lambda)}")
         if not (float_time(self.delay_d) and self.delay_d >= 0):

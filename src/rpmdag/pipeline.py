@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from .acl import AccessController, ManualClock, Role, Scope, Session
 from .ehr import LOG_NAME, EhrRecord, EhrStore, anchor
 from .errors import EhrRecordMissing, FormatError, InvalidParameter, InvalidProfile, UnitMismatch
-from .hashing import canonical_json, digest, encode_str, float_time, shown, whole_number
+from .hashing import canonical_json, digest, encode_str, float_time, integer, shown, whole_number
 from .ledger import ALERT_SEVERITIES, DualLedger, Transaction, TxKind, VitalKind, token_fault
 
 log = logging.getLogger(__name__)
@@ -185,6 +185,8 @@ def simulate_device(
 ) -> list[VitalReading]:
     """Seeded synthetic stream: baseline draws clamped to mean ± 4σ, with
     anomalies injected strictly outside [low, high] at the configured rate."""
+    if not integer(seed):
+        raise InvalidParameter(f"seed must be an integer, got {shown(seed)}")
     if not whole_number(count, 0):
         raise InvalidParameter(f"count must be a nonnegative integer, got {shown(count)}")
     if not float_time(interval):
@@ -488,6 +490,8 @@ def run_demo(
     """Full path: per-patient device streams for every vital, windowed
     aggregation, rule evaluation, EHR anchoring, alert dispatch to a
     granted provider, and one seal of both ledgers per window."""
+    if not integer(seed):
+        raise InvalidParameter(f"seed must be an integer, got {shown(seed)}")
     for name, value in (("patients", patients), ("readings_per_device", readings_per_device)):
         if not whole_number(value, 1):
             raise InvalidParameter(f"{name} must be a positive integer, got {shown(value)}")

@@ -156,6 +156,23 @@ def test_relabelled_patient_is_refused_at_open(tmp_path):
         EhrStore(str(tmp_path))
 
 
+@pytest.mark.parametrize("lead, ending, message", [
+    (b"", b"\r\n", "Extra data"), (b"", b" \n", "Extra data"), (b"", b"\t\n", "Extra data"),
+    (b" ", b"\n", "Expecting value"),
+])
+def test_a_header_with_whitespace_around_its_json_is_refused_at_its_offset(tmp_path, lead, ending,
+                                                                            message):
+    raw, second = _two_patient_log(tmp_path)
+    header_end = raw.index(b"\n", second)
+    header = raw[second:header_end]
+    # the header json.loads would still read, with its record_id unchanged
+    assert json.loads(lead + header + ending) == json.loads(header)
+    with open(_log_path(tmp_path), "wb") as fh:
+        fh.write(raw[:second] + lead + header + ending + raw[header_end + 1:])
+    with pytest.raises(FormatError, match=f"^corrupt record header at offset {second}: {message}"):
+        EhrStore(str(tmp_path))
+
+
 def test_duplicated_record_is_refused_at_its_own_offset(tmp_path):
     raw, second = _two_patient_log(tmp_path)
     with open(_log_path(tmp_path), "ab") as fh:
@@ -292,7 +309,7 @@ def test_reads_after_open_decode_no_json(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a read decoded JSON")
 
-    monkeypatch.setattr(rpmdag.ehr.json, "loads", refuse)
+    monkeypatch.setattr(rpmdag.ehr, "parse_json", refuse)
     try:
         assert [verify(rec.record_id, again, ledger).status for rec in recs] == [INTACT] * 4
         assert [r.status for r in audit(again, ledger)] == [INTACT] * 4
@@ -439,6 +456,32 @@ def test_audit_flags_missing_content_as_tampered():
     assert result.status == TAMPERED
     assert result.recomputed_hash is None
     assert result.anchored_hash == rec.content_hash
+
+
+def test_a_refused_read_gated_reads_no_content(monkeypatch):
+    store = EhrStore()
+    rec = store.store(b"private vitals", "p-01")
+    controller = AccessController(clock=ManualClock(0.0))
+    controller.register("p-01", Role.PATIENT, "pw-patient")
+    controller.register("dr-01", Role.HEALTHCARE_PROVIDER, "pw-doctor")
+    patient = controller.authenticate("p-01", "pw-patient")
+    doctor = controller.authenticate("dr-01", "pw-doctor")
+    reads, checks = [], []
+    read, check = EhrStore.read, AccessController.check_access
+    monkeypatch.setattr(EhrStore, "read", lambda *args: reads.append(args[1]) or read(*args))
+    monkeypatch.setattr(AccessController, "check_access",
+                        lambda *args: checks.append(args[2]) or check(*args))
+
+    with pytest.raises(AccessDenied, match="^no ehr_read access to p-01$"):
+        read_gated(store, rec.record_id, controller, doctor)
+    assert (reads, checks) == ([], ["p-01"])
+    # an unknown id is refused before any access check
+    with pytest.raises(UnknownRecord):
+        read_gated(store, "ab" * 32, controller, doctor)
+    assert (reads, checks) == ([], ["p-01"])
+    # an allowed request reads through EhrStore.read, once
+    assert read_gated(store, rec.record_id, controller, patient) == rec
+    assert (reads, checks) == ([rec.record_id], ["p-01", "p-01"])
 
 
 def test_read_gated_requires_a_grant():

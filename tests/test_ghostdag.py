@@ -388,6 +388,44 @@ def test_k_for_network_refuses_an_overflowing_window_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def summed_k(delay: float, rate: float, delta: float) -> int | None:
+    """k_for_network's Poisson sum alone, with no refusal before it: the
+    smallest m - 1 whose tail 1 - P(X <= m) is below delta, or None when no
+    m up to ten million reaches it."""
+    mu = 2.0 * delay * rate
+    cdf = 0.0
+    for m in range(10_000_001):
+        cdf += math.exp(-mu + m * math.log(mu) - math.lgamma(m + 1))
+        if m >= 1 and 1.0 - cdf < delta:
+            return m - 1
+    return None
+
+
+def test_k_for_network_is_the_plain_sum_on_a_seeded_grid():
+    rng = random.Random(2028)
+    for _ in range(200):
+        delay, rate = 10 ** rng.uniform(-3, 1.5), 10 ** rng.uniform(-3, 1.5)
+        delta = rng.choice((rng.uniform(1e-9, 0.999999), 10 ** rng.uniform(-12, -1)))
+        assert k_for_network(delay, rate, delta) == summed_k(delay, rate, delta)
+
+
+@pytest.mark.parametrize("delay, rate, delta", [
+    (1e4, 1e4, 0.01), (1e4, 1e4, 1 - 1e-16), (5e6, 1.01, 0.5), (1e150, 1e150, 0.01),
+])
+def test_k_for_network_refuses_a_window_past_the_cap_before_summing(monkeypatch, delay, rate,
+                                                                     delta):
+    # mu = 2 * delay * rate is far enough above the cap that no sum could
+    # pass 1 - delta before it, so not one term is computed
+    lgamma = math.lgamma
+    calls = []
+    monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
+    assert k_for_network(0.5, 1.0, 0.01) == 3 and calls
+    calls.clear()
+    with pytest.raises(InvalidParameter, match="^window parameters do not converge$"):
+        k_for_network(delay, rate, delta)
+    assert calls == []
+
+
 def test_convergence_and_confirmed_build_no_coloring(monkeypatch):
     # both read .order alone, so neither builds a Coloring
     def refuse(**fields):

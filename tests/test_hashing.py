@@ -1,21 +1,27 @@
 from __future__ import annotations
 
+import base64
 import json
 import math
+import os
 import random
 import threading
 
 import pytest
 
+from rpmdag.ehr import LOG_NAME
 from rpmdag.hashing import (
     canonical_json,
     finite_number,
     float_time,
     hex_digest,
+    integer,
     opaque_token,
+    parse_json,
     sorted_json,
     whole_number,
 )
+from rpmdag.pipeline import run_demo
 
 _TEXT = "aZ09 _-\"\\/\n\t\x00\x7fé中 😀"
 
@@ -198,7 +204,67 @@ HEX = "ab" * 32
      ["r-1\n", "", "r 1", "\ud800", "p-\u0661", 7, None, ["r-1"]]),
     pytest.param(lambda value: whole_number(value, 1), [1, 2**1100],
                  [0, -1, -(10**5000), True, 2.5, 1e308, "1", None], id="whole_number"),
+    (integer, [0, -1, 2**1100, -(10**5000)], [True, False, 1.0, 2.5, math.nan, "1", None]),
 ])
 def test_value_rules_take_any_value(rule, accepted, refused):
     assert [rule(value) for value in accepted] == [True] * len(accepted)
     assert [rule(value) for value in refused] == [False] * len(refused)
+
+
+def stored_records(state) -> list[str]:
+    """The JSON text of every payload chunk of both saved ledgers and of
+    every ehr.log header without its newline, as the loaders decode them."""
+    texts = []
+    for name in ("private.ledger", "public.ledger"):
+        for line in (state / name).read_text().splitlines()[1:]:
+            payload = line.split(" | ")[1]
+            texts += [base64.b64decode(chunk).decode() for chunk in payload.split(",") if chunk]
+    with open(state / LOG_NAME, "rb") as fh:
+        for header in iter(fh.readline, b""):
+            texts.append(header.removesuffix(b"\n").decode())
+            fh.seek(json.loads(header)["content_len"] + 1, os.SEEK_CUR)
+    return texts
+
+
+def test_parse_json_is_json_loads_on_stored_records_and_random_values(tmp_path):
+    # the steps of `rpm demo --seed 11 --state-dir DIR`
+    result = run_demo(seed=11, state_dir=str(tmp_path))
+    result.store.close()
+    result.dual.private.save(tmp_path / "private.ledger")
+    result.dual.public.save(tmp_path / "public.ledger")
+    texts = stored_records(tmp_path)
+    assert len(texts) > 3000
+    rng = random.Random(20261020)
+    # json.dumps writes whitespace inside a value, canonical_json none
+    texts += [json.dumps(random_json(rng)) for _ in range(400)]
+    texts += [canonical_json(random_json(rng)).decode() for _ in range(400)]
+    for text in texts:
+        # repr tells -0.0 from 0.0, an int from a float and key orders apart
+        assert repr(parse_json(text)) == repr(json.loads(text))
+
+
+@pytest.mark.parametrize("pad", [" ", "\t", "\r", "\n"])
+def test_parse_json_refuses_whitespace_around_a_value(pad):
+    rng = random.Random(2028)
+    for _ in range(100):
+        text = json.dumps(random_json(rng))
+        for padded in (pad + text, text + pad, pad + text + pad):
+            assert json.loads(padded) == json.loads(text)
+            with pytest.raises(json.JSONDecodeError):
+                parse_json(padded)
+
+
+def test_parse_json_refuses_a_byte_order_mark():
+    with pytest.raises(json.JSONDecodeError, match="Expecting value"):
+        parse_json("\ufeff{}")
+
+
+@pytest.mark.parametrize("text", [
+    "", "1x", "[1,]", '{"a":', "nul", '"\x00"', '{"a" 1}', "[1]]", "{}{}", '"\ud800', "-",
+])
+def test_parse_json_raises_what_json_loads_raises(text):
+    with pytest.raises(json.JSONDecodeError) as loads:
+        json.loads(text)
+    with pytest.raises(json.JSONDecodeError) as parsed:
+        parse_json(text)
+    assert (parsed.value.msg, parsed.value.pos) == (loads.value.msg, loads.value.pos)

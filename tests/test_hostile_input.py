@@ -540,9 +540,14 @@ def _ehr_content_len(tmp_path, value):
     EhrStore(str(tmp_path)).close()
 
 
+SEED = "seed"
+
 # parameter: (a call that passes it the value, the error, the least count,
-# or None for a time, amount, rate or bound)
+# None for a time, amount, rate or bound, or SEED for an int of any sign)
 NUMERIC_PARAMETERS = {
+    "SimConfig.seed": (lambda v, _: _sim_config(seed=v), InvalidConfig, SEED),
+    "simulate_device.seed": (lambda v, _: _simulate(seed=v), InvalidParameter, SEED),
+    "run_demo.seed": (lambda v, _: _demo(seed=v), InvalidParameter, SEED),
     "SimConfig.nodes": (lambda v, _: _sim_config(nodes=v), InvalidConfig, 1),
     "SimConfig.k": (lambda v, _: _sim_config(k=v), InvalidConfig, 0),
     "SimConfig.txs_per_block": (lambda v, _: _sim_config(txs_per_block=v), InvalidConfig, 0),
@@ -586,9 +591,19 @@ def test_every_numeric_parameter_refuses_hostile_values(tmp_path, parameter):
     call, error, least = NUMERIC_PARAMETERS[parameter]
     if least is None:
         values = (True, None, "1", math.nan, math.inf, -math.inf, 10**400, -(10**400))
+    elif least is SEED:
+        # an unchecked None seeds from the OS, so two runs would differ
+        values = (True, False, None, "1", 1.0, 2.5, math.nan, -math.inf)
     else:
         values = (True, None, "1", 2.5, least - 1, -(10**5000))
     for i, value in enumerate(values):
         with pytest.raises(error) as refused:
             call(value, tmp_path / str(i))
         assert "\n" not in str(refused.value), (parameter, i)
+
+
+def test_a_seed_of_any_sign_fixes_the_run():
+    for seed in (-7, 0, 2**70, -(10**400)):
+        assert _simulate(seed=seed) == _simulate(seed=seed)
+        assert _sim_config(seed=seed).seed == seed
+    assert [r.value for r in _demo(seed=-3).readings] == [r.value for r in _demo(seed=-3).readings]

@@ -1,5 +1,5 @@
-"""The package runs on the standard library alone, and spells each value
-rule in hashing.py only."""
+"""The package runs on the standard library alone, spells each value
+rule in hashing.py only, and decodes stored records with one decoder."""
 
 from __future__ import annotations
 
@@ -47,6 +47,23 @@ def test_only_hashing_calls_math_isfinite():
             isinstance(node, ast.Attribute) and node.attr == "isfinite"
             or isinstance(node, ast.ImportFrom) and node.module == "math"
             and any(alias.name == "isfinite" for alias in node.names)
+        )
+    ]
+    assert spelled == []
+
+
+def test_stored_records_are_decoded_by_parse_json_only():
+    # ledger payload chunks and ehr.log headers go through hashing.parse_json,
+    # which refuses whitespace no writer puts there; files a person writes
+    # (rules, rosters, configs) keep json.loads
+    spelled = [
+        f"{path.name}:{node.lineno}"
+        for path, node in package_nodes()
+        if path.name in ("ledger.py", "ehr.py")
+        and (
+            isinstance(node, ast.Attribute) and node.attr in ("loads", "load")
+            and isinstance(node.value, ast.Name) and node.value.id == "json"
+            or isinstance(node, ast.ImportFrom) and node.module in ("json", "json.decoder")
         )
     ]
     assert spelled == []

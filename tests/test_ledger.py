@@ -489,6 +489,36 @@ def test_payload_chunk_that_is_not_plain_utf8_is_a_format_error(encoding):
         Ledger.load_text(crafted)
 
 
+@pytest.mark.parametrize("padded", ["{} ", " {}", "{}\n", "\t{}\r\n"])
+def test_a_payload_chunk_with_whitespace_around_its_json_is_refused(tmp_path, padded):
+    text = build_ledger().save_text()
+    line = text.splitlines()[2]
+    chunk = line.split(" | ")[1].split(",")[0]
+    raw = base64.b64decode(chunk).decode("utf-8")
+    respelt = padded.replace("{}", raw)
+    # the same record with the same ids, which json.loads would still read
+    assert Transaction.from_wire(json.loads(respelt)) == Transaction.from_wire(json.loads(raw))
+    path = tmp_path / "test.ledger"
+    path.write_text(text.replace(chunk, base64.b64encode(respelt.encode()).decode(), 1))
+    with pytest.raises(FormatError, match="^line 3: bad payload: (Expecting value|Extra data)"):
+        Ledger.load(path)
+
+
+def test_from_wire_looks_kinds_up_and_names_an_unknown_or_unhashable_one():
+    wire = anchor_tx(3).to_wire()
+    assert Transaction.from_wire(wire).kind is TxKind.EHR_ANCHOR
+    for kind, message in (("nope", "'nope' is not a valid TxKind"),
+                          (["ehr_anchor"], "unhashable type: 'list'"),
+                          (None, "None is not a valid TxKind")):
+        with pytest.raises(FormatError, match=f"^bad transaction record: {re.escape(message)}$"):
+            Transaction.from_wire({**wire, "kind": kind})
+    text = build_ledger().save_text()
+    chunk = text.splitlines()[2].split(" | ")[1].split(",")[0]
+    bad = base64.b64encode(base64.b64decode(chunk).replace(b'"ehr_anchor"', b'["x"]')).decode()
+    with pytest.raises(FormatError, match="^line 3: bad transaction record: unhashable"):
+        Ledger.load_text(text.replace(chunk, bad, 1))
+
+
 # column index and new value of one genesis-line field; the genesis line is
 # `id:  |  | 0.0 | genesis:private:sha256`, so each edit keeps its declared id
 GENESIS_EDITS = {
