@@ -39,8 +39,9 @@ here too, each as one predicate that takes any value: utf8_text,
 finite_number, float_time, integer, whole_number, hex_digest and
 opaque_token. Every numeric parameter in the package is a time, amount,
 rate or bound checked with float_time, a count checked with
-whole_number, or a seed checked with integer. shown writes a refused
-value into an error message.
+whole_number, or a seed checked with integer, which rng_seed turns into
+what random.Random is seeded with. shown writes a refused value into an
+error message.
 """
 
 from __future__ import annotations
@@ -119,6 +120,14 @@ def float_time(value) -> bool:
 def integer(value) -> bool:
     """An int of any sign, and not a bool: a seed."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def rng_seed(seed: int) -> int | bytes:
+    """What random.Random is seeded with for an integer seed. It seeds an
+    int from its absolute value, so a negative seed is passed as its
+    two's-complement bytes, which it hashes instead: -n gives a run of its
+    own, and a nonnegative seed is passed as it is."""
+    return seed if seed >= 0 else seed.to_bytes(seed.bit_length() // 8 + 1, "big", signed=True)
 
 
 def whole_number(value, least: int) -> bool:

@@ -13,8 +13,7 @@ transaction count that effective_tps multiplies by.
 
 A block's parents, and so its past, are the same in every node's view;
 nodes differ only in which blocks they have received. So a run keeps its
-blocks once, each taken when it is created, and each node keeps just the
-set of ids it has received and its own tips. A blockdag run keeps them in
+blocks once, each taken when it is created. A blockdag run keeps them in
 one BlockDag, whose past windows GHOSTDAG reads. A longest_chain run's DAG
 is a tree whose stale forks are never merged, so past windows would span
 back to the oldest fork; it keeps its blocks in a plain dict instead, and
@@ -28,7 +27,13 @@ memory grows with the DAG's width, not with its length.
 
 Every block reaches every other node after the same delay, so deliveries
 fall due in creation order: they wait in a FIFO, and a delivery due at a
-creation time is handled before that creation.
+creation time is handled before that creation. Each delivery reaches
+every other node at once, so all nodes hold one delivered prefix of the
+blocks in creation order, and each holds besides it only its own blocks
+not delivered yet. The run keeps that prefix once, as a count and its
+tips, and handles each delivery once, not once per node; a node keeps
+only its undelivered blocks and the blocks they name, as few as the DAG
+is wide, and no set of the blocks it has received.
 
 The trace keeps each step once, as it happens: a creation, or a delivery
 that reaches every other node at once, in node order. A step is its block
@@ -53,10 +58,17 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .dag import Block, BlockDag, BlockId, genesis_block
-from .errors import DuplicateBlock, IncompleteTrace, InvalidConfig, MissingParent
+from .errors import (
+    DuplicateBlock,
+    FormatError,
+    GenesisConflict,
+    IncompleteTrace,
+    InvalidConfig,
+    MissingParent,
+)
 from .ghostdag import GhostdagParams, ghostdag_run
 # digest is unused here; it stays importable because perfbench's tracer wraps netsim.digest
-from .hashing import digest, float_time, integer, shown, sorted_json, whole_number
+from .hashing import digest, float_time, integer, rng_seed, shown, sorted_json, whole_number
 
 MODE_BLOCKDAG = "blockdag"
 MODE_LONGEST_CHAIN = "longest_chain"
@@ -107,17 +119,18 @@ class StepLog:
     A step is a block and a one-byte kind: the block's creation by its
     creator, or its delivery to every other node at once, in node order.
     Each iteration yields the same SimEvents in the same order, one per
-    node a step reaches, and len() counts them.
+    node a step reaches, and len() counts them. received() lists one
+    node's blocks straight from the steps, with no SimEvent built.
     """
 
-    __slots__ = ("blocks", "kinds", "nodes", "delay_d", "node_of")
+    __slots__ = ("blocks", "kinds", "nodes", "delay_d", "creators")
 
     def __init__(self, nodes: int, delay_d: float, creators: list[str]):
         self.blocks: list[Block] = []
         self.kinds = bytearray()
         self.nodes = nodes
         self.delay_d = delay_d
-        self.node_of = {name: idx for idx, name in enumerate(creators)}
+        self.creators = creators
 
     def add(self, block: Block, kind: int):
         self.blocks.append(block)
@@ -129,11 +142,12 @@ class StepLog:
 
     def __iter__(self):
         nodes = range(self.nodes)
+        node_of = {name: idx for idx, name in enumerate(self.creators)}
         # builds each SimEvent without the Python-level __new__ that calling
         # a NamedTuple runs
         new = tuple.__new__
         for block, kind in zip(self.blocks, self.kinds):
-            creator = self.node_of[block.creator]
+            creator = node_of[block.creator]
             if kind == _CREATED:
                 yield new(SimEvent, (block.timestamp, creator, "created", block.id))
                 continue
@@ -141,6 +155,13 @@ class StepLog:
             for idx in nodes:
                 if idx != creator:
                     yield new(SimEvent, (due, idx, "received", block.id))
+
+    def received(self, idx: int) -> list[Block]:
+        """The blocks node idx took, in the order it took them: the ones it
+        created, and every other node's as they were delivered."""
+        name = self.creators[idx]
+        return [block for block, kind in zip(self.blocks, self.kinds)
+                if (kind == _CREATED) == (block.creator == name)]
 
 
 @dataclass
@@ -164,75 +185,110 @@ class SimMetrics:
     converged: bool
 
 
-@dataclass
-class _NodeState:
-    """One node's view of the run's shared DAG.
+class _Views:
+    """Every node's view of the run's DAG, kept as one delivered prefix.
 
-    The blocks themselves live once in the run (its BlockDag, or in
-    longest_chain mode a plain dict); a node keeps only the ids it has
-    received, the tips among them, and its best tip.
+    Deliveries leave one FIFO in creation order and reach every other node
+    at once, so once the j-th block is delivered every node holds blocks
+    0..j, and besides them only its own blocks created since. The prefix
+    is kept once, as the count of delivered blocks and their tips. Each
+    node keeps its own undelivered blocks, oldest first, and the blocks
+    those name as parents; both are as wide as the DAG. A node's tips are
+    the prefix's tips less the named ones, plus its newest undelivered
+    block.
+
+    The blocks themselves live once: a blockdag run's in its BlockDag, and
+    a longest_chain run's in a plain dict beside their creation indices.
+    Each mode tracks only what its parents and measure read: the tips and
+    named blocks in blockdag mode, and heights and each node's best tip
+    in longest_chain mode, whose stale leaves would stay tips for good.
     """
 
-    idx: int
-    seen: set[BlockId]
-    tips: set[BlockId]
-    heights: dict[BlockId, int]  # shared across nodes; height never differs
-    best_tip: BlockId
+    def __init__(self, genesis: Block, nodes: int, chain: bool):
+        self.chain = chain
+        # creation order is topological: a creator holds every parent it
+        # names. Only GHOSTDAG reads past windows, so a longest_chain run
+        # keeps none
+        self.dag = None if chain else BlockDag().add(genesis)
+        self.blocks = {genesis.id: genesis} if chain else self.dag.blocks
+        self.index = {genesis.id: 0} if chain else self.dag.index
+        self.heights = {genesis.id: 0}
+        self.delivered = 1  # genesis, which every node starts with
+        self.tips = {genesis.id}
+        self.pending: list[deque[Block]] = [deque() for _ in range(nodes)]
+        self.named: list[set[BlockId]] = [set() for _ in range(nodes)]
+        self.best_tips = [genesis.id] * nodes
 
-    def mining_parents(self, mode: str) -> tuple[BlockId, ...]:
-        if mode == MODE_LONGEST_CHAIN:
-            return (self.best_tip,)
-        return tuple(sorted(self.tips))
+    def parents(self, idx: int) -> tuple[BlockId, ...]:
+        """The parents node idx mines on: its best tip in longest_chain
+        mode, else all its tips, in id order."""
+        if self.chain:
+            return (self.best_tips[idx],)
+        tips = self.tips - self.named[idx]
+        if self.pending[idx]:
+            tips.add(self.pending[idx][-1].id)
+        return tuple(sorted(tips))
 
-    def take(self, block: Block):
-        """Take a block whose parents this node has received already, as
-        a seen id and a tip.
+    def take(self, idx: int, block: Block):
+        """Keep a block node idx creates, once that node holds every parent
+        it names: a delivered block, or an undelivered one of its own, which
+        names the same creator."""
+        index, delivered, blocks = self.index, self.delivered, self.blocks
+        if block.id in index:
+            raise DuplicateBlock(f"block {block.short_id()} was created already")
+        for p in block.parents:
+            at = index.get(p)
+            if at is None or (at >= delivered and blocks[p].creator != block.creator):
+                raise MissingParent(f"node {idx} lacks a parent of block {block.short_id()}")
+        if self.chain:
+            index[block.id] = len(index)
+            blocks[block.id] = block
+            height = max((self.heights[p] for p in block.parents), default=-1) + 1
+            self.heights[block.id] = height
+            # strictly longer replaces; ties keep the first-received chain
+            if height > self.heights[self.best_tips[idx]]:
+                self.best_tips[idx] = block.id
+        else:
+            self.dag.add(block)
+            self.named[idx].update(block.parents)
+        self.pending[idx].append(block)
 
-        Deliveries leave a FIFO in creation order, and a delivery due at a
-        creation time is handled before that creation. A parent is created
-        before its child, so every block reaches a node after its parents.
-        No child of it can have arrived before it, so it is a tip.
+    def deliver(self, creator: int, block: Block):
+        """Grow the prefix by the next block in creation order, which
+        reaches every node but its creator at once.
+
+        That block is its creator's oldest undelivered one. Its parents
+        were created before it, so every node holds them already, and no
+        delivered block names it, so it is a tip of the prefix.
         """
-        if block.id in self.seen:
-            raise DuplicateBlock(f"node {self.idx} already has block {block.short_id()}")
-        if not self.seen.issuperset(block.parents):
-            raise MissingParent(f"node {self.idx} lacks a parent of block {block.short_id()}")
-        self.seen.add(block.id)
+        at = self.index[block.id]
+        if at < self.delivered:
+            raise DuplicateBlock(f"every node already has block {block.short_id()}")
+        if at > self.delivered:
+            raise MissingParent(f"block {block.short_id()} would reach the nodes before "
+                                f"block {self.delivered}, created earlier")
+        self.delivered = at + 1
+        self.pending[creator].popleft()
+        if self.chain:
+            height, best = self.heights[block.id], self.best_tips
+            for other, tip in enumerate(best):
+                if other != creator and height > self.heights[tip]:
+                    best[other] = block.id
+            return
+        # each parent was a tip of its creator's view, so no other of its
+        # undelivered blocks names one
+        self.named[creator].difference_update(block.parents)
         self.tips.difference_update(block.parents)
         self.tips.add(block.id)
-
-    def receive(self, block: Block):
-        """Take the block as take does, then record its height, worked out
-        on its first receipt (its creator's), and move the best tip to it
-        when it is higher. Only longest_chain mode reads either."""
-        self.take(block)
-        if block.id not in self.heights:
-            parent_h = max((self.heights[p] for p in block.parents), default=-1)
-            self.heights[block.id] = parent_h + 1
-        # strictly longer replaces; ties keep the first-received chain
-        if self.heights[block.id] > self.heights[self.best_tip]:
-            self.best_tip = block.id
 
 
 def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
     """Simulate until quiescence (duration + delay) and measure."""
-    rng = random.Random(config.seed)
+    rng = random.Random(rng_seed(config.seed))
     genesis = genesis_block()
-    # creation order is topological: a creator holds every parent it names.
-    # Only GHOSTDAG reads past windows, so a longest_chain run keeps none
-    chain = config.mode == MODE_LONGEST_CHAIN
-    dag = None if chain else BlockDag().add(genesis)
-    blocks = {genesis.id: genesis} if chain else dag.blocks
-    heights = {genesis.id: 0}
-    nodes = [
-        _NodeState(i, {genesis.id}, {genesis.id}, heights, genesis.id)
-        for i in range(config.nodes)
-    ]
+    views = _Views(genesis, config.nodes, config.mode == MODE_LONGEST_CHAIN)
     creators = [f"n{i}" for i in range(config.nodes)]
     steps = StepLog(config.nodes, config.delay_d, creators)
-    # heights and the best tip pick longest_chain's parents and measure its
-    # chain; blockdag mode reads neither, so its nodes only take blocks
-    receive = _NodeState.receive if chain else _NodeState.take
     # (due time, creator, block): with one fixed delay, deliveries fall due
     # in creation order, so a FIFO holds them
     deliveries: deque[tuple[float, int, Block]] = deque()
@@ -242,64 +298,55 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
         if deliveries and (t > config.duration or deliveries[0][0] <= t):
             # a delivery due by the next creation time, a tie included, goes first
             _, creator, block = deliveries.popleft()
-            for other in nodes:
-                if other.idx != creator:
-                    receive(other, block)
+            views.deliver(creator, block)
             steps.add(block, _DELIVERED)
             continue
         idx = rng.randrange(config.nodes)
-        node = nodes[idx]
-        block = Block.create(node.mining_parents(config.mode), (), t, creators[idx])
+        block = Block.create(views.parents(idx), (), t, creators[idx])
         # the creator refuses a duplicate or a missing parent before the
         # block is kept
-        receive(node, block)
-        if chain:
-            blocks[block.id] = block
-        else:
-            dag.add(block)
+        views.take(idx, block)
         steps.add(block, _CREATED)
-        # one entry reaches every other node at once, in node order; on a
-        # one-node run it reaches none and draws nothing from rng
+        # one entry reaches every other node at once; on a one-node run it
+        # reaches none and draws nothing from rng
         deliveries.append((t + config.delay_d, idx, block))
         t += rng.expovariate(config.rate_lambda)
 
-    # At quiescence every node has received every block, so the views share
-    # one set. A node only receives blocks of the DAG, so a seen set as
-    # large as the DAG holds all of it.
-    everything = frozenset(blocks)
+    # the FIFO is empty, so every block has reached every node and the
+    # views share one set
+    everything = frozenset(views.blocks)
     trace = SimTrace(
         config=config,
         genesis=genesis.id,
         events=steps,
-        blocks=blocks,
-        views={n.idx: everything if len(n.seen) == len(blocks) else frozenset(n.seen) for n in nodes},
+        blocks=views.blocks,
+        views=dict.fromkeys(range(config.nodes), everything),
         completed=True,
     )
-    metrics = _measure(trace, dag, nodes)
+    metrics = _measure(trace, views)
     return metrics, trace
 
 
-def _measure(trace: SimTrace, dag: BlockDag | None, nodes: list[_NodeState]) -> SimMetrics:
-    """The run's metrics. dag is a blockdag run's shared DAG, and None for
-    a longest_chain run, whose tree is measured from trace.blocks."""
+def _measure(trace: SimTrace, views: _Views) -> SimMetrics:
+    """The run's metrics. A blockdag run is measured on its shared DAG, and
+    a longest_chain run's tree from trace.blocks."""
     config = trace.config
-    node = nodes[0]
     n = len(trace.blocks)
     created = n - 1  # every block but genesis
     # At quiescence every node has received every block. The anticone
     # sizes are a property of the DAG, not of the order its blocks were
-    # added in, so the shared blocks measure node 0's view.
-    if len(node.seen) != n:
-        raise IncompleteTrace(f"node 0 holds {len(node.seen)} of the {n} blocks at quiescence")
+    # added in, so the shared blocks measure every node's view.
+    if views.delivered != n:
+        raise IncompleteTrace(f"{n - views.delivered} of the {n} blocks never reached every node")
     converged = len(set(trace.views.values())) == 1
     if config.mode == MODE_BLOCKDAG:
         # GHOSTDAG orders every block of the view
         in_order = created
-        largest = _max_anticone(dag)
+        largest = _max_anticone(views.dag)
     else:
-        in_order = node.heights[node.best_tip]
-        largest = _tree_max_anticone(trace.blocks, node.heights)
-        converged = converged and len({other.best_tip for other in nodes}) == 1
+        in_order = views.heights[views.best_tips[0]]
+        largest = _tree_max_anticone(trace.blocks, views.heights)
+        converged = converged and len(set(views.best_tips)) == 1
 
     return SimMetrics(
         blocks_created=created,
@@ -378,30 +425,24 @@ def check_convergence(trace: SimTrace, k: int) -> bool:
     Works from the event log rather than the recorded views, so a
     truncated trace fails the check, whether it lost one delivery or
     every event of a block, and so does an event for a node the config
-    does not have.
+    does not have, or a block a node's replay refuses.
     """
     if not trace.completed:
         raise IncompleteTrace("trace does not cover a finished run")
+    streams = _received(trace)
+    if streams is None:
+        return False
     params = GhostdagParams(k)
-    received: dict[int, list[BlockId]] = {idx: [] for idx in range(trace.config.nodes)}
-    for ev in trace.events:
-        bids = received.get(ev.node)
-        if bids is None:
-            return False
-        bids.append(ev.block)
     # one replay at a time: each must hold every block of the run, and
     # order them as the first node's does
     first_order = None
-    for bids in received.values():
+    for stream in streams:
         dag = BlockDag().add(trace.blocks[trace.genesis])
-        for bid in bids:
-            block = trace.blocks.get(bid)
-            if block is None:
-                return False
-            try:
+        try:
+            for block in stream:
                 dag.add(block)
-            except (MissingParent, DuplicateBlock):
-                return False
+        except (MissingParent, DuplicateBlock, FormatError, GenesisConflict):
+            return False
         if dag.blocks.keys() != trace.blocks.keys():
             return False
         order = ghostdag_run(dag, params).order
@@ -410,6 +451,28 @@ def check_convergence(trace: SimTrace, k: int) -> bool:
         elif order != first_order:
             return False
     return True
+
+
+def _received(trace: SimTrace):
+    """Each node's blocks in the order it took them, or None when an event
+    names a node the config does not have or a block the trace does not.
+
+    A run's StepLog gives them straight from its steps: a creation goes to
+    its creator, and a delivery to every other node. A hand-built list of
+    SimEvents is grouped by node, its ids looked up in trace.blocks.
+    """
+    events, nodes = trace.events, trace.config.nodes
+    if isinstance(events, StepLog) and events.nodes == nodes:
+        # one node's list at a time, as its replay reads it
+        return (events.received(idx) for idx in range(nodes))
+    received: dict[int, list[Block]] = {idx: [] for idx in range(nodes)}
+    for ev in events:
+        blocks = received.get(ev.node)
+        block = trace.blocks.get(ev.block)
+        if blocks is None or block is None:
+            return None
+        blocks.append(block)
+    return list(received.values())
 
 
 def trace_lines(trace: SimTrace):

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, replace
 from .acl import AccessController, ManualClock, Role, Scope, Session
 from .ehr import LOG_NAME, EhrRecord, EhrStore, anchor
 from .errors import EhrRecordMissing, FormatError, InvalidParameter, InvalidProfile, UnitMismatch
-from .hashing import canonical_json, digest, encode_str, float_time, integer, shown, whole_number
+from .hashing import (canonical_json, digest, encode_str, float_time, integer, rng_seed, shown,
+                      whole_number)
 from .ledger import ALERT_SEVERITIES, DualLedger, Transaction, TxKind, VitalKind, token_fault
 
 log = logging.getLogger(__name__)
@@ -192,7 +193,7 @@ def simulate_device(
     if not float_time(interval):
         raise InvalidParameter(f"interval must be a finite number, got {shown(interval)}")
     device = f"dev-{patient}-{vital.value}"
-    rng = random.Random(seed)
+    rng = random.Random(rng_seed(seed))
     readings = []
     for i in range(count):
         if rng.random() < profile.anomaly_probability:

@@ -32,7 +32,7 @@ from rpmdag.errors import FormatError, InvalidConfig, InvalidParameter, InvalidP
 from rpmdag.fixtures import reference_k3_text
 from rpmdag.ghostdag import GhostdagParams, k_for_network
 from rpmdag.ledger import PRIVATE, PUBLIC, Ledger, Transaction, TxKind, VitalKind
-from rpmdag.netsim import SimConfig
+from rpmdag.netsim import SimConfig, run, trace_lines
 from rpmdag.pipeline import (DeviceProfile, ThresholdRule, VitalReading, aggregate, run_demo,
                              simulate_device)
 
@@ -602,8 +602,17 @@ def test_every_numeric_parameter_refuses_hostile_values(tmp_path, parameter):
         assert "\n" not in str(refused.value), (parameter, i)
 
 
+def _sim_lines(seed):
+    return "".join(trace_lines(run(_sim_config(seed=seed))[1]))
+
+
 def test_a_seed_of_any_sign_fixes_the_run():
-    for seed in (-7, 0, 2**70, -(10**400)):
+    for seed in (-7, 0, 2**70, -(10**400), -(10**5000)):
         assert _simulate(seed=seed) == _simulate(seed=seed)
         assert _sim_config(seed=seed).seed == seed
+    assert _sim_lines(-(10**5000)) == _sim_lines(-(10**5000))
     assert [r.value for r in _demo(seed=-3).readings] == [r.value for r in _demo(seed=-3).readings]
+    # random.Random seeds an int from its absolute value, yet -n gives a run of its own
+    for n in (1, 5, 7, 128, 2**70, 10**400):
+        assert _simulate(seed=-n) != _simulate(seed=n), n
+        assert _sim_lines(-n) != _sim_lines(n), n

@@ -23,10 +23,12 @@ from rpmdag.netsim import (
     SimConfig,
     SimEvent,
     SimTrace,
+    StepLog,
     _max_anticone,
     _measure,
-    _NodeState,
+    _received,
     _tree_max_anticone,
+    _Views,
     check_convergence,
     compare_modes,
     run,
@@ -246,6 +248,15 @@ def test_truncated_trace_fails_convergence():
         completed=True,
     )
     assert not check_convergence(truncated, trace.config.k)
+    # a block its replays refuse: one that lists a parent twice, and a
+    # second block without parents
+    last = trace.blocks[events[-1].block]
+    for bad in (Block.create((last.id, last.id), (), 130.0, "n0"), Block.create((), (), 130.0, "n0")):
+        made = [SimEvent(130.0, 0, "created", bad.id)]
+        made += [SimEvent(131.0, idx, "received", bad.id) for idx in range(1, trace.config.nodes)]
+        hand_built = dataclasses.replace(trace, events=events + made,
+                                         blocks={**trace.blocks, bad.id: bad})
+        assert not check_convergence(hand_built, trace.config.k), bad.parents
 
 
 @pytest.mark.parametrize("lost", ["every block", "the last block"])
@@ -440,6 +451,25 @@ def test_trace_memory_per_block_does_not_grow_with_nodes(mode):
     assert per_block[1] / per_block[0] < 1.3, per_block
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_whole_run_memory_per_block_does_not_grow_with_nodes(mode):
+    # every node holds the delivered prefix, which the run keeps once, and
+    # beside it only its own undelivered blocks: no node keeps a set of
+    # every block it has received
+    run(SimConfig(nodes=2, rate_lambda=20.0, delay_d=1.0, duration=5.0, k=3, seed=3, mode=mode))
+    per_block = []
+    for nodes in (2, 8):
+        cfg = SimConfig(nodes=nodes, rate_lambda=20.0, delay_d=1.0, duration=200.0, k=3,
+                        seed=3, mode=mode)
+        tracemalloc.start()
+        try:
+            _, trace = run(cfg)
+            per_block.append(tracemalloc.get_traced_memory()[1] / len(trace.blocks))
+        finally:
+            tracemalloc.stop()
+    assert per_block[1] / per_block[0] < 1.1, per_block
+
+
 @pytest.mark.parametrize("seed", range(16))
 def test_every_node_receives_a_block_after_its_parents(seed):
     # the invariant that lets a node add each block as it arrives: with one
@@ -467,35 +497,59 @@ def test_blocks_in_order_is_the_ghostdag_order_of_a_blockdag_view(rate, delay, k
     assert metrics.blocks_in_order == len(order) - 1
 
 
-def fresh_node() -> tuple[_NodeState, Block]:
+def fresh_views(nodes: int = 3, mode: str = MODE_BLOCKDAG) -> tuple[_Views, Block]:
     g = genesis_block()
-    return _NodeState(idx=0, seen={g.id}, tips={g.id}, heights={g.id: 0}, best_tip=g.id), g
+    return _Views(g, nodes, mode == MODE_LONGEST_CHAIN), g
 
 
 def test_longest_chain_tie_keeps_first_received():
-    node, g = fresh_node()
-    first = Block.create((g.id,), (), 1.0, "n1")
-    second = Block.create((g.id,), (), 1.0, "n2")
-    node.receive(first)
-    node.receive(second)
-    assert node.best_tip == first.id
-    assert node.mining_parents(MODE_LONGEST_CHAIN) == (first.id,)
-    assert node.mining_parents(MODE_BLOCKDAG) == tuple(sorted((first.id, second.id)))
+    for mode in MODES:
+        views, g = fresh_views(mode=mode)
+        first = Block.create((g.id,), (), 1.0, "n1")
+        second = Block.create((g.id,), (), 1.0, "n2")
+        views.take(1, first)
+        views.take(2, second)
+        views.deliver(1, first)
+        views.deliver(2, second)
+        assert views.parents(0) == (
+            (first.id,) if mode == MODE_LONGEST_CHAIN else tuple(sorted((first.id, second.id)))
+        )
+        if mode == MODE_LONGEST_CHAIN:
+            assert views.best_tips == [first.id, first.id, second.id]
 
 
 def test_receive_refuses_a_duplicate_or_a_block_before_its_parents():
-    node, g = fresh_node()
-    a = Block.create((g.id,), (), 1.0, "n1")
-    b = Block.create((a.id,), (), 2.0, "n1")
+    views, g = fresh_views(nodes=2)
+    a = Block.create((g.id,), (), 1.0, "n0")
+    b = Block.create((a.id,), (), 2.0, "n0")
+    c = Block.create((a.id,), (), 2.0, "n1")
+    # a parent no node has, and one only its creator holds
     with pytest.raises(MissingParent):
-        node.receive(b)
-    assert (node.seen, node.tips, node.best_tip) == ({g.id}, {g.id}, g.id)
-    node.receive(a)
+        views.take(0, b)
+    views.take(0, a)
+    with pytest.raises(MissingParent):
+        views.take(1, c)
+    assert (views.parents(0), views.parents(1)) == ((a.id,), (g.id,))
     for again in (g, a):
         with pytest.raises(DuplicateBlock):
-            node.receive(again)
-    node.receive(b)
-    assert (node.seen, node.tips, node.best_tip) == ({g.id, a.id, b.id}, {b.id}, b.id)
+            views.take(0, again)
+    views.take(0, b)
+    assert views.parents(0) == (b.id,)
+    # the prefix grows in creation order, each block once
+    with pytest.raises(MissingParent):
+        views.deliver(0, b)
+    views.deliver(0, a)
+    assert (views.parents(0), views.parents(1)) == ((b.id,), (a.id,))
+    with pytest.raises(DuplicateBlock):
+        views.deliver(0, a)
+    views.take(1, c)
+    views.deliver(0, b)
+    assert (views.delivered, views.tips) == (3, {b.id})
+    # node 1 mined c on a, before b reached it
+    assert views.parents(0) == (b.id,) and views.parents(1) == tuple(sorted((b.id, c.id)))
+    views.deliver(1, c)
+    assert views.parents(0) == views.parents(1) == tuple(sorted((b.id, c.id)))
+    assert views.named == [set(), set()] and not any(views.pending)
 
 
 def test_run_adds_each_block_to_one_dag_once(monkeypatch):
@@ -521,12 +575,13 @@ def test_finished_run_shares_one_view_set(mode):
 
 
 def test_measure_refuses_a_node_that_missed_a_block():
-    node, g = fresh_node()
-    dag = BlockDag().add(g).add(Block.create((g.id,), (), 1.0, "n1"))
-    trace = SimTrace(config=config(nodes=1), genesis=g.id, events=[], blocks=dag.blocks,
-                     views={0: frozenset(node.seen)}, completed=True)
-    with pytest.raises(IncompleteTrace):
-        _measure(trace, dag, [node])
+    for mode in MODES:
+        views, g = fresh_views(nodes=1, mode=mode)
+        views.take(0, Block.create((g.id,), (), 1.0, "n0"))
+        trace = SimTrace(config=config(nodes=1, mode=mode), genesis=g.id, events=[],
+                         blocks=views.blocks, views={0: frozenset(views.blocks)}, completed=True)
+        with pytest.raises(IncompleteTrace):
+            _measure(trace, views)
 
 
 @pytest.mark.parametrize(
@@ -550,6 +605,47 @@ def test_event_for_an_unknown_node_fails_convergence(node):
         stray = SimEvent(99.0, node, "received", block)
         bad = dataclasses.replace(trace, events=events + [stray])
         assert not check_convergence(bad, trace.config.k), block
+
+
+def steps_kept(steps: StepLog, keep) -> StepLog:
+    """A copy of a run's steps with those whose position keep takes."""
+    kept = StepLog(steps.nodes, steps.delay_d, steps.creators)
+    for i, (block, kind) in enumerate(zip(steps.blocks, steps.kinds)):
+        if keep(i):
+            kept.add(block, kind)
+    return kept
+
+
+@pytest.mark.parametrize(
+    "nodes, rate, delay, mode, seed",
+    [(1, 5.0, 0.0, MODE_BLOCKDAG, 1), (2, 0.5, 2.5, MODE_LONGEST_CHAIN, 2),
+     (4, 30.0, 1.0, MODE_BLOCKDAG, 1), (4, 30.0, 1.0, MODE_LONGEST_CHAIN, 2),
+     (7, 5.0, 0.1, MODE_BLOCKDAG, 2), (7, 5.0, 2.5, MODE_LONGEST_CHAIN, 1)],
+)
+def test_step_log_streams_match_the_event_list(nodes, rate, delay, mode, seed):
+    # check_convergence reads a run's StepLog per node without building
+    # SimEvents; a list of the same events must give the same streams and
+    # verdict, for the whole log and for logs that lost steps
+    _, trace = run(grid_config(nodes, rate, delay, mode, seed))
+    steps = trace.events
+    n = len(steps.kinds)
+    delivered = [i for i, kind in enumerate(steps.kinds) if kind == netsim._DELIVERED]
+    logs = [steps_kept(steps, lambda i: True), steps_kept(steps, lambda i: i < n - 1),
+            steps_kept(steps, lambda i: i != delivered[0]),
+            steps_kept(steps, lambda i: i != delivered[-1]), steps_kept(steps, lambda i: False)]
+    k = trace.config.k
+    verdicts = set()
+    for log in logs:
+        stepped = dataclasses.replace(trace, events=log)
+        listed = dataclasses.replace(trace, events=list(log))
+        streams = [[block.id for block in stream] for stream in _received(stepped)]
+        assert streams == [[block.id for block in stream] for stream in _received(listed)]
+        assert streams == [[ev.block for ev in listed.events if ev.node == idx]
+                           for idx in range(nodes)]
+        verdict = check_convergence(stepped, k)
+        assert verdict == check_convergence(listed, k)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 GRID_GOLDEN = pathlib.Path(__file__).parent / "data" / "netsim_grid.json"
