@@ -48,11 +48,11 @@ class VerifyResult:
     anchored_hash: str | None
 
 
-def _record_id(patient: str, position: int, content_hash: str) -> str:
+def _record_id(patient: str, position: int, content_digest: bytes) -> str:
     """The id of the record at position in the log: binds its patient and
-    content hash, so an edit to either in a header changes the id."""
+    content digest, so an edit to either in a header changes the id."""
     return digest(
-        b"ehr-record" + encode_str(patient) + encode_str(str(position)) + bytes.fromhex(content_hash)
+        b"ehr-record" + encode_str(patient) + encode_str(str(position)) + content_digest
     ).hex()
 
 
@@ -69,15 +69,21 @@ class EhrStore:
 
     def __init__(self, directory: str | None = None):
         self._dir = directory
-        if directory is None:
-            self._log = io.BytesIO()
-        else:
-            os.makedirs(directory, exist_ok=True)
-            self._log = open(os.path.join(directory, LOG_NAME), "a+b")
         # one entry per record: each record_id binds the record's position
         self._index: dict[str, tuple[int, int, str, float, str]] = {}
+        if directory is None:
+            self._log = io.BytesIO()  # new and empty: nothing to index
+            return
+        os.makedirs(directory, exist_ok=True)
+        path = os.path.join(directory, LOG_NAME)
+        # unbuffered: an append is one write and a read one read, with no
+        # buffer to fill or flush, and each append is in the file on return
+        self._log = open(path, "a+b", buffering=0)
         try:
-            self._rebuild_index()
+            # a buffered handle of its own, as readline on the unbuffered log
+            # would read one byte per call
+            with open(path, "rb") as log:
+                self._rebuild_index(log)
         except BaseException:
             self.close()
             raise
@@ -86,14 +92,13 @@ class EhrStore:
         if self._dir is not None:
             self._log.close()
 
-    def _rebuild_index(self):
+    def _rebuild_index(self, log):
         # one string per patient rather than one per record; a table of this
         # open only, as sys.intern makes a string immortal on Python 3.12
         patients: dict[str, str] = {}
-        self._log.seek(0)
         while True:
-            offset = self._log.tell()
-            header_line = self._log.readline()
+            offset = log.tell()
+            header_line = log.readline()
             if not header_line:
                 break
             try:
@@ -112,7 +117,9 @@ class EhrStore:
                     and float_time(stored_at)
                     and hex_digest(content_hash)
                 )
-                bound = valid and _record_id(patient, len(self._index), content_hash) == record_id
+                bound = valid and record_id == _record_id(
+                    patient, len(self._index), bytes.fromhex(content_hash)
+                )
             except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise FormatError(f"corrupt record header at offset {offset}: {exc}") from None
             if not valid:
@@ -123,7 +130,7 @@ class EhrStore:
                     " its patient, position and content_hash"
                 )
             start = offset + len(header_line)
-            self._log.seek(start + length + 1)  # past content and separator
+            log.seek(start + length + 1)  # past content and separator
             patient = patients.setdefault(patient, patient)
             self._index[record_id] = (start, length, patient, stored_at, content_hash)
 
@@ -137,8 +144,9 @@ class EhrStore:
             raise FormatError(f"record field 'patient' must be a UTF-8 string, got {patient!r}")
         if not float_time(now):
             raise FormatError(f"record field 'stored_at' must be a finite number, got {shown(now)}")
-        content_hash = digest(content).hex()
-        record_id = _record_id(patient, len(self._index), content_hash)
+        content_digest = digest(content)
+        content_hash = content_digest.hex()
+        record_id = _record_id(patient, len(self._index), content_digest)
         header = sorted_json(
             {
                 "record_id": record_id,
@@ -148,11 +156,11 @@ class EhrStore:
                 "content_hash": content_hash,
             }
         ).encode() + b"\n"
-        self._log.seek(0, io.SEEK_END)
-        start = self._log.tell() + len(header)
-        self._log.write(header + content + b"\n")
-        if self._dir is not None:
-            self._log.flush()
+        start = self._log.seek(0, io.SEEK_END) + len(header)
+        framed = header + content + b"\n"
+        written = self._log.write(framed)
+        while written < len(framed):  # a short write leaves bytes over
+            written += self._log.write(framed[written:])
         self._index[record_id] = (start, len(content), patient, now, content_hash)
         return EhrRecord(record_id, patient, content, now, content_hash)
 

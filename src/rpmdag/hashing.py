@@ -15,6 +15,12 @@ Each encoder here has one byte contract:
 - sorted_json: the text json.dumps(obj, sort_keys=True) returns, with
   the default ", " and ": " separators and NaN written as a bare NaN.
   EHR log headers, ledger inspect lines and sim trace lines are this.
+- json_number: canonical_json(value) for one number, the spelling a
+  saved submitted_at takes. An exact int or finite float is written by
+  int.__repr__ or float.__repr__, which are the functions the C encoder
+  itself calls for them, so the bytes are the same without building an
+  encoder; anything else (a bool, a subclass, NaN or an infinity) goes
+  to canonical_json, so it gives the same bytes or the same error.
 - encode_bytes, encode_str, encode_f64: length-prefixed or fixed-width
   fields that hash inputs are built from.
 
@@ -78,6 +84,16 @@ def canonical_json(obj) -> bytes:
     """Compact JSON with sorted keys. Rejects NaN and infinities."""
     encode = _make_encoder({}, _refuse, _escape, None, ":", ",", True, False, False)
     return "".join(encode(obj, 0)).encode()
+
+
+def json_number(value) -> bytes:
+    """canonical_json(value), spelt by the repr the C encoder calls for an
+    exact int or finite float; any other value goes to canonical_json."""
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value).encode()
+    if type(value) is int:
+        return int.__repr__(value).encode()
+    return canonical_json(value)
 
 
 def sorted_json(obj) -> str:

@@ -14,6 +14,7 @@ tag, and anything else is rejected before pooling.
 from __future__ import annotations
 
 import base64
+import binascii
 import contextlib
 import os
 import re
@@ -34,7 +35,8 @@ from .errors import (
 )
 from .ghostdag import GhostdagParams, ghostdag_run
 from .hashing import (DIGEST_ALG, canonical_json, digest, finite_number, float_time, hex_digest,
-                      opaque_token, parse_json, shown, sorted_json, utf8_text, whole_number)
+                      json_number, opaque_token, parse_json, shown, sorted_json, utf8_text,
+                      whole_number)
 
 EntityId = str
 
@@ -107,10 +109,11 @@ class Transaction:
         The wire keys sort as author, body, id, kind, submitted_at, so the
         id goes in before the last ',"kind":' of ident (kind is its last
         key, and its value is an enum name), and submitted_at goes at the
-        end. A time canonical_json refuses raises the same error here."""
+        end, spelt by json_number. A time canonical_json refuses raises
+        the same error here."""
         head, sep, tail = self.ident.rpartition(b',"kind":')
         return b'%s,"id":"%s"%s%s,"submitted_at":%s}' % (
-            head, self.id.hex().encode(), sep, tail[:-1], canonical_json(self.submitted_at)
+            head, self.id.hex().encode(), sep, tail[:-1], json_number(self.submitted_at)
         )
 
     def to_wire(self) -> dict:
@@ -408,7 +411,8 @@ class Ledger:
         for bid in self.dag.topological_order():
             block = self.dag.blocks[bid]
             parents = ",".join(sorted(p.hex() for p in block.parents))
-            payload = ",".join(base64.b64encode(tx.wire_bytes()).decode() for tx in block.payload)
+            chunks = (binascii.b2a_base64(tx.wire_bytes(), newline=False) for tx in block.payload)
+            payload = b",".join(chunks).decode()
             timestamp = float(block.timestamp)  # an int time saves as the float it loads as
             yield f"{bid.hex()}: {parents} | {payload} | {timestamp!r} | {block.creator}\n"
 

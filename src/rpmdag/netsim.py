@@ -177,6 +177,15 @@ class SimTrace:
 
 @dataclass(frozen=True)
 class SimMetrics:
+    """A finished run's metrics.
+
+    converged compares the nodes' final views, which run builds as one
+    shared set, so in blockdag mode it is True for every finished run and
+    says nothing; in longest_chain mode it also needs every node on one
+    best tip. check_convergence, which replays and orders each node's
+    blocks, is the verdict on whether the nodes agree.
+    """
+
     blocks_created: int
     blocks_in_order: int
     included_ratio: float

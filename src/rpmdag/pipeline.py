@@ -128,6 +128,11 @@ class Verdict:
     severity: str | None = None
 
 
+# frozen, so every normal or unevaluated reading can share one
+_NORMAL_VERDICT = Verdict(NORMAL)
+_UNEVALUATED_VERDICT = Verdict(UNEVALUATED)
+
+
 @dataclass(frozen=True)
 class AlertEvent:
     patient: str
@@ -271,11 +276,11 @@ def evaluate(
                 "no rule for %s/%s at %s", reading.patient,
                 reading.vital.value, reading.measured_at,
             )
-            verdicts.append((reading, Verdict(UNEVALUATED)))
+            verdicts.append((reading, _UNEVALUATED_VERDICT))
             continue
         violated = [r for r in matching if r.is_abnormal(reading.value)]
         if not violated:
-            verdicts.append((reading, Verdict(NORMAL)))
+            verdicts.append((reading, _NORMAL_VERDICT))
             continue
         chosen = min(violated, key=lambda r: (-_SEVERITY_RANK[r.severity], r.rule_id))
         verdicts.append((reading, Verdict(ABNORMAL, chosen.rule_id, chosen.severity)))
@@ -382,12 +387,13 @@ class RpmPipeline:
             submitted_at=now,
             author=self.author,
         )
+        event_id = event.event_id  # a sha256, so computed once
         if not self.dual.public.has_tx(tx.id):
             self.dual.public.submit(tx, self.author)
             self.alerts.append(event)
-            log.info("alert %s for %s (%s)", event.event_id[:12], event.patient, event.severity)
+            log.info("alert %s for %s (%s)", event_id[:12], event.patient, event.severity)
         for sub in self.subscribers:
-            key = (event.event_id, sub.entity)
+            key = (event_id, sub.entity)
             if key in self._delivered:
                 continue
             if self.controller.check_access(sub.session, event.patient, Scope.ALERTS_SUBSCRIBE):

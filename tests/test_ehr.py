@@ -293,6 +293,80 @@ def test_read_returns_the_stored_record_field_for_field(tmp_path):
         again.close()
 
 
+def test_a_second_open_indexes_every_record_stored_before_it(tmp_path):
+    # each append is in the file when store returns, with nothing left in a
+    # buffer of the first store
+    first = EhrStore(str(tmp_path))
+    stored = []
+    try:
+        for n in range(5):
+            stored.append(first.store(f"reading {n}".encode(), f"p-0{n % 2}", now=float(n)))
+            second = EhrStore(str(tmp_path))
+            try:
+                assert second.record_ids() == [rec.record_id for rec in stored]
+                assert [second.read(rec.record_id) for rec in stored] == stored
+            finally:
+                second.close()
+    finally:
+        first.close()
+
+
+@pytest.mark.parametrize("on_disk", [True, False], ids=["file", "memory"])
+def test_interleaved_stores_and_reads_keep_every_offset(tmp_path, on_disk):
+    rng = random.Random(3001)
+    store = EhrStore(str(tmp_path) if on_disk else None)
+    stored = []
+    try:
+        for _ in range(400):
+            if stored and rng.random() < 0.6:
+                rec = rng.choice(stored)
+                assert store.read(rec.record_id) == rec
+            else:
+                content = bytes(rng.choice(_CONTENT_BYTES) for _ in range(rng.randrange(1, 60)))
+                stored.append(store.store(content, f"p-0{rng.randrange(3)}", _random_now(rng)))
+    finally:
+        store.close()
+    if on_disk:
+        again = EhrStore(str(tmp_path))
+        try:
+            assert [again.read(rec.record_id) for rec in stored] == stored
+        finally:
+            again.close()
+
+
+class _SevenBytes:
+    """A stand-in log whose write takes at most 7 bytes per call."""
+
+    def __init__(self, log):
+        self._log = log
+
+    def write(self, data) -> int:
+        return self._log.write(data[:7])
+
+    def __getattr__(self, name):
+        return getattr(self._log, name)
+
+
+@pytest.mark.parametrize("on_disk", [True, False], ids=["file", "memory"])
+def test_a_short_write_is_completed(tmp_path, on_disk):
+    short_dir, whole_dir = tmp_path / "short", tmp_path / "whole"
+    short = EhrStore(str(short_dir) if on_disk else None)
+    whole = EhrStore(str(whole_dir) if on_disk else None)
+    short._log = _SevenBytes(short._log)
+    try:
+        for n, content in enumerate((b"x", b"bp 120/80", b"\n" * 30, bytes(range(256)))):
+            rec = short.store(content, "p-01", now=float(n))
+            assert whole.store(content, "p-01", now=float(n)) == rec
+            assert short.read(rec.record_id) == rec
+        if not on_disk:
+            assert short._log.getvalue() == whole._log.getvalue()
+    finally:
+        short.close()
+        whole.close()
+    if on_disk:
+        assert (short_dir / LOG_NAME).read_bytes() == (whole_dir / LOG_NAME).read_bytes()
+
+
 def test_reads_after_open_decode_no_json(tmp_path, monkeypatch):
     store = EhrStore(str(tmp_path))
     ledger = make_ledger()

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import random
+import struct
+import sys
 import threading
 
 import pytest
@@ -16,6 +18,7 @@ from rpmdag.hashing import (
     float_time,
     hex_digest,
     integer,
+    json_number,
     opaque_token,
     parse_json,
     sorted_json,
@@ -156,6 +159,38 @@ def test_encoders_match_json_dumps_on_edge_values():
     for case, value in parity_values():
         assert outcome(canonical_json, value) == outcome(dumps_canonical, value), case
         assert outcome(sorted_json, value) == outcome(dumps_sorted, value), case
+
+
+def _finite_double(rng: random.Random) -> float:
+    """A double from 64 seeded random bits, drawn again until finite."""
+    while True:
+        value = struct.unpack(">d", rng.getrandbits(64).to_bytes(8, "big"))[0]
+        if math.isfinite(value):
+            return value
+
+
+JSON_NUMBER_EDGES = (
+    0, -1, 0.0, -0.0, 0.1, 5e-324, -5e-324, 1e16, 1e22, 1e-7, 2**53 - 1, 2**53, 2**53 + 1,
+    float(2**53 - 1), float(2**53 + 1), 10**30, -(10**30), 1e30, sys.float_info.max,
+    -sys.float_info.max, 2**1023,
+)
+
+
+def test_json_number_is_canonical_json_on_finite_numbers():
+    rng = random.Random(20261020)
+    values = [*JSON_NUMBER_EDGES, *(_finite_double(rng) for _ in range(3000)),
+              *(_float(rng) for _ in range(500)),
+              *(rng.randint(-(2**70), 2**70) for _ in range(200))]
+    for value in values:
+        assert json_number(value) == canonical_json(value), repr(value)
+
+
+def test_json_number_gives_what_canonical_json_gives_on_any_other_value():
+    # the same bytes, or the same exception type and message
+    values = (math.nan, math.inf, -math.inf, True, False, Number(7), Real(1.5), Real(math.nan),
+              10**5000, None, "1", [1.5])
+    for i, value in enumerate(values):
+        assert outcome(json_number, value) == outcome(canonical_json, value), i
 
 
 def test_a_circular_value_is_refused_and_the_next_encode_succeeds():

@@ -11,7 +11,8 @@ Every numeric parameter of the library refuses each hostile value of its
 kind with its module's error. DAG text files, and the --config files and RPMDAG_* values of the
 commands that read them, are mutated at the byte level too, and so are
 the --config files and RPMDAG_* values of ledger inspect, ehr audit, ehr
-verify and acl check over saved state.
+verify and acl check over saved state, and of acl grant and acl revoke,
+which must leave a saved acl ledger's bytes as they were when refused.
 """
 
 from __future__ import annotations
@@ -331,14 +332,15 @@ def dag_commands(dag: str, out: str):
     )
 
 
-def assert_refusal_writes_nothing(tmp_path, argv, case, env=None):
+def assert_refusal_writes_nothing(tmp_path, argv, case, env=None) -> int:
     """assert_clean_exit, and a refused command leaves tmp_path as it was,
-    so a refused export writes no --out file."""
+    so a refused export writes no --out file; returns the exit code."""
     before = sorted(tmp_path.rglob("*"))
     code, _, _ = assert_clean_exit(argv, case, env)
     if code != 0:
         assert sorted(tmp_path.rglob("*")) == before, case
     (tmp_path / "out.dag").unlink(missing_ok=True)
+    return code
 
 
 def test_mutated_dag_text(tmp_path, monkeypatch):
@@ -396,9 +398,10 @@ def mutate_options(rng: random.Random, options: dict[str, str],
 
 
 def assert_mutated_options_exit_cleanly(tmp_path, rng, words, options, case,
-                                        values=OPTION_VALUES):
+                                        values=OPTION_VALUES) -> int:
     """Run words with options set by a seeded mutation of tmp_path/config.txt
-    and RPMDAG_* values, the file given by --config or by RPMDAG_CONFIG."""
+    and RPMDAG_* values, the file given by --config or by RPMDAG_CONFIG;
+    returns the exit code."""
     data, env = mutate_options(rng, options, values)
     config = tmp_path / "config.txt"
     config.write_bytes(data)
@@ -406,7 +409,7 @@ def assert_mutated_options_exit_cleanly(tmp_path, rng, words, options, case,
         argv = (*words, "--config", str(config))
     else:
         argv, env = words, {**env, "RPMDAG_CONFIG": str(config)}
-    assert_refusal_writes_nothing(tmp_path, argv, (case, words, data[:120], env), env)
+    return assert_refusal_writes_nothing(tmp_path, argv, (case, words, data[:120], env), env)
 
 
 def test_mutated_config_and_environment(tmp_path, monkeypatch):
@@ -462,6 +465,46 @@ def test_mutated_options_of_the_read_commands(tmp_path, monkeypatch, words, opti
     assert assert_clean_exit((*words, *flags), words)[0] == 0
     for i in range(CASES):
         assert_mutated_options_exit_cleanly(tmp_path, rng, words, options, i, STATE_VALUES)
+
+
+# The commands that write an acl ledger: acl grant and acl revoke, on a
+# saved acl ledger holding one grant, after one seeded mutation of their
+# --config file and RPMDAG_* values. Each case starts from the same saved
+# ledger and roster, and no other file, and a refused case leaves the
+# ledger's bytes as they were.
+
+ACL_WRITE_COMMANDS = (
+    (("acl", "grant"), {"ledger": "acl.ledger", "roster": "roster.json", "at": "1.0", "k": "3",
+                        "grantor": "p-01", "grantee": "dr-01", "scope": "ehr_read"}),
+    (("acl", "revoke"), {"ledger": "acl.ledger", "roster": "roster.json", "at": "1.0", "k": "3",
+                         "grant-id": "grant-0001"}),
+)
+# besides STATE_VALUES: grant ids and roles, each in a place that expects
+# another
+ACL_VALUES = STATE_VALUES + ("grant-0001", "grant-0002", "grant-x", "grant-", "patient",
+                             "healthcare_provider", "new.ledger")
+
+
+@pytest.mark.parametrize("words, options", ACL_WRITE_COMMANDS,
+                         ids=[" ".join(words) for words, _ in ACL_WRITE_COMMANDS])
+def test_mutated_options_of_the_acl_writes(tmp_path, monkeypatch, words, options):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "roster.json").write_text(json.dumps(ROSTER))
+    code, _, _ = run_cli("acl", "grant", "--ledger", "acl.ledger", "--roster", "roster.json",
+                         "--grantor", "p-01", "--grantee", "dr-01", "--scope", "ehr_read")
+    assert code == 0
+    saved = (tmp_path / "acl.ledger").read_bytes()
+    rng = random.Random(8109 + ACL_WRITE_COMMANDS.index((words, options)))
+    flags = [part for name, value in options.items() for part in (f"--{name}", value)]
+    assert assert_clean_exit((*words, *flags), words)[0] == 0
+    for i in range(CASES):
+        for path in tmp_path.iterdir():  # a ledger an earlier case wrote too
+            if path.name != "roster.json":
+                path.unlink()
+        (tmp_path / "acl.ledger").write_bytes(saved)
+        code = assert_mutated_options_exit_cleanly(tmp_path, rng, words, options, i, ACL_VALUES)
+        if code != 0:  # its bytes, not only its name, as the listing checks
+            assert (tmp_path / "acl.ledger").read_bytes() == saved, i
 
 
 def test_a_record_id_or_store_cannot_forge_a_second_error_line(tmp_path, monkeypatch):

@@ -662,7 +662,7 @@ def test_save_stops_at_a_failure_mid_write_and_leaves_the_old_file(tmp_path, mon
     before = path.read_bytes()
     ledger = build_ledger()
     calls = []
-    real = ledger_module.canonical_json
+    real = ledger_module.json_number  # save spells each submitted_at with it
 
     def third_call_fails(obj):
         calls.append(obj)
@@ -670,7 +670,7 @@ def test_save_stops_at_a_failure_mid_write_and_leaves_the_old_file(tmp_path, mon
             raise OSError("disk full")
         return real(obj)
 
-    monkeypatch.setattr(ledger_module, "canonical_json", third_call_fails)
+    monkeypatch.setattr(ledger_module, "json_number", third_call_fails)
     with pytest.raises(OSError, match="disk full"):
         ledger.save(path)
     assert len(calls) == 3

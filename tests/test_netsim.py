@@ -734,3 +734,18 @@ def test_runs_match_the_recorded_structure_grid(nodes, rate):
     # grid still matched the simulator that kept a BlockDag per node; the
     # shape, times, metrics and verdicts must not depend on what an id binds
     assert grid_mismatches(GRID_STRUCTURE_GOLDEN, grid_structure_digest, nodes, rate) == []
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 4, 7])
+def test_converged_is_true_for_every_finished_blockdag_run(nodes):
+    # run keeps one view set for all nodes, so the field cannot tell a
+    # disagreeing run from an agreeing one; check_convergence replays the
+    # steps and refuses the same run with its last delivery lost (a
+    # run of more than one node)
+    for rate in (0.5, 5.0, 30.0):
+        for delay in GRID_DELAYS:
+            for seed in (1, 2):
+                metrics, trace = run(grid_config(nodes, rate, delay, MODE_BLOCKDAG, seed))
+                assert metrics.converged is True
+                assert len({id(view) for view in trace.views.values()}) == 1
+                assert grid_verdicts(trace, 3) == (b"\x01\x00" if nodes > 1 else b"\x01")

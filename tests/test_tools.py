@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COUNTER = ROOT / "tools" / "count_code_lines.py"
+SCALING = ROOT / "tools" / "sim_scaling.py"
 
 
 def count(package: Path) -> tuple[int, list[tuple[int, str]]]:
@@ -49,3 +52,27 @@ def test_counter_skips_docstrings_comments_and_blank_lines(tmp_path):
     # a: import, def, and the two lines of the return; c: the three lines
     # of the assigned string
     assert rows == [(4, "a.py"), (0, "b.py"), (3, "c.py"), (7, "total")]
+
+
+def test_sim_scaling_reports_each_run_and_doubling():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "0"}
+    proc = subprocess.run([sys.executable, str(SCALING), "--durations", "20,40", "--repeats", "2"],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    modes = ["blockdag", "longest_chain"]
+    runs = report["runs"]
+    assert [(r["mode"], r["duration"]) for r in runs] == [
+        (mode, duration) for mode in modes for duration in (20.0, 40.0)
+    ]
+    for r in runs:
+        assert sorted(r) == ["blocks", "duration", "mode", "peak_mb", "seconds", "seconds_max",
+                             "seconds_min"]
+        assert r["blocks"] > 1 and r["peak_mb"] > 0
+        assert 0 < r["seconds_min"] <= r["seconds"] <= r["seconds_max"]
+    assert sorted(report["doublings"]) == modes
+    for mode in modes:
+        short, long = (r for r in runs if r["mode"] == mode)
+        (doubling,) = report["doublings"][mode]
+        assert doubling["blocks"] == [short["blocks"], long["blocks"]]
+        assert sorted(doubling) == ["blocks", "peak_ratio", "seconds_ratio"]
