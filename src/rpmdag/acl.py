@@ -177,7 +177,10 @@ class AccessController:
             return False
         if session.entity == patient:
             return True
-        return any(g.active for g in self._by_key.get((patient, session.entity, scope), ()))
+        for grant in self._by_key.get((patient, session.entity, scope), ()):
+            if grant.active:
+                return True
+        return False
 
     def grant_table(self) -> dict[str, AccessGrant]:
         return {gid: replace(g) for gid, g in self._grants.items()}

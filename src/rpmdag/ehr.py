@@ -174,12 +174,18 @@ class EhrStore:
         """The record's patient, from the index: no content byte is read."""
         return self._entry(record_id)[2]
 
+    def _content(self, record_id: str) -> bytes:
+        """The record's content bytes as they are in the log now: one seek
+        and one read, and no record built around them."""
+        start, length = self._entry(record_id)[:2]
+        self._log.seek(start)
+        return self._log.read(length)
+
     def read(self, record_id: str) -> EhrRecord:
         """The record with the header fields checked at open (or written by
         store) and the content bytes as they are in the log now."""
-        start, length, patient, stored_at, content_hash = self._entry(record_id)
-        self._log.seek(start)
-        return EhrRecord(record_id, patient, self._log.read(length), stored_at, content_hash)
+        _, _, patient, stored_at, content_hash = self._entry(record_id)
+        return EhrRecord(record_id, patient, self._content(record_id), stored_at, content_hash)
 
     def record_ids(self) -> list[str]:
         return list(self._index)
@@ -220,7 +226,7 @@ def _status(record_id: str, content: bytes, anchored: str | None) -> VerifyResul
 def verify(record_id: str, store: EhrStore, ledger: Ledger) -> VerifyResult:
     """Recompute the stored content's digest and compare with the
     confirmed anchor. Read-only; safe to repeat."""
-    content = store.read(record_id).content
+    content = store._content(record_id)
     return _status(record_id, content, ledger.confirmed().anchors.get(record_id))
 
 
@@ -228,7 +234,7 @@ def audit(store: EhrStore, ledger: Ledger) -> list[VerifyResult]:
     """Verify every record with a confirmed anchor, in one ledger pass."""
     anchors = ledger.confirmed().anchors
     return [
-        _status(record_id, store.read(record_id).content, anchors[record_id]) if record_id in store
+        _status(record_id, store._content(record_id), anchors[record_id]) if record_id in store
         # anchored content that cannot be produced is not intact
         else VerifyResult(record_id, TAMPERED, None, anchors[record_id])
         for record_id in sorted(anchors)

@@ -122,6 +122,8 @@ def utf8_text(value) -> bool:
 def finite_number(value) -> bool:
     """An int or a finite float, and not a bool. An int of any size is
     finite, and math.isfinite would overflow on one above the float range."""
+    if type(value) is float:  # the common case, answered at once
+        return math.isfinite(value)
     return not isinstance(value, bool) and (
         isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
     )
@@ -130,6 +132,8 @@ def finite_number(value) -> bool:
 def float_time(value) -> bool:
     """A finite number a float can hold, as a time saved by its float repr
     must be."""
+    if type(value) is float:  # a finite float is always in the float range
+        return math.isfinite(value)
     return finite_number(value) and abs(value) <= sys.float_info.max
 
 

@@ -316,6 +316,7 @@ class RpmPipeline:
         self._records: dict[VitalReading, EhrRecord] = {}
         self._delivered: set[tuple[str, str]] = set()
         self.alerts: list[AlertEvent] = []
+        self._alert_ids: list[str] = []  # each alert's event_id, as dispatch computed it
 
     def rules_for(self, patient: str) -> tuple[ThresholdRule, ...]:
         """The patient's rules, in the order they were given."""
@@ -391,6 +392,7 @@ class RpmPipeline:
         if not self.dual.public.has_tx(tx.id):
             self.dual.public.submit(tx, self.author)
             self.alerts.append(event)
+            self._alert_ids.append(event_id)
             log.info("alert %s for %s (%s)", event_id[:12], event.patient, event.severity)
         for sub in self.subscribers:
             key = (event_id, sub.entity)
@@ -578,10 +580,10 @@ def run_demo(
             window_end = (w + 1) * window
             clock.now = window_end
             for batch in by_start.get(w * window, ()):
-                before = len(pipeline.alerts)
+                before = len(pipeline._alert_ids)
                 verdicts.extend(pipeline.process_batch(batch, window_end))
-                for event in pipeline.alerts[before:]:
-                    alert_windows.setdefault(event.event_id, w)
+                for event_id in pipeline._alert_ids[before:]:
+                    alert_windows.setdefault(event_id, w)
             dual.seal_all(sealer, window_end)
         # A last seal of both ledgers. Each seal takes at most max_block_txs
         # txs, so a backlog from windows with more traffic than that stays

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from rpmdag.dag import Block, BlockDag, BlockId, genesis_block
 from rpmdag.ghostdag import Coloring, GhostdagParams, OrderedDag
-from rpmdag.hashing import canonical_json
+from rpmdag.hashing import canonical_json, sorted_json
 from rpmdag.ledger import PRIVATE, PUBLIC, Ledger, Transaction, TxKind
 
 
@@ -382,3 +382,10 @@ def bitmask_ghostdag_run(dag: BlockDag, params: GhostdagParams) -> OrderedDag:
     )
     order = engine.order_blocks(blue_mask, selected_tip)
     return OrderedDag(tuple(order), lambda: coloring)
+
+
+def reference_inspect_line(position: int, entry) -> str:
+    """A `ledger inspect` line as it was first spelt: sorted_json of the
+    whole entry, with the transaction as to_wire gives it."""
+    wire = {"position": position, "block": entry.block.hex(), "tx": entry.tx.to_wire()}
+    return sorted_json(wire) + "\n"

@@ -676,6 +676,26 @@ def test_non_finite_at_is_a_runtime_error(tmp_path, command, at):
     assert ledger.read_bytes() == before
 
 
+@pytest.mark.parametrize("command, at", [("grant", "4.5"), ("grant", "0"), ("revoke", "1")])
+def test_a_back_dated_acl_change_is_refused_and_writes_nothing(tmp_path, command, at):
+    roster = tmp_path / "roster.json"
+    roster.write_text(json.dumps([
+        {"entity_id": "p-01", "role": "patient", "credential": "pw-p"},
+        {"entity_id": "dr-01", "role": "healthcare_provider", "credential": "pw-dr"},
+    ]))
+    ledger = tmp_path / "acl.ledger"
+    common = ("--ledger", str(ledger), "--roster", str(roster))
+    grant = ("acl", "grant", *common, *ACL_COMMANDS["grant"])
+    assert run_cli(*grant, "--at=5")[:2] == (0, "grant-0001\n")
+    before = ledger.read_bytes()
+    result = run_cli("acl", command, *common, *ACL_COMMANDS[command], f"--at={at}")
+    assert_one_error_line(result, 1)
+    assert f"seal time {float(at)!r} is before the newest block's time 5.0" in result[2]
+    assert ledger.read_bytes() == before
+    # a change at the newest block's time is not back-dated
+    assert run_cli("acl", command, *common, *ACL_COMMANDS[command], "--at=5")[0] == 0
+
+
 # `rpmdag color` stdout on the reference DAG, one "token color score" row per
 # block in token order, frozen before GHOSTDAG was reduced to one entry point.
 COLOR_GOLDEN = {

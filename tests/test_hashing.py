@@ -227,6 +227,41 @@ def test_encoders_give_the_same_bytes_on_four_threads():
 HEX = "ab" * 32
 
 
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+def _old_finite_number(value) -> bool:
+    return not isinstance(value, bool) and (
+        isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    )
+
+
+def _old_float_time(value) -> bool:
+    return _old_finite_number(value) and abs(value) <= sys.float_info.max
+
+
+# finite_number and float_time answer an exact float at once; every other
+# value takes the general path
+NUMBER_RULE_VALUES = [
+    True, False, 0, 1, -7, _Int(3), _Int(-(10**400)), _Float(1.5), _Float(math.nan),
+    _Float(math.inf), _Float(-sys.float_info.max), 0.0, -0.0, 1.5, 5e-324, math.nan,
+    -math.nan, math.inf, -math.inf, 10**400, -(10**400), 2**1023, sys.float_info.max,
+    -sys.float_info.max, "1", None, [1.0], 1j,
+]
+
+
+@pytest.mark.parametrize("value", NUMBER_RULE_VALUES, 
+                         ids=lambda value: f"{type(value).__name__}-{repr(value)[:20]}")
+def test_number_rules_match_their_old_definitions(value):
+    assert finite_number(value) is _old_finite_number(value)
+    assert float_time(value) is _old_float_time(value)
+
+
 @pytest.mark.parametrize("rule, accepted, refused", [
     (finite_number, [0, -1.5, 2**1100, 1e308],
      [True, math.nan, math.inf, -math.inf, "1", None]),

@@ -143,7 +143,9 @@ def _acl_ledger(grant_ids) -> Ledger:
         body = {"action": "grant", "grant_id": gid, "grantor": "p-01",
                 "grantee": "dr-01", "scope": "ehr_read", "at": 0.0}
         ledger.submit(Transaction(TxKind.ACCESS_CHANGE, body, 0.0, author), author)
-    ledger.seal_block("acl-sealer", 1.0)
+    # at 0.0, so that an `acl grant` at the default --at 0 seals no block
+    # older than its parent
+    ledger.seal_block("acl-sealer", 0.0)
     return ledger
 
 

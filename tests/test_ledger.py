@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import base64
+import binascii
 import dataclasses
 import gc
 import json
@@ -10,6 +11,7 @@ import random
 import re
 import stat
 import struct
+import sys
 import tracemalloc
 
 import pytest
@@ -26,11 +28,12 @@ from rpmdag.ledger import (
     Transaction,
     TxKind,
     inspect_jsonl,
+    inspect_lines,
     validate_alert_body,
 )
 from rpmdag.pipeline import run_demo
 
-from helpers import CRAFTED_LEDGERS, crafted_ledger_text
+from helpers import CRAFTED_LEDGERS, crafted_ledger_text, reference_inspect_line
 
 WRITERS = {"svc", "sealer"}
 
@@ -1138,3 +1141,241 @@ def test_inspect_jsonl_shape():
     assert set(first) == {"position", "block", "tx"}
     assert first["position"] == 0
     assert first["tx"]["kind"] == "ehr_anchor"
+
+
+# Authors and times an inspect line spells outside the body: str authors
+# that print as they are, need escaping or are not ASCII, authors of other
+# types, and times of every spelling sorted_json has for a number.
+INSPECT_AUTHORS = [
+    "svc", "", "Zoë", "患者-01", "\U0001f600", 'q"uote', "back\\slash",
+    "tab\tnew\nline\r", "\x00\x1f\x7f", "  ", "\ud800", "</script>",
+    1, -0.0, 1.5, True, False, None, ["svc", 2], {"b": 1, "a": "é"},
+]
+INSPECT_TIMES = [
+    0, 7, -3, 0.0, -0.0, 1.5, 0.1, 1e16, 1e22, 2**53 + 1, 10**30, -(10**400), 5e-324,
+    sys.float_info.max, True, math.nan, math.inf, -math.inf,
+]
+
+
+def _random_json(rng: random.Random, depth: int):
+    """A seeded JSON value: nested objects and lists of strings (with
+    escapes and non-ASCII), ints, floats, bools and nulls."""
+    pick = rng.randrange(9 if depth > 0 else 6)
+    if pick == 0:
+        return None
+    if pick == 1:
+        return rng.random() < 0.5
+    if pick == 2:
+        return rng.choice((0, -1, 2**63, -(10**25), rng.randrange(-1000, 1000)))
+    if pick == 3:
+        return rng.choice((0.0, -0.0, 1e-7, 1e16, rng.uniform(-1e6, 1e6)))
+    if pick in (4, 5):
+        return _random_text(rng)
+    if pick == 6:
+        return {_random_text(rng): _random_json(rng, depth - 1) for _ in range(rng.randrange(4))}
+    if pick == 7:
+        return [_random_json(rng, depth - 1) for _ in range(rng.randrange(4))]
+    return {"nested": _random_json(rng, depth - 1), "über": [_random_json(rng, depth - 1)]}
+
+
+def _random_text(rng: random.Random) -> str:
+    return "".join(rng.choice('ab"\\/\n\t\x01é€\U0001f600\ud800 ') for _ in range(rng.randrange(6)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inspect_lines_spell_what_sorted_json_of_the_whole_entry_spells(seed):
+    rng = random.Random(9100 + seed)
+    ledger = Ledger(PRIVATE, 3, {"svc"})
+    payload = []
+    for n in range(120):
+        body = _random_json(rng, 3)
+        if not isinstance(body, dict) or rng.random() < 0.5:
+            body = {"n": n, "value": body}  # distinct ids, so none is dropped
+        else:
+            body["n"] = n
+        author = INSPECT_AUTHORS[n % len(INSPECT_AUTHORS)]
+        at = INSPECT_TIMES[n % len(INSPECT_TIMES)]
+        payload.append(Transaction(rng.choice(list(TxKind)), body, at, author))
+    # dag.add, so that submit's checks do not see the transactions
+    block = Block.create([ledger.dag.genesis], payload[:60], 1.0, "svc")
+    ledger.dag.add(block)
+    ledger.dag.add(Block.create([block.id], payload[60:], 2.0, "svc"))
+    stream = ledger.confirmed()
+    assert len(stream) == 120
+    expected = [reference_inspect_line(i, entry) for i, entry in enumerate(stream)]
+    assert list(inspect_lines(ledger)) == expected
+    assert inspect_jsonl(ledger) == "".join(expected)
+
+
+def test_inspect_lines_of_a_saved_demo_match_the_reference():
+    result = run_demo(11, patients=2, readings_per_device=10)
+    for ledger in (result.dual.private, result.dual.public):
+        loaded = Ledger.load_text(ledger.save_text())
+        expected = [reference_inspect_line(i, e) for i, e in enumerate(loaded.confirmed())]
+        assert list(inspect_lines(loaded)) == expected
+    result.store.close()
+
+
+def _chunk_ledger_text() -> str:
+    """A saved ledger whose chunks end in each base64 padding: none, "="
+    and "==" (the record ids differ in length by one character)."""
+    ledger = Ledger(PRIVATE, 2, WRITERS)
+    for n in range(9):
+        body = {"record_id": "r" * (n + 1), "content_hash": "ab" * 32}
+        ledger.submit(Transaction(TxKind.EHR_ANCHOR, body, float(n), "svc"), "svc")
+    ledger.seal_block("sealer", 1.0)
+    return ledger.save_text()
+
+
+B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _respelt(rng: random.Random, chunk: str) -> str:
+    """One seeded respelling of a saved chunk: padding appended, unused
+    bits set before the padding, a character outside the alphabet or a
+    line break put in, or the padding moved or dropped."""
+    kind = rng.choice(("pad", "bits", "outside", "newline", "move", "drop"))
+    i = rng.randrange(len(chunk) + 1)
+    if kind == "bits" and chunk.endswith("="):
+        data = chunk.rstrip("=")
+        unused = 4 if chunk.endswith("==") else 2  # bits of the last data char
+        value = B64.index(data[-1]) | rng.randrange(1, 1 << unused)
+        return data[:-1] + B64[value] + chunk[len(data):]
+    if kind == "outside":
+        return chunk[:i] + rng.choice("!-_.~* \t\r\x00é") + chunk[i:]
+    if kind == "newline":
+        return chunk[:i] + rng.choice(("\n", "\r\n")) + chunk[i:]
+    if kind == "move" and chunk.endswith("="):
+        data = chunk.rstrip("=")
+        j = rng.randrange(len(data))
+        return data[:j] + chunk[len(data):] + data[j:]
+    if kind == "drop" and chunk.endswith("="):
+        return chunk.rstrip("=")
+    return chunk + rng.choice(("=", "==", "===", "A", "A=", "AA", "AA=", "A==="))
+
+
+def test_a_payload_chunk_respelt_in_base64_is_refused_with_its_line():
+    lines = _chunk_ledger_text().split("\n")
+    block_line = lines[2]
+    head, payload, *rest = block_line.split(" | ")
+    chunks = payload.split(",")
+    assert {len(chunk) - len(chunk.rstrip("=")) for chunk in chunks} == {0, 1, 2}
+    assert Ledger.load_text("\n".join(lines)).save_text() == "\n".join(lines)
+    rng = random.Random(3101)
+    kinds = set()
+    for _ in range(300):
+        j = rng.randrange(len(chunks))
+        respelt = _respelt(rng, chunks[j])
+        # the rule is: exactly the encoding of the bytes it decodes to
+        try:
+            canonical = binascii.b2a_base64(binascii.a2b_base64(respelt), newline=False)
+        except ValueError:
+            canonical = None
+        assert canonical != respelt.encode()
+        kinds.add("decodes" if canonical is not None else "raises")
+        edited = " | ".join((head, ",".join(chunks[:j] + [respelt] + chunks[j + 1:]), *rest))
+        # _parse, so a line break stays inside its chunk
+        with pytest.raises(FormatError, match="^line 3: bad payload: "):
+            Ledger._parse([*lines[:2], edited, *lines[3:]])
+    # both kinds of respelling are seen: some decode to the saved bytes
+    # (or others) without complaint, and some a2b_base64 itself refuses
+    assert kinds == {"decodes", "raises"}
+
+
+def test_chunk_bytes_takes_exactly_what_the_base64_re_encode_takes():
+    # _chunk_bytes re-encodes only the last quad; it must accept a chunk iff
+    # the whole chunk is b2a_base64 of what a2b_base64 decodes it to
+    rng = random.Random(3102)
+    alphabet = "AQgwBEIM+/09=" * 3 + "!-_ \t\r\n\x00é"
+    taken = 0
+    for n in range(6000):
+        if n % 2:
+            chunk = "".join(rng.choice(alphabet) for _ in range(rng.randrange(13)))
+        else:
+            raw = bytes(rng.randrange(256) for _ in range(rng.randrange(10)))
+            chunk = binascii.b2a_base64(raw, newline=False).decode()
+            if chunk and n % 4:
+                chunk = _respelt(rng, chunk)
+        try:
+            decoded = binascii.a2b_base64(chunk)
+            canonical = binascii.b2a_base64(decoded, newline=False) == chunk.encode()
+        except ValueError:
+            canonical = False
+        if canonical:
+            assert ledger_module._chunk_bytes(chunk) == decoded
+            taken += 1
+        else:
+            with pytest.raises(ValueError):
+                ledger_module._chunk_bytes(chunk)
+    assert 1500 < taken < 4500
+
+
+def _set_unused_bit(chunk: str) -> str:
+    data = chunk.rstrip("=")
+    return data[:-1] + B64[B64.index(data[-1]) | 1] + chunk[len(data):]
+
+
+# respellings of a saved chunk that decode to its bytes, as (the padding
+# of the chunk respelt, respelling); each comment names the Pythons whose
+# b64decode(validate=True) loaded it before one spelling was required
+RESPELLINGS = {
+    "pad-after-whole-quad": (0, lambda chunk: chunk + "=="),  # 3.10-3.12
+    "one-pad-after-whole-quad": (0, lambda chunk: chunk + "="),  # 3.10-3.12
+    "three-pads-after-whole-quad": (0, lambda chunk: chunk + "==="),  # 3.11-3.12
+    "extra-pad": (1, lambda chunk: chunk + "="),  # 3.10
+    "unused-bit-before-one-pad": (1, _set_unused_bit),  # 3.10-3.13
+    "unused-bit-before-two-pads": (2, _set_unused_bit),  # 3.10-3.13
+}
+
+
+@pytest.mark.parametrize("name", RESPELLINGS)
+def test_each_python_refuses_the_respellings_that_loaded_before(name):
+    pads, respell = RESPELLINGS[name]
+    lines = _chunk_ledger_text().split("\n")
+    head, payload, *rest = lines[2].split(" | ")
+    chunks = payload.split(",")
+    j = next(i for i, chunk in enumerate(chunks) if len(chunk) - len(chunk.rstrip("=")) == pads)
+    respelt = respell(chunks[j])
+    # the saved bytes under another spelling, whichever Python decodes it
+    assert binascii.a2b_base64(respelt) == binascii.a2b_base64(chunks[j])
+    edited = " | ".join((head, ",".join(chunks[:j] + [respelt] + chunks[j + 1:]), *rest))
+    with pytest.raises(FormatError) as info:
+        Ledger.load_text("\n".join([*lines[:2], edited, *lines[3:]]))
+    assert str(info.value) == "line 3: bad payload: chunk is not base64 as save writes it"
+
+
+def test_a_seal_older_than_the_newest_block_is_refused_before_the_pool_drains():
+    ledger = Ledger(PRIVATE, 2, WRITERS)
+    ledger.submit(anchor_tx(1), "svc")
+    ledger.seal_block("sealer", 5.0)
+    ledger.submit(anchor_tx(2), "svc")
+    blocks = dict(ledger.dag.blocks)
+    for now in (4.999, 1, -0.0, -1e300):
+        with pytest.raises(FormatError, match=r"^seal time .* is before the newest block's time 5\.0$"):
+            ledger.seal_block("sealer", now)
+        assert ledger.pool == [anchor_tx(2)] and ledger.dag.blocks == blocks
+    # the same time is not older
+    assert ledger.seal_block("sealer", 5).payload == (anchor_tx(2),)
+    assert ledger.seal_block("sealer", 6.0).payload == ()
+
+
+@pytest.mark.parametrize("merged_at, refused", [(6.5, True), (4.0, True), (7.0, False)])
+def test_a_rederived_block_older_than_any_parent_is_refused_with_its_line(merged_at, refused):
+    # two tips, at 7.0 and 5.0, merged by a block at merged_at; dag.add, so
+    # that seal_block's rule does not see the blocks
+    ledger = Ledger(PRIVATE, 2, WRITERS)
+    genesis = ledger.dag.genesis
+    first = Block.create([genesis], (anchor_tx(1),), 7.0, "sealer")
+    second = Block.create([genesis], (anchor_tx(2),), 5.0, "sealer")
+    for block in (first, second):
+        ledger.dag.add(block)
+    ledger.dag.add(Block.create(sorted([first.id, second.id]), (anchor_tx(3),), merged_at, "sealer"))
+    text = ledger.save_text()
+    if not refused:
+        assert Ledger.load_text(text).save_text() == text
+        return
+    with pytest.raises(FormatError) as info:
+        Ledger.load_text(text)
+    # the merge block is the last line
+    assert str(info.value) == f"line {text.count(chr(10))}: block time {merged_at!r} is before a parent's time"
+

@@ -19,6 +19,7 @@ from rpmdag.errors import (
 from rpmdag.ledger import VITAL_KIND_NAMES, DualLedger, TxKind, token_fault, validate_alert_body
 from rpmdag.pipeline import (
     ABNORMAL,
+    AlertEvent,
     DEMO_PROFILES,
     NORMAL,
     UNEVALUATED,
@@ -355,6 +356,27 @@ def test_run_demo_small_scale():
         )
         seal_number = len(result.dual.public.dag.past(entry.block)) + 1
         assert submitted + 1 <= seal_number <= submitted + 2
+
+
+def test_run_demo_takes_each_alert_id_once_per_dispatch(monkeypatch):
+    calls = {"event_id": 0, "dispatch": 0}
+    event_id, dispatch = AlertEvent.event_id, RpmPipeline.dispatch_alert
+
+    def counted_event_id(event):
+        calls["event_id"] += 1
+        return event_id.fget(event)
+
+    def counted_dispatch(*args):
+        calls["dispatch"] += 1
+        return dispatch(*args)
+
+    monkeypatch.setattr(AlertEvent, "event_id", property(counted_event_id))
+    monkeypatch.setattr(RpmPipeline, "dispatch_alert", counted_dispatch)
+    result = run_demo(seed=42, patients=2, readings_per_device=10, duration=50.0)
+    assert calls["dispatch"] == len(result.alerts) > 0
+    # dispatch computes the id, and run_demo keys alert_windows by it
+    assert calls["event_id"] == calls["dispatch"]
+    assert set(result.alert_windows) == {event_id.fget(event) for event in result.alerts}
 
 
 def test_run_demo_is_deterministic():
