@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 from .acl import AccessController, ManualClock, Role, Scope, rebuild_grants
 from .dag import export_dag_dot, export_dag_text, parse_dag_text
-from .ehr import INTACT, LOG_NAME, TAMPERED, EhrStore, audit, verify
+from .ehr import INTACT, LOG_NAME, TAMPERED, TORN, EhrStore, audit, verify
 from .errors import FormatError, InvalidParameter, RpmdagError, UnknownEntity, UnknownGrant
 from .ghostdag import GhostdagParams, ghostdag_run, k_for_network, max_k_cluster
 from .hashing import float_time, shown, utf8_text
@@ -225,8 +225,12 @@ def cmd_ehr_audit(args) -> int:
         print(f"{result.record_id} {result.status}")
     tampered = sum(1 for r in results if r.status == TAMPERED)
     intact = sum(1 for r in results if r.status == INTACT)
-    print(f"audited={len(results)} intact={intact} tampered={tampered}")
-    return 1 if tampered else 0
+    torn = sum(1 for r in results if r.status == TORN)
+    # torn= only when the log ends in a torn record, so a sound log's summary
+    # line keeps its three fields
+    print(f"audited={len(results)} intact={intact} tampered={tampered}"
+          + (f" torn={torn}" if torn else ""))
+    return 1 if tampered or torn else 0
 
 
 # Access control

@@ -10,8 +10,10 @@ with the confirmed anchor.
 from __future__ import annotations
 
 import io
+import logging
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .errors import (
     AccessDenied,
@@ -20,15 +22,18 @@ from .errors import (
     FormatError,
     UnknownRecord,
 )
-from .hashing import (digest, encode_str, float_time, hex_digest, parse_json, shown, sorted_json,
+from .hashing import (digest, encode_str, float_time, hex_digest, json_number, parse_json, shown,
                       utf8_text, whole_number)
 from .ledger import Ledger, Scope, Transaction, TxKind
 
 INTACT = "intact"
 TAMPERED = "tampered"
+TORN = "torn"
 UNANCHORED = "unanchored"
 
 LOG_NAME = "ehr.log"
+
+_logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,7 +48,7 @@ class EhrRecord:
 @dataclass(frozen=True, slots=True)
 class VerifyResult:
     record_id: str
-    status: str  # intact | tampered | unanchored
+    status: str  # intact | tampered | torn | unanchored
     recomputed_hash: str | None
     anchored_hash: str | None
 
@@ -60,17 +65,20 @@ class EhrStore:
     """Append-only record log with an in-memory index.
 
     Records are framed as a JSON header line followed by the raw content
-    bytes. The index maps each record_id to its content offset, content
-    length, patient, stored_at and content_hash; it is rebuilt by scanning
-    the log on open, which checks each header and its record_id binding
-    once. With no directory the log lives in memory, which is enough for
-    simulations and tests.
+    bytes and a newline. The index maps each record_id to its content
+    offset, content length, patient, stored_at and content_hash; it is
+    rebuilt by scanning the log on open, which checks each header, its
+    record_id binding and the newline after its content once. A last record
+    cut short (by a crash mid-append) is a torn tail: it is not indexed, and
+    store refuses to append after it. With no directory the log lives in
+    memory, which is enough for simulations and tests.
     """
 
     def __init__(self, directory: str | None = None):
         self._dir = directory
         # one entry per record: each record_id binds the record's position
         self._index: dict[str, tuple[int, int, str, float, str]] = {}
+        self._torn: int | None = None  # the offset of a torn last record
         if directory is None:
             self._log = io.BytesIO()  # new and empty: nothing to index
             return
@@ -101,9 +109,12 @@ class EhrStore:
             header_line = log.readline()
             if not header_line:
                 break
+            if header_line[-1:] != b"\n":  # only the last line can lack it
+                self._tear(offset)
+                break
             try:
                 # the header and nothing else: "\r\n" or a space is refused
-                header = parse_json(header_line.removesuffix(b"\n").decode("utf-8"))
+                header = parse_json(header_line[:-1].decode("utf-8"))
                 record_id = header["record_id"]
                 patient = header["patient"]
                 stored_at = header["stored_at"]
@@ -130,14 +141,33 @@ class EhrStore:
                     " its patient, position and content_hash"
                 )
             start = offset + len(header_line)
-            log.seek(start + length + 1)  # past content and separator
+            log.seek(start + length)
+            separator = log.read(1)
+            if separator != b"\n":
+                if separator:
+                    raise FormatError(
+                        f"corrupt record at offset {offset}: no newline after its content"
+                    )
+                self._tear(offset)  # the log ends before the record does
+                break
             patient = patients.setdefault(patient, patient)
             self._index[record_id] = (start, length, patient, stored_at, content_hash)
+
+    def _tear(self, offset: int):
+        self._torn = offset
+        _logger.warning("%s ends in a torn record at offset %d; appends are refused until the"
+                        " log is cut there", LOG_NAME, offset)
 
     def store(self, content: bytes, patient: str, now: float = 0.0) -> EhrRecord:
         """Append a record. Identical content appended twice yields two
         distinct record ids with the same content hash. Input the log
-        could not read back is refused before any byte is written."""
+        could not read back is refused before any byte is written, and so is
+        any append after a torn tail."""
+        if self._torn is not None:
+            raise FormatError(
+                f"{LOG_NAME} ends in a torn record at offset {self._torn}: cut the log there"
+                " before appending"
+            )
         if not content:
             raise EmptyContent("record content must be non-empty")
         if not utf8_text(patient):
@@ -147,15 +177,14 @@ class EhrStore:
         content_digest = digest(content)
         content_hash = content_digest.hex()
         record_id = _record_id(patient, len(self._index), content_digest)
-        header = sorted_json(
-            {
-                "record_id": record_id,
-                "patient": patient,
-                "stored_at": now,
-                "content_len": len(content),
-                "content_hash": content_hash,
-            }
-        ).encode() + b"\n"
+        # sorted_json of the five fields, keys in sorted order: each value is
+        # checked above, so each is spelt as the encoder would spell it
+        header = (
+            b'{"content_hash": "%s", "content_len": %d, "patient": %s, "record_id": "%s",'
+            b' "stored_at": %s}\n' % (content_hash.encode(), len(content),
+                                      encode_basestring_ascii(patient).encode(),
+                                      record_id.encode(), json_number(now))
+        )
         start = self._log.seek(0, io.SEEK_END) + len(header)
         framed = header + content + b"\n"
         written = self._log.write(framed)
@@ -233,10 +262,12 @@ def verify(record_id: str, store: EhrStore, ledger: Ledger) -> VerifyResult:
 def audit(store: EhrStore, ledger: Ledger) -> list[VerifyResult]:
     """Verify every record with a confirmed anchor, in one ledger pass."""
     anchors = ledger.confirmed().anchors
+    # anchored content that cannot be produced is not intact; it is torn when
+    # the log ends in a torn record, as it may be that record
+    missing = TAMPERED if store._torn is None else TORN
     return [
         _status(record_id, store._content(record_id), anchors[record_id]) if record_id in store
-        # anchored content that cannot be produced is not intact
-        else VerifyResult(record_id, TAMPERED, None, anchors[record_id])
+        else VerifyResult(record_id, missing, None, anchors[record_id])
         for record_id in sorted(anchors)
     ]
 

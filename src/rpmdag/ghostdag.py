@@ -448,10 +448,16 @@ def k_for_network(delay: float, rate: float, delta: float) -> int:
         # about 2e-300 already gives 0
         return 0
     cap = 10_000_000  # the most terms summed
-    # P(X <= cap) <= exp(cap - mu) * (mu / cap) ** cap for mu > cap (a
-    # Chernoff bound); when that is below (1 - delta) / e, the sum cannot
-    # pass 1 - delta by the cap, so it is refused without running it
-    if mu > cap and cap - mu + cap * math.log(mu / cap) < math.log1p(-delta) - 1:
+    # a window whose sum cannot pass 1 - delta by the cap is refused without
+    # running it, when either bound on P(X <= cap) is below 1 - delta: for mu
+    # > cap, e * exp(cap - mu) * (mu / cap) ** cap (a Chernoff bound, times
+    # e); for any mu, its normal approximation plus 1 / sqrt(mu), which
+    # covers the Berry-Esseen error 0.4748 / sqrt(mu) and the sum's rounding
+    root = math.sqrt(mu)
+    if (
+        mu > cap and cap - mu + cap * math.log(mu / cap) < math.log1p(-delta) - 1
+        or 0.5 * math.erfc((mu - cap) / root / math.sqrt(2.0)) + 1.0 / root < 1.0 - delta
+    ):
         raise InvalidParameter("window parameters do not converge")
     log_mu = math.log(mu)
     cdf = 0.0

@@ -87,7 +87,10 @@ class Transaction:
     The identity bytes, canonical_json of {kind, body, author}, are kept
     as ident, and the saved payload chunk is spliced from them by
     wire_bytes, so each transaction is JSON-encoded once. Like the id,
-    they assume the body is not changed after construction."""
+    they assume the body is not changed after construction. For an exact
+    str author and a TxKind, ident is spelt around one canonical_json of
+    the body, the same bytes; any other author or kind is encoded with
+    the envelope dict."""
 
     kind: TxKind
     body: dict
@@ -97,9 +100,16 @@ class Transaction:
     ident: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ident = canonical_json(
-            {"kind": self.kind.value, "body": self.body, "author": self.author}
-        )
+        author, kind = self.author, self.kind
+        if type(author) is str and type(kind) is TxKind:
+            # the keys in sorted order; _value_ is what .value reads, without
+            # the property call
+            ident = b'{"author":%s,"body":%s,"kind":"%s"}' % (
+                encode_basestring_ascii(author).encode(), canonical_json(self.body),
+                kind._value_.encode(),
+            )
+        else:
+            ident = canonical_json({"kind": kind.value, "body": self.body, "author": author})
         object.__setattr__(self, "ident", ident)
         object.__setattr__(self, "id", digest(ident))
 
@@ -654,7 +664,7 @@ def inspect_lines(ledger: Ledger):
         yield (
             f'{{"block": "{entry.block.hex()}", "position": {position}, '
             f'"tx": {{"author": {author}, "body": {body}, "id": "{tx.id.hex()}", '
-            f'"kind": "{tx.kind.value}", "submitted_at": {at}}}}}\n'
+            f'"kind": "{tx.kind._value_}", "submitted_at": {at}}}}}\n'
         )
 
 

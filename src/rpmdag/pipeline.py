@@ -75,7 +75,7 @@ class VitalReading:
         return canonical_json(
             {
                 "patient": self.patient,
-                "vital": self.vital.value,
+                "vital": self.vital._value_,  # .value without the property call
                 "value": self.value,
                 "unit": self.unit,
                 "measured_at": self.measured_at,
@@ -356,7 +356,7 @@ class RpmPipeline:
             kind=TxKind.RULE_EVALUATION,
             body={
                 "patient": reading.patient,
-                "vital": reading.vital.value,
+                "vital": reading.vital._value_,
                 "verdict": verdict.status,
                 "rule_id": verdict.rule_id,
                 "ehr_record_hash": record.content_hash,

@@ -428,6 +428,27 @@ def test_crafted_ehr_header_is_a_runtime_error(small_demo, tmp_path, edit):
         assert "offset 0" in result[2]
 
 
+def test_audit_of_a_torn_log_counts_the_torn_record_and_names_its_offset(small_demo, tmp_path):
+    state = tmp_path / "state"
+    shutil.copytree(small_demo, state)
+    log = state / "ehr.log"
+    raw = log.read_bytes()
+    last = raw.rindex(b'{"content_hash": ')
+    log.write_bytes(raw[:-1])  # the last record without its closing newline
+    ledger = str(state / "private.ledger")
+    code, out, err = run_cli_process("ehr", "audit", "--store", str(state), "--ledger", ledger)
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[-1] == f"audited={len(lines) - 1} intact={len(lines) - 2} tampered=0 torn=1"
+    assert err == (f"ehr.log ends in a torn record at offset {last}; appends are refused until"
+                   " the log is cut there\n")
+    # each record before the torn one still verifies
+    record = next(line.split()[0] for line in lines if line.endswith(" intact"))
+    code, out, _ = run_cli_process("ehr", "verify", "--store", str(state), "--ledger", ledger,
+                                   "--record", record)
+    assert code == 0 and out.startswith("intact ")
+
+
 @pytest.mark.parametrize("layout", ["no-directory", "no-log"])
 def test_missing_ehr_store_is_a_runtime_error(small_demo, tmp_path, layout):
     # audit and verify only read: a mistyped --store must not create a store

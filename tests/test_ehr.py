@@ -17,6 +17,7 @@ from rpmdag.ehr import (
     INTACT,
     LOG_NAME,
     TAMPERED,
+    TORN,
     UNANCHORED,
     EhrStore,
     anchor,
@@ -31,8 +32,9 @@ from rpmdag.errors import (
     FormatError,
     UnknownRecord,
 )
-from rpmdag.hashing import digest
+from rpmdag.hashing import digest, sorted_json
 from rpmdag.ledger import PRIVATE, Ledger
+from rpmdag.pipeline import run_demo
 
 WRITERS = {"svc", "sealer"}
 
@@ -181,6 +183,98 @@ def test_duplicated_record_is_refused_at_its_own_offset(tmp_path):
         EhrStore(str(tmp_path))
 
 
+def _torn_demo(tmp_path) -> tuple[Ledger, bytes, int]:
+    """A small seeded demo's private ledger, its log bytes and the offset of
+    the log's last record."""
+    result = run_demo(seed=11, patients=1, readings_per_device=2, duration=10.0,
+                      state_dir=str(tmp_path))
+    result.store.close()
+    raw = (tmp_path / LOG_NAME).read_bytes()
+    return result.dual.private, raw, raw.rindex(b'{"content_hash": ')
+
+
+def test_a_log_cut_at_every_offset_of_its_last_record_opens_and_audits_as_torn(tmp_path):
+    ledger, raw, last = _torn_demo(tmp_path)
+    assert len(raw) - last > 200
+    whole = EhrStore(str(tmp_path))
+    earlier = whole.record_ids()[:-1]
+    whole.close()
+    assert set(ledger.confirmed().anchors) == set(whole.record_ids())
+    for cut in range(last + 1, len(raw)):
+        with open(_log_path(tmp_path), "wb") as fh:
+            fh.write(raw[:cut])
+        store = EhrStore(str(tmp_path))
+        try:
+            assert store.record_ids() == earlier, cut
+            statuses = {r.record_id: r.status for r in audit(store, ledger)}
+            assert sorted(statuses.values()) == [INTACT] * len(earlier) + [TORN], cut
+            # no append follows a torn record, so none can be lost behind it
+            with pytest.raises(FormatError, match=f"torn record at offset {last}: cut the log"):
+                store.store(b"later", "p-01", now=99.0)
+        finally:
+            store.close()
+        assert (tmp_path / LOG_NAME).read_bytes() == raw[:cut], cut
+    # cut where the refusal says, the log takes appends again
+    os.truncate(_log_path(tmp_path), last)
+    store = EhrStore(str(tmp_path))
+    later = store.store(b"later", "p-01", now=99.0)
+    store.close()
+    again = EhrStore(str(tmp_path))
+    try:
+        assert again.record_ids() == earlier + [later.record_id]
+        assert again.read(later.record_id) == later
+        statuses = [r.status for r in audit(again, ledger)]
+        # the cut record's anchor stays, and no torn tail now explains it
+        assert sorted(statuses) == [INTACT] * len(earlier) + [TAMPERED]
+    finally:
+        again.close()
+
+
+def test_a_torn_tail_is_reported_with_its_offset(tmp_path, caplog):
+    raw, second = _two_patient_log(tmp_path)
+    with open(_log_path(tmp_path), "wb") as fh:
+        fh.write(raw[:-1])  # the last record without its closing newline
+    with caplog.at_level("WARNING", logger="rpmdag.ehr"):
+        EhrStore(str(tmp_path)).close()
+    assert caplog.messages == [
+        f"ehr.log ends in a torn record at offset {second}; appends are refused until the log"
+        " is cut there"
+    ]
+    caplog.clear()
+    with open(_log_path(tmp_path), "wb") as fh:
+        fh.write(raw)
+    with caplog.at_level("WARNING", logger="rpmdag.ehr"):
+        EhrStore(str(tmp_path)).close()
+    assert caplog.messages == []
+
+
+def test_a_record_without_its_newline_before_the_next_is_refused_at_open(tmp_path):
+    # content_len is not bound by record_id; a length one byte too long puts
+    # the next header's first byte where the separator should be
+    raw, second = _two_patient_log(tmp_path)
+    with open(_log_path(tmp_path), "wb") as fh:
+        fh.write(raw.replace(b'"content_len": 11', b'"content_len": 12', 1))
+    with pytest.raises(FormatError, match="^corrupt record at offset 0: no newline after its"
+                                          " content$"):
+        EhrStore(str(tmp_path))
+
+
+def test_a_length_past_the_end_of_the_log_reads_as_a_torn_tail(tmp_path):
+    # a length that swallows the records after it cannot be told from a last
+    # record cut short, so nothing after it is indexed, and no append may
+    # write behind it
+    raw, second = _two_patient_log(tmp_path)
+    with open(_log_path(tmp_path), "wb") as fh:
+        fh.write(raw.replace(b'"content_len": 11', b'"content_len": 9999', 1))
+    store = EhrStore(str(tmp_path))
+    try:
+        assert store.record_ids() == []
+        with pytest.raises(FormatError, match="torn record at offset 0"):
+            store.store(b"later", "p-01")
+    finally:
+        store.close()
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -291,6 +385,40 @@ def test_read_returns_the_stored_record_field_for_field(tmp_path):
                 assert repr(store.read(rec.record_id)) == repr(rec)
     finally:
         again.close()
+
+
+class _Text(str):
+    """A str subclass, which the JSON encoder writes as its str value."""
+
+
+class _Int(int):
+    """An int subclass whose repr the JSON encoder does not call."""
+
+    def __repr__(self):
+        return "seven"
+
+
+def test_a_header_is_sorted_json_of_its_five_fields(tmp_path):
+    patients = ["p-01", _PATIENT_CHARS, "p-\u00e9\u4e2d\U0001f600", _Text("p-01")]
+    times = [0, 7, 12.5, -0.0, 1e16, 2**53 + 1, -(2**63), _Int(7), 5e-324,
+             1.7976931348623157e308]
+    store = EhrStore(str(tmp_path))
+    stored = [store.store(b"x" * (i + 1), patient, now)
+              for i, (patient, now) in enumerate((p, t) for p in patients for t in times)]
+    store.close()
+    headers = (tmp_path / LOG_NAME).read_bytes().split(b"\n")[0::2][:-1]
+    assert len(headers) == len(stored)
+    for header, rec in zip(headers, stored):
+        assert header == sorted_json({
+            "record_id": rec.record_id,
+            "patient": rec.patient,
+            "stored_at": rec.stored_at,
+            "content_len": len(rec.content),
+            "content_hash": rec.content_hash,
+        }).encode(), rec
+    again = EhrStore(str(tmp_path))
+    assert again.record_ids() == [rec.record_id for rec in stored]
+    again.close()
 
 
 def test_a_second_open_indexes_every_record_stored_before_it(tmp_path):

@@ -426,6 +426,53 @@ def test_k_for_network_refuses_a_window_past_the_cap_before_summing(monkeypatch,
     assert calls == []
 
 
+class _Summed(Exception):
+    """Raised by the first term of k_for_network's Poisson sum."""
+
+
+def _stop_at_the_first_term(x):
+    raise _Summed
+
+
+# Windows (delay, rate, delta) whose sum returns at the edge of the
+# ten-million-term cap, with the k it returns; each takes about 3 s to sum.
+# The first four are, per delta, the largest integer mu = 2 * delay * rate
+# with rate 1 whose sum returns, found by bisecting the sum itself; the sum
+# refuses mu + 1.
+RETURNED_AT_THE_CAP = [
+    (4999599.5, 1.0, 0.4),  # k = 9,999,999
+    (4996322.5, 1.0, 0.01),  # k = 9,999,999
+    (5000000.0, 1.0, 0.5),  # k = 9,999,999
+    (5004888.0, 1.0, 0.999),  # k = 9,999,999
+    (5e6, 1.0, 0.99),  # k = 9,992,643
+    (5002500, 1.0, 0.999),  # k = 9,995,226
+]
+
+
+@pytest.mark.parametrize("delay, rate, delta", RETURNED_AT_THE_CAP)
+def test_k_for_network_sums_every_window_it_returns(monkeypatch, delay, rate, delta):
+    # no refusal before the sum takes a window the sum returns, so the sum
+    # gives the same k; the test stops it at its first term
+    monkeypatch.setattr(math, "lgamma", _stop_at_the_first_term)
+    with pytest.raises(_Summed):
+        k_for_network(delay, rate, delta)
+
+
+@pytest.mark.parametrize("delay, rate, delta", [
+    (5001000, 1.0, 0.4), (4999601.0, 1.0, 0.4), (4996342.0, 1.0, 0.01),
+    (5000001.5, 1.0, 0.5), (5005064.5, 1.0, 0.999), (4999000, 1.0, 0.01), (5e6, 1.0, 0.01),
+])
+def test_k_for_network_refuses_a_hopeless_window_near_the_cap_before_summing(monkeypatch, delay,
+                                                                             rate, delta):
+    # out of the Chernoff check's reach, yet the sum cannot pass 1 - delta
+    # by the cap, which summing all of it takes about 3 s to find
+    monkeypatch.setattr(math, "lgamma", _stop_at_the_first_term)
+    start = time.perf_counter()
+    with pytest.raises(InvalidParameter, match="^window parameters do not converge$"):
+        k_for_network(delay, rate, delta)
+    assert time.perf_counter() - start < 0.05
+
+
 def test_convergence_and_confirmed_build_no_coloring(monkeypatch):
     # both read .order alone, so neither builds a Coloring
     def refuse(**fields):

@@ -158,6 +158,90 @@ def test_wire_bytes_equal_the_encoded_wire_dict():
         assert tx.wire_bytes() == canonical_json(tx.to_wire()), tx
 
 
+class _Text(str):
+    """A str subclass: the JSON encoder writes its str value, and ident
+    encodes it with the envelope dict."""
+
+
+def _envelope(kind: TxKind, body, author) -> bytes:
+    """The identity bytes as the dict of kind, body and author encodes."""
+    return canonical_json({"kind": kind.value, "body": body, "author": author})
+
+
+IDENT_AUTHORS = [
+    "rpm-pipeline", "", "dr-\u00e9\u4e2d\U0001f600", 'q"\\/\x00\x1f\t\n\u2028', "\ud800",
+    _Text("svc"), _Text('q"\u00e9'), 7, -0.0, None, True, ["svc"], {"id": "svc"},
+]
+IDENT_BODIES = [
+    {},
+    {"record_id": "rec-1", "content_hash": "ab" * 32},
+    {"z": {"y": [1, {"x": None, "w": [True, -0.0, 2**70, 1e-300]}]}, "a": []},
+    {"\u00e9": "\u4e2d\U0001f600", "k\n\"": "\ud800\u2028", "": {"\U0001f600": ["\x7f"]}},
+]
+
+
+def test_ident_is_the_encoded_envelope_for_every_kind_author_and_body():
+    for kind in TxKind:
+        for author in IDENT_AUTHORS:
+            for body in IDENT_BODIES:
+                tx = Transaction(kind, body, 0.0, author)
+                assert tx.ident == _envelope(kind, body, author), (kind, author, body)
+                assert tx.id == digest(tx.ident)
+    rng = random.Random(3301)
+    for _ in range(300):
+        kind, body, author = rng.choice(list(TxKind)), _random_body(rng), _random_text(rng)
+        assert Transaction(kind, body, 0.0, author).ident == _envelope(kind, body, author)
+
+
+@pytest.mark.parametrize("body", [{"v": math.nan}, {"v": math.inf}, {"v": object()},
+                                  {"v": b"raw"}, {1: "a", "b": 2}], ids=repr)
+def test_ident_refuses_a_body_as_the_envelope_does(body):
+    with pytest.raises((ValueError, TypeError)) as enveloped:
+        _envelope(TxKind.RULE_EVALUATION, body, "svc")
+    with pytest.raises(type(enveloped.value), match=re.escape(str(enveloped.value))):
+        Transaction(TxKind.RULE_EVALUATION, body, 0.0, "svc")
+
+
+def _nested(depth: int) -> dict:
+    body: dict = {}
+    for _ in range(depth):
+        body = {"x": body}
+    return body
+
+
+def _deepest(ident) -> int:
+    """The deepest _nested body ident(body) encodes without RecursionError."""
+    def encodes(depth):
+        try:
+            ident(_nested(depth))
+        except RecursionError:
+            return False
+        return True
+
+    low, high = 1, 2
+    while encodes(high):
+        low, high = high, high * 2
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if encodes(middle) else (low, middle)
+    return low
+
+
+def test_ident_of_a_body_at_the_recursion_limit():
+    # a str subclass author takes the envelope dict, from the same call depth
+    def spliced(body):
+        return Transaction(TxKind.RULE_EVALUATION, body, 0.0, "svc").ident
+
+    def enveloped(body):
+        return Transaction(TxKind.RULE_EVALUATION, body, 0.0, _Text("svc")).ident
+
+    deepest = _deepest(enveloped)
+    assert spliced(_nested(deepest)) == enveloped(_nested(deepest))
+    # the splice encodes the body one level shallower than the envelope does,
+    # so a body one level deeper may encode where the envelope's did not
+    assert _deepest(spliced) in (deepest, deepest + 1)
+
+
 @pytest.mark.parametrize("at", [math.nan, math.inf, -math.inf])
 def test_wire_bytes_refuse_a_non_finite_time_as_canonical_json_does(at):
     tx = Transaction(TxKind.EHR_ANCHOR, {"record_id": "r", "content_hash": "c"}, at, "svc")
