@@ -87,10 +87,9 @@ class Transaction:
     The identity bytes, canonical_json of {kind, body, author}, are kept
     as ident, and the saved payload chunk is spliced from them by
     wire_bytes, so each transaction is JSON-encoded once. Like the id,
-    they assume the body is not changed after construction. For an exact
-    str author and a TxKind, ident is spelt around one canonical_json of
-    the body, the same bytes; any other author or kind is encoded with
-    the envelope dict."""
+    they assume the body is not changed after construction. ident is
+    spelt around one canonical_json of the body, the same bytes the
+    envelope dict encodes to."""
 
     kind: TxKind
     body: dict
@@ -100,16 +99,15 @@ class Transaction:
     ident: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        author, kind = self.author, self.kind
-        if type(author) is str and type(kind) is TxKind:
-            # the keys in sorted order; _value_ is what .value reads, without
-            # the property call
-            ident = b'{"author":%s,"body":%s,"kind":"%s"}' % (
-                encode_basestring_ascii(author).encode(), canonical_json(self.body),
-                kind._value_.encode(),
-            )
-        else:
-            ident = canonical_json({"kind": kind.value, "body": self.body, "author": author})
+        author = self.author
+        # the keys in sorted order, so author then body is also the order the
+        # envelope dict raises in; _value_ is what .value reads, without the
+        # property call
+        ident = b'{"author":%s,"body":%s,"kind":"%s"}' % (
+            encode_basestring_ascii(author).encode() if type(author) is str
+            else canonical_json(author),
+            canonical_json(self.body), self.kind._value_.encode(),
+        )
         object.__setattr__(self, "ident", ident)
         object.__setattr__(self, "id", digest(ident))
 

@@ -160,7 +160,7 @@ def test_wire_bytes_equal_the_encoded_wire_dict():
 
 class _Text(str):
     """A str subclass: the JSON encoder writes its str value, and ident
-    encodes it with the envelope dict."""
+    spells it with canonical_json rather than the string escape."""
 
 
 def _envelope(kind: TxKind, body, author) -> bytes:
@@ -227,13 +227,21 @@ def _deepest(ident) -> int:
     return low
 
 
+class _Enveloped(Transaction):
+    """A Transaction whose ident is canonical_json of the envelope dict."""
+
+    def __post_init__(self):
+        ident = canonical_json({"kind": self.kind.value, "body": self.body, "author": self.author})
+        object.__setattr__(self, "ident", ident)
+
+
 def test_ident_of_a_body_at_the_recursion_limit():
-    # a str subclass author takes the envelope dict, from the same call depth
+    # _Enveloped encodes the envelope dict from the same call depth
     def spliced(body):
         return Transaction(TxKind.RULE_EVALUATION, body, 0.0, "svc").ident
 
     def enveloped(body):
-        return Transaction(TxKind.RULE_EVALUATION, body, 0.0, _Text("svc")).ident
+        return _Enveloped(TxKind.RULE_EVALUATION, body, 0.0, "svc").ident
 
     deepest = _deepest(enveloped)
     assert spliced(_nested(deepest)) == enveloped(_nested(deepest))
