@@ -10,11 +10,15 @@ whose parents are not there yet, so that order is always topological:
 every block comes after its whole past. add() is the one place that
 builds reachability: as it takes a block it records the block's
 insertion index, its parents' indices and its past window, joined from
-the parents' windows by join_windows. A window is a low-water index
-below which every block is an ancestor, and a bitmask over the blocks
-from there up. It spans the blocks still concurrent with the block, so
-it stays as narrow as the DAG is wide rather than growing with its
-length; only a block that is never merged holds every later window open.
+the parents' windows by join_windows, and nothing else. A window is a
+low-water index below which every block is an ancestor, and a bitmask
+over the blocks from there up. It spans the blocks still concurrent with
+the block, so it stays as narrow as the DAG is wide rather than growing
+with its length; only a block that is never merged holds every later
+window open.
+
+Every other reachability read comes from those windows: the tips, and
+past, future and anticone. No tip set or child list is kept beside them.
 
 BlockDag is a plain value container: reads are safe to share, mutation
 requires exclusive access.
@@ -33,7 +37,7 @@ from .errors import (
     NotAPermutation,
     UnknownBlock,
 )
-from .hashing import digest, encode_bytes, encode_f64, encode_str, opaque_token
+from .hashing import digest, encode_f64, opaque_token, pack_u32
 
 BlockId = bytes
 NodeId = str
@@ -42,16 +46,18 @@ GENESIS_TIMESTAMP = 0.0
 
 
 def block_id(parents, payload_ids, timestamp: float, creator: str) -> BlockId:
-    """Digest of the canonical block serialization.
+    """Digest of the canonical block serialization: the joined parents, the
+    joined payload ids and the creator each as encode_bytes writes them,
+    and the timestamp as encode_f64 does, spelt in one join.
 
     Parents are hashed in sorted order so that id assignment does not
     depend on the order a creator happened to list them in.
     """
-    parts = [encode_bytes(b"".join(sorted(parents)))]
-    parts.append(encode_bytes(b"".join(payload_ids)))
-    parts.append(encode_f64(timestamp))
-    parts.append(encode_str(creator))
-    return digest(b"".join(parts))
+    parents = b"".join(sorted(parents))
+    payload = b"".join(payload_ids)
+    name = creator.encode()
+    return digest(b"".join((pack_u32(len(parents)), parents, pack_u32(len(payload)), payload,
+                            encode_f64(timestamp), pack_u32(len(name)), name)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,14 +107,14 @@ class BlockDag:
       low[i] is the first index that is not an ancestor, and a
       reachability test is `x < low[i] or (win[i] >> (x - low[i])) & 1`.
 
-    Every field is written only by add(), which is why none is a
-    constructor argument; callers read them and must not mutate them. No
-    child index is kept: the few reads that walk down the DAG build one
-    with child_indices().
+    add() writes these, `blocks` and `genesis`, and nothing else, which
+    is why no field is a constructor argument; callers read them and must
+    not mutate them. The tips, past, future and anticone are read from the
+    windows. No child index is kept: topological_order builds one with
+    child_indices().
     """
 
     blocks: dict[BlockId, Block] = field(default_factory=dict, init=False)
-    tips: set[BlockId] = field(default_factory=set, init=False)
     genesis: BlockId | None = field(default=None, init=False)
     index: dict[BlockId, int] = field(default_factory=dict, init=False, repr=False, compare=False)
     parent_index: list[tuple[int, ...]] = field(
@@ -131,17 +137,18 @@ class BlockDag:
         a refused block leaves the DAG as it was.
         """
         index = self.index
-        if block.id in index:
+        bid, named = block.id, block.parents
+        if bid in index:
             raise DuplicateBlock(f"block {block.short_id()} already present")
-        if not block.parents:
+        if not named:
             if self.genesis is not None:
                 raise GenesisConflict("dag already has a genesis block")
             parents: tuple[int, ...] = ()
         else:
             try:
-                parents = tuple([index[p] for p in block.parents])
+                parents = tuple([index[p] for p in named])
             except KeyError:
-                shown = ",".join(p.hex()[:12] for p in block.parents if p not in index)
+                shown = ",".join(p.hex()[:12] for p in named if p not in index)
                 raise MissingParent(
                     f"block {block.short_id()} references unknown parents {shown}"
                 ) from None
@@ -149,16 +156,40 @@ class BlockDag:
                 raise FormatError(f"block {block.short_id()} lists a parent twice")
         lo, w = join_windows(parents, self.low, self.win)
 
-        index[block.id] = len(self.blocks)
-        self.blocks[block.id] = block
+        index[bid] = len(self.blocks)
+        self.blocks[bid] = block
         self.parent_index.append(parents)
         self.low.append(lo)
         self.win.append(w)
-        self.tips.difference_update(block.parents)
-        self.tips.add(block.id)
         if not parents:
-            self.genesis = block.id
+            self.genesis = bid
         return self
+
+    @property
+    def tips(self) -> set[BlockId]:
+        """The blocks no other block names as a parent, as a fresh set.
+
+        A block is a tip when no later block has it in its past. The walk
+        goes back from the newest block and keeps the union of the pasts
+        walked so far, rebased to the highest low seen as join_windows
+        rebases. Every block below that low is in the union, so the walk
+        stops there: a read costs about the DAG's width, not its length.
+        """
+        low, win = self.low, self.win
+        tips: set[BlockId] = set()
+        base = mask = 0
+        for i, bid in zip(range(len(low) - 1, -1, -1), reversed(self.blocks)):
+            if i < base:
+                break
+            if not (mask >> (i - base)) & 1:
+                tips.add(bid)
+            lo = low[i]
+            if lo > base:
+                mask = (mask >> (lo - base)) | win[i]
+                base = lo
+            else:
+                mask |= win[i] >> (base - lo)
+        return tips
 
     def block(self, bid: BlockId) -> Block:
         try:
@@ -167,38 +198,33 @@ class BlockDag:
             raise UnknownBlock(f"no block {bid.hex()[:12]}") from None
 
     def past(self, bid: BlockId) -> set[BlockId]:
-        """All strict ancestors of bid."""
+        """All strict ancestors of bid: every block below its low, and the
+        ones its window marks."""
         self.block(bid)
-        seen: set[BlockId] = set()
-        stack = list(self.blocks[bid].parents)
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(self.blocks[cur].parents)
-        return seen
+        i = self.index[bid]
+        ids, lo, w = list(self.blocks), self.low[i], self.win[i]
+        return set(ids[:lo]).union(ids[j] for j in range(lo, i) if (w >> (j - lo)) & 1)
 
     def future(self, bid: BlockId) -> set[BlockId]:
-        """All strict descendants of bid."""
+        """All strict descendants of bid: the later blocks whose window
+        holds it."""
         self.block(bid)
-        children = self.child_indices()
-        seen: set[int] = set()
-        stack = list(children[self.index[bid]])
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(children[cur])
-        ids = list(self.blocks)
-        return {ids[i] for i in seen}
+        x = self.index[bid]
+        ids, low, win = list(self.blocks), self.low, self.win
+        return {ids[c] for c in range(x + 1, len(ids))
+                if x < low[c] or (win[c] >> (x - low[c])) & 1}
 
     def anticone(self, bid: BlockId) -> set[BlockId]:
-        """Blocks neither reachable from bid nor reaching it."""
-        related = self.past(bid) | self.future(bid)
-        related.add(bid)
-        return set(self.blocks) - related
+        """Blocks neither reachable from bid nor reaching it: the earlier
+        blocks its window leaves out, and the later blocks whose windows
+        leave it out."""
+        self.block(bid)
+        x = self.index[bid]
+        ids, low, win = list(self.blocks), self.low, self.win
+        lo, w = low[x], win[x]
+        earlier = {ids[c] for c in range(lo, x) if not (w >> (c - lo)) & 1}
+        return earlier.union(ids[c] for c in range(x + 1, len(ids))
+                             if x >= low[c] and not (win[c] >> (x - low[c])) & 1)
 
     def child_indices(self) -> list[list[int]]:
         """Each block's children as insertion indices, in insertion order,

@@ -254,9 +254,12 @@ def _status(record_id: str, content: bytes, anchored: str | None) -> VerifyResul
 
 def verify(record_id: str, store: EhrStore, ledger: Ledger) -> VerifyResult:
     """Recompute the stored content's digest and compare with the
-    confirmed anchor. Read-only; safe to repeat."""
-    content = store._content(record_id)
-    return _status(record_id, content, ledger.confirmed().anchors.get(record_id))
+    confirmed anchor. Read-only; safe to repeat. While the log ends in a
+    torn record, an anchored record the store lacks is torn, as in audit."""
+    anchored = ledger.confirmed().anchors.get(record_id)
+    if store._torn is not None and anchored is not None and record_id not in store:
+        return VerifyResult(record_id, TORN, None, anchored)
+    return _status(record_id, store._content(record_id), anchored)
 
 
 def audit(store: EhrStore, ledger: Ledger) -> list[VerifyResult]:

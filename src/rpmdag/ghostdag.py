@@ -246,9 +246,11 @@ class _Engine:
             # a lone parent is the selected one and leaves nothing to merge
             sp = parents[0]
             if len(parents) > 1:
+                best = score[sp]
                 for p in parents:  # highest blue score, ties to the smaller id
-                    if score[p] > score[sp] or (score[p] == score[sp] and ids[p] < ids[sp]):
-                        sp = p
+                    s = score[p]
+                    if s > best or (s == best and ids[p] < ids[sp]):
+                        sp, best = p, s
                 # the mergeset: i's past minus sp's past and sp, rebased to
                 # sp's low (sp's past lies inside i's, so lo >= base)
                 base = low[sp]
@@ -463,9 +465,15 @@ def k_for_network(delay: float, rate: float, delta: float) -> int:
     cdf = 0.0
     m = 0
     while True:
-        cdf += math.exp(-mu + m * log_mu - math.lgamma(m + 1))
+        term = math.exp(-mu + m * log_mu - math.lgamma(m + 1))
+        stalled = cdf + term == cdf
+        cdf += term
         if m >= 1 and 1.0 - cdf < delta:
             return m - 1
+        # past the mode the terms only shrink, so once one leaves the sum
+        # unchanged every later one does: the cap would be reached unmoved
+        if stalled and m > mu:
+            raise InvalidParameter("window parameters do not converge")
         m += 1
         if m > cap:
             raise InvalidParameter("window parameters do not converge")

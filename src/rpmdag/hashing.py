@@ -22,7 +22,8 @@ Each encoder here has one byte contract:
   encoder; anything else (a bool, a subclass, NaN or an infinity) goes
   to canonical_json, so it gives the same bytes or the same error.
 - encode_bytes, encode_str, encode_f64: length-prefixed or fixed-width
-  fields that hash inputs are built from.
+  fields that hash inputs are built from. The length prefix is pack_u32,
+  a big-endian u32, and encode_f64 is a big-endian IEEE double.
 
 Each of canonical_json and sorted_json is one call of CPython's C
 encoder (json.encoder.c_make_encoder) with its settings and a fresh
@@ -173,14 +174,15 @@ def opaque_token(value) -> bool:
     return isinstance(value, str) and _TOKEN.fullmatch(value) is not None
 
 
+# precompiled, so a call does not look its format up
+pack_u32 = struct.Struct(">I").pack
+encode_f64 = struct.Struct(">d").pack
+
+
 def encode_bytes(data: bytes) -> bytes:
     # u32 length prefix keeps field boundaries unambiguous
-    return struct.pack(">I", len(data)) + data
+    return pack_u32(len(data)) + data
 
 
 def encode_str(text: str) -> bytes:
     return encode_bytes(text.encode())
-
-
-def encode_f64(value: float) -> bytes:
-    return struct.pack(">d", value)

@@ -366,12 +366,13 @@ class Ledger:
         if not float_time(now):
             raise FormatError(f"seal time 'now' must be a finite number, got {shown(now)}")
         # block time only moves forward: no block is older than a parent
-        newest = max(self.dag.blocks[tip].timestamp for tip in self.dag.tips)
+        tips = self.dag.tips
+        newest = max(self.dag.blocks[tip].timestamp for tip in tips)
         if now < newest:
             raise FormatError(f"seal time {shown(now)} is before the newest block's time {shown(newest)}")
         payload = tuple(self.pool[: self.max_block_txs])
         del self.pool[: self.max_block_txs]
-        block = Block.create(sorted(self.dag.tips), payload, now, creator)
+        block = Block.create(sorted(tips), payload, now, creator)
         self.dag.add(block)
         return block
 

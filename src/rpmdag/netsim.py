@@ -160,8 +160,9 @@ class StepLog:
         """The blocks node idx took, in the order it took them: the ones it
         created, and every other node's as they were delivered."""
         name = self.creators[idx]
+        # a creation (0) of its own or a delivery (1) of another node's
         return [block for block, kind in zip(self.blocks, self.kinds)
-                if (kind == _CREATED) == (block.creator == name)]
+                if (block.creator == name) != kind]
 
 
 @dataclass
@@ -301,25 +302,29 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
     # (due time, creator, block): with one fixed delay, deliveries fall due
     # in creation order, so a FIFO holds them
     deliveries: deque[tuple[float, int, Block]] = deque()
+    # the per-step callables, looked up once per run
+    parents, take, deliver, record = views.parents, views.take, views.deliver, steps.add
+    create, draw, pick = Block.create, rng.expovariate, rng.randrange
+    rate, duration, delay, nodes = config.rate_lambda, config.duration, config.delay_d, config.nodes
 
-    t = rng.expovariate(config.rate_lambda)
-    while t <= config.duration or deliveries:
-        if deliveries and (t > config.duration or deliveries[0][0] <= t):
+    t = draw(rate)
+    while t <= duration or deliveries:
+        if deliveries and (t > duration or deliveries[0][0] <= t):
             # a delivery due by the next creation time, a tie included, goes first
             _, creator, block = deliveries.popleft()
-            views.deliver(creator, block)
-            steps.add(block, _DELIVERED)
+            deliver(creator, block)
+            record(block, _DELIVERED)
             continue
-        idx = rng.randrange(config.nodes)
-        block = Block.create(views.parents(idx), (), t, creators[idx])
+        idx = pick(nodes)
+        block = create(parents(idx), (), t, creators[idx])
         # the creator refuses a duplicate or a missing parent before the
         # block is kept
-        views.take(idx, block)
-        steps.add(block, _CREATED)
+        take(idx, block)
+        record(block, _CREATED)
         # one entry reaches every other node at once; on a one-node run it
         # reaches none and draws nothing from rng
-        deliveries.append((t + config.delay_d, idx, block))
-        t += rng.expovariate(config.rate_lambda)
+        deliveries.append((t + delay, idx, block))
+        t += draw(rate)
 
     # the FIFO is empty, so every block has reached every node and the
     # views share one set

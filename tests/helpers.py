@@ -66,20 +66,46 @@ def reference_color(dag: BlockDag, k: int):
     return blue, scores, chosen
 
 
-def random_dag(rng, n: int, max_parents: int = 3) -> tuple[BlockDag, list[bytes]]:
+def random_dag(rng, n: int, max_parents: int = 3,
+               stale: float = 0.0) -> tuple[BlockDag, list[bytes]]:
     """Seeded DAG of n blocks; each new block picks 1..max_parents existing
-    blocks as parents, so creation order is already topological."""
+    blocks as parents, so creation order is already topological. With
+    stale > 0, each block past genesis is left out of every later pick with
+    that chance: it stays a tip for good and holds every later window open.
+    With stale 0 no extra number is drawn, so the DAG is the same as
+    before that option."""
     dag = BlockDag()
     g = genesis_block()
     dag.add(g)
     ids = [g.id]
+    live = [g.id]  # the blocks a later block may pick
     for i in range(1, n):
-        count = rng.randint(1, min(max_parents, len(ids)))
-        parents = rng.sample(ids, count)
+        count = rng.randint(1, min(max_parents, len(live)))
+        parents = rng.sample(live, count)
         block = Block.create(parents, (), float(i), f"n{i}")
         dag.add(block)
         ids.append(block.id)
+        if not (stale and rng.random() < stale):
+            live.append(block.id)
     return dag, ids
+
+
+def walk_past(dag: BlockDag, bid: bytes) -> set[bytes]:
+    """bid's strict ancestors by a walk over the blocks' parents; it reads
+    none of the windows the DAG's own queries read."""
+    seen: set[bytes] = set()
+    stack = list(dag.blocks[bid].parents)
+    while stack:
+        cur = stack.pop()
+        if cur not in seen:
+            seen.add(cur)
+            stack.extend(dag.blocks[cur].parents)
+    return seen
+
+
+def fold_tips(tips: set[bytes], block: Block) -> set[bytes]:
+    """The tips after block is added to a DAG whose tips were tips."""
+    return (tips - set(block.parents)) | {block.id}
 
 
 def make_chain(n: int) -> tuple[BlockDag, list[bytes]]:

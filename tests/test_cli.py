@@ -4,16 +4,25 @@ import gc
 import hashlib
 import json
 import os
+import random
 import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
+from rpmdag.dag import export_dag_text
 from rpmdag.fixtures import REFERENCE_K3_BLUE, REFERENCE_K3_RED, reference_k3_text
 from rpmdag.ledger import PUBLIC, Ledger, Transaction, TxKind
 
-from helpers import CRAFTED_LEDGERS, crafted_ledger_text, run_cli, run_cli_process
+from helpers import (
+    CRAFTED_LEDGERS,
+    crafted_ledger_text,
+    fold_tips,
+    random_dag,
+    run_cli,
+    run_cli_process,
+)
 
 
 @pytest.fixture
@@ -44,6 +53,20 @@ def test_dag_import_summary(dag_file):
     code, out, _ = run_cli("dag", "import", "--file", dag_file)
     assert code == 0
     assert out.strip() == "blocks=11 tips=4 genesis=A"
+
+
+def test_dag_import_counts_the_tips_a_fold_over_its_blocks_gives(tmp_path):
+    # random DAGs whose stale blocks stay tips far back
+    path = tmp_path / "random.dag"
+    for seed in range(5):
+        dag, ids = random_dag(random.Random(seed), 40, stale=0.2)
+        names = {f"b{i}": bid for i, bid in enumerate(ids)}
+        path.write_text(export_dag_text(dag, names))
+        tips: set = set()
+        for block in dag.blocks.values():
+            tips = fold_tips(tips, block)
+        code, out, _ = run_cli("dag", "import", "--file", str(path))
+        assert (code, out) == (0, f"blocks=40 tips={len(tips)} genesis=b0\n")
 
 
 def test_dag_export_canonical_and_out_file(dag_file, tmp_path):
@@ -447,6 +470,27 @@ def test_audit_of_a_torn_log_counts_the_torn_record_and_names_its_offset(small_d
     code, out, _ = run_cli_process("ehr", "verify", "--store", str(state), "--ledger", ledger,
                                    "--record", record)
     assert code == 0 and out.startswith("intact ")
+
+
+def test_verify_of_the_record_a_torn_tail_cut_reports_it_torn(small_demo, tmp_path):
+    # verify gives the status audit lists for the same record, and exits 1
+    state = tmp_path / "state"
+    shutil.copytree(small_demo, state)
+    log = state / "ehr.log"
+    log.write_bytes(log.read_bytes()[:-5])
+    ledger = str(state / "private.ledger")
+    code, out, _ = run_cli_process("ehr", "audit", "--store", str(state), "--ledger", ledger)
+    torn = [line.split()[0] for line in out.splitlines() if line.endswith(" torn")]
+    assert code == 1 and len(torn) == 1
+    anchored = Ledger.load(ledger).confirmed().anchors[torn[0]]
+    code, out, _ = run_cli_process("ehr", "verify", "--store", str(state), "--ledger", ledger,
+                                   "--record", torn[0])
+    assert (code, out) == (1, f"torn recomputed=- anchored={anchored}\n")
+    # a record that nothing anchors is still unknown; the open warns first
+    code, out, err = run_cli_process("ehr", "verify", "--store", str(state), "--ledger", ledger,
+                                     "--record", "0" * 64)
+    assert (code, out) == (1, "") and err.endswith("\nerror: no record '000000000000'\n")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("layout", ["no-directory", "no-log"])

@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from helpers import make_chain, random_dag, reinsert_shuffled, stale_side_block_dag
+from helpers import (
+    fold_tips,
+    make_chain,
+    random_dag,
+    reinsert_shuffled,
+    stale_side_block_dag,
+    walk_past,
+)
 from rpmdag.dag import (
     Block,
     BlockDag,
@@ -145,7 +152,7 @@ def test_topological_order_is_linear_extension():
 
 
 def assert_windows_match_past(dag: BlockDag, case) -> None:
-    # past() walks parents and never reads the windows
+    # walk_past follows parents and never reads the windows, which past() reads
     ids, index, low, win = list(dag.blocks), dag.index, dag.low, dag.win
     assert dag.is_linear_extension(ids)
     assert index == {bid: i for i, bid in enumerate(ids)}
@@ -153,7 +160,7 @@ def assert_windows_match_past(dag: BlockDag, case) -> None:
     for i, bid in enumerate(ids):
         assert win[i] & 1 == 0 and win[i].bit_length() <= i - low[i]
         window = {ids[low[i] + j] for j in range(i - low[i]) if win[i] >> j & 1}
-        assert set(ids[: low[i]]) | window == dag.past(bid), (case, i)
+        assert set(ids[: low[i]]) | window == walk_past(dag, bid), (case, i)
 
 
 def test_past_windows_match_past():
@@ -163,6 +170,49 @@ def test_past_windows_match_past():
         # windows follow insertion order, so a shuffled one must work too
         for view in (dag, reinsert_shuffled(dag, rng)):
             assert_windows_match_past(view, seed)
+
+
+def test_past_future_and_anticone_match_the_past_masks():
+    # past_masks expands every window to a full-width mask: a block's past
+    # is its mask, its future the blocks whose masks hold it, and its
+    # anticone the rest but itself
+    for seed in range(30):
+        rng = random.Random(seed)
+        dag, _ = random_dag(rng, rng.randint(1, 40), max_parents=1 + seed % 4,
+                            stale=0.25 * (seed % 2))
+        for view in (dag, reinsert_shuffled(dag, rng)):
+            ids, _, masks = view.past_masks()
+            for x, bid in enumerate(ids):
+                past = {ids[j] for j in range(len(ids)) if masks[x] >> j & 1}
+                future = {ids[c] for c in range(len(ids)) if masks[c] >> x & 1}
+                assert view.past(bid) == past == walk_past(view, bid), (seed, x)
+                assert view.future(bid) == future, (seed, x)
+                assert view.anticone(bid) == set(ids) - past - future - {bid}, (seed, x)
+
+
+def test_tips_match_a_fold_after_every_add():
+    # stale blocks are never merged, so they stay tips far back and the
+    # walk that reads the tips runs down to the oldest of them
+    far_back = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        source, _ = random_dag(rng, rng.randint(1, 60), max_parents=1 + seed % 4, stale=0.2)
+        for view in (source, reinsert_shuffled(source, rng)):
+            dag, tips = BlockDag(), set()
+            for block in view.blocks.values():
+                dag.add(block)
+                tips = fold_tips(tips, block)
+                assert dag.tips == tips, seed
+            far_back = max(far_back, len(dag) - min(dag.index[t] for t in tips))
+            # a refused add leaves the tips as they were
+            stranger = Block.create((dag.genesis,), (), -1.0, "stranger")
+            for block in (dag.blocks[rng.choice(list(tips))],
+                          Block.create((stranger.id,), (), 0.5, "orphan")):
+                with pytest.raises((DuplicateBlock, MissingParent)):
+                    dag.add(block)
+                assert dag.tips == tips, seed
+            assert dag.tips is not dag.tips  # a fresh set on every read
+    assert far_back > 40
 
 
 def dag_state(dag: BlockDag):

@@ -472,6 +472,30 @@ def test_k_for_network_refuses_a_hopeless_window_near_the_cap_before_summing(mon
         k_for_network(delay, rate, delta)
 
 
+@pytest.mark.parametrize("delay, rate, delta", [(0.5, 1.0, 1e-17), (1e3, 1e3, 1e-17)])
+def test_k_for_network_refuses_a_stalled_sum_at_its_first_unchanged_term_past_the_mode(
+        monkeypatch, delay, rate, delta):
+    # the float sum stops just below 1, so 1 - cdf never drops below a delta
+    # under 1e-16; the refusal comes at the first term past the mode that
+    # leaves the sum unchanged, within 20 standard deviations of the mean
+    # here, not at the cap of ten million terms; a sum that runs past that
+    # budget raises _Summed, so the test needs no wall-clock bound
+    mu = 2.0 * delay * rate
+    budget = int(mu + 20 * math.sqrt(mu)) + 40
+    lgamma, calls = math.lgamma, [0]
+
+    def counted(x):
+        calls[0] += 1
+        if calls[0] > budget:
+            raise _Summed
+        return lgamma(x)
+
+    monkeypatch.setattr(math, "lgamma", counted)
+    with pytest.raises(InvalidParameter, match="^window parameters do not converge$"):
+        k_for_network(delay, rate, delta)
+    assert mu < calls[0] <= budget
+
+
 def test_convergence_and_confirmed_build_no_coloring(monkeypatch):
     # both read .order alone, so neither builds a Coloring
     def refuse(**fields):

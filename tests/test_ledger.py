@@ -33,7 +33,7 @@ from rpmdag.ledger import (
 )
 from rpmdag.pipeline import run_demo
 
-from helpers import CRAFTED_LEDGERS, crafted_ledger_text, reference_inspect_line
+from helpers import CRAFTED_LEDGERS, crafted_ledger_text, fold_tips, reference_inspect_line
 
 WRITERS = {"svc", "sealer"}
 
@@ -534,6 +534,24 @@ def build_ledger() -> Ledger:
             ledger.seal_block("sealer", float(n))
     ledger.seal_block("sealer", 10.0)
     return ledger
+
+
+def test_seal_block_names_every_tip_in_sorted_order():
+    # side blocks added past seal_block leave several tips, stale ones too;
+    # each seal names the tips a fold over the added blocks gives, sorted
+    rng = random.Random(34)
+    ledger = Ledger(PRIVATE, 2, WRITERS)
+    tips = {ledger.dag.genesis}
+    for step in range(1, 40):
+        if rng.random() < 0.6:
+            parents = rng.sample(sorted(ledger.dag.blocks), rng.randint(1, 2))
+            block = Block.create(parents, (), float(step), "sealer")
+            ledger.dag.add(block)
+        else:
+            block = ledger.seal_block("sealer", float(step))
+            assert block.parents == tuple(sorted(tips)), step
+        tips = fold_tips(tips, block)
+    assert ledger.dag.tips == tips and len(tips) > 1
 
 
 def test_persistence_round_trip(tmp_path):

@@ -10,7 +10,7 @@ import types
 
 import pytest
 
-from helpers import random_dag
+from helpers import fold_tips, random_dag, walk_past
 from rpmdag import dag as dag_module
 from rpmdag import netsim
 from rpmdag.dag import Block, BlockDag, genesis_block
@@ -285,8 +285,8 @@ def test_trace_jsonl_format():
 
 
 def test_past_masks_and_max_anticone_match_definitions():
-    # the shared bitmask builder against BlockDag.past, and the bitmask
-    # anticone maximum against BlockDag.anticone
+    # the shared bitmask builder against a walk over parents, and the
+    # bitmask anticone maximum against BlockDag.anticone
     for seed in range(40):
         rng = random.Random(seed)
         dag, _ = random_dag(rng, rng.randint(1, 30))
@@ -294,7 +294,7 @@ def test_past_masks_and_max_anticone_match_definitions():
         assert ids == list(dag.blocks) and dag.is_linear_extension(ids)
         assert index == {bid: i for i, bid in enumerate(ids)}
         for i, bid in enumerate(ids):
-            assert {ids[j] for j in range(len(ids)) if past[i] >> j & 1} == dag.past(bid)
+            assert {ids[j] for j in range(len(ids)) if past[i] >> j & 1} == walk_past(dag, bid)
         expected = max(len(dag.anticone(b)) for b in dag.blocks)
         assert _max_anticone(dag) == expected, f"seed {seed}"
     assert _max_anticone(BlockDag()) == 0
@@ -347,6 +347,19 @@ def test_max_observed_anticone_matches_brute_force_on_small_runs(mode, nodes, se
     if mode == MODE_LONGEST_CHAIN:
         # a tree: n - height - subtree is the window count
         assert _tree_max_anticone(trace.blocks, chain_heights(trace.blocks)) == _max_anticone(dag)
+
+
+def test_tips_match_a_fold_on_every_node_replay():
+    # each node's replay, as check_convergence builds it, after every add
+    _, trace = run(config(nodes=4, rate_lambda=20.0, duration=10.0, seed=5))
+    for idx in range(4):
+        dag = BlockDag().add(trace.blocks[trace.genesis])
+        tips = {trace.genesis}
+        for block in trace.events.received(idx):
+            dag.add(block)
+            tips = fold_tips(tips, block)
+            assert dag.tips == tips, idx
+        assert len(dag) == len(trace.blocks)
 
 
 def test_anticone_counts_build_no_child_lists(monkeypatch):
