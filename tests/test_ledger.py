@@ -193,7 +193,8 @@ def test_ident_is_the_encoded_envelope_for_every_kind_author_and_body():
         assert Transaction(kind, body, 0.0, author).ident == _envelope(kind, body, author)
 
 
-@pytest.mark.parametrize("body", [{"v": math.nan}, {"v": math.inf}, {"v": object()},
+@pytest.mark.parametrize("body", [{"v": math.nan}, {"v": math.inf},
+                                  pytest.param({"v": object()}, id="{'v': object()}"),
                                   {"v": b"raw"}, {1: "a", "b": 2}], ids=repr)
 def test_ident_refuses_a_body_as_the_envelope_does(body):
     with pytest.raises((ValueError, TypeError)) as enveloped:
