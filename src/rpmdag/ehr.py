@@ -53,6 +53,17 @@ class VerifyResult:
     anchored_hash: str | None
 
 
+def _header_line(content_hash: str, length: int, patient: str, record_id: str, stored_at) -> bytes:
+    """A record's header line with its newline: the one spelling store
+    writes and the open takes. It is sorted_json of the five fields, keys
+    in sorted order; each value must already pass the checks of store, so
+    each is spelt as the encoder would spell it."""
+    return (b'{"content_hash": "%s", "content_len": %d, "patient": %s, "record_id": "%s",'
+            b' "stored_at": %s}\n' % (content_hash.encode(), length,
+                                      encode_basestring_ascii(patient).encode(),
+                                      record_id.encode(), json_number(stored_at)))
+
+
 def _record_id(patient: str, position: int, content_digest: bytes) -> str:
     """The id of the record at position in the log: binds its patient and
     content digest, so an edit to either in a header changes the id."""
@@ -67,8 +78,9 @@ class EhrStore:
     Records are framed as a JSON header line followed by the raw content
     bytes and a newline. The index maps each record_id to its content
     offset, content length, patient, stored_at and content_hash; it is
-    rebuilt by scanning the log on open, which checks each header, its
-    record_id binding and the newline after its content once. A last record
+    rebuilt by scanning the log on open, which checks each header's values,
+    its record_id binding, its spelling (the bytes store writes for those
+    values) and the newline after its content once. A last record
     cut short (by a crash mid-append) is a torn tail: it is not indexed, and
     store refuses to append after it. With no directory the log lives in
     memory, which is enough for simulations and tests.
@@ -113,7 +125,6 @@ class EhrStore:
                 self._tear(offset)
                 break
             try:
-                # the header and nothing else: "\r\n" or a space is refused
                 header = parse_json(header_line[:-1].decode("utf-8"))
                 record_id = header["record_id"]
                 patient = header["patient"]
@@ -140,6 +151,9 @@ class EhrStore:
                     f"corrupt record header at offset {offset}: record_id does not match"
                     " its patient, position and content_hash"
                 )
+            if header_line != _header_line(content_hash, length, patient, record_id, stored_at):
+                raise FormatError(
+                    f"corrupt record header at offset {offset}: not spelt as store writes it")
             start = offset + len(header_line)
             log.seek(start + length)
             separator = log.read(1)
@@ -177,14 +191,7 @@ class EhrStore:
         content_digest = digest(content)
         content_hash = content_digest.hex()
         record_id = _record_id(patient, len(self._index), content_digest)
-        # sorted_json of the five fields, keys in sorted order: each value is
-        # checked above, so each is spelt as the encoder would spell it
-        header = (
-            b'{"content_hash": "%s", "content_len": %d, "patient": %s, "record_id": "%s",'
-            b' "stored_at": %s}\n' % (content_hash.encode(), len(content),
-                                      encode_basestring_ascii(patient).encode(),
-                                      record_id.encode(), json_number(now))
-        )
+        header = _header_line(content_hash, len(content), patient, record_id, now)
         start = self._log.seek(0, io.SEEK_END) + len(header)
         framed = header + content + b"\n"
         written = self._log.write(framed)

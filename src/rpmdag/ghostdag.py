@@ -450,22 +450,24 @@ def k_for_network(delay: float, rate: float, delta: float) -> int:
         # about 2e-300 already gives 0
         return 0
     cap = 10_000_000  # the most terms summed
-    # a window whose sum cannot pass 1 - delta by the cap is refused without
-    # running it, when either bound on P(X <= cap) is below 1 - delta: for mu
-    # > cap, e * exp(cap - mu) * (mu / cap) ** cap (a Chernoff bound, times
-    # e); for any mu, its normal approximation plus 1 / sqrt(mu), which
-    # covers the Berry-Esseen error 0.4748 / sqrt(mu) and the sum's rounding
-    root = math.sqrt(mu)
-    if (
-        mu > cap and cap - mu + cap * math.log(mu / cap) < math.log1p(-delta) - 1
-        or 0.5 * math.erfc((mu - cap) / root / math.sqrt(2.0)) + 1.0 / root < 1.0 - delta
-    ):
-        raise InvalidParameter("window parameters do not converge")
     log_mu = math.log(mu)
+
+    def log_term(m: int) -> float:
+        return -mu + m * log_mu - math.lgamma(m + 1)
+
+    # the log-term rises up to the mode, and every term below exp(-800) is
+    # 0.0 as a float, so the sum starts at the first that is not, found by
+    # bisection, with cdf as it would be had it summed from 0
+    lo, hi = 0, min(int(mu), cap + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if log_term(mid) < -800.0:
+            lo = mid + 1
+        else:
+            hi = mid
     cdf = 0.0
-    m = 0
-    while True:
-        term = math.exp(-mu + m * log_mu - math.lgamma(m + 1))
+    for m in range(lo, cap + 1):
+        term = math.exp(log_term(m))
         stalled = cdf + term == cdf
         cdf += term
         if m >= 1 and 1.0 - cdf < delta:
@@ -473,7 +475,5 @@ def k_for_network(delay: float, rate: float, delta: float) -> int:
         # past the mode the terms only shrink, so once one leaves the sum
         # unchanged every later one does: the cap would be reached unmoved
         if stalled and m > mu:
-            raise InvalidParameter("window parameters do not converge")
-        m += 1
-        if m > cap:
-            raise InvalidParameter("window parameters do not converge")
+            break
+    raise InvalidParameter("window parameters do not converge")

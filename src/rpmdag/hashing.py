@@ -43,12 +43,11 @@ import fails on a Python without the _json accelerator.
 
 The value rules that more than one module applies to outside input are
 here too, each as one predicate that takes any value: utf8_text,
-finite_number, float_time, integer, whole_number, hex_digest and
-opaque_token. Every numeric parameter in the package is a time, amount,
-rate or bound checked with float_time, a count checked with
-whole_number, or a seed checked with integer, which rng_seed turns into
-what random.Random is seeded with. shown writes a refused value into an
-error message.
+float_time, integer, whole_number, hex_digest and opaque_token. Every
+numeric parameter in the package is a time, amount, rate or bound
+checked with float_time, a count checked with whole_number, or a seed
+checked with integer, which rng_seed turns into what random.Random is
+seeded with. shown writes a refused value into an error message.
 """
 
 from __future__ import annotations
@@ -120,22 +119,15 @@ def utf8_text(value) -> bool:
     return isinstance(value, str) and not _SURROGATE.search(value)
 
 
-def finite_number(value) -> bool:
-    """An int or a finite float, and not a bool. An int of any size is
-    finite, and math.isfinite would overflow on one above the float range."""
+def float_time(value) -> bool:
+    """An int or a finite float that a float can hold, and not a bool, as
+    a time saved by its float repr must be. An int is compared with the
+    float range exactly, where math.isfinite would overflow on one above
+    it; NaN and the infinities fail the same compare."""
     if type(value) is float:  # the common case, answered at once
         return math.isfinite(value)
-    return not isinstance(value, bool) and (
-        isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-    )
-
-
-def float_time(value) -> bool:
-    """A finite number a float can hold, as a time saved by its float repr
-    must be."""
-    if type(value) is float:  # a finite float is always in the float range
-        return math.isfinite(value)
-    return finite_number(value) and abs(value) <= sys.float_info.max
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def integer(value) -> bool:

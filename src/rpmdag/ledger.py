@@ -34,7 +34,7 @@ from .errors import (
     Unauthorized,
 )
 from .ghostdag import GhostdagParams, ghostdag_run
-from .hashing import (DIGEST_ALG, canonical_json, digest, finite_number, float_time, hex_digest,
+from .hashing import (DIGEST_ALG, canonical_json, digest, float_time, hex_digest,
                       json_number, opaque_token, parse_json, shown, sorted_json, utf8_text,
                       whole_number)
 
@@ -249,7 +249,7 @@ def _check_access_change_body(body) -> None:
             raise FormatError(f"access_change field {name!r} must be a string")
     if body.get("scope") not in SCOPE_NAMES:
         raise FormatError(f"access_change field 'scope' must be one of {list(SCOPE_NAMES)}")
-    if not finite_number(body.get("at")):
+    if not float_time(body.get("at")):
         raise FormatError("access_change field 'at' must be a number")
 
 
@@ -421,12 +421,7 @@ class Ledger:
         the header, then the blocks in topological order."""
         yield self._header() + "\n"
         for bid in self.dag.topological_order():
-            block = self.dag.blocks[bid]
-            parents = ",".join(sorted(p.hex() for p in block.parents))
-            chunks = (binascii.b2a_base64(tx.wire_bytes(), newline=False) for tx in block.payload)
-            payload = b",".join(chunks).decode()
-            timestamp = float(block.timestamp)  # an int time saves as the float it loads as
-            yield f"{bid.hex()}: {parents} | {payload} | {timestamp!r} | {block.creator}\n"
+            yield _block_line(self.dag.blocks[bid]) + "\n"
 
     def save_text(self) -> str:
         return "".join(self._save_lines())
@@ -467,8 +462,13 @@ class Ledger:
     def _parse(cls, lines) -> "Ledger":
         """The ledger saved in lines, the file split at "\n" only and
         numbered from 1; blank lines are skipped. Any other line break
-        character, "\r" too, is part of its line, and no whitespace is
-        stripped around the separators _save_lines writes."""
+        character, "\r" too, is part of its line.
+
+        One spelling: the header must be _header() and each block line
+        _block_line of the block it decodes to, so a line that decodes
+        to the same values under another spelling is refused like any
+        other edit. The checks before that compare test what the values
+        mean."""
         numbered = ((n, ln) for n, ln in enumerate(lines, start=1) if ln and not ln.isspace())
         _, first = next(numbered, (0, ""))
         if not first.startswith("# rpmdag-ledger v1 "):
@@ -490,8 +490,8 @@ class Ledger:
             raise FormatError(f"ledger header is missing {exc}") from None
 
         ledger = cls(visibility, k, writers, max_txs)
-        # one spelling, as for block lines: no unknown, repeated, missing or
-        # reordered field, and the writers sorted
+        # no unknown, repeated, missing or reordered field, and the writers
+        # sorted
         if first != ledger._header():
             raise FormatError(f"ledger header is not spelt as save writes it: {ledger._header()!r}")
         by_hex: dict[str, BlockId] = {}  # the blocks read so far
@@ -510,7 +510,7 @@ class Ledger:
             txs = []
             for chunk in payload_col.split(",") if payload_col else ():
                 try:
-                    obj = parse_json(_chunk_bytes(chunk).decode("utf-8"))
+                    obj = parse_json(binascii.a2b_base64(chunk).decode("utf-8"))
                 except (ValueError, RecursionError) as exc:
                     raise FormatError(f"line {lineno}: bad payload: {exc}") from None
                 _share_strings(obj, shared)
@@ -520,12 +520,10 @@ class Ledger:
                 except (FormatError, KindNotAdmissible, PhiLeak) as exc:
                     raise FormatError(f"line {lineno}: {exc}") from None
                 txs.append(tx)
-            # the column must be the one spelling save writes, so a respelt
-            # time such as "+1.0" or "1.0e0" is refused like any other edit,
-            # and a finite one, as seal_block takes no other
+            # finite, as seal_block takes no other time
             try:
                 timestamp = float(ts_col)
-                if repr(timestamp) != ts_col or not finite_number(timestamp):
+                if not float_time(timestamp):
                     raise ValueError
             except ValueError:
                 raise FormatError(f"line {lineno}: bad timestamp {ts_col!r}") from None
@@ -536,41 +534,33 @@ class Ledger:
                 # fixes
                 if by_hex:
                     raise FormatError(f"line {lineno}: a second block without parents")
-                if declared != ledger.dag.genesis.hex() or block.id != ledger.dag.genesis:
+                if block.id != ledger.dag.genesis:
                     raise FormatError(f"line {lineno}: genesis does not match the ledger header")
-                by_hex[declared] = block.id
-                continue
-            if block.id.hex() != declared:
+            elif block.id.hex() != declared:
                 raise FormatError(f"line {lineno}: block content does not match its id")
-            if timestamp < max(ledger.dag.blocks[p].timestamp for p in parent_ids):
+            elif timestamp < max(ledger.dag.blocks[p].timestamp for p in parent_ids):
                 raise FormatError(f"line {lineno}: block time {ts_col} is before a parent's time")
-            try:
-                ledger.dag.add(block)
-            except DuplicateBlock as exc:
-                raise FormatError(f"line {lineno}: {exc}") from None
-            by_hex[block.id.hex()] = block.id
+            if line != _block_line(block):
+                raise FormatError(f"line {lineno}: block line is not spelt as save writes it")
+            if parent_ids:
+                try:
+                    ledger.dag.add(block)
+                except DuplicateBlock as exc:
+                    raise FormatError(f"line {lineno}: {exc}") from None
+            by_hex[declared] = block.id
         if not by_hex:
             raise FormatError("ledger has no genesis line")
         return ledger
 
 
-def _chunk_bytes(chunk: str) -> bytes:
-    """The bytes a payload chunk holds, when it is spelt as save writes it:
-    b2a_base64 of them, without a newline. Any other spelling raises
-    ValueError, the same way on every Python: a2b_base64 skips a character
-    outside the alphabet, and takes padding or pad bits save never writes,
-    each Python its own way.
-
-    A chunk as long as the encoding of its bytes holds nothing a2b_base64
-    skipped or ignored, so it can differ from that encoding only in the
-    unused bits of a padded last quad; only that quad is encoded again."""
-    raw = binascii.a2b_base64(chunk)
-    tail = len(raw) % 3  # bytes in a padded last quad
-    if len(chunk) != (len(raw) + 2) // 3 * 4 or (
-        tail and binascii.b2a_base64(raw[-tail:], newline=False) != chunk[-4:].encode()
-    ):
-        raise ValueError("chunk is not base64 as save writes it")
-    return raw
+def _block_line(block: Block) -> str:
+    """A block's saved line, without its newline: the one spelling
+    _save_lines writes and _parse takes."""
+    parents = ",".join(sorted(p.hex() for p in block.parents))
+    chunks = [binascii.b2a_base64(tx.wire_bytes(), newline=False) for tx in block.payload]
+    payload = b",".join(chunks).decode()
+    timestamp = float(block.timestamp)  # an int time saves as the float it loads as
+    return f"{block.id.hex()}: {parents} | {payload} | {timestamp!r} | {block.creator}"
 
 
 # body fields whose string values repeat across transactions: patient
@@ -635,10 +625,10 @@ class DualLedger:
 
 def _inspect_value(value) -> str:
     """sorted_json(value) for an entry's author or time: a str by the
-    encoder's own escape, a finite number by json_number."""
+    encoder's own escape, a number a float can hold by json_number."""
     if type(value) is str:
         return encode_basestring_ascii(value)
-    if finite_number(value):
+    if float_time(value):
         return json_number(value).decode()
     return sorted_json(value)
 

@@ -175,6 +175,36 @@ def test_a_header_with_whitespace_around_its_json_is_refused_at_its_offset(tmp_p
         EhrStore(str(tmp_path))
 
 
+# respellings of a header that decode to its values: each opened with its
+# record indexed before one spelling was required
+HEADER_RESPELLINGS = {
+    "keys-reversed": lambda header: json.dumps(dict(reversed(json.loads(header).items()))).encode(),
+    "time-as-1e1": lambda header: header.replace(b'"stored_at": 10.0', b'"stored_at": 1e1'),
+    "compact": lambda header: json.dumps(json.loads(header), sort_keys=True,
+                                         separators=(",", ":")).encode(),
+    "escaped-ascii": lambda header: header.replace(b'"p-02"', b'"\\u0070-02"'),
+}
+
+
+@pytest.mark.parametrize("respell", HEADER_RESPELLINGS.values(), ids=HEADER_RESPELLINGS.keys())
+def test_a_header_respelt_is_refused_at_its_offset(tmp_path, respell):
+    store = EhrStore(str(tmp_path))
+    store.store(b"p-01 vitals", "p-01", now=1.0)
+    second = os.path.getsize(_log_path(tmp_path))
+    store.store(b"p-02 vitals", "p-02", now=10.0)
+    store.close()
+    raw = (tmp_path / LOG_NAME).read_bytes()
+    header_end = raw.index(b"\n", second)
+    header = raw[second:header_end]
+    respelt = respell(header)
+    assert respelt != header and json.loads(respelt) == json.loads(header)
+    (tmp_path / LOG_NAME).write_bytes(raw[:second] + respelt + raw[header_end:])
+    with pytest.raises(FormatError) as info:
+        EhrStore(str(tmp_path))
+    assert str(info.value) == (
+        f"corrupt record header at offset {second}: not spelt as store writes it")
+
+
 def test_duplicated_record_is_refused_at_its_own_offset(tmp_path):
     raw, second = _two_patient_log(tmp_path)
     with open(_log_path(tmp_path), "ab") as fh:

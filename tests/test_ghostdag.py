@@ -409,65 +409,80 @@ def test_k_for_network_is_the_plain_sum_on_a_seeded_grid():
         assert k_for_network(delay, rate, delta) == summed_k(delay, rate, delta)
 
 
+class _OverBudget(Exception):
+    """Raised by the lgamma call past k_for_network's budget."""
+
+
+def _lgamma_budget(monkeypatch, mu: float) -> list[float]:
+    """Count k_for_network's lgamma calls, one per term it computes and
+    one per bisection step, and raise _OverBudget past 50 * sqrt(mu) + 100:
+    its sum starts where the terms stop underflowing, about 40 standard
+    deviations below the mean, so no window sums from 0 or runs to the
+    ten-million-term cap. The list holds each argument passed."""
+    lgamma, calls = math.lgamma, []
+    budget = 50 * math.sqrt(mu) + 100
+
+    def counted(x):
+        calls.append(x)
+        if len(calls) > budget:
+            raise _OverBudget
+        return lgamma(x)
+
+    monkeypatch.setattr(math, "lgamma", counted)
+    return calls
+
+
+# Windows (delay, rate, delta) whose sum returns at the edge of the
+# ten-million-term cap, with the k it returns. The first four are, per
+# delta, the largest integer mu = 2 * delay * rate with rate 1 whose sum
+# returns, found by bisecting the sum itself; the sum refuses mu + 1.
+RETURNED_AT_THE_CAP = {
+    (4999599.5, 1.0, 0.4): 9_999_999,
+    (4996322.5, 1.0, 0.01): 9_999_999,
+    (5000000.0, 1.0, 0.5): 9_999_999,
+    (5004888.0, 1.0, 0.999): 9_999_999,
+    (5e6, 1.0, 0.99): 9_992_643,
+    (5002500, 1.0, 0.999): 9_995_226,
+}
+
+
+@pytest.mark.parametrize("delay, rate, delta", list(RETURNED_AT_THE_CAP))
+def test_k_for_network_sums_every_window_it_returns(monkeypatch, delay, rate, delta):
+    # each returns its k within the budget; a sum from 0 would take about
+    # 3 s and ten million lgamma calls
+    calls = _lgamma_budget(monkeypatch, 2.0 * delay * rate)
+    assert k_for_network(delay, rate, delta) == RETURNED_AT_THE_CAP[delay, rate, delta]
+    assert calls
+
+
 @pytest.mark.parametrize("delay, rate, delta", [
     (1e4, 1e4, 0.01), (1e4, 1e4, 1 - 1e-16), (5e6, 1.01, 0.5), (1e150, 1e150, 0.01),
 ])
 def test_k_for_network_refuses_a_window_past_the_cap_before_summing(monkeypatch, delay, rate,
                                                                      delta):
-    # mu = 2 * delay * rate is far enough above the cap that no sum could
-    # pass 1 - delta before it, so not one term is computed
-    lgamma = math.lgamma
-    calls = []
-    monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
-    assert k_for_network(0.5, 1.0, 0.01) == 3 and calls
-    calls.clear()
+    # mu = 2 * delay * rate is past the cap; every term up to the cap is 0.0
+    # as a float when mu is past it by more than the bisection's reach, so
+    # every lgamma call is one bisection step, about log2 of ten million, and
+    # no term is summed; 5e6 * 1.01 sums the last few tens of thousands
+    mu = 2.0 * delay * rate
+    calls = _lgamma_budget(monkeypatch, mu)
     with pytest.raises(InvalidParameter, match="^window parameters do not converge$"):
         k_for_network(delay, rate, delta)
-    assert calls == []
-
-
-class _Summed(Exception):
-    """Raised by the first term of k_for_network's Poisson sum."""
-
-
-def _stop_at_the_first_term(x):
-    raise _Summed
-
-
-# Windows (delay, rate, delta) whose sum returns at the edge of the
-# ten-million-term cap, with the k it returns; each takes about 3 s to sum.
-# The first four are, per delta, the largest integer mu = 2 * delay * rate
-# with rate 1 whose sum returns, found by bisecting the sum itself; the sum
-# refuses mu + 1.
-RETURNED_AT_THE_CAP = [
-    (4999599.5, 1.0, 0.4),  # k = 9,999,999
-    (4996322.5, 1.0, 0.01),  # k = 9,999,999
-    (5000000.0, 1.0, 0.5),  # k = 9,999,999
-    (5004888.0, 1.0, 0.999),  # k = 9,999,999
-    (5e6, 1.0, 0.99),  # k = 9,992,643
-    (5002500, 1.0, 0.999),  # k = 9,995,226
-]
-
-
-@pytest.mark.parametrize("delay, rate, delta", RETURNED_AT_THE_CAP)
-def test_k_for_network_sums_every_window_it_returns(monkeypatch, delay, rate, delta):
-    # no refusal before the sum takes a window the sum returns, so the sum
-    # gives the same k; the test stops it at its first term
-    monkeypatch.setattr(math, "lgamma", _stop_at_the_first_term)
-    with pytest.raises(_Summed):
-        k_for_network(delay, rate, delta)
+    if mu > 2e7:
+        assert len(calls) < 30
 
 
 @pytest.mark.parametrize("delay, rate, delta", [
     (5001000, 1.0, 0.4), (4999601.0, 1.0, 0.4), (4996342.0, 1.0, 0.01),
     (5000001.5, 1.0, 0.5), (5005064.5, 1.0, 0.999), (4999000, 1.0, 0.01), (5e6, 1.0, 0.01),
+    (2499800, 2.0, 0.4),
 ])
 def test_k_for_network_refuses_a_hopeless_window_near_the_cap_before_summing(monkeypatch, delay,
                                                                              rate, delta):
-    # out of the Chernoff check's reach, yet the sum cannot pass 1 - delta
-    # by the cap, which summing all of it takes about 3 s to find; the sum
-    # stops at its first term, so a window that reaches it raises _Summed
-    monkeypatch.setattr(math, "lgamma", _stop_at_the_first_term)
+    # on the refused side of each delta's edge, which a sum from 0 took
+    # about 3 s to refuse; the sum starts where its terms stop underflowing,
+    # so it stays within the lgamma budget of 50 * sqrt(mu) + 100 calls
+    _lgamma_budget(monkeypatch, 2.0 * delay * rate)
     with pytest.raises(InvalidParameter, match="^window parameters do not converge$"):
         k_for_network(delay, rate, delta)
 
@@ -478,22 +493,13 @@ def test_k_for_network_refuses_a_stalled_sum_at_its_first_unchanged_term_past_th
     # the float sum stops just below 1, so 1 - cdf never drops below a delta
     # under 1e-16; the refusal comes at the first term past the mode that
     # leaves the sum unchanged, within 20 standard deviations of the mean
-    # here, not at the cap of ten million terms; a sum that runs past that
-    # budget raises _Summed, so the test needs no wall-clock bound
+    # here, not at the cap of ten million terms
     mu = 2.0 * delay * rate
-    budget = int(mu + 20 * math.sqrt(mu)) + 40
-    lgamma, calls = math.lgamma, [0]
-
-    def counted(x):
-        calls[0] += 1
-        if calls[0] > budget:
-            raise _Summed
-        return lgamma(x)
-
-    monkeypatch.setattr(math, "lgamma", counted)
+    calls = _lgamma_budget(monkeypatch, mu)
     with pytest.raises(InvalidParameter, match="^window parameters do not converge$"):
         k_for_network(delay, rate, delta)
-    assert mu < calls[0] <= budget
+    # lgamma(m + 1) for the last term m summed
+    assert mu < calls[-1] - 1 <= mu + 20 * math.sqrt(mu) + 20
 
 
 def test_convergence_and_confirmed_build_no_coloring(monkeypatch):

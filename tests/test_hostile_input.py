@@ -13,11 +13,15 @@ commands that read them, are mutated at the byte level too, and so are
 the --config files and RPMDAG_* values of ledger inspect, ehr audit, ehr
 verify and acl check over saved state, and of acl grant and acl revoke,
 which must leave a saved acl ledger's bytes as they were when refused.
+Saved demo state is respelt: a payload chunk, a block line or an ehr.log
+header rewritten to decode to the same values, which the loaders and the
+commands that read the file must refuse, naming the line or offset.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import copy
 import json
 import math
@@ -32,6 +36,7 @@ from rpmdag.ehr import LOG_NAME, EhrStore
 from rpmdag.errors import FormatError, InvalidConfig, InvalidParameter, InvalidProfile
 from rpmdag.fixtures import reference_k3_text
 from rpmdag.ghostdag import GhostdagParams, k_for_network
+from rpmdag.hashing import canonical_json
 from rpmdag.ledger import PRIVATE, PUBLIC, Ledger, Transaction, TxKind, VitalKind
 from rpmdag.netsim import SimConfig, run, trace_lines
 from rpmdag.pipeline import (DeviceProfile, ThresholdRule, VitalReading, aggregate, run_demo,
@@ -574,6 +579,17 @@ def _k_for_network(**fields):
     return k_for_network(**{"delay": 1.0, "rate": 1.0, "delta": 0.01, **fields})
 
 
+def _access_change(at):
+    """Submit an access change that grants at `at`, decoded from its wire
+    record as a load decodes it; a NaN or an infinity is refused there, as
+    no transaction encodes it."""
+    body = {**GRANT, "at": at}
+    wire = {"kind": "access_change", "body": body, "submitted_at": 0.0, "author": "svc"}
+    with contextlib.suppress(ValueError):  # raised by the encoder, as from_wire raises it
+        wire["id"] = Transaction(TxKind.ACCESS_CHANGE, body, 0.0, "svc").id.hex()
+    Ledger(PRIVATE, 3, {"svc"}).submit(Transaction.from_wire(wire), "svc")
+
+
 def _ehr_content_len(tmp_path, value):
     store = EhrStore(str(tmp_path))
     store.store(b"x", "p-01")
@@ -603,6 +619,7 @@ NUMERIC_PARAMETERS = {
     "k_for_network.delay": (lambda v, _: _k_for_network(delay=v), InvalidParameter, None),
     "k_for_network.rate": (lambda v, _: _k_for_network(rate=v), InvalidParameter, None),
     "k_for_network.delta": (lambda v, _: _k_for_network(delta=v), InvalidParameter, None),
+    "access_change.at": (lambda v, _: _access_change(v), FormatError, None),
     "Ledger.max_block_txs": (lambda v, _: Ledger(PRIVATE, 3, {"svc"}, max_block_txs=v),
                              FormatError, 1),
     "EhrStore.content_len": (lambda v, tmp: _ehr_content_len(tmp, v), FormatError, 0),
@@ -661,3 +678,240 @@ def test_a_seed_of_any_sign_fixes_the_run():
     for n in (1, 5, 7, 128, 2**70, 10**400):
         assert _simulate(seed=-n) != _simulate(seed=n), n
         assert _sim_lines(-n) != _sim_lines(n), n
+
+
+# Respellings of saved state. Each case rewrites one record of a seed-11
+# demo's saved state so that it decodes to the same values: a payload chunk
+# (separators, key order, a number's spelling or an ASCII character as a
+# \u escape), a block line (its parents' order or its time's spelling, the
+# genesis line's too) or an ehr.log header (the same four as a chunk). The
+# loaders take one spelling of each record, the one its writer writes, so
+# each case is refused with FormatError naming its line or offset, and the
+# command that reads the file exits 1 with that one error line.
+
+RESPELT = "\x00respelt\x00"  # stands in for a respelt value until the text is built
+SEPARATORS = ((", ", ": "), (",", ":"), (", ", ":"), (",", ": "), (" ,", ":"), (",", " :"),
+              ("\t,", ":\t"))
+ESCAPABLE = re.compile("[A-Za-z0-9_.-]")  # ASCII a writer never escapes
+
+
+def _floats(value) -> list[float]:
+    """Every float in a decoded JSON value."""
+    if type(value) is float:
+        return [value]
+    items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+    return [x for item in items for x in _floats(item)]
+
+
+def _strings(value) -> list[str]:
+    """Every str, key or value, in a decoded JSON value."""
+    if isinstance(value, str):
+        return [value]
+    if isinstance(value, dict):
+        return [*value, *_strings(list(value.values()))]
+    return [s for item in value for s in _strings(item)] if isinstance(value, list) else []
+
+
+def _replaced(value, old, new):
+    """value with the first occurrence of the object old, key or value,
+    replaced by new, and every dict's keys in sorted order."""
+    done = []
+
+    def walk(v):
+        if v is old and not done:
+            done.append(True)
+            return new
+        if isinstance(v, dict):
+            return {walk(key): walk(v[key]) for key in sorted(v)}
+        return [walk(item) for item in v] if isinstance(v, list) else v
+
+    return walk(value)
+
+
+def _other_spellings(text: str, spellings, read) -> list[str]:
+    """The spellings besides text that read() takes as the same float."""
+    found = []
+    for spelling in spellings:
+        try:
+            value = read(spelling)
+        except ValueError:
+            continue
+        if (spelling != text and type(value) is float and value.hex() == float(text).hex()
+                and spelling not in found):
+            found.append(spelling)
+    return found
+
+
+def number_spellings(x: float) -> list[str]:
+    """Other spellings of x as a JSON number that decode to x itself:
+    10.0 as 10.00, 1e1, 1.00E+1 and the like."""
+    text = repr(x)
+    mantissa, _, exponent = text.partition("e")
+    sign, digits = ("-", mantissa[1:]) if mantissa.startswith("-") else ("", mantissa)
+    whole, _, fraction = digits.partition(".")
+    power = int(exponent or 0) + len(whole) - 1
+    scientific = f"{sign}{whole[0]}.{whole[1:]}{fraction}e{power}"
+    short = f"{sign}{whole[0]}.{(whole[1:] + fraction).rstrip('0') or '0'}e{power}"
+    return _other_spellings(text, (
+        f"{mantissa}0e{exponent}" if exponent else f"{text}0", f"{text}e0", text.upper(),
+        scientific, scientific.replace("e", "E+"), short, short.replace(".0e", "e"),
+    ), json.loads)
+
+
+def respell_json(rng: random.Random, value, separators) -> tuple[str, str]:
+    """(kind, text): value as JSON, keys sorted and non-ASCII escaped as
+    with these separators, but in one seeded respelling of that."""
+    kinds = ["separators", "key order"]
+    if any(number_spellings(x) for x in _floats(value)):
+        kinds.append("number")
+    if any(ESCAPABLE.search(s) for s in _strings(value)):
+        kinds.append("escape")
+    kind = rng.choice(kinds)
+    if kind == "separators":
+        other = rng.choice([pair for pair in SEPARATORS if pair != separators])
+        return kind, json.dumps(value, sort_keys=True, separators=other)
+    if kind == "key order":
+        def shuffled(v):
+            if isinstance(v, dict):
+                keys = list(v)
+                rng.shuffle(keys)
+                return {key: shuffled(v[key]) for key in keys}
+            return [shuffled(item) for item in v] if isinstance(v, list) else v
+        return kind, json.dumps(shuffled(value), separators=separators)
+    if kind == "number":
+        old = rng.choice([x for x in _floats(value) if number_spellings(x)])
+        spelt = rng.choice(number_spellings(old))
+    else:
+        old = rng.choice([s for s in _strings(value) if ESCAPABLE.search(s)])
+        i = rng.choice([i for i, c in enumerate(old) if ESCAPABLE.fullmatch(c)])
+        escape = rng.choice(("\\u{:04x}", "\\u{:04X}")).format(ord(old[i]))
+        spelt = json.dumps(old[:i])[:-1] + escape + json.dumps(old[i + 1:])[1:]
+    text = json.dumps(_replaced(value, old, RESPELT), separators=separators)
+    return kind, text.replace(json.dumps(RESPELT), spelt, 1)
+
+
+def timestamp_spellings(column: str) -> list[str]:
+    """Other spellings of a saved block time that float() reads as it."""
+    whole, _, fraction = column.partition(".")
+    return _other_spellings(column, (
+        *number_spellings(float(column)), f"+{column}", f" {column}", f"{column} ",
+        f"0{column}", f"{column}_0", f"{whole}.{fraction}{fraction[-1:]}_0",
+    ), float)
+
+
+@pytest.fixture(scope="module")
+def saved_demo(tmp_path_factory):
+    """A seed-11 demo's saved state, and merged.ledger beside it: the
+    private ledger with two blocks added on the genesis by dag.add and a
+    seal on top, so its last block has three parents."""
+    state = tmp_path_factory.mktemp("demo")
+    code, _, _ = run_cli("rpm", "demo", "--seed", "11", "--patients", "1",
+                         "--readings-per-device", "10", "--state-dir", str(state))
+    assert code == 0
+    merged = Ledger.load(state / "private.ledger")
+    for at in (1.0, 2.0):
+        merged.dag.add(Block.create([merged.dag.genesis], (), at, "sealer-1"))
+    newest = max(block.timestamp for block in merged.dag.blocks.values())
+    assert len(merged.seal_block("sealer-1", newest).parents) == 3
+    merged.save(state / "merged.ledger")
+    return state
+
+
+LEDGER_NAMES = ("private.ledger", "public.ledger", "merged.ledger")
+
+
+def respell_chunk(rng: random.Random, files) -> tuple[str, int, str, str]:
+    """(ledger name, line index, respelt line, kind) for one payload chunk."""
+    name = rng.choice(LEDGER_NAMES)
+    lines = files[name]
+    n = rng.choice([n for n, line in enumerate(lines) if line.split(" | ")[1:2] not in ([], [""])])
+    head, payload, *rest = lines[n].split(" | ")
+    chunks = payload.split(",")
+    j = rng.randrange(len(chunks))
+    raw = base64.b64decode(chunks[j])
+    kind, text = respell_json(rng, json.loads(raw), (",", ":"))
+    assert canonical_json(json.loads(text)) == raw, (kind, text)
+    chunks[j] = base64.b64encode(text.encode()).decode()
+    return name, n, " | ".join((head, ",".join(chunks), *rest)), kind
+
+
+def respell_block_line(rng: random.Random, files) -> tuple[str, int, str, str]:
+    """(ledger name, line index, respelt line, kind) for one block line:
+    the merged block's parents out of order, or a block's time, the
+    genesis's too, in another spelling."""
+    if rng.random() < 0.3:
+        lines = files["merged.ledger"]
+        n = next(n for n, line in enumerate(lines[1:], start=1)
+                 if line.split(" | ")[0].count(",") == 2)
+        head, rest = lines[n].split(" | ", 1)
+        bid, parents = head.split(": ")
+        order = parents.split(",")
+        while order == sorted(order):
+            rng.shuffle(order)
+        return "merged.ledger", n, f"{bid}: {','.join(order)} | {rest}", "parent order"
+    name = rng.choice(LEDGER_NAMES)
+    lines = files[name]
+    n = rng.choice([n for n, line in enumerate(lines[1:], start=1) if line])
+    head, payload, column, creator = lines[n].split(" | ")
+    spelt = rng.choice(timestamp_spellings(column))
+    kind = "genesis time" if n == 1 else "time"
+    return name, n, " | ".join((head, payload, spelt, creator)), kind
+
+
+@pytest.mark.parametrize("respell, kinds", [
+    (respell_chunk, {"separators", "key order", "number", "escape"}),
+    (respell_block_line, {"parent order", "time", "genesis time"}),
+], ids=["chunk", "block line"])
+def test_a_respelt_ledger_line_is_refused_with_its_line(tmp_path, saved_demo, respell, kinds):
+    rng = random.Random(8113 + (respell is respell_block_line))
+    files = {name: (saved_demo / name).read_text().split("\n") for name in LEDGER_NAMES}
+    seen = set()
+    for i in range(CASES):
+        name, n, line, kind = respell(rng, files)
+        if line == files[name][n]:
+            continue  # the same bytes: no respelling
+        seen.add(kind)
+        path = tmp_path / name
+        path.write_text("\n".join([*files[name][:n], line, *files[name][n + 1:]]))
+        case = (i, name, n + 1, kind, line[:100])
+        with pytest.raises(FormatError) as info:
+            Ledger.load(path)
+        assert str(info.value).startswith(f"line {n + 1}: "), (case, str(info.value))
+        result = assert_clean_exit(("ledger", "inspect", "--file", str(path)), case)
+        assert result == (1, "", f"error: {info.value}\n"), case
+    assert seen == kinds
+
+
+def _headers(log: bytes) -> list[tuple[int, bytes]]:
+    """(offset, header without its newline) of each record in an ehr.log."""
+    found, offset = [], 0
+    while offset < len(log):
+        end = log.index(b"\n", offset)
+        found.append((offset, log[offset:end]))
+        offset = end + 1 + json.loads(log[offset:end])["content_len"] + 1
+    return found
+
+
+def test_a_respelt_ehr_log_header_is_refused_at_its_offset(tmp_path, saved_demo):
+    rng = random.Random(8115)
+    log = (saved_demo / LOG_NAME).read_bytes()
+    headers = _headers(log)
+    ledger = str(saved_demo / "private.ledger")
+    seen = set()
+    for i in range(CASES):
+        offset, header = rng.choice(headers)
+        kind, text = respell_json(rng, json.loads(header), (", ", ": "))
+        respelt = text.encode()
+        if respelt == header:
+            continue
+        assert canonical_json(json.loads(respelt)) == canonical_json(json.loads(header))
+        seen.add(kind)
+        (tmp_path / LOG_NAME).write_bytes(log[:offset] + respelt + log[offset + len(header):])
+        case = (i, offset, kind, respelt[:120])
+        with pytest.raises(FormatError) as info:
+            EhrStore(str(tmp_path))
+        assert str(info.value).startswith(f"corrupt record header at offset {offset}: "), case
+        result = assert_clean_exit(("ehr", "audit", "--store", str(tmp_path), "--ledger",
+                                    ledger), case)
+        assert result == (1, "", f"error: {info.value}\n"), case
+    assert seen == {"separators", "key order", "number", "escape"}

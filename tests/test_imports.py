@@ -37,8 +37,8 @@ def test_every_absolute_import_is_standard_library():
 
 
 def test_only_hashing_calls_math_isfinite():
-    # every other module checks a number with hashing's finite_number or
-    # float_time, so the rule is said once
+    # every other module checks a number with hashing's float_time, so the
+    # rule is said once
     spelled = [
         f"{path.name}:{node.lineno}"
         for path, node in package_nodes()
