@@ -23,7 +23,7 @@ from .ehr import INTACT, LOG_NAME, TAMPERED, TORN, EhrStore, audit, verify
 from .errors import FormatError, InvalidParameter, RpmdagError, UnknownEntity, UnknownGrant
 from .ghostdag import GhostdagParams, ghostdag_run, k_for_network, max_k_cluster
 from .hashing import float_time, shown, utf8_text
-from .ledger import PRIVATE, SCOPE_NAMES, Ledger, inspect_lines
+from .ledger import PRIVATE, SCOPE_NAMES, Ledger, file_digest, inspect_lines
 from .netsim import MODE_BLOCKDAG, MODES, SimConfig, compare_modes, run, trace_lines
 from .pipeline import load_rules_json, run_demo
 
@@ -257,7 +257,9 @@ def _acl_open(args):
     if not float_time(args.at):
         raise InvalidParameter(f"at must be a finite time, got {shown(args.at)}")
     path = pathlib.Path(args.ledger)
-    if path.exists():
+    # taken before the load, so a save between the two is seen as a change
+    read_as = file_digest(path)
+    if read_as:
         ledger = Ledger.load(path)
     else:
         ledger = Ledger(PRIVATE, k=args.k, authorized_writers={AccessController.author, "acl-sealer"})
@@ -266,7 +268,7 @@ def _acl_open(args):
     for entity, entry in roster.items():
         controller.register(entity, entry["role"], entry["credential"])
     controller.load_grants(rebuild_grants(ledger))
-    return path, ledger, controller, roster
+    return (path, read_as), ledger, controller, roster
 
 
 def _session_for(controller: AccessController, roster: dict, entity: str):
@@ -276,30 +278,32 @@ def _session_for(controller: AccessController, roster: dict, entity: str):
     return controller.authenticate(entity, entry["credential"])
 
 
-def _acl_save(path, ledger: Ledger, at: float):
-    """Seal the pending access change and write the ledger back."""
+def _acl_save(source, ledger: Ledger, at: float):
+    """Seal the pending access change and write the ledger back, unless
+    the file changed after _acl_open read it."""
+    path, read_as = source
     ledger.seal_block("acl-sealer", at)
-    ledger.save(path)
+    ledger.save(path, read_as)
 
 
 def cmd_acl_grant(args) -> int:
-    path, ledger, controller, roster = _acl_open(args)
+    source, ledger, controller, roster = _acl_open(args)
     session = _session_for(controller, roster, args.grantor)
     grant = controller.grant(session, args.grantee, Scope(args.scope))
-    _acl_save(path, ledger, args.at)
+    _acl_save(source, ledger, args.at)
     print(grant.grant_id)
     return 0
 
 
 def cmd_acl_revoke(args) -> int:
-    path, ledger, controller, roster = _acl_open(args)
+    source, ledger, controller, roster = _acl_open(args)
     table = controller.grant_table()
     grant = table.get(args.grant_id)
     if grant is None:
         raise UnknownGrant(f"no grant {args.grant_id!r}")
     session = _session_for(controller, roster, grant.grantor)
     controller.revoke(session, args.grant_id)
-    _acl_save(path, ledger, args.at)
+    _acl_save(source, ledger, args.at)
     print(f"revoked {args.grant_id}")
     return 0
 

@@ -22,7 +22,7 @@ from .errors import (
     FormatError,
     UnknownRecord,
 )
-from .hashing import (digest, encode_str, float_time, hex_digest, json_number, parse_json, shown,
+from .hashing import (digest, float_time, hex_digest, json_number, pack_u32, parse_json, shown,
                       utf8_text, whole_number)
 from .ledger import Ledger, Scope, Transaction, TxKind
 
@@ -67,9 +67,10 @@ def _header_line(content_hash: str, length: int, patient: str, record_id: str, s
 def _record_id(patient: str, position: int, content_digest: bytes) -> str:
     """The id of the record at position in the log: binds its patient and
     content digest, so an edit to either in a header changes the id."""
-    return digest(
-        b"ehr-record" + encode_str(patient) + encode_str(str(position)) + content_digest
-    ).hex()
+    name, place = patient.encode(), b"%d" % position
+    # patient and position framed as encode_str frames them, in one join
+    return digest(b"".join((b"ehr-record", pack_u32(len(name)), name, pack_u32(len(place)), place,
+                            content_digest))).hex()
 
 
 class EhrStore:

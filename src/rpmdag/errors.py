@@ -71,6 +71,11 @@ class PhiLeak(RpmdagError):
     """An alert body carried fields outside the permitted schema."""
 
 
+class StaleLedger(RpmdagError):
+    """The ledger file changed after it was read, so a save over it would
+    lose that change."""
+
+
 # EHR store and anchoring
 
 class EmptyContent(RpmdagError):

@@ -18,18 +18,23 @@ Each encoder here has one byte contract:
 - json_number: canonical_json(value) for one number, the spelling a
   saved submitted_at takes. An exact int or finite float is written by
   int.__repr__ or float.__repr__, which are the functions the C encoder
-  itself calls for them, so the bytes are the same without building an
+  itself calls for them, so the bytes are the same without a call of the
   encoder; anything else (a bool, a subclass, NaN or an infinity) goes
   to canonical_json, so it gives the same bytes or the same error.
 - encode_bytes, encode_str, encode_f64: length-prefixed or fixed-width
   fields that hash inputs are built from. The length prefix is pack_u32,
   a big-endian u32, and encode_f64 is a big-endian IEEE double.
 
-Each of canonical_json and sorted_json is one call of CPython's C
-encoder (json.encoder.c_make_encoder) with its settings and a fresh
-circular-reference map, so no state outlives a call and both are
-reentrant and thread-safe. The bytes, and the ValueError for a value
-that contains itself or TypeError for an unserialisable one, are what
+Each of canonical_json and sorted_json calls one CPython C encoder
+(json.encoder.c_make_encoder) with its settings, built once at import
+with no circular-reference map (markers=None, as json.encoder builds it
+for check_circular=False). Such an encoder keeps no state, so both are
+reentrant and thread-safe, and a call builds nothing before it encodes.
+A value that contains itself then recurses until RecursionError; on that
+error the call is made once more by an encoder with a fresh map, which
+refuses the value with ValueError, or raises RecursionError again for a
+value that is only nested too deep. The bytes, and the ValueError,
+RecursionError or TypeError (for an unserialisable value), are what
 json.dumps gives with the same settings.
 
 parse_json is the one decoder of stored JSON records (ledger payload
@@ -74,16 +79,32 @@ _refuse = json.JSONEncoder().default  # raises json.dumps's TypeError; reads no 
 _SURROGATE = re.compile("[\ud800-\udfff]")  # the code points UTF-8 cannot encode
 _HEX_DIGEST = re.compile("[0-9a-f]{64}")
 _TOKEN = re.compile("[A-Za-z0-9_.-]+")
+# the settings after markers: canonical_json's, then sorted_json's
+_CANONICAL = (_refuse, _escape, None, ":", ",", True, False, False)
+_SORTED = (_refuse, _escape, None, ": ", ", ", True, False, True)
+# built once, with markers=None (see the module docstring)
+_canonical = _make_encoder(None, *_CANONICAL)
+_sorted = _make_encoder(None, *_SORTED)
 
 
 def digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+def _checked(obj, settings: tuple) -> str:
+    """The encode again with a fresh circular-reference map, as json.dumps
+    makes it: it refuses a value that contains itself with ValueError, and
+    raises RecursionError for one that is only nested too deep."""
+    return "".join(_make_encoder({}, *settings)(obj, 0))
+
+
 def canonical_json(obj) -> bytes:
     """Compact JSON with sorted keys. Rejects NaN and infinities."""
-    encode = _make_encoder({}, _refuse, _escape, None, ":", ",", True, False, False)
-    return "".join(encode(obj, 0)).encode()
+    try:
+        text = "".join(_canonical(obj, 0))
+    except RecursionError:
+        text = _checked(obj, _CANONICAL)
+    return text.encode()
 
 
 def json_number(value) -> bytes:
@@ -98,8 +119,10 @@ def json_number(value) -> bytes:
 
 def sorted_json(obj) -> str:
     """json.dumps(obj, sort_keys=True)."""
-    encode = _make_encoder({}, _refuse, _escape, None, ": ", ", ", True, False, True)
-    return "".join(encode(obj, 0))
+    try:
+        return "".join(_sorted(obj, 0))
+    except RecursionError:
+        return _checked(obj, _SORTED)
 
 
 def parse_json(text: str):

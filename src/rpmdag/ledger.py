@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import binascii
 import contextlib
+import hashlib
 import os
 import re
 import stat
@@ -31,6 +32,7 @@ from .errors import (
     FormatError,
     KindNotAdmissible,
     PhiLeak,
+    StaleLedger,
     Unauthorized,
 )
 from .ghostdag import GhostdagParams, ghostdag_run
@@ -426,12 +428,17 @@ class Ledger:
     def save_text(self) -> str:
         return "".join(self._save_lines())
 
-    def save(self, path) -> None:
+    def save(self, path, read_as: bytes | None = None) -> None:
         """Write the file one line at a time to a temp file beside path,
         then rename it over path, so a crash mid-write leaves the previous
         file whole and no more than one line is held beside the ledger. A
         symlinked path is written through to its target, and an existing
-        file keeps its mode."""
+        file keeps its mode.
+
+        read_as, the file_digest of path taken before the ledger was read,
+        makes the save refuse with StaleLedger, writing nothing, when path
+        no longer has that digest just before the rename: a change another
+        writer saved since would be lost."""
         path = os.path.realpath(path)
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
@@ -439,6 +446,9 @@ class Ledger:
                 fh.writelines(self._save_lines())
             with contextlib.suppress(FileNotFoundError):
                 os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            if read_as is not None and file_digest(path) != read_as:
+                raise StaleLedger(f"{path} changed after it was read; nothing was written,"
+                                  " so run the change again")
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(FileNotFoundError):
@@ -621,6 +631,20 @@ class DualLedger:
 
     def seal_all(self, creator: EntityId, now: float) -> tuple[Block, Block]:
         return self.private.seal_block(creator, now), self.public.seal_block(creator, now)
+
+
+def file_digest(path) -> bytes:
+    """The sha256 of the file at path, read in blocks, or b"" when there is
+    no file: what Ledger.save compares to see that no other writer saved
+    over the file it read."""
+    sha = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 16), b""):
+                sha.update(block)
+    except FileNotFoundError:
+        return b""
+    return sha.digest()
 
 
 def _inspect_value(value) -> str:

@@ -17,6 +17,7 @@ import math
 import os
 import random
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 
 from .acl import AccessController, ManualClock, Role, Scope, Session
 from .ehr import LOG_NAME, EhrRecord, EhrStore, anchor
@@ -71,17 +72,26 @@ class VitalReading:
         return replace(self, value=self.value * factors[self.unit], unit=CANONICAL_UNIT[self.vital])
 
     def content_bytes(self) -> bytes:
-        """Canonical bytes stored in the EHR; the only home of the value."""
-        return canonical_json(
-            {
-                "patient": self.patient,
-                "vital": self.vital._value_,  # .value without the property call
-                "value": self.value,
-                "unit": self.unit,
-                "measured_at": self.measured_at,
-                "device": self.device,
-            }
-        )
+        """Canonical bytes stored in the EHR; the only home of the value.
+
+        They are canonical_json of the six fields by name. When every field
+        has the exact type a reading is made with, they are spelt from one
+        template, keys in sorted order: a str by the encoder's own escape
+        and a float (finite, by __post_init__) by float.__repr__, which %r
+        calls for an exact float, as the encoder does. Any other field (a
+        str or float subclass, an int, None) takes the dict's encode, so it
+        gives the same bytes or raises what that encode raises."""
+        vital = self.vital._value_  # .value without the property call
+        device, at, patient, unit, value = (self.device, self.measured_at, self.patient,
+                                            self.unit, self.value)
+        if (type(device) is type(patient) is type(unit) is type(vital) is str
+                and type(at) is type(value) is float):
+            return ('{"device":%s,"measured_at":%r,"patient":%s,"unit":%s,"value":%r,"vital":%s}'
+                    % (encode_basestring_ascii(device), at, encode_basestring_ascii(patient),
+                       encode_basestring_ascii(unit), value,
+                       encode_basestring_ascii(vital))).encode()
+        return canonical_json({"device": device, "measured_at": at, "patient": patient,
+                               "unit": unit, "value": value, "vital": vital})
 
 
 @dataclass(frozen=True)

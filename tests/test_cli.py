@@ -761,6 +761,65 @@ def test_a_back_dated_acl_change_is_refused_and_writes_nothing(tmp_path, command
     assert run_cli("acl", command, *common, *ACL_COMMANDS[command], "--at=5")[0] == 0
 
 
+ACL_P02_GRANT = ("--grantor", "p-02", "--grantee", "dr-01", "--scope", "ehr_read")
+
+
+def _acl_check(common, patient: str) -> str:
+    return run_cli("acl", "check", *common, "--entity", "dr-01", "--patient", patient,
+                   "--scope", "ehr_read")[1]
+
+
+@pytest.mark.parametrize("command, new_ledger", [("grant", False), ("revoke", False),
+                                                  ("grant", True)])
+def test_an_acl_change_saved_between_load_and_save_is_not_lost(tmp_path, monkeypatch, command,
+                                                               new_ledger):
+    # a second writer's `acl grant` runs to completion between the first
+    # command's load and its save, in-process and with no timing: the first
+    # must not replace the file and report success, which would lose the
+    # second writer's grant
+    from rpmdag import cli
+
+    roster = tmp_path / "roster.json"
+    roster.write_text(json.dumps([
+        {"entity_id": "p-01", "role": "patient", "credential": "pw-p"},
+        {"entity_id": "p-02", "role": "patient", "credential": "pw-p2"},
+        {"entity_id": "dr-01", "role": "healthcare_provider", "credential": "pw-dr"},
+    ]))
+    ledger = tmp_path / "acl.ledger"
+    common = ("--ledger", str(ledger), "--roster", str(roster))
+    first = ("acl", command, *common, *ACL_COMMANDS[command])
+    if not new_ledger:
+        assert run_cli("acl", "grant", *common, *ACL_COMMANDS["grant"])[:2] == (0, "grant-0001\n")
+    second_id = "grant-0001\n" if new_ledger else "grant-0002\n"
+    before = _acl_check(common, "p-01")
+
+    saves = []
+    seconds = []
+    real_save = cli._acl_save
+
+    def interleaved(*args):
+        saves.append(args)
+        if len(saves) == 1:  # the first command's save; the second's runs inside it
+            seconds.append(run_cli("acl", "grant", *common, *ACL_P02_GRANT))
+        real_save(*args)
+
+    monkeypatch.setattr(cli, "_acl_save", interleaved)
+    result = run_cli(*first)
+    monkeypatch.undo()
+    assert seconds[0][:2] == (0, second_id)
+    assert_one_error_line(result, 1)
+    assert "acl.ledger changed after it was read; nothing was written" in result[2]
+    assert not list(tmp_path.glob("*.tmp"))
+    # the change that exited 0 holds, and the refused one left p-01 as it was
+    assert _acl_check(common, "p-02") == "allowed\n"
+    assert _acl_check(common, "p-01") == before
+    # run again, the refused change is made and both hold
+    code, out, _ = run_cli(*first)
+    assert code == 0
+    assert _acl_check(common, "p-02") == "allowed\n"
+    assert _acl_check(common, "p-01") == ("denied\n" if command == "revoke" else "allowed\n")
+
+
 # `rpmdag color` stdout on the reference DAG, one "token color score" row per
 # block in token order, frozen before GHOSTDAG was reduced to one entry point.
 COLOR_GOLDEN = {

@@ -207,6 +207,20 @@ def test_a_circular_value_is_refused_and_the_next_encode_succeeds():
         assert encode([shared, shared]) == dumps([[1], [1]])
 
 
+def test_a_cycle_first_reached_deep_is_refused_as_json_dumps_refuses_it():
+    # the encoders keep no circular-reference map on a first pass, which
+    # meets a loop as a RecursionError; the loop here begins a few hundred
+    # levels down, and it must still be refused as a loop
+    for encode, dumps in ((canonical_json, dumps_canonical), (sorted_json, dumps_sorted)):
+        looped: dict = {"a": [1, {"b": None}]}
+        looped["self"] = [looped]
+        value: object = {"deep": looped, "z": 2}
+        for _ in range(300):
+            value = [value]
+        refused = outcome(encode, value)
+        assert refused == outcome(dumps, value) == (ValueError, "Circular reference detected")
+
+
 def test_encoders_give_the_same_bytes_on_four_threads():
     value = {"b": [random_json(random.Random(seed)) for seed in range(20)], "a": _nested(50)}
     expected = (canonical_json(value), sorted_json(value))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import math
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ from rpmdag.errors import (
     PhiLeak,
     UnitMismatch,
 )
+from rpmdag.hashing import canonical_json
 from rpmdag.ledger import VITAL_KIND_NAMES, DualLedger, TxKind, token_fault, validate_alert_body
 from rpmdag.pipeline import (
     ABNORMAL,
@@ -68,6 +70,68 @@ def test_unit_normalization():
     assert sugar.normalized().value == pytest.approx(99.1001)
     base = reading(72.0)
     assert base.normalized() is base  # already canonical
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not this"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not this"
+
+
+# what VitalReading takes without a check: any value in a text field, and any
+# int or float that float_time takes in a number field
+TEXT_FIELDS = (
+    "p-01", "", "é中😀", "\x00\t\n\x1f\x7f", "lone \ud800 and \udfff", '"q\\"', _Str("sub"),
+    None, 0, -7, 2**70, True, 1.5, [1, "a"], {"k": None}, object(), {1, 2}, math.nan,
+)
+NUMBER_FIELDS = (
+    72.5, -0.0, 0.0, 0.1, 1e16, 5e-324, -1.7976931348623157e308, 0, 7, -(2**70), _Int(3),
+    _Float(2.5),
+)
+
+
+def _dict_content(item: VitalReading) -> bytes:
+    """content_bytes as it was written before the template: the dict."""
+    return canonical_json({
+        "patient": item.patient, "vital": item.vital.value, "value": item.value,
+        "unit": item.unit, "measured_at": item.measured_at, "device": item.device,
+    })
+
+
+def _outcome(call, item):
+    try:
+        return call(item)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def test_content_bytes_is_the_dict_encode_on_any_field_values():
+    # the same bytes or the same exception type and message, with every
+    # field value in turn and then in seeded combinations, so that two
+    # refused fields show which one raises first
+    base = dict(patient="p-01", vital=VitalKind.GLUCOSE, value=72.5, unit="mg/dL",
+                measured_at=3.25, device="dev-1")
+    cases = [{**base, name: value} for name in ("patient", "unit", "device")
+             for value in TEXT_FIELDS]
+    cases += [{**base, name: value} for name in ("value", "measured_at") for value in NUMBER_FIELDS]
+    rng = random.Random(20261020)
+    for _ in range(500):
+        cases.append({
+            **{name: rng.choice(TEXT_FIELDS) for name in ("patient", "unit", "device")},
+            **{name: rng.choice(NUMBER_FIELDS) for name in ("value", "measured_at")},
+            "vital": rng.choice(list(VitalKind)),
+        })
+    for i, fields in enumerate(cases):
+        item = VitalReading(**fields)
+        assert _outcome(VitalReading.content_bytes, item) == _outcome(_dict_content, item), i
 
 
 def test_unknown_unit_is_refused():
