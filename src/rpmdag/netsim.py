@@ -13,17 +13,9 @@ transaction count that effective_tps multiplies by.
 
 A block's parents, and so its past, are the same in every node's view;
 nodes differ only in which blocks they have received. So a run keeps its
-blocks once, each taken when it is created. A blockdag run keeps them in
-one BlockDag, whose past windows GHOSTDAG reads. A longest_chain run's DAG
-is a tree whose stale forks are never merged, so past windows would span
-back to the oldest fork; it keeps its blocks in a plain dict instead, and
-measures anticones from block heights and subtree sizes.
-
-The largest anticone is counted in one walk from the last block to the
-first, in either mode. Each block passes what it knows of its future (a
-window over the reversed order, or a subtree size) to its parents and is
-dropped, so the walk holds entries only for the blocks at its frontier:
-memory grows with the DAG's width, not with its length.
+blocks once, each taken when it is created, in a plain dict, and builds
+no DAG: only check_convergence, which replays each node's blocks, and
+GHOSTDAG over those replays read past windows.
 
 Every block reaches every other node after the same delay, so deliveries
 fall due in creation order: they wait in a FIFO, and a delivery due at a
@@ -34,6 +26,20 @@ not delivered yet. The run keeps that prefix once, as a count and its
 tips, and handles each delivery once, not once per node; a node keeps
 only its undelivered blocks and the blocks they name, as few as the DAG
 is wide, and no set of the blocks it has received.
+
+A blockdag run counts each block's anticone from its deliveries. Every
+tip becomes a parent, so a block's past is its creator's whole view at
+creation: the delivered prefix and the creator's own undelivered blocks.
+Another node's block is in its anticone exactly when one of the two was
+in flight while the other was created, so the count is the other nodes'
+blocks in flight at its creation plus those created before its delivery,
+two reads of the FIFO's state, O(1) per step. That holds only while the
+run has one fixed delay, one broadcast per block and every tip a parent;
+a delivery withheld from some nodes, as a private-mining attacker's
+would be, breaks it, and a run with one must count anticones from
+windows again. A longest_chain run's block names one parent, so its
+anticones come from block heights and subtree sizes instead, in one
+walk from the last block to the first.
 
 The trace keeps each step once, as it happens: a creation, or a delivery
 that reaches every other node at once, in node order. A step is its block
@@ -207,27 +213,31 @@ class _Views:
     the prefix's tips less the named ones, plus its newest undelivered
     block.
 
-    The blocks themselves live once: a blockdag run's in its BlockDag, and
-    a longest_chain run's in a plain dict beside their creation indices.
-    Each mode tracks only what its parents and measure read: the tips and
-    named blocks in blockdag mode, and heights and each node's best tip
-    in longest_chain mode, whose stale leaves would stay tips for good.
+    The blocks themselves live once, in a plain dict beside their creation
+    indices, and no DAG is built. Each mode tracks only what its parents
+    and measure read: the tips, named blocks and largest anticone in
+    blockdag mode, and heights and each node's best tip in longest_chain
+    mode, whose stale leaves would stay tips for good.
+
+    A blockdag block's past is its creator's whole view when it is made,
+    so its anticone is the other nodes' blocks in flight then (early, kept
+    in creation order until its delivery) plus the other nodes' blocks
+    created before its delivery. That needs one fixed delay, one broadcast
+    per block and every tip a parent.
     """
 
     def __init__(self, genesis: Block, nodes: int, chain: bool):
         self.chain = chain
-        # creation order is topological: a creator holds every parent it
-        # names. Only GHOSTDAG reads past windows, so a longest_chain run
-        # keeps none
-        self.dag = None if chain else BlockDag().add(genesis)
-        self.blocks = {genesis.id: genesis} if chain else self.dag.blocks
-        self.index = {genesis.id: 0} if chain else self.dag.index
+        self.blocks = {genesis.id: genesis}
+        self.index = {genesis.id: 0}
         self.heights = {genesis.id: 0}
         self.delivered = 1  # genesis, which every node starts with
         self.tips = {genesis.id}
         self.pending: list[deque[Block]] = [deque() for _ in range(nodes)]
         self.named: list[set[BlockId]] = [set() for _ in range(nodes)]
         self.best_tips = [genesis.id] * nodes
+        self.early: deque[int] = deque()
+        self.largest = 0  # genesis's anticone is empty
 
     def parents(self, idx: int) -> tuple[BlockId, ...]:
         """The parents node idx mines on: its best tip in longest_chain
@@ -250,18 +260,20 @@ class _Views:
             at = index.get(p)
             if at is None or (at >= delivered and blocks[p].creator != block.creator):
                 raise MissingParent(f"node {idx} lacks a parent of block {block.short_id()}")
+        pending = self.pending[idx]
         if self.chain:
-            index[block.id] = len(index)
-            blocks[block.id] = block
             height = max((self.heights[p] for p in block.parents), default=-1) + 1
             self.heights[block.id] = height
             # strictly longer replaces; ties keep the first-received chain
             if height > self.heights[self.best_tips[idx]]:
                 self.best_tips[idx] = block.id
         else:
-            self.dag.add(block)
+            # the other nodes' blocks in flight, none of them in its past
+            self.early.append(len(index) - delivered - len(pending))
             self.named[idx].update(block.parents)
-        self.pending[idx].append(block)
+        index[block.id] = len(index)
+        blocks[block.id] = block
+        pending.append(block)
 
     def deliver(self, creator: int, block: Block):
         """Grow the prefix by the next block in creation order, which
@@ -278,13 +290,19 @@ class _Views:
             raise MissingParent(f"block {block.short_id()} would reach the nodes before "
                                 f"block {self.delivered}, created earlier")
         self.delivered = at + 1
-        self.pending[creator].popleft()
+        pending = self.pending[creator]
+        pending.popleft()
         if self.chain:
             height, best = self.heights[block.id], self.best_tips
             for other, tip in enumerate(best):
                 if other != creator and height > self.heights[tip]:
                     best[other] = block.id
             return
+        # the other nodes' blocks created since, none of them in its future;
+        # its creator's are all still undelivered
+        anticone = self.early.popleft() + len(self.index) - at - 1 - len(pending)
+        if anticone > self.largest:
+            self.largest = anticone
         # each parent was a tip of its creator's view, so no other of its
         # undelivered blocks names one
         self.named[creator].difference_update(block.parents)
@@ -342,8 +360,9 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
 
 
 def _measure(trace: SimTrace, views: _Views) -> SimMetrics:
-    """The run's metrics. A blockdag run is measured on its shared DAG, and
-    a longest_chain run's tree from trace.blocks."""
+    """The run's metrics. A blockdag run's largest anticone was counted as
+    its blocks were delivered, and a longest_chain run's tree is measured
+    from trace.blocks."""
     config = trace.config
     n = len(trace.blocks)
     created = n - 1  # every block but genesis
@@ -356,7 +375,7 @@ def _measure(trace: SimTrace, views: _Views) -> SimMetrics:
     if config.mode == MODE_BLOCKDAG:
         # GHOSTDAG orders every block of the view
         in_order = created
-        largest = _max_anticone(views.dag)
+        largest = views.largest
     else:
         in_order = views.heights[views.best_tips[0]]
         largest = _tree_max_anticone(trace.blocks, views.heights)
@@ -370,39 +389,6 @@ def _measure(trace: SimTrace, views: _Views) -> SimMetrics:
         max_observed_anticone=largest,
         converged=converged,
     )
-
-
-def _max_anticone(dag: BlockDag) -> int:
-    """Largest anticone over the final view, counted from reachability windows.
-
-    A block's anticone is every block outside its past, its future and
-    itself. The past windows are the ones the DAG keeps. The future windows
-    are the same windows over the reversed order, where block i sits at
-    n - 1 - i: the blocks are walked from last to first, and each one, once
-    its window is read, joins itself and that window into a pending entry
-    of each parent, as join_windows joins parents. A block's entry is
-    complete when the walk reaches it, since all its children come later.
-    Only blocks with a walked child and not yet walked themselves hold an
-    entry, so the entries span the DAG's width, not its length.
-    """
-    low, win, parent_index = dag.low, dag.win, dag.parent_index
-    n = len(low)
-    pending: dict[int, tuple[int, int]] = {}
-    largest = 0
-    for i in range(n - 1, -1, -1):
-        base, mask = pending.pop(i, (0, 0))
-        # the trailing ones of the union, future blocks too, fold into the low
-        ones = (mask ^ (mask + 1)).bit_length() - 1
-        lo, w = base + ones, mask >> ones
-        largest = max(largest, n - 1 - low[i] - win[i].bit_count() - lo - w.bit_count())
-        bits = w | (1 << (n - 1 - i - lo))
-        for p in parent_index[i]:
-            base, mask = pending.get(p, (0, 0))
-            if lo > base:
-                pending[p] = (lo, (mask >> (lo - base)) | bits)
-            else:
-                pending[p] = (base, mask | (bits >> (base - lo)))
-    return largest
 
 
 def _tree_max_anticone(blocks: dict[BlockId, Block], heights: dict[BlockId, int]) -> int:

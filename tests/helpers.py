@@ -5,6 +5,8 @@ definitional anticone checks, deliberately sharing no code with the
 engine, so the two can be compared on random DAGs. random_dag
 builds seeded DAG topologies for property tests. CRAFTED_LEDGERS are
 saved ledgers carrying a transaction that submit would refuse.
+max_anticone is the simulator's earlier windowed anticone count, the
+oracle for the count a run takes from its deliveries.
 bitmask_ghostdag_run is the earlier GHOSTDAG engine, which kept one
 full-width blue bitmask per block; it serves as a differential oracle
 for the per-block engine in rpmdag.ghostdag.
@@ -148,6 +150,39 @@ def reinsert_shuffled(dag: BlockDag, rng) -> BlockDag:
         assert len(rest) < len(pending), "shuffle made no progress"
         pending = rest
     return out
+
+
+def max_anticone(dag: BlockDag) -> int:
+    """Largest anticone over the final view, counted from reachability windows.
+
+    A block's anticone is every block outside its past, its future and
+    itself. The past windows are the ones the DAG keeps. The future windows
+    are the same windows over the reversed order, where block i sits at
+    n - 1 - i: the blocks are walked from last to first, and each one, once
+    its window is read, joins itself and that window into a pending entry
+    of each parent, as join_windows joins parents. A block's entry is
+    complete when the walk reaches it, since all its children come later.
+    Only blocks with a walked child and not yet walked themselves hold an
+    entry, so the entries span the DAG's width, not its length.
+    """
+    low, win, parent_index = dag.low, dag.win, dag.parent_index
+    n = len(low)
+    pending: dict[int, tuple[int, int]] = {}
+    largest = 0
+    for i in range(n - 1, -1, -1):
+        base, mask = pending.pop(i, (0, 0))
+        # the trailing ones of the union, future blocks too, fold into the low
+        ones = (mask ^ (mask + 1)).bit_length() - 1
+        lo, w = base + ones, mask >> ones
+        largest = max(largest, n - 1 - low[i] - win[i].bit_count() - lo - w.bit_count())
+        bits = w | (1 << (n - 1 - i - lo))
+        for p in parent_index[i]:
+            base, mask = pending.get(p, (0, 0))
+            if lo > base:
+                pending[p] = (lo, (mask >> (lo - base)) | bits)
+            else:
+                pending[p] = (base, mask | (bits >> (base - lo)))
+    return largest
 
 
 def run_cli(*argv: str, env: dict | None = None):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
+import itertools
 import json
 import pathlib
 import random
@@ -10,7 +12,7 @@ import types
 
 import pytest
 
-from helpers import fold_tips, random_dag, walk_past
+from helpers import fold_tips, max_anticone, random_dag, walk_past
 from rpmdag import dag as dag_module
 from rpmdag import netsim
 from rpmdag.dag import Block, BlockDag, genesis_block
@@ -24,7 +26,6 @@ from rpmdag.netsim import (
     SimEvent,
     SimTrace,
     StepLog,
-    _max_anticone,
     _measure,
     _received,
     _tree_max_anticone,
@@ -296,8 +297,8 @@ def test_past_masks_and_max_anticone_match_definitions():
         for i, bid in enumerate(ids):
             assert {ids[j] for j in range(len(ids)) if past[i] >> j & 1} == walk_past(dag, bid)
         expected = max(len(dag.anticone(b)) for b in dag.blocks)
-        assert _max_anticone(dag) == expected, f"seed {seed}"
-    assert _max_anticone(BlockDag()) == 0
+        assert max_anticone(dag) == expected, f"seed {seed}"
+    assert max_anticone(BlockDag()) == 0
     g = genesis_block()
     assert _tree_max_anticone({g.id: g}, {g.id: 0}) == 0
 
@@ -323,7 +324,7 @@ def test_max_anticone_matches_definition_on_sim_views(rate, k, mode):
     dag = node_view(trace, 0)
     assert len(dag) > 150
     expected = max(len(dag.anticone(b)) for b in dag.blocks)
-    assert _max_anticone(dag) == metrics.max_observed_anticone == expected
+    assert max_anticone(dag) == metrics.max_observed_anticone == expected
 
 
 def chain_heights(blocks) -> dict:
@@ -346,7 +347,7 @@ def test_max_observed_anticone_matches_brute_force_on_small_runs(mode, nodes, se
     assert metrics.max_observed_anticone == max(len(dag.anticone(b)) for b in dag.blocks)
     if mode == MODE_LONGEST_CHAIN:
         # a tree: n - height - subtree is the window count
-        assert _tree_max_anticone(trace.blocks, chain_heights(trace.blocks)) == _max_anticone(dag)
+        assert _tree_max_anticone(trace.blocks, chain_heights(trace.blocks)) == max_anticone(dag)
 
 
 def test_tips_match_a_fold_on_every_node_replay():
@@ -368,19 +369,7 @@ def test_anticone_counts_build_no_child_lists(monkeypatch):
 
     monkeypatch.setattr(BlockDag, "child_indices", refuse)
     _, trace = run(config(nodes=4, rate_lambda=20.0, duration=10.0, seed=5))
-    assert _max_anticone(node_view(trace, 2)) > 0
-
-
-def test_longest_chain_run_keeps_no_block_dag(monkeypatch):
-    def refuse(self, block):
-        raise AssertionError("BlockDag.add called")
-
-    monkeypatch.setattr(BlockDag, "add", refuse)
-    metrics, trace = run(config(nodes=4, rate_lambda=20.0, duration=10.0, seed=5,
-                                mode=MODE_LONGEST_CHAIN))
-    assert metrics.blocks_created + 1 == len(trace.blocks) and metrics.max_observed_anticone > 0
-    created = [ev.block for ev in trace.events if ev.kind == "created"]
-    assert list(trace.blocks) == [trace.genesis] + created
+    assert max_anticone(node_view(trace, 2)) > 0
 
 
 @pytest.mark.parametrize("k", [0, 3])
@@ -403,7 +392,7 @@ def test_consensus_paths_never_sort_the_dag(monkeypatch):
     metrics, trace = run(config(nodes=4, rate_lambda=20.0, duration=10.0, seed=5))
     assert check_convergence(trace, trace.config.k) and metrics.max_observed_anticone > 0
     dag = node_view(trace, 1)
-    assert _max_anticone(dag) == max(len(dag.anticone(b)) for b in dag.blocks)
+    assert max_anticone(dag) == max(len(dag.anticone(b)) for b in dag.blocks)
 
 
 def test_reachability_memory_is_linear_in_blocks():
@@ -414,11 +403,14 @@ def test_reachability_memory_is_linear_in_blocks():
     for duration in (200.0, 400.0):
         _, trace = run(SimConfig(nodes=2, rate_lambda=20.0, delay_d=1.0, duration=duration,
                                  k=3, seed=3))
+        # a full collection empties the free lists, so what is traced is the
+        # run's own, whatever ran before it in this process
+        gc.collect()
         tracemalloc.start()
         try:
             dag = node_view(trace, 0)
             ghostdag_run(dag, GhostdagParams(3))
-            _max_anticone(dag)
+            max_anticone(dag)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -434,6 +426,9 @@ def test_whole_run_memory_is_linear_in_blocks(mode):
     for duration in (200.0, 400.0):
         cfg = SimConfig(nodes=2, rate_lambda=20.0, delay_d=1.0, duration=duration, k=3,
                         seed=3, mode=mode)
+        # a full collection empties the free lists, so what is traced is the
+        # run's own, whatever ran before it in this process
+        gc.collect()
         tracemalloc.start()
         try:
             run(cfg)
@@ -452,6 +447,9 @@ def test_trace_memory_per_block_does_not_grow_with_nodes(mode):
     for nodes in (2, 8):
         cfg = SimConfig(nodes=nodes, rate_lambda=20.0, delay_d=1.0, duration=50.0, k=3,
                         seed=3, mode=mode)
+        # a full collection empties the free lists, so what is traced is the
+        # run's own, whatever ran before it in this process
+        gc.collect()
         tracemalloc.start()
         try:
             _, trace = run(cfg)
@@ -474,6 +472,9 @@ def test_whole_run_memory_per_block_does_not_grow_with_nodes(mode):
     for nodes in (2, 8):
         cfg = SimConfig(nodes=nodes, rate_lambda=20.0, delay_d=1.0, duration=200.0, k=3,
                         seed=3, mode=mode)
+        # a full collection empties the free lists, so what is traced is the
+        # run's own, whatever ran before it in this process
+        gc.collect()
         tracemalloc.start()
         try:
             _, trace = run(cfg)
@@ -565,7 +566,8 @@ def test_receive_refuses_a_duplicate_or_a_block_before_its_parents():
     assert views.named == [set(), set()] and not any(views.pending)
 
 
-def test_run_adds_each_block_to_one_dag_once(monkeypatch):
+@pytest.mark.parametrize("mode", MODES)
+def test_run_adds_no_block_to_a_dag(monkeypatch, mode):
     added = []
     add = BlockDag.add
 
@@ -574,9 +576,66 @@ def test_run_adds_each_block_to_one_dag_once(monkeypatch):
         return add(self, block)
 
     monkeypatch.setattr(BlockDag, "add", counting_add)
-    metrics, trace = run(config(nodes=4, rate_lambda=20.0, duration=10.0, seed=5))
-    assert len(added) == metrics.blocks_created + 1
-    assert added == list(trace.blocks)
+    metrics, trace = run(config(nodes=4, rate_lambda=20.0, duration=10.0, seed=5, mode=mode))
+    assert added == [] and metrics.max_observed_anticone > 0
+    # each created block once, in creation order
+    created = [ev.block for ev in trace.events if ev.kind == "created"]
+    assert len(created) == metrics.blocks_created
+    assert list(trace.blocks) == [trace.genesis] + created
+
+
+def final_dag(trace: SimTrace) -> BlockDag:
+    """The run's whole DAG; creation order is topological."""
+    dag = BlockDag()
+    for block in trace.blocks.values():
+        dag.add(block)
+    return dag
+
+
+def test_max_observed_anticone_matches_the_window_oracle_on_seeded_runs():
+    # the count a blockdag run takes from its deliveries against the
+    # windows of its final DAG
+    rng = random.Random(37)
+    for case in range(100):
+        nodes = 1 if case % 10 == 0 else rng.randint(1, 8)
+        rate = rng.choice([0.5, 2.0, 5.0, 20.0, 50.0])
+        delay = 0.0 if case % 10 == 1 else rng.choice([0.1, 0.5, 1.0, 2.5])
+        cfg = config(nodes=nodes, rate_lambda=rate, delay_d=delay,
+                     duration=min(rng.uniform(5.0, 60.0), 300.0 / rate), seed=case)
+        metrics, trace = run(cfg)
+        assert metrics.max_observed_anticone == max_anticone(final_dag(trace)), cfg
+
+
+def gaps_rng(gaps):
+    """A random module whose Random draws every creation gap from gaps, in
+    turn, and picks creators as a seeded Random does."""
+
+    class Gaps(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.gaps = itertools.cycle(gaps)
+
+        def expovariate(self, lambd):
+            return next(self.gaps)
+
+    return types.SimpleNamespace(Random=Gaps)
+
+
+@pytest.mark.parametrize("gaps", [(1.0,), (0.5, 0.25, 0.25), (0.25, 0.125, 0.125, 0.5)])
+@pytest.mark.parametrize("nodes", [2, 3, 5])
+def test_max_observed_anticone_when_creations_land_on_deliveries(monkeypatch, gaps, nodes):
+    # the gaps are exact in binary and sum to the delay, so from the first
+    # delay on every creation falls at a delivery's due time; that delivery
+    # goes first, and the count must agree with the DAG it leaves
+    monkeypatch.setattr(netsim, "random", gaps_rng(gaps))
+    metrics, trace = run(config(nodes=nodes, delay_d=1.0, duration=30.0, seed=nodes))
+    due = {ev.time for ev in trace.events if ev.kind == "received"}
+    landed = [ev for ev in trace.events if ev.kind == "created" and ev.time in due]
+    assert len(landed) > 20
+    assert metrics.max_observed_anticone == max_anticone(final_dag(trace))
+    # a block due at a creation time is in that block's past, so an
+    # anticone holds only the blocks made strictly within one delay of it
+    assert metrics.max_observed_anticone <= 2 * (len(gaps) - 1)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -606,7 +665,7 @@ def test_max_observed_anticone_is_the_same_on_every_node_view(nodes, rate, delay
     metrics, trace = run(config(nodes=nodes, rate_lambda=rate, delay_d=delay,
                                 duration=200.0 / rate, mode=mode))
     for idx in range(nodes):
-        assert _max_anticone(node_view(trace, idx)) == metrics.max_observed_anticone
+        assert max_anticone(node_view(trace, idx)) == metrics.max_observed_anticone
 
 
 @pytest.mark.parametrize("node", [2, 7, -1])

@@ -9,6 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COUNTER = ROOT / "tools" / "count_code_lines.py"
 SCALING = ROOT / "tools" / "sim_scaling.py"
+K_SWEEP = ROOT / "tools" / "k_sweep.py"
 
 
 def count(package: Path) -> tuple[int, list[tuple[int, str]]]:
@@ -76,3 +77,19 @@ def test_sim_scaling_reports_each_run_and_doubling():
         (doubling,) = report["doublings"][mode]
         assert doubling["blocks"] == [short["blocks"], long["blocks"]]
         assert sorted(doubling) == ["blocks", "peak_ratio", "seconds_ratio"]
+
+
+def test_k_sweep_reports_each_k_on_one_dag():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "0"}
+    proc = subprocess.run([sys.executable, str(K_SWEEP), "--duration", "10", "--repeats", "2"],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    runs = report["runs"]
+    assert [r["k"] for r in runs] == [3, 6, 18, report["derived_k"]]
+    assert len({r["blocks"] for r in runs}) == 1 and runs[0]["blocks"] > 1
+    for r in runs:
+        assert sorted(r) == ["blocks", "blue_share", "check_convergence_s", "converged", "ghostdag_s",
+                             "k", "run_s"]
+        assert r["converged"] and 0 < r["blue_share"] <= 1
+        assert min(r["run_s"], r["ghostdag_s"], r["check_convergence_s"]) > 0
