@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import gc
 import hashlib
@@ -395,25 +396,32 @@ def test_consensus_paths_never_sort_the_dag(monkeypatch):
     assert max_anticone(dag) == max(len(dag.anticone(b)) for b in dag.blocks)
 
 
+@contextlib.contextmanager
+def traced_memory():
+    """tracemalloc over the with block, after a full collection: that
+    empties the free lists, so what is traced is the block's own memory,
+    whatever ran before it in this process."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        yield
+    finally:
+        tracemalloc.stop()
+
+
 def test_reachability_memory_is_linear_in_blocks():
     # Doubling the blocks should roughly double the peak memory of building
     # a view (add() keeps each block's window), coloring it and the
-    # anticone count. Full-width past masks made it grow about 3.7x.
+    # windowed anticone count. Full-width past masks made it grow about 3.7x.
     peaks = []
     for duration in (200.0, 400.0):
         _, trace = run(SimConfig(nodes=2, rate_lambda=20.0, delay_d=1.0, duration=duration,
                                  k=3, seed=3))
-        # a full collection empties the free lists, so what is traced is the
-        # run's own, whatever ran before it in this process
-        gc.collect()
-        tracemalloc.start()
-        try:
+        with traced_memory():
             dag = node_view(trace, 0)
             ghostdag_run(dag, GhostdagParams(3))
             max_anticone(dag)
             peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
     assert peaks[1] / peaks[0] < 2.5, peaks
 
 
@@ -426,15 +434,9 @@ def test_whole_run_memory_is_linear_in_blocks(mode):
     for duration in (200.0, 400.0):
         cfg = SimConfig(nodes=2, rate_lambda=20.0, delay_d=1.0, duration=duration, k=3,
                         seed=3, mode=mode)
-        # a full collection empties the free lists, so what is traced is the
-        # run's own, whatever ran before it in this process
-        gc.collect()
-        tracemalloc.start()
-        try:
+        with traced_memory():
             run(cfg)
             peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
     assert peaks[1] / peaks[0] < 2.5, peaks
 
 
@@ -447,18 +449,12 @@ def test_trace_memory_per_block_does_not_grow_with_nodes(mode):
     for nodes in (2, 8):
         cfg = SimConfig(nodes=nodes, rate_lambda=20.0, delay_d=1.0, duration=50.0, k=3,
                         seed=3, mode=mode)
-        # a full collection empties the free lists, so what is traced is the
-        # run's own, whatever ran before it in this process
-        gc.collect()
-        tracemalloc.start()
-        try:
+        with traced_memory():
             _, trace = run(cfg)
             blocks = len(trace.blocks)
             kept = tracemalloc.get_traced_memory()[0]
             del trace
             per_block.append((kept - tracemalloc.get_traced_memory()[0]) / blocks)
-        finally:
-            tracemalloc.stop()
     assert per_block[1] / per_block[0] < 1.3, per_block
 
 
@@ -472,15 +468,9 @@ def test_whole_run_memory_per_block_does_not_grow_with_nodes(mode):
     for nodes in (2, 8):
         cfg = SimConfig(nodes=nodes, rate_lambda=20.0, delay_d=1.0, duration=200.0, k=3,
                         seed=3, mode=mode)
-        # a full collection empties the free lists, so what is traced is the
-        # run's own, whatever ran before it in this process
-        gc.collect()
-        tracemalloc.start()
-        try:
+        with traced_memory():
             _, trace = run(cfg)
             per_block.append(tracemalloc.get_traced_memory()[1] / len(trace.blocks))
-        finally:
-            tracemalloc.stop()
     assert per_block[1] / per_block[0] < 1.1, per_block
 
 
