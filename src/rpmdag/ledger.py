@@ -259,9 +259,13 @@ def _header_int(header: dict[str, str], name: str) -> int:
     # only the plain ASCII decimal that _save_lines writes: int() would also
     # take a sign, "_" separators, leading zeros and non-ASCII digits, each
     # of which a re-save rewrites
-    if not re.fullmatch(r"0|[1-9][0-9]*", header[name]):
-        raise FormatError(f"ledger header field {name}={header[name]!r} is not an integer")
-    return int(header[name])
+    text = header[name]
+    if not re.fullmatch(r"0|[1-9][0-9]*", text):
+        raise FormatError(f"ledger header field {name}={text!r} is not an integer")
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise FormatError(f"ledger header field {name} has {len(text)} digits, too many") from None
 
 
 class Ledger:

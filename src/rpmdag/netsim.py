@@ -45,7 +45,10 @@ The trace keeps each step once, as it happens: a creation, or a delivery
 that reaches every other node at once, in node order. A step is its block
 and a one-byte kind, and nothing per node; the per-node events, named
 tuples, are made afresh each time the trace is read. A delivery's time is
-its block's timestamp plus the delay, the same float the FIFO holds.
+its block's timestamp plus the delay, the same float the FIFO holds. A
+run ends only once every block has reached every node, so the trace keeps
+no view per node: check_convergence replays each node's blocks straight
+from the steps.
 
 The per-block work is kept to what some output reads. A block's height,
 worked out once when it is created, and each node's best tip are tracked
@@ -175,20 +178,17 @@ class StepLog:
 class SimTrace:
     config: SimConfig
     genesis: BlockId
-    # a run's is a StepLog; a hand-built trace may pass a list
-    events: StepLog | list[SimEvent]
+    events: StepLog
     blocks: dict[BlockId, Block]
-    views: dict[int, frozenset[BlockId]]
-    completed: bool
 
 
 @dataclass(frozen=True)
 class SimMetrics:
     """A finished run's metrics.
 
-    converged compares the nodes' final views, which run builds as one
-    shared set, so in blockdag mode it is True for every finished run and
-    says nothing; in longest_chain mode it also needs every node on one
+    A run finishes only once every block has reached every node, so in
+    blockdag mode converged is True for every finished run and says
+    nothing; in longest_chain mode it is whether every node ends on one
     best tip. check_convergence, which replays and orders each node's
     blocks, is the verdict on whether the nodes agree.
     """
@@ -344,17 +344,7 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
         deliveries.append((t + delay, idx, block))
         t += draw(rate)
 
-    # the FIFO is empty, so every block has reached every node and the
-    # views share one set
-    everything = frozenset(views.blocks)
-    trace = SimTrace(
-        config=config,
-        genesis=genesis.id,
-        events=steps,
-        blocks=views.blocks,
-        views=dict.fromkeys(range(config.nodes), everything),
-        completed=True,
-    )
+    trace = SimTrace(config=config, genesis=genesis.id, events=steps, blocks=views.blocks)
     metrics = _measure(trace, views)
     return metrics, trace
 
@@ -371,15 +361,15 @@ def _measure(trace: SimTrace, views: _Views) -> SimMetrics:
     # added in, so the shared blocks measure every node's view.
     if views.delivered != n:
         raise IncompleteTrace(f"{n - views.delivered} of the {n} blocks never reached every node")
-    converged = len(set(trace.views.values())) == 1
     if config.mode == MODE_BLOCKDAG:
-        # GHOSTDAG orders every block of the view
+        # GHOSTDAG orders every block of the view, which every node holds
         in_order = created
         largest = views.largest
+        converged = True
     else:
         in_order = views.heights[views.best_tips[0]]
         largest = _tree_max_anticone(trace.blocks, views.heights)
-        converged = converged and len(set(views.best_tips)) == 1
+        converged = len(set(views.best_tips)) == 1
 
     return SimMetrics(
         blocks_created=created,
@@ -422,24 +412,22 @@ def compare_modes(config: SimConfig, lambda_sweep) -> list[tuple[SimConfig, SimM
 def check_convergence(trace: SimTrace, k: int) -> bool:
     """Replay the trace per node and verify all views and orders agree.
 
-    Works from the event log rather than the recorded views, so a
-    truncated trace fails the check, whether it lost one delivery or
-    every event of a block, and so does an event for a node the config
-    does not have, or a block a node's replay refuses.
+    Works from the step log, each node taking its own creations and every
+    other node's deliveries, so a truncated trace fails the check, whether
+    it lost one delivery or every step of a block, and so does a log kept
+    for another node count, or a block a node's replay refuses.
     """
-    if not trace.completed:
-        raise IncompleteTrace("trace does not cover a finished run")
-    streams = _received(trace)
-    if streams is None:
+    steps, nodes = trace.events, trace.config.nodes
+    if steps.nodes != nodes:
         return False
     params = GhostdagParams(k)
     # one replay at a time: each must hold every block of the run, and
     # order them as the first node's does
     first_order = None
-    for stream in streams:
+    for idx in range(nodes):
         dag = BlockDag().add(trace.blocks[trace.genesis])
         try:
-            for block in stream:
+            for block in steps.received(idx):
                 dag.add(block)
         except (MissingParent, DuplicateBlock, FormatError, GenesisConflict):
             return False
@@ -451,28 +439,6 @@ def check_convergence(trace: SimTrace, k: int) -> bool:
         elif order != first_order:
             return False
     return True
-
-
-def _received(trace: SimTrace):
-    """Each node's blocks in the order it took them, or None when an event
-    names a node the config does not have or a block the trace does not.
-
-    A run's StepLog gives them straight from its steps: a creation goes to
-    its creator, and a delivery to every other node. A hand-built list of
-    SimEvents is grouped by node, its ids looked up in trace.blocks.
-    """
-    events, nodes = trace.events, trace.config.nodes
-    if isinstance(events, StepLog) and events.nodes == nodes:
-        # one node's list at a time, as its replay reads it
-        return (events.received(idx) for idx in range(nodes))
-    received: dict[int, list[Block]] = {idx: [] for idx in range(nodes)}
-    for ev in events:
-        blocks = received.get(ev.node)
-        block = trace.blocks.get(ev.block)
-        if blocks is None or block is None:
-            return None
-        blocks.append(block)
-    return list(received.values())
 
 
 def trace_lines(trace: SimTrace):

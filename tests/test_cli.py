@@ -306,6 +306,9 @@ def test_rpm_demo_ehr_and_ledger_cli(tmp_path):
         ("k=3", "k=\u0663"),
         ("max=1000", "max=1_000"),
         ("max=1000", "max=01000"),
+        # more digits than int() converts
+        ("k=3", "k=1" + "0" * 5000),
+        ("max=1000", "max=1" + "0" * 5000),
     ],
 )
 def test_malformed_ledger_header_is_a_runtime_error(tmp_path, old, new):

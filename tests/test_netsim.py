@@ -28,7 +28,6 @@ from rpmdag.netsim import (
     SimTrace,
     StepLog,
     _measure,
-    _received,
     _tree_max_anticone,
     _Views,
     check_convergence,
@@ -169,10 +168,10 @@ def test_conservation_and_causality():
     created_at = {e.block: e.time for e in created}
     for e in received:
         assert e.time == pytest.approx(created_at[e.block] + trace.config.delay_d)
-    # at quiescence every view contains every block
-    expected = set(trace.blocks) | {trace.genesis}
-    for view in trace.views.values():
-        assert set(view) == expected
+    # at quiescence every node has taken every block
+    for idx in range(trace.config.nodes):
+        taken = [block.id for block in trace.events.received(idx)]
+        assert sorted([trace.genesis, *taken]) == sorted(trace.blocks)
     times = [e.time for e in trace.events]
     assert times == sorted(times)
 
@@ -238,44 +237,38 @@ def test_convergence_single_node():
 
 def test_truncated_trace_fails_convergence():
     _, trace = run(config(duration=120.0))
-    # one list, so that its events can be told apart by identity
-    events = list(trace.events)
-    received = [e for e in events if e.kind == "received"]
-    truncated = SimTrace(
-        config=trace.config,
-        genesis=trace.genesis,
-        events=[e for e in events if e is not received[-1]],
-        blocks=trace.blocks,
-        views=trace.views,
-        completed=True,
-    )
+    steps = trace.events
+    last_delivery = max(i for i, kind in enumerate(steps.kinds) if kind == netsim._DELIVERED)
+    truncated = dataclasses.replace(trace, events=steps_kept(steps, lambda i: i != last_delivery))
     assert not check_convergence(truncated, trace.config.k)
-    # a block its replays refuse: one that lists a parent twice, and a
-    # second block without parents
-    last = trace.blocks[events[-1].block]
-    for bad in (Block.create((last.id, last.id), (), 130.0, "n0"), Block.create((), (), 130.0, "n0")):
-        made = [SimEvent(130.0, 0, "created", bad.id)]
-        made += [SimEvent(131.0, idx, "received", bad.id) for idx in range(1, trace.config.nodes)]
-        hand_built = dataclasses.replace(trace, events=events + made,
-                                         blocks={**trace.blocks, bad.id: bad})
-        assert not check_convergence(hand_built, trace.config.k), bad.parents
+    # a block created by n0 and delivered to the other nodes: one that the
+    # replays refuse, listing a parent twice or none, and one they take but
+    # that the trace's blocks do not hold
+    last = steps.blocks[-1]
+    good = Block.create((last.id,), (), 130.0, "n0")
+    for block in (Block.create((last.id, last.id), (), 130.0, "n0"), Block.create((), (), 130.0, "n0"), good):
+        made = steps_kept(steps, lambda i: True)
+        made.add(block, netsim._CREATED)
+        made.add(block, netsim._DELIVERED)
+        blocks = trace.blocks if block is good else {**trace.blocks, block.id: block}
+        assert not check_convergence(dataclasses.replace(trace, events=made, blocks=blocks),
+                                     trace.config.k), block.parents
+    # the good block's log converges once the trace holds that block
+    blocks = {**trace.blocks, good.id: good}
+    assert check_convergence(dataclasses.replace(trace, events=made, blocks=blocks), trace.config.k)
 
 
 @pytest.mark.parametrize("lost", ["every block", "the last block"])
 def test_trace_that_lost_whole_blocks_fails_convergence(lost):
     # every node would agree on a smaller DAG than the run made
     _, trace = run(config(duration=120.0))
-    events = list(trace.events)
-    last = events[-1].block
-    kept = [] if lost == "every block" else [ev for ev in events if ev.block != last]
+    steps = trace.events
+    last = steps.blocks[-1].id
+    if lost == "every block":
+        kept = steps_kept(steps, lambda i: False)
+    else:
+        kept = steps_kept(steps, lambda i: steps.blocks[i].id != last)
     assert not check_convergence(dataclasses.replace(trace, events=kept), trace.config.k)
-
-
-def test_incomplete_trace_rejected():
-    _, trace = run(config(duration=40.0))
-    unfinished = dataclasses.replace(trace, completed=False)
-    with pytest.raises(IncompleteTrace):
-        check_convergence(unfinished, trace.config.k)
 
 
 def test_trace_jsonl_format():
@@ -364,13 +357,15 @@ def test_tips_match_a_fold_on_every_node_replay():
         assert len(dag) == len(trace.blocks)
 
 
-def test_anticone_counts_build_no_child_lists(monkeypatch):
+def test_convergence_check_builds_no_child_lists(monkeypatch):
+    # its per-node replays and the GHOSTDAG run over each read parents and
+    # past windows only
     def refuse(self):
         raise AssertionError("child_indices called")
 
     monkeypatch.setattr(BlockDag, "child_indices", refuse)
     _, trace = run(config(nodes=4, rate_lambda=20.0, duration=10.0, seed=5))
-    assert max_anticone(node_view(trace, 2)) > 0
+    assert check_convergence(trace, trace.config.k)
 
 
 @pytest.mark.parametrize("k", [0, 3])
@@ -628,20 +623,12 @@ def test_max_observed_anticone_when_creations_land_on_deliveries(monkeypatch, ga
     assert metrics.max_observed_anticone <= 2 * (len(gaps) - 1)
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_finished_run_shares_one_view_set(mode):
-    _, trace = run(config(nodes=4, rate_lambda=20.0, duration=10.0, seed=5, mode=mode))
-    views = list(trace.views.values())
-    assert len(views) == 4 and all(v is views[0] for v in views)
-    assert views[0] == trace.blocks.keys()
-
-
 def test_measure_refuses_a_node_that_missed_a_block():
     for mode in MODES:
         views, g = fresh_views(nodes=1, mode=mode)
         views.take(0, Block.create((g.id,), (), 1.0, "n0"))
-        trace = SimTrace(config=config(nodes=1, mode=mode), genesis=g.id, events=[],
-                         blocks=views.blocks, views={0: frozenset(views.blocks)}, completed=True)
+        trace = SimTrace(config=config(nodes=1, mode=mode), genesis=g.id,
+                         events=StepLog(1, 1.0, ["n0"]), blocks=views.blocks)
         with pytest.raises(IncompleteTrace):
             _measure(trace, views)
 
@@ -658,15 +645,16 @@ def test_max_observed_anticone_is_the_same_on_every_node_view(nodes, rate, delay
         assert max_anticone(node_view(trace, idx)) == metrics.max_observed_anticone
 
 
-@pytest.mark.parametrize("node", [2, 7, -1])
-def test_event_for_an_unknown_node_fails_convergence(node):
+@pytest.mark.parametrize("nodes", [1, 3, 8])
+def test_step_log_for_another_node_count_fails_convergence(nodes):
+    # the run's own steps, kept for more or fewer nodes than the config has
     _, trace = run(config(nodes=2, duration=40.0, seed=1))
     assert check_convergence(trace, trace.config.k)
-    events = list(trace.events)
-    for block in (events[-1].block, b"\0" * 32):
-        stray = SimEvent(99.0, node, "received", block)
-        bad = dataclasses.replace(trace, events=events + [stray])
-        assert not check_convergence(bad, trace.config.k), block
+    steps = trace.events
+    log = StepLog(nodes, steps.delay_d, [f"n{i}" for i in range(nodes)])
+    for block, kind in zip(steps.blocks, steps.kinds):
+        log.add(block, kind)
+    assert not check_convergence(dataclasses.replace(trace, events=log), trace.config.k)
 
 
 def steps_kept(steps: StepLog, keep) -> StepLog:
@@ -686,8 +674,8 @@ def steps_kept(steps: StepLog, keep) -> StepLog:
 )
 def test_step_log_streams_match_the_event_list(nodes, rate, delay, mode, seed):
     # check_convergence reads a run's StepLog per node without building
-    # SimEvents; a list of the same events must give the same streams and
-    # verdict, for the whole log and for logs that lost steps
+    # SimEvents; each node's stream must be its events, for the whole log
+    # and for logs that lost steps, and only the whole log converges
     _, trace = run(grid_config(nodes, rate, delay, mode, seed))
     steps = trace.events
     n = len(steps.kinds)
@@ -696,18 +684,14 @@ def test_step_log_streams_match_the_event_list(nodes, rate, delay, mode, seed):
             steps_kept(steps, lambda i: i != delivered[0]),
             steps_kept(steps, lambda i: i != delivered[-1]), steps_kept(steps, lambda i: False)]
     k = trace.config.k
-    verdicts = set()
+    verdicts = []
     for log in logs:
-        stepped = dataclasses.replace(trace, events=log)
-        listed = dataclasses.replace(trace, events=list(log))
-        streams = [[block.id for block in stream] for stream in _received(stepped)]
-        assert streams == [[block.id for block in stream] for stream in _received(listed)]
-        assert streams == [[ev.block for ev in listed.events if ev.node == idx]
-                           for idx in range(nodes)]
-        verdict = check_convergence(stepped, k)
-        assert verdict == check_convergence(listed, k)
-        verdicts.add(verdict)
-    assert verdicts == {True, False}
+        streams = [[block.id for block in log.received(idx)] for idx in range(nodes)]
+        assert streams == [[ev.block for ev in log if ev.node == idx] for idx in range(nodes)]
+        verdicts.append(check_convergence(dataclasses.replace(trace, events=log), k))
+    # a run's last step is a delivery; a one-node run's deliveries reach no
+    # node, so losing one changes nothing
+    assert verdicts == [True, nodes == 1, nodes == 1, nodes == 1, False]
 
 
 GRID_GOLDEN = pathlib.Path(__file__).parent / "data" / "netsim_grid.json"
@@ -721,25 +705,27 @@ def grid_config(nodes: int, rate: float, delay: float, mode: str, seed: int) -> 
 
 
 def grid_verdicts(trace: SimTrace, k: int) -> bytes:
-    """check_convergence on the trace and with its last delivery dropped."""
+    """check_convergence on the trace and, on a run of more than one node,
+    with its last delivery step dropped."""
     verdicts = [check_convergence(trace, k)]
-    # one list, so that its events can be told apart by identity
-    events = list(trace.events)
-    received = [ev for ev in events if ev.kind == "received"]
-    if received:
-        truncated = [ev for ev in events if ev is not received[-1]]
+    steps = trace.events
+    delivered = [i for i, kind in enumerate(steps.kinds) if kind == netsim._DELIVERED]
+    if steps.nodes > 1 and delivered:
+        truncated = steps_kept(steps, lambda i: i != delivered[-1])
         verdicts.append(check_convergence(dataclasses.replace(trace, events=truncated), k))
     return bytes(verdicts)
 
 
 def grid_digest(cfg: SimConfig) -> str:
-    """sha256 prefix over a run's metrics JSON, JSON-lines trace, views and
-    grid_verdicts."""
+    """sha256 prefix over a run's metrics JSON, JSON-lines trace, each
+    node's final view and grid_verdicts. Every node ends holding every
+    block, so each view is trace.blocks."""
     metrics, trace = run(cfg)
     h = hashlib.sha256(json.dumps(dataclasses.asdict(metrics), sort_keys=True).encode())
     h.update("".join(trace_lines(trace)).encode())
-    for idx in sorted(trace.views):
-        h.update(b"view %d:" % idx + b"".join(sorted(trace.views[idx])))
+    view = b"".join(sorted(trace.blocks))
+    for idx in range(cfg.nodes):
+        h.update(b"view %d:" % idx + view)
     h.update(grid_verdicts(trace, cfg.k))
     return h.hexdigest()[:16]
 
@@ -756,8 +742,9 @@ def grid_structure_digest(cfg: SimConfig) -> str:
     h = hashlib.sha256(json.dumps(dataclasses.asdict(metrics), sort_keys=True).encode())
     for ev in trace.events:
         h.update(json.dumps(["event", ev.time, ev.node, ev.kind, number[ev.block]]).encode())
-    for idx in sorted(trace.views):
-        h.update(json.dumps(["view", idx, sorted(number[b] for b in trace.views[idx])]).encode())
+    view = sorted(number[b] for b in trace.blocks)
+    for idx in range(cfg.nodes):
+        h.update(json.dumps(["view", idx, view]).encode())
     for bid in created:
         parents = sorted(number[p] for p in trace.blocks[bid].parents)
         h.update(json.dumps(["parents", number[bid], parents]).encode())
@@ -800,14 +787,13 @@ def test_runs_match_the_recorded_structure_grid(nodes, rate):
 
 @pytest.mark.parametrize("nodes", [1, 2, 4, 7])
 def test_converged_is_true_for_every_finished_blockdag_run(nodes):
-    # run keeps one view set for all nodes, so the field cannot tell a
-    # disagreeing run from an agreeing one; check_convergence replays the
-    # steps and refuses the same run with its last delivery lost (a
-    # run of more than one node)
+    # a run ends only once every node holds every block, so the field
+    # cannot tell a disagreeing run from an agreeing one; check_convergence
+    # replays the steps and refuses the same run with its last delivery
+    # lost (a run of more than one node)
     for rate in (0.5, 5.0, 30.0):
         for delay in GRID_DELAYS:
             for seed in (1, 2):
                 metrics, trace = run(grid_config(nodes, rate, delay, MODE_BLOCKDAG, seed))
                 assert metrics.converged is True
-                assert len({id(view) for view in trace.views.values()}) == 1
                 assert grid_verdicts(trace, 3) == (b"\x01\x00" if nodes > 1 else b"\x01")
