@@ -21,9 +21,13 @@ number of blocks. A run builds no reachability of its own; it joins one
 window only, the virtual block's.
 
 A mergeset member can only be admitted when the chain block k steps below
-the selected parent is in its past. That filter empties most mergesets,
-and a block whose filtered mergeset is empty costs one score update: it
-allocates nothing and never enters the k-cluster test.
+the selected parent is in its past. Every mergeset member is a
+non-selected parent or in one's past, so when no non-selected parent has
+that chain block in its past, no member can: the block costs a few
+reachability tests and one score update, and its mergeset is never built.
+Otherwise the filter runs over the mergeset; it empties most of the rest,
+and a block whose filtered mergeset is empty allocates nothing and never
+enters the k-cluster test.
 
 Everything is computed in insertion order, in one pass over the DAG:
 BlockDag.add refuses a block before its parents, so that order is
@@ -208,11 +212,14 @@ class _Engine:
     rebased to the selected parent's low.
 
     greedy picks the selected parent and filters the mergeset inline, and
-    calls _merge only for the members the k-deep filter leaves. A block
-    whose filtered mergeset is empty costs one score update. The virtual
-    block is index len(ids), the last turn of the same loop, with the tips
-    as its parents and their joined window as its past; the per-block
-    lists hold one entry for it.
+    calls _merge only for the members the k-deep filter leaves. Before it
+    builds the mergeset it tests the non-selected parents: a member is one
+    of them or in one's past, so a member with the k-deep chain block in
+    its past puts that block in a non-selected parent's past too, and when
+    none has it the block costs one score update. The virtual block is
+    index len(ids), the last turn of the same loop, with the tips as its
+    parents and their joined window as its past; the per-block lists hold
+    one entry for it.
     """
 
     def __init__(self, dag: BlockDag):
@@ -243,7 +250,6 @@ class _Engine:
             if not parents:
                 score[i] = 1
                 continue
-            # a lone parent is the selected one and leaves nothing to merge
             sp = parents[0]
             if len(parents) > 1:
                 best = score[sp]
@@ -251,32 +257,44 @@ class _Engine:
                     s = score[p]
                     if s > best or (s == best and ids[p] < ids[sp]):
                         sp, best = p, s
-                # the mergeset: i's past minus sp's past and sp, rebased to
-                # sp's low (sp's past lies inside i's, so lo >= base)
-                base = low[sp]
-                shift = lo - base
-                fresh = ((w << shift) | ((1 << shift) - 1)) & ~(win[sp] | (1 << (sp - base)))
-                # A candidate whose past misses the chain block k steps
-                # below sp misses the k+1 chain blocks from sp down to there
-                # as well, which are blue blocks in its anticone, so it
-                # cannot be admitted.
-                deep = sp
-                for _ in range(k):
-                    if deep == -1:
-                        break
-                    deep = parent[deep]
-                if deep > base:
-                    # insertion order is topological, so no block inserted
-                    # before deep has it in its past
-                    fresh &= -1 << (deep - base)
-                while fresh:
-                    bit = fresh & -fresh
-                    fresh ^= bit
-                    c = base + bit.bit_length() - 1
-                    if deep == -1 or deep < low[c] or (win[c] >> (deep - low[c])) & 1:
-                        candidates.append(c)
             parent[i] = sp
             score[i] = score[sp] + 1
+            if len(parents) == 1:
+                continue  # a lone parent is the selected one and leaves nothing to merge
+            # A candidate whose past misses the chain block k steps below sp
+            # misses the k+1 chain blocks from sp down to there as well,
+            # which are blue blocks in its anticone, so it cannot be
+            # admitted. Below genesis deep is -1, under every low, so it is
+            # in every block's past.
+            deep = sp
+            for _ in range(k):
+                if deep == -1:
+                    break
+                deep = parent[deep]
+            # Every mergeset member is a parent q other than sp or in q's
+            # past, so a candidate puts deep in such a q's past too: with
+            # no such q there is nothing to merge. (A loop, since any()
+            # over a generator costs about a quarter more of greedy at k=3.)
+            for q in parents:
+                if q != sp and (deep < low[q] or (win[q] >> (deep - low[q])) & 1):
+                    break
+            else:
+                continue
+            # the mergeset: i's past minus sp's past and sp, rebased to sp's
+            # low (sp's past lies inside i's, so lo >= base)
+            base = low[sp]
+            shift = lo - base
+            fresh = ((w << shift) | ((1 << shift) - 1)) & ~(win[sp] | (1 << (sp - base)))
+            if deep > base:
+                # insertion order is topological, so no block inserted
+                # before deep has it in its past
+                fresh &= -1 << (deep - base)
+            while fresh:
+                bit = fresh & -fresh
+                fresh ^= bit
+                c = base + bit.bit_length() - 1
+                if deep < low[c] or (win[c] >> (deep - low[c])) & 1:
+                    candidates.append(c)
             if candidates:
                 admitted, sizes = self._merge(sp, candidates, k)
                 candidates.clear()

@@ -129,17 +129,22 @@ class StepLog:
     creator, or its delivery to every other node at once, in node order.
     Each iteration yields the same SimEvents in the same order, one per
     node a step reaches, and len() counts them. received() lists one
-    node's blocks straight from the steps, with no SimEvent built.
+    node's blocks straight from the steps, with no SimEvent built. Node
+    idx is the one named creators[idx], so the names set the node count.
     """
 
-    __slots__ = ("blocks", "kinds", "nodes", "delay_d", "creators")
+    __slots__ = ("blocks", "kinds", "delay_d", "creators")
 
-    def __init__(self, nodes: int, delay_d: float, creators: list[str]):
+    def __init__(self, delay_d: float, creators: list[str]):
         self.blocks: list[Block] = []
         self.kinds = bytearray()
-        self.nodes = nodes
         self.delay_d = delay_d
         self.creators = creators
+
+    @property
+    def nodes(self) -> int:
+        """One node per creator name."""
+        return len(self.creators)
 
     def add(self, block: Block, kind: int):
         self.blocks.append(block)
@@ -316,7 +321,7 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
     genesis = genesis_block()
     views = _Views(genesis, config.nodes, config.mode == MODE_LONGEST_CHAIN)
     creators = [f"n{i}" for i in range(config.nodes)]
-    steps = StepLog(config.nodes, config.delay_d, creators)
+    steps = StepLog(config.delay_d, creators)
     # (due time, creator, block): with one fixed delay, deliveries fall due
     # in creation order, so a FIFO holds them
     deliveries: deque[tuple[float, int, Block]] = deque()

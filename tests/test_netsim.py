@@ -628,7 +628,7 @@ def test_measure_refuses_a_node_that_missed_a_block():
         views, g = fresh_views(nodes=1, mode=mode)
         views.take(0, Block.create((g.id,), (), 1.0, "n0"))
         trace = SimTrace(config=config(nodes=1, mode=mode), genesis=g.id,
-                         events=StepLog(1, 1.0, ["n0"]), blocks=views.blocks)
+                         events=StepLog(1.0, ["n0"]), blocks=views.blocks)
         with pytest.raises(IncompleteTrace):
             _measure(trace, views)
 
@@ -651,15 +651,31 @@ def test_step_log_for_another_node_count_fails_convergence(nodes):
     _, trace = run(config(nodes=2, duration=40.0, seed=1))
     assert check_convergence(trace, trace.config.k)
     steps = trace.events
-    log = StepLog(nodes, steps.delay_d, [f"n{i}" for i in range(nodes)])
+    log = StepLog(steps.delay_d, [f"n{i}" for i in range(nodes)])
     for block, kind in zip(steps.blocks, steps.kinds):
         log.add(block, kind)
     assert not check_convergence(dataclasses.replace(trace, events=log), trace.config.k)
 
 
+@pytest.mark.parametrize("names", [["n0"], ["n0", "n1", "n2"]])
+def test_step_log_node_count_is_its_creator_count(names):
+    # a 2-node run's steps kept under one name or three: the log has as
+    # many nodes as names, so len() counts deliveries to that many and
+    # each node it counts has a name to replay by
+    _, trace = run(config(nodes=2, duration=40.0, seed=1))
+    steps = trace.events
+    log = StepLog(steps.delay_d, names)
+    for block, kind in zip(steps.blocks, steps.kinds):
+        log.add(block, kind)
+    assert log.nodes == len(names)
+    created = steps.kinds.count(netsim._CREATED)
+    assert len(log) == created + (len(steps.kinds) - created) * (len(names) - 1)
+    assert all(log.received(idx) for idx in range(log.nodes))
+
+
 def steps_kept(steps: StepLog, keep) -> StepLog:
     """A copy of a run's steps with those whose position keep takes."""
-    kept = StepLog(steps.nodes, steps.delay_d, steps.creators)
+    kept = StepLog(steps.delay_d, steps.creators)
     for i, (block, kind) in enumerate(zip(steps.blocks, steps.kinds)):
         if keep(i):
             kept.add(block, kind)
