@@ -53,10 +53,6 @@ class InvalidConfig(RpmdagError):
     """A simulation config violates its invariants."""
 
 
-class IncompleteTrace(RpmdagError):
-    """A trace does not cover a finished run."""
-
-
 # Ledger
 
 class Unauthorized(RpmdagError):

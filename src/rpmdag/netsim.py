@@ -13,9 +13,15 @@ transaction count that effective_tps multiplies by.
 
 A block's parents, and so its past, are the same in every node's view;
 nodes differ only in which blocks they have received. So a run keeps its
-blocks once, each taken when it is created, in a plain dict, and builds
-no DAG: only check_convergence, which replays each node's blocks, and
-GHOSTDAG over those replays read past windows.
+blocks once, each taken when it is created, in a dict in creation order,
+and builds no DAG: only check_convergence, which replays each node's
+blocks, and GHOSTDAG over those replays read past windows.
+
+A block is mined on parents its creator holds, so none names a parent
+its creator lacks; and each creation comes later than the last, while a
+block's id covers its time, so no block is made twice. A run keeps no
+check of either: check_convergence's per-node replay is where a block
+mined on a parent its node lacked, or made twice, is refused.
 
 Every block reaches every other node after the same delay, so deliveries
 fall due in creation order: they wait in a FIFO, and a delivery due at a
@@ -67,14 +73,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .dag import Block, BlockDag, BlockId, genesis_block
-from .errors import (
-    DuplicateBlock,
-    FormatError,
-    GenesisConflict,
-    IncompleteTrace,
-    InvalidConfig,
-    MissingParent,
-)
+from .errors import DuplicateBlock, FormatError, GenesisConflict, InvalidConfig, MissingParent
 from .ghostdag import GhostdagParams, ghostdag_run
 # digest is unused here; it stays importable because perfbench's tracer wraps netsim.digest
 from .hashing import digest, float_time, integer, rng_seed, shown, sorted_json, whole_number
@@ -110,6 +109,11 @@ class SimConfig:
             raise InvalidConfig(f"duration must be positive and finite, got {shown(self.duration)}")
         if self.mode not in MODES:
             raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
+
+
+def node_names(nodes: int) -> list[str]:
+    """The creator names a run gives its nodes: node idx is f"n{idx}"."""
+    return [f"n{i}" for i in range(nodes)]
 
 
 class SimEvent(NamedTuple):
@@ -218,11 +222,14 @@ class _Views:
     the prefix's tips less the named ones, plus its newest undelivered
     block.
 
-    The blocks themselves live once, in a plain dict beside their creation
-    indices, and no DAG is built. Each mode tracks only what its parents
-    and measure read: the tips, named blocks and largest anticone in
-    blockdag mode, and heights and each node's best tip in longest_chain
-    mode, whose stale leaves would stay tips for good.
+    The blocks themselves live once, in a dict in creation order, and no
+    DAG is built. A block's creation position is the count of blocks kept
+    before it, and the FIFO delivers in creation order, so the position of
+    the block being delivered is the count delivered so far. Each mode
+    tracks only what its parents and measure read: the tips, named blocks
+    and largest anticone in blockdag mode, and heights and each node's
+    best tip in longest_chain mode, whose stale leaves would stay tips for
+    good.
 
     A blockdag block's past is its creator's whole view when it is made,
     so its anticone is the other nodes' blocks in flight then (early, kept
@@ -234,7 +241,6 @@ class _Views:
     def __init__(self, genesis: Block, nodes: int, chain: bool):
         self.chain = chain
         self.blocks = {genesis.id: genesis}
-        self.index = {genesis.id: 0}
         self.heights = {genesis.id: 0}
         self.delivered = 1  # genesis, which every node starts with
         self.tips = {genesis.id}
@@ -255,17 +261,8 @@ class _Views:
         return tuple(sorted(tips))
 
     def take(self, idx: int, block: Block):
-        """Keep a block node idx creates, once that node holds every parent
-        it names: a delivered block, or an undelivered one of its own, which
-        names the same creator."""
-        index, delivered, blocks = self.index, self.delivered, self.blocks
-        if block.id in index:
-            raise DuplicateBlock(f"block {block.short_id()} was created already")
-        for p in block.parents:
-            at = index.get(p)
-            if at is None or (at >= delivered and blocks[p].creator != block.creator):
-                raise MissingParent(f"node {idx} lacks a parent of block {block.short_id()}")
-        pending = self.pending[idx]
+        """Keep a block node idx creates on parents(idx)."""
+        blocks, pending = self.blocks, self.pending[idx]
         if self.chain:
             height = max((self.heights[p] for p in block.parents), default=-1) + 1
             self.heights[block.id] = height
@@ -274,9 +271,8 @@ class _Views:
                 self.best_tips[idx] = block.id
         else:
             # the other nodes' blocks in flight, none of them in its past
-            self.early.append(len(index) - delivered - len(pending))
+            self.early.append(len(blocks) - self.delivered - len(pending))
             self.named[idx].update(block.parents)
-        index[block.id] = len(index)
         blocks[block.id] = block
         pending.append(block)
 
@@ -288,12 +284,7 @@ class _Views:
         were created before it, so every node holds them already, and no
         delivered block names it, so it is a tip of the prefix.
         """
-        at = self.index[block.id]
-        if at < self.delivered:
-            raise DuplicateBlock(f"every node already has block {block.short_id()}")
-        if at > self.delivered:
-            raise MissingParent(f"block {block.short_id()} would reach the nodes before "
-                                f"block {self.delivered}, created earlier")
+        at = self.delivered
         self.delivered = at + 1
         pending = self.pending[creator]
         pending.popleft()
@@ -305,7 +296,7 @@ class _Views:
             return
         # the other nodes' blocks created since, none of them in its future;
         # its creator's are all still undelivered
-        anticone = self.early.popleft() + len(self.index) - at - 1 - len(pending)
+        anticone = self.early.popleft() + len(self.blocks) - at - 1 - len(pending)
         if anticone > self.largest:
             self.largest = anticone
         # each parent was a tip of its creator's view, so no other of its
@@ -320,7 +311,7 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
     rng = random.Random(rng_seed(config.seed))
     genesis = genesis_block()
     views = _Views(genesis, config.nodes, config.mode == MODE_LONGEST_CHAIN)
-    creators = [f"n{i}" for i in range(config.nodes)]
+    creators = node_names(config.nodes)
     steps = StepLog(config.delay_d, creators)
     # (due time, creator, block): with one fixed delay, deliveries fall due
     # in creation order, so a FIFO holds them
@@ -340,8 +331,6 @@ def run(config: SimConfig) -> tuple[SimMetrics, SimTrace]:
             continue
         idx = pick(nodes)
         block = create(parents(idx), (), t, creators[idx])
-        # the creator refuses a duplicate or a missing parent before the
-        # block is kept
         take(idx, block)
         record(block, _CREATED)
         # one entry reaches every other node at once; on a one-node run it
@@ -359,13 +348,10 @@ def _measure(trace: SimTrace, views: _Views) -> SimMetrics:
     its blocks were delivered, and a longest_chain run's tree is measured
     from trace.blocks."""
     config = trace.config
-    n = len(trace.blocks)
-    created = n - 1  # every block but genesis
-    # At quiescence every node has received every block. The anticone
+    created = len(trace.blocks) - 1  # every block but genesis
+    # The run ends once every node has received every block. The anticone
     # sizes are a property of the DAG, not of the order its blocks were
     # added in, so the shared blocks measure every node's view.
-    if views.delivered != n:
-        raise IncompleteTrace(f"{n - views.delivered} of the {n} blocks never reached every node")
     if config.mode == MODE_BLOCKDAG:
         # GHOSTDAG orders every block of the view, which every node holds
         in_order = created
@@ -419,11 +405,13 @@ def check_convergence(trace: SimTrace, k: int) -> bool:
 
     Works from the step log, each node taking its own creations and every
     other node's deliveries, so a truncated trace fails the check, whether
-    it lost one delivery or every step of a block, and so does a log kept
-    for another node count, or a block a node's replay refuses.
+    it lost one delivery or every step of a block, and so does a log whose
+    names are not the ones run gives the config's nodes. The replay is
+    where a block is refused that was made twice or mined on a parent its
+    node lacked.
     """
     steps, nodes = trace.events, trace.config.nodes
-    if steps.nodes != nodes:
+    if steps.creators != node_names(nodes):
         return False
     params = GhostdagParams(k)
     # one replay at a time: each must hold every block of the run, and

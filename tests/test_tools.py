@@ -67,9 +67,9 @@ def test_sim_scaling_reports_each_run_and_doubling():
         (mode, duration) for mode in modes for duration in (20.0, 40.0)
     ]
     for r in runs:
-        assert sorted(r) == ["blocks", "duration", "mode", "peak_mb", "seconds", "seconds_max",
-                             "seconds_min"]
-        assert r["blocks"] > 1 and r["peak_mb"] > 0
+        assert sorted(r) == ["blocks", "duration", "kb_per_block", "mode", "peak_mb", "seconds",
+                             "seconds_max", "seconds_min"]
+        assert r["blocks"] > 1 and r["peak_mb"] > 0 and r["kb_per_block"] > 0
         assert 0 < r["seconds_min"] <= r["seconds"] <= r["seconds_max"]
     assert sorted(report["doublings"]) == modes
     for mode in modes:

@@ -9,9 +9,9 @@ runs every mode and duration once, so a slow spell of the host falls on
 every size rather than on one. A run's seconds are the median of its
 rounds, with the fastest and slowest beside it, and its peak is
 tracemalloc's traced peak over one more run. Prints one JSON object: each
-run's blocks, seconds and peak MB, and for each mode the ratio of each
-doubling. The peaks move by a few percent with the hash seed, so
-PYTHONHASHSEED fixes it.
+run's blocks, seconds, peak MB and peak KB per block, and for each mode
+the ratio of each doubling. The peaks move by a few percent with the
+hash seed, so PYTHONHASHSEED fixes it.
 """
 
 from __future__ import annotations
@@ -64,14 +64,13 @@ def main(argv=None) -> None:
         for case in cases:
             took, blocks[case] = timed(config(*case))
             seconds[case].append(took)
-    runs = [
-        {"mode": mode, "duration": duration, "blocks": blocks[mode, duration],
-         "seconds": round(statistics.median(seconds[mode, duration]), 4),
-         "seconds_min": round(min(seconds[mode, duration]), 4),
-         "seconds_max": round(max(seconds[mode, duration]), 4),
-         "peak_mb": round(peak_mb(config(mode, duration)), 2)}
-        for mode, duration in cases
-    ]
+    runs = []
+    for mode, duration in cases:
+        n, took, peak = blocks[mode, duration], seconds[mode, duration], peak_mb(config(mode, duration))
+        runs.append({"mode": mode, "duration": duration, "blocks": n,
+                     "seconds": round(statistics.median(took), 4),
+                     "seconds_min": round(min(took), 4), "seconds_max": round(max(took), 4),
+                     "peak_mb": round(peak, 2), "kb_per_block": round(peak * 1000 / n, 3)})
     doublings = {}
     for mode in MODES:
         rows = [r for r in runs if r["mode"] == mode]
